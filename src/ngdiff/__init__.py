@@ -1,9 +1,9 @@
 """Two-task machine unlearning toolkit.
 
-Gradient extraction over a minimal autodiff engine, the family of dynamic
-scalarization combiners (including the normalized gradient difference),
-probe-based automatic learning rates, deterministic benchmark problems,
-the unlearning run loop, and a CLI around it all.
+Gradient extraction through a fused tanh-MLP log-prob kernel, the family
+of dynamic scalarization combiners (including the normalized gradient
+difference), probe-based automatic learning rates, deterministic benchmark
+problems, the unlearning run loop, and a CLI around it all.
 """
 
 from .autodiff import (

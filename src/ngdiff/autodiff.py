@@ -1,16 +1,24 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Fused tanh-MLP log-prob kernel over dense float64 arrays.
 
-A ``Graph`` is built once per model and re-run on fresh parameter vectors
-and input batches.  The forward pass caches every node value; ``backward``
-replays the tape in reverse and accumulates adjoints into a flat gradient
-aligned with the graph's parameter layout.  The operation set is the
-minimum needed for small MLP classifiers and analytic objectives: matmul,
-bias add, tanh, relu, softmax cross-entropy, per-sample true-label
-log-probability, elementwise square/exp/log/log-sigmoid, affine scaling,
-and full-array reductions.
+A ``Graph`` is the fixed program of a tanh MLP classifier: layer ``i``
+computes ``z_i = h_{i-1} @ w_i + b_i``, hidden layers apply ``tanh``, and
+the last pre-activation is the logits of a softmax head.  ``run`` evaluates
+the per-sample log-probability of the true label, ``lp``, and returns the
+mean cross-entropy ``-mean(lp)``; it caches the layer activations and the
+softmax numerator and denominator.  ``backward`` is the matching
+vector-Jacobian product, written straight into one flat gradient aligned
+with the graph's ``ParameterLayout``: of the cross-entropy by default, or of
+any loss built on ``lp`` when given its upstream gradient ``dL/dlp`` (the
+preference loss in ``objectives`` uses that).  Every production loss is a
+function of ``lp``, so this one kernel serves finetuning, both task
+gradients, probes and evaluation.
 
-Everything is 64-bit.  Graphs are single-owner: a forward/backward pair
-must not be interleaved with runs of the same graph from another thread.
+Finiteness is checked once per layer pre-activation and once on the loss.
+The floating-point operations and their order are fixed, so a run is
+reproducible bit for bit.
+
+Everything is 64-bit.  Graphs are single-owner: a run/backward pair must
+not be interleaved with runs of the same graph from another thread.
 ``ParameterVector`` and ``FlatGradient`` are immutable values and safe to
 share.
 """
@@ -74,6 +82,15 @@ class Tensor:
         arr = _as_f64(array)
         return cls(arr.shape, arr.reshape(-1))
 
+    @classmethod
+    def _adopt(cls, array: np.ndarray) -> "Tensor":
+        """Wrap a fresh float64 array whose entries are known finite; no copy."""
+        array.flags.writeable = False
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "shape", array.shape)
+        object.__setattr__(tensor, "data", array.reshape(-1))
+        return tensor
+
     @property
     def array(self) -> np.ndarray:
         return self.data.reshape(self.shape)
@@ -97,32 +114,29 @@ class ParameterLayout:
     """Ordered, contiguous, non-overlapping segments covering a flat vector."""
 
     segments: tuple[Segment, ...]
+    total_size: int = field(init=False, compare=False, repr=False)
+    _by_name: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         offset = 0
-        names = set()
+        by_name = {}
         for seg in self.segments:
             if seg.offset != offset:
                 raise DimensionError(
                     f"segment {seg.name!r} offset {seg.offset}, expected {offset}"
                 )
-            if seg.name in names:
+            if seg.name in by_name:
                 raise DimensionError(f"duplicate segment name {seg.name!r}")
-            names.add(seg.name)
+            by_name[seg.name] = seg
             offset += seg.size
-
-    @property
-    def total_size(self) -> int:
-        return sum(seg.size for seg in self.segments)
+        object.__setattr__(self, "total_size", offset)
+        object.__setattr__(self, "_by_name", by_name)
 
     def segment(self, name: str) -> Segment:
-        for seg in self.segments:
-            if seg.name == name:
-                return seg
-        raise KeyError(name)
+        return self._by_name[name]
 
     def view(self, data: np.ndarray, name: str) -> np.ndarray:
-        seg = self.segment(name)
+        seg = self._by_name[name]
         return data[seg.offset : seg.offset + seg.size].reshape(seg.shape)
 
 
@@ -135,6 +149,21 @@ def _check_vector(data: np.ndarray, layout: ParameterLayout, what: str) -> np.nd
     if not np.all(np.isfinite(data)):
         raise NumericError(f"{what} entries must be finite")
     return data
+
+
+def _adopt_vector(cls, data: np.ndarray, layout: ParameterLayout, what: str):
+    """Build a ``cls`` value around a fresh flat array of the layout's size.
+
+    Only the finiteness check remains: the array is owned by nobody else,
+    so it is frozen in place instead of copied.
+    """
+    if not np.isfinite(data).all():
+        raise NumericError(f"{what} entries must be finite")
+    data.flags.writeable = False
+    value = object.__new__(cls)
+    object.__setattr__(value, "data", data)
+    object.__setattr__(value, "layout", layout)
+    return value
 
 
 @dataclass(frozen=True)
@@ -184,337 +213,160 @@ def axpy_update(params: ParameterVector, direction: FlatGradient, eta: float) ->
     eta = float(eta)
     if not math.isfinite(eta):
         raise NumericError("step size must be finite")
-    return ParameterVector(params.data - eta * direction.data, params.layout)
+    updated = params.data - eta * direction.data
+    return _adopt_vector(ParameterVector, updated, params.layout, "parameter")
 
 
-@dataclass(frozen=True)
-class _Node:
-    op: str
-    inputs: tuple[int, ...]
-    label: str
-    payload: object = None
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1, keepdims=True)``, taken column by column.
+
+    A row reduction over a handful of classes pays numpy's per-row overhead;
+    the maximum is exact, so the column-wise form gives the same values.
+    """
+    m = x[:, 0]
+    for j in range(1, x.shape[1]):
+        m = np.maximum(m, x[:, j])
+    return m.reshape(-1, 1)
+
+
+@dataclass
+class _Cache:
+    """What ``Graph.run`` leaves for ``backward`` and for readers of the logits."""
+
+    weights: list  # w_i views into the parameter vector
+    acts: list  # acts[0] is the input, acts[i] the output of layer i
+    at_label: np.ndarray  # flat index of each row's true label in the logits
+    numer: np.ndarray  # exp(logits - rowmax)
+    denom: np.ndarray  # row sums of ``numer``, shape (n, 1)
+    lp: np.ndarray  # true-label log-probabilities
 
 
 class Graph:
-    """Topologically ordered operation tape with parameter and input leaves.
+    """A tanh MLP with a true-label log-prob head, over a flat parameter vector.
 
-    Build the graph once with the ``param``/``input``/op methods, call
-    ``set_loss`` on the scalar output, then evaluate with ``run`` (or the
-    module-level ``forward``) and differentiate with ``backward``.
+    ``widths`` runs from the input width through the hidden widths to the
+    class count.  Segments ``w1, b1, w2, b2, ...`` lay out each layer's
+    ``(fan_in, fan_out)`` weight and ``(fan_out,)`` bias in that order.
     """
 
-    def __init__(self):
-        self._nodes: list[_Node] = []
-        self._segments: list[Segment] = []
-        self._next_offset = 0
-        self._layout: ParameterLayout | None = None
-        self.loss: int | None = None
-        self.logits: int | None = None
-        self.labels_input: int | None = None
-        self._values: list | None = None
+    def __init__(self, widths):
+        widths = tuple(int(w) for w in widths)
+        if len(widths) < 2:
+            raise DimensionError("need at least input and output widths")
+        if any(w < 1 for w in widths):
+            raise DimensionError(f"layer widths must be >= 1, got {widths}")
+        segments, layers, offset = [], [], 0
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), start=1):
+            w = Segment(f"w{i}", (fan_in, fan_out), offset)
+            b = Segment(f"b{i}", (fan_out,), w.offset + w.size)
+            segments += [w, b]
+            layers.append((slice(w.offset, b.offset), w.shape, slice(b.offset, b.offset + fan_out)))
+            offset = b.offset + fan_out
+        self.widths = widths
+        self.layout = ParameterLayout(tuple(segments))
+        self._layers = tuple(layers)
+        self._cache: _Cache | None = None
 
-    # -- construction ----------------------------------------------------
+    def _bind(self, bindings: dict) -> tuple[np.ndarray, np.ndarray]:
+        for name in ("features", "labels"):
+            if name not in bindings:
+                raise DimensionError(f"missing binding for {name!r}")
+        x = _as_f64(bindings["features"])
+        if x.ndim != 2 or x.shape[1] != self.widths[0]:
+            raise DimensionError(f"features expect shape (n, {self.widths[0]}), got {x.shape}")
+        if x.shape[0] == 0:
+            raise DimensionError("features must be non-empty")
+        labels = np.asarray(bindings["labels"])
+        if labels.dtype != np.int64:
+            labels = labels.astype(np.int64)
+        if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
+            raise DimensionError("labels must be a 1-D integer array with one entry per row")
+        if labels.min() < 0 or labels.max() >= self.widths[-1]:
+            raise DimensionError("labels out of class range")
+        return x, labels
 
-    def _add(self, op: str, inputs: tuple[int, ...], label: str, payload=None) -> int:
-        for i in inputs:
-            if not 0 <= i < len(self._nodes):
-                raise DimensionError(f"node input {i} out of range")
-        self._nodes.append(_Node(op, inputs, label, payload))
-        return len(self._nodes) - 1
+    def run(self, params: ParameterVector, bindings: dict) -> float:
+        """Forward pass over ``bindings["features"]`` and ``bindings["labels"]``.
 
-    def param(self, name: str, shape) -> int:
-        if self._layout is not None:
-            raise GraphStateError("cannot add parameters after the layout is finalized")
-        shape = tuple(int(s) for s in shape)
-        seg = Segment(name, shape, self._next_offset)
-        self._segments.append(seg)
-        self._next_offset += seg.size
-        return self._add("param", (), name, payload=name)
-
-    def input(self, name: str, width: int | None = None) -> int:
-        return self._add("input", (), name, payload=(name, width))
-
-    def input_labels(self, name: str = "labels") -> int:
-        node = self._add("labels", (), name, payload=name)
-        self.labels_input = node
-        return node
-
-    def const(self, value) -> int:
-        return self._add("const", (), "const", payload=_frozen_f64(value))
-
-    def matmul(self, a: int, b: int) -> int:
-        return self._add("matmul", (a, b), "matmul")
-
-    def add_bias(self, x: int, b: int) -> int:
-        return self._add("add_bias", (x, b), "add_bias")
-
-    def add(self, a: int, b: int) -> int:
-        return self._add("add", (a, b), "add")
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add("sub", (a, b), "sub")
-
-    def scale(self, a: int, k: float) -> int:
-        return self._add("scale", (a,), f"scale({k:g})", payload=float(k))
-
-    def tanh(self, a: int) -> int:
-        return self._add("tanh", (a,), "tanh")
-
-    def relu(self, a: int) -> int:
-        return self._add("relu", (a,), "relu")
-
-    def square(self, a: int) -> int:
-        return self._add("square", (a,), "square")
-
-    def exp(self, a: int) -> int:
-        return self._add("exp", (a,), "exp")
-
-    def log(self, a: int) -> int:
-        return self._add("log", (a,), "log")
-
-    def logsigmoid(self, a: int) -> int:
-        return self._add("logsigmoid", (a,), "logsigmoid")
-
-    def reduce_sum(self, a: int) -> int:
-        return self._add("sum", (a,), "sum")
-
-    def reduce_mean(self, a: int) -> int:
-        return self._add("mean", (a,), "mean")
-
-    def softmax_cross_entropy(self, logits: int, labels: int) -> int:
-        return self._add("softmax_xent", (logits, labels), "softmax_xent")
-
-    def logprob_true(self, logits: int, labels: int) -> int:
-        """Per-sample log-probability of the true label under the softmax."""
-        return self._add("logprob_true", (logits, labels), "logprob_true")
-
-    def set_loss(self, node: int) -> None:
-        self.loss = node
-
-    def mark_logits(self, node: int) -> None:
-        self.logits = node
-
-    def extended(self) -> "Graph":
-        """Copy of this graph sharing layout and nodes, open for new op nodes.
-
-        New parameters cannot be added to the copy; it differentiates the
-        same flat vector as the original.
+        Returns the mean cross-entropy and caches what ``backward`` needs.
         """
-        g = Graph()
-        g._nodes = list(self._nodes)
-        g._segments = list(self._segments)
-        g._next_offset = self._next_offset
-        g._layout = self.layout
-        g.loss = self.loss
-        g.logits = self.logits
-        g.labels_input = self.labels_input
-        return g
+        _same_layout(params.layout, self.layout, "forward")
+        h, labels = self._bind(bindings)
+        data = params.data
+        weights, acts = [], [h]
+        last = len(self._layers)
+        # finiteness is checked once per layer, so numpy's own warnings are noise
+        with np.errstate(all="ignore"):
+            for i, (w_at, w_shape, b_at) in enumerate(self._layers, start=1):
+                w = data[w_at].reshape(w_shape)
+                z = h @ w + data[b_at]
+                if not np.isfinite(z).all():
+                    raise NumericError(f"non-finite pre-activation in layer {i}")
+                h = np.tanh(z) if i < last else z
+                weights.append(w)
+                acts.append(h)
+            m = _row_max(h)
+            numer = np.exp(h - m)
+            denom = numer.sum(axis=1, keepdims=True)
+            n, classes = h.shape
+            at_label = np.arange(0, n * classes, classes) + labels  # flat (row, label) index
+            lp = h.take(at_label) - (m + np.log(denom))[:, 0]
+            loss = float(-(lp.sum() / n))  # -np.mean(lp), without its wrapper
+        if not math.isfinite(loss):
+            raise NumericError("non-finite cross-entropy")
+        self._cache = _Cache(weights, acts, at_label, numer, denom, lp)
+        return loss
+
+    def _cached(self) -> _Cache:
+        if self._cache is None:
+            raise GraphStateError("no forward pass has been run")
+        return self._cache
 
     @property
-    def layout(self) -> ParameterLayout:
-        if self._layout is None:
-            self._layout = ParameterLayout(tuple(self._segments))
-        return self._layout
+    def logits(self) -> np.ndarray:
+        """Logits of the most recent ``run``."""
+        return self._cached().acts[-1]
 
-    # -- evaluation --------------------------------------------------------
+    @property
+    def lp(self) -> np.ndarray:
+        """True-label log-probabilities of the most recent ``run``."""
+        return self._cached().lp
 
-    def run(self, params: ParameterVector, bindings: dict | None = None) -> float:
-        """Forward pass: returns the scalar loss and caches all node values."""
-        if self.loss is None:
-            raise GraphStateError("graph has no loss output")
-        _same_layout(params.layout, self.layout, "forward")
-        bindings = bindings or {}
-        values: list = [None] * len(self._nodes)
-        # finiteness is checked per node, so numpy's own warnings are noise
-        with np.errstate(all="ignore"):
-            for i, node in enumerate(self._nodes):
-                values[i] = self._eval(node, values, params, bindings)
-                if node.op != "labels" and not np.all(np.isfinite(values[i])):
-                    raise NumericError(f"non-finite value at node {i} ({node.label})")
-        self._values = values
-        out = values[self.loss]
-        if np.ndim(out) != 0 and np.size(out) != 1:
-            raise DimensionError("loss output must be a scalar")
-        return float(out)
+    def backward(self, dlp: np.ndarray | None = None) -> FlatGradient:
+        """Gradient w.r.t. the flat parameter vector, after a ``run``.
 
-    def value(self, node: int) -> np.ndarray:
-        """Cached value of a node from the most recent ``run``."""
-        if self._values is None:
-            raise GraphStateError("no forward pass has been run")
-        return self._values[node]
-
-    def _eval(self, node: _Node, values, params: ParameterVector, bindings: dict):
-        op = node.op
-        if op == "param":
-            return params.segment(node.payload)
-        if op == "input":
-            name, width = node.payload
-            if name not in bindings:
-                raise DimensionError(f"missing binding for input {name!r}")
-            arr = _as_f64(bindings[name])
-            if arr.shape[0] == 0:
-                raise DimensionError(f"input {name!r} must be non-empty")
-            if width is not None:
-                if arr.ndim != 2 or arr.shape[1] != width:
-                    raise DimensionError(
-                        f"input {name!r} expects shape (n, {width}), got {arr.shape}"
-                    )
-            return arr
-        if op == "labels":
-            name = node.payload
-            if name not in bindings:
-                raise DimensionError(f"missing binding for labels {name!r}")
-            arr = np.asarray(bindings[name])
-            if arr.ndim != 1 or arr.shape[0] == 0:
-                raise DimensionError("labels must be a non-empty 1-D integer array")
-            return arr.astype(np.int64)
-        if op == "const":
-            return node.payload
-        a = values[node.inputs[0]] if node.inputs else None
-        if op == "matmul":
-            b = values[node.inputs[1]]
-            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-                raise DimensionError(
-                    f"matmul shapes {a.shape} x {b.shape} are incompatible"
-                )
-            return a @ b
-        if op == "add_bias":
-            b = values[node.inputs[1]]
-            if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
-                raise DimensionError(
-                    f"add_bias shapes {a.shape} + {b.shape} are incompatible"
-                )
-            return a + b
-        if op in ("add", "sub"):
-            b = values[node.inputs[1]]
-            if a.shape != b.shape:
-                raise DimensionError(f"{op} shapes {a.shape} vs {b.shape} differ")
-            return a + b if op == "add" else a - b
-        if op == "scale":
-            return node.payload * a
-        if op == "tanh":
-            return np.tanh(a)
-        if op == "relu":
-            return np.maximum(a, 0.0)
-        if op == "square":
-            return a * a
-        if op == "exp":
-            return np.exp(a)
-        if op == "log":
-            return np.log(a)
-        if op == "logsigmoid":
-            return -np.logaddexp(0.0, -a)
-        if op == "sum":
-            return np.sum(a)
-        if op == "mean":
-            return np.mean(a)
-        if op in ("softmax_xent", "logprob_true"):
-            labels = values[node.inputs[1]]
-            if a.ndim != 2:
-                raise DimensionError("logits must be 2-D")
-            if labels.shape[0] != a.shape[0]:
-                raise DimensionError("labels length must match the batch")
-            if np.any(labels < 0) or np.any(labels >= a.shape[1]):
-                raise DimensionError("labels out of class range")
-            m = a.max(axis=1, keepdims=True)
-            lse = m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))
-            logprob = a[np.arange(a.shape[0]), labels] - lse[:, 0]
-            if op == "logprob_true":
-                return logprob
-            return -np.mean(logprob)
-        raise GraphStateError(f"unknown op {op!r}")
-
-    def backward(self) -> FlatGradient:
-        """Gradient of the loss w.r.t. the flat parameter vector.
-
-        Requires a preceding ``run`` on this graph; adjoints are seeded at
-        the loss node and accumulated down the reversed tape.
+        Without ``dlp`` this differentiates the cross-entropy that ``run``
+        returned; with ``dlp`` (one entry per row) it differentiates any
+        loss whose gradient w.r.t. ``lp`` is ``dlp``.
         """
-        if self._values is None:
-            raise GraphStateError("backward requires a completed forward pass")
-        values = self._values
-        adj: list = [None] * len(self._nodes)
-        adj[self.loss] = np.asarray(1.0)
-
-        def push(idx: int, grad) -> None:
-            if adj[idx] is None:
-                adj[idx] = grad
-            else:
-                adj[idx] = adj[idx] + grad
-
-        for i in range(len(self._nodes) - 1, -1, -1):
-            node, g = self._nodes[i], adj[i]
-            if g is None or node.op in ("param", "input", "labels", "const"):
-                continue
-            ins = node.inputs
-            op = node.op
-            if op == "matmul":
-                a, b = values[ins[0]], values[ins[1]]
-                push(ins[0], g @ b.T)
-                push(ins[1], a.T @ g)
-            elif op == "add_bias":
-                push(ins[0], g)
-                push(ins[1], g.sum(axis=0))
-            elif op == "add":
-                push(ins[0], g)
-                push(ins[1], g)
-            elif op == "sub":
-                push(ins[0], g)
-                push(ins[1], -g)
-            elif op == "scale":
-                push(ins[0], node.payload * g)
-            elif op == "tanh":
-                y = values[i]
-                push(ins[0], (1.0 - y * y) * g)
-            elif op == "relu":
-                push(ins[0], (values[ins[0]] > 0.0) * g)
-            elif op == "square":
-                push(ins[0], 2.0 * values[ins[0]] * g)
-            elif op == "exp":
-                push(ins[0], values[i] * g)
-            elif op == "log":
-                push(ins[0], g / values[ins[0]])
-            elif op == "logsigmoid":
-                # d/dx log(sigmoid(x)) = sigmoid(-x)
-                x = values[ins[0]]
-                push(ins[0], np.exp(-np.logaddexp(0.0, x)) * g)
-            elif op == "sum":
-                push(ins[0], np.broadcast_to(g, np.shape(values[ins[0]])).copy())
-            elif op == "mean":
-                x = values[ins[0]]
-                push(ins[0], np.broadcast_to(g / np.size(x), np.shape(x)).copy())
-            elif op in ("softmax_xent", "logprob_true"):
-                logits, labels = values[ins[0]], values[ins[1]]
-                m = logits.max(axis=1, keepdims=True)
-                e = np.exp(logits - m)
-                probs = e / e.sum(axis=1, keepdims=True)
-                onehot = np.zeros_like(probs)
-                onehot[np.arange(len(labels)), labels] = 1.0
-                if op == "softmax_xent":
-                    push(ins[0], (probs - onehot) * (g / len(labels)))
-                else:
-                    push(ins[0], np.asarray(g).reshape(-1, 1) * (onehot - probs))
-            else:
-                raise GraphStateError(f"no backward rule for op {op!r}")
-
-        flat = np.zeros(self.layout.total_size)
-        for i, node in enumerate(self._nodes):
-            if node.op == "param" and adj[i] is not None:
-                seg = self.layout.segment(node.payload)
-                flat[seg.offset : seg.offset + seg.size] = np.asarray(adj[i]).ravel()
-        return FlatGradient(flat, self.layout)
+        c = self._cached()
+        probs = c.numer / c.denom
+        if dlp is None:
+            probs.reshape(-1)[c.at_label] -= 1.0  # probs - onehot
+            g = probs * (1.0 / c.lp.shape[0])
+        else:
+            dlp = _as_f64(dlp)
+            if dlp.shape != c.lp.shape:
+                raise DimensionError(f"dlp shape {dlp.shape} does not match {c.lp.shape}")
+            # onehot - probs, spelled so that zero probabilities give +0.0
+            g = 0.0 - probs
+            g.reshape(-1)[c.at_label] += 1.0
+            g = dlp.reshape(-1, 1) * g
+        flat = np.empty(self.layout.total_size)
+        for i in range(len(self._layers) - 1, -1, -1):
+            w_at, _, b_at = self._layers[i]
+            flat[b_at] = g.sum(axis=0)
+            flat[w_at] = (c.acts[i].T @ g).ravel()
+            if i > 0:
+                y = c.acts[i]
+                g = (1.0 - y * y) * (g @ c.weights[i].T)
+        return _adopt_vector(FlatGradient, flat, self.layout, "gradient")
 
 
-def forward(graph: Graph, params: ParameterVector, batch=None) -> float:
-    """Run the graph on a labeled batch, binding ``features`` and ``labels``.
-
-    ``batch`` may be None for graphs without data inputs (analytic losses).
-    """
-    bindings = {}
-    if batch is not None:
-        features = batch.features.array if isinstance(batch.features, Tensor) else batch.features
-        bindings = {"features": features, "labels": batch.labels}
-    return graph.run(params, bindings)
+def forward(graph: Graph, params: ParameterVector, batch) -> float:
+    """Run the graph on a labeled batch, binding ``features`` and ``labels``."""
+    features = batch.features.array if isinstance(batch.features, Tensor) else batch.features
+    return graph.run(params, {"features": features, "labels": batch.labels})
 
 
 def backward(graph: Graph) -> FlatGradient:

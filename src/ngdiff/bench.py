@@ -47,11 +47,21 @@ class LabeledBatch:
         return self.features.shape[1]
 
     def take(self, indices: np.ndarray) -> "LabeledBatch":
-        return LabeledBatch(
-            Tensor.from_array(self.features.array[indices]),
-            self.labels[indices],
-            self.class_count,
-        )
+        """Rows ``indices`` (a non-empty 1-D index array) as a new batch.
+
+        The rows come from this already validated batch, so they are cut
+        once and not re-checked.
+        """
+        features = self.features.array[indices]
+        if features.ndim != 2 or features.shape[0] == 0:
+            raise ValueError("take needs a non-empty 1-D index array")
+        labels = self.labels[indices]
+        labels.flags.writeable = False
+        batch = object.__new__(LabeledBatch)
+        object.__setattr__(batch, "features", Tensor._adopt(features))
+        object.__setattr__(batch, "labels", labels)
+        object.__setattr__(batch, "class_count", self.class_count)
+        return batch
 
 
 @dataclass(frozen=True)
@@ -112,25 +122,15 @@ def mlp_factory(seed: int, layer_widths) -> tuple[Graph, ParameterVector]:
     widths = [int(w) for w in layer_widths]
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
-    g = Graph()
-    x = g.input("features", width=widths[0])
-    labels = g.input_labels()
+    graph = Graph(widths)
     rng = np.random.default_rng(seed)
     init = np.zeros(0)
-    h = x
-    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), start=1):
-        w = g.param(f"w{i}", (fan_in, fan_out))
-        b = g.param(f"b{i}", (fan_out,))
-        h = g.add_bias(g.matmul(h, w), b)
-        if i < len(widths) - 1:
-            h = g.tanh(h)
+    for fan_in, fan_out in zip(widths, widths[1:]):
         s = math.sqrt(6.0 / (fan_in + fan_out))
         init = np.concatenate(
             [init, rng.uniform(-s, s, size=fan_in * fan_out), np.zeros(fan_out)]
         )
-    g.mark_logits(h)
-    g.set_loss(g.softmax_cross_entropy(h, labels))
-    return g, ParameterVector(init, g.layout)
+    return graph, ParameterVector(init, graph.layout)
 
 
 def save_batch_csv(batch: LabeledBatch, path) -> None:

@@ -19,6 +19,7 @@ import glob
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 from . import engine
@@ -49,9 +50,19 @@ def _load_config_dict(path: str) -> dict:
         raise ConfigError(path, f"config is not valid JSON: {exc}") from None
 
 
+def _object(doc: dict, key: str) -> dict:
+    """Section ``key`` of ``doc``, created empty if absent; must be an object."""
+    value = doc.setdefault(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(key, "must be an object")
+    return value
+
+
 def _apply_seed_overrides(doc: dict, args) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError("", "config must be a JSON object")
     doc = json.loads(json.dumps(doc))  # deep copy
-    seeds = doc.setdefault("seeds", {})
+    seeds = _object(doc, "seeds")
     for name in ("data", "init", "method"):
         value = getattr(args, f"seed_{name}", None)
         if value is not None:
@@ -94,25 +105,33 @@ def cmd_run(args) -> int:
         return 3
 
 
+def _float(param: str, value: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError("values", f"{param} value {value!r} is not a number") from None
+
+
 def _sweep_config(doc: dict, param: str, value: str) -> dict:
     out = json.loads(json.dumps(doc))
     if param == "c":
-        kind = out.get("method", {}).get("kind", "gdiff")
+        method = _object(out, "method")
+        kind = method.get("kind", "gdiff")
         if kind not in ("gdiff", "scheduled_gdiff"):
             kind = "gdiff"
-        out["method"] = {**out.get("method", {}), "kind": kind, "c": float(value)}
+        out["method"] = {**method, "kind": kind, "c": _float(param, value)}
         if kind == "gdiff":
             out["method"].pop("amplitude", None)
             out["method"].pop("decay", None)
     elif param == "eta":
-        out.setdefault("lr", {})
-        out["lr"]["mode"] = "fixed"
-        out["lr"]["eta"] = float(value)
+        lr = _object(out, "lr")
+        lr["mode"] = "fixed"
+        lr["eta"] = _float(param, value)
     elif param == "beta":
-        out["method"] = {"kind": "npo", "beta": float(value)}
+        out["method"] = {"kind": "npo", "beta": _float(param, value)}
     elif param == "method":
         method = {"kind": value}
-        if value in ("gdiff", "scheduled_gdiff") and "c" in out.get("method", {}):
+        if value in ("gdiff", "scheduled_gdiff") and "c" in _object(out, "method"):
             method["c"] = out["method"]["c"]
         out["method"] = method
     else:
@@ -120,15 +139,27 @@ def _sweep_config(doc: dict, param: str, value: str) -> dict:
     return out
 
 
+def _describe(exc: BaseException) -> str:
+    """One line naming an unexpected error and the line that raised it."""
+    frames = traceback.extract_tb(exc.__traceback__)
+    where = f" (at {Path(frames[-1].filename).name}:{frames[-1].lineno})" if frames else ""
+    return f"{type(exc).__name__}: {exc}{where}"
+
+
 def _sweep_child(doc: dict, out_dir: str, value: str):
+    """Run one sweep value; every failure comes back as (value, code, None, message)."""
     try:
         code, run_dir = _execute_run(doc, out_dir)
         with open(Path(run_dir) / "record.json") as fh:
             record = record_from_json(fh.read())
         f = record.final
         return value, code, (f.loss_retain, f.loss_forget, f.acc_retain, f.acc_forget), None
-    except (ConfigError, NumericAbort) as exc:
-        return value, (2 if isinstance(exc, ConfigError) else 3), None, str(exc)
+    except ConfigError as exc:
+        return value, 2, None, str(exc)
+    except NumericAbort as exc:
+        return value, 3, None, str(exc)
+    except Exception as exc:  # a failing child must not take the sweep down
+        return value, 1, None, _describe(exc)
 
 
 def cmd_sweep(args) -> int:
@@ -141,6 +172,14 @@ def cmd_sweep(args) -> int:
         print(f"error: --param must be one of {SWEEPABLE}", file=sys.stderr)
         return 2
     child_docs = [_sweep_config(doc, args.param, v) for v in values]
+    first_value = {}
+    for value, child in zip(values, child_docs):
+        # equal documents would have two children write one run directory at once
+        key = json.dumps(child, sort_keys=True)
+        if key in first_value:
+            print(f"error: --values {first_value[key]} and {value} give the same run", file=sys.stderr)
+            return 2
+        first_value[key] = value
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     results = []
@@ -150,7 +189,11 @@ def cmd_sweep(args) -> int:
                 pool.submit(_sweep_child, d, str(out_root), v)
                 for d, v in zip(child_docs, values)
             ]
-            results = [f.result() for f in futures]
+            for future, value in zip(futures, values):
+                try:
+                    results.append(future.result())
+                except Exception as exc:  # the worker process itself died
+                    results.append((value, 1, None, _describe(exc)))
     else:
         results = [_sweep_child(d, str(out_root), v) for d, v in zip(child_docs, values)]
 

@@ -142,6 +142,23 @@ class GaussianProblem:
     finetune_steps: int = 400
     finetune_eta: float = 0.5
 
+    def __post_init__(self):
+        checks = (
+            ("classes", self.classes >= 2, "need at least 2 classes"),
+            ("per_class", self.per_class >= 1, "must be >= 1"),
+            ("dim", self.dim >= self.classes,
+             f"must be >= classes ({self.classes}) for axis-anchored centers"),
+            ("separation", 0 < self.separation < math.inf, "must be positive and finite"),
+            ("forget_class", 0 <= self.forget_class < self.classes,
+             f"must lie in [0, {self.classes})"),
+            ("hidden", all(w >= 1 for w in self.hidden), "layer widths must be >= 1"),
+            ("finetune_steps", self.finetune_steps >= 0, "must be >= 0"),
+            ("finetune_eta", 0 < self.finetune_eta < math.inf, "must be positive and finite"),
+        )
+        for name, ok, message in checks:
+            if not ok:
+                raise ConfigError(f"problem.{name}", message)
+
 
 @dataclass(frozen=True)
 class QuadProblemConfig:
@@ -178,6 +195,14 @@ def _require(d: dict, key: str, path: str):
     if key not in d:
         raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
     return d[key]
+
+
+def _section(d: dict, key: str) -> dict:
+    """The required top-level ``key`` of ``d``, which must be a JSON object."""
+    value = _require(d, key, "")
+    if not isinstance(value, dict):
+        raise ConfigError(key, "must be an object")
+    return value
 
 
 def _reject_unknown(d: dict, allowed, path: str):
@@ -293,7 +318,7 @@ def config_from_dict(d: dict) -> RunConfig:
     _reject_unknown(
         d, {"method", "lr", "steps", "batch_size", "seeds", "problem", "eval_every"}, ""
     )
-    seeds_d = _require(d, "seeds", "")
+    seeds_d = _section(d, "seeds")
     _reject_unknown(seeds_d, {"data", "init", "method"}, "seeds")
     try:
         seeds = Seeds(
@@ -305,7 +330,7 @@ def config_from_dict(d: dict) -> RunConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("seeds", "seeds must be integers") from None
-    lr_d = _require(d, "lr", "")
+    lr_d = _section(d, "lr")
     _reject_unknown(lr_d, {"mode", "eta", "update_period", "probe_epsilon"}, "lr")
     try:
         lr = LrConfig(
@@ -318,8 +343,8 @@ def config_from_dict(d: dict) -> RunConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("lr", str(exc)) from None
-    method = _method_from_dict(_require(d, "method", ""), seeds)
-    problem = _problem_from_dict(_require(d, "problem", ""))
+    method = _method_from_dict(_section(d, "method"), seeds)
+    problem = _problem_from_dict(_section(d, "problem"))
     try:
         return RunConfig(
             method=method,
@@ -717,7 +742,7 @@ class _ClassificationTask:
 
     def _split_eval(self, params, batch: LabeledBatch) -> tuple[float, float]:
         loss = forward(self.graph, params, batch)
-        pred = np.argmax(self.graph.value(self.graph.logits), axis=1)
+        pred = np.argmax(self.graph.logits, axis=1)
         return float(np.mean(pred == batch.labels)), loss
 
     def evaluate(self, params) -> EvalResult:
@@ -731,7 +756,7 @@ def evaluate(graph: Graph, params: ParameterVector, split: ForgetRetainSplit) ->
 
     def one(batch):
         loss = forward(graph, params, batch)
-        pred = np.argmax(graph.value(graph.logits), axis=1)
+        pred = np.argmax(graph.logits, axis=1)
         return float(np.mean(pred == batch.labels)), loss
 
     acc_r, loss_r = one(split.retain)
@@ -749,9 +774,7 @@ def finetune(
     """
     for step in range(steps):
         try:
-            loss = forward(graph, params, data)
-            if not math.isfinite(loss):
-                raise NumericError("finetune loss is non-finite")
+            forward(graph, params, data)  # raises NumericError on a non-finite loss
             grad = graph.backward()
             params = axpy_update(params, grad, eta)
         except NumericError as exc:
@@ -824,8 +847,6 @@ def run_unlearning(cfg: RunConfig, initial_params: ParameterVector | None = None
                     if gnorm_r > 0 and gnorm_f > 0
                     else math.nan
                 )
-            if not (math.isfinite(loss_retain) and math.isfinite(loss_forget)):
-                raise NumericError("task loss is non-finite")
 
             guard_before = lr_state.guard_trips
             if auto:

@@ -9,12 +9,22 @@ Pareto front; it is a test fixture, not part of the classification path.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import FlatGradient, Graph, ParameterLayout, ParameterVector, Segment, Tensor
+from .autodiff import (
+    DimensionError,
+    FlatGradient,
+    Graph,
+    NumericError,
+    ParameterLayout,
+    ParameterVector,
+    Segment,
+    forward,
+)
 
 UNBOUNDED_QUADRATIC = "unbounded_quadratic"
 BOUNDED_EXP = "bounded_exp"
@@ -69,30 +79,21 @@ class NpoLoss:
         loss = -(2 / beta) * mean(log sigmoid(-beta * log(f / f_ref)))
 
     The reference side is treated as a constant: no gradient flows into it.
+    The loss is a function of the kernel's true-label log-probabilities, so
+    its gradient is the kernel's backward pass given ``dL/dlp``.
     """
 
     def __init__(self, model: Graph, cfg: NpoConfig):
         if cfg.reference_params.layout != model.layout:
             raise ValueError("reference snapshot layout does not match the model")
-        if model.logits is None or model.labels_input is None:
-            raise ValueError("model graph must expose logits and a labels input")
         self.cfg = cfg
-        self._graph = model.extended()
-        lp = self._graph.logprob_true(model.logits, model.labels_input)
-        ref = self._graph.input("ref_logprob")
-        z = self._graph.scale(self._graph.sub(lp, ref), -cfg.beta)
-        ls = self._graph.logsigmoid(z)
-        self._graph.set_loss(self._graph.scale(self._graph.reduce_mean(ls), -2.0 / cfg.beta))
-        self._logprob_node = lp
+        self._graph = copy.copy(model)  # same program and layout, its own forward cache
+        self._z: np.ndarray | None = None
 
     def reference_logprobs(self, batch) -> np.ndarray:
         """True-label log-probabilities under the frozen reference, clamped below."""
-        feats = batch.features.array if isinstance(batch.features, Tensor) else batch.features
-        self._graph.run(
-            self.cfg.reference_params,
-            {"features": feats, "labels": batch.labels, "ref_logprob": np.zeros(len(batch.labels))},
-        )
-        lp = np.array(self._graph.value(self._logprob_node))
+        forward(self._graph, self.cfg.reference_params, batch)
+        lp = np.array(self._graph.lp)
         if np.any(lp < LOG_PROB_FLOOR):
             self.cfg.clamp_warnings += 1
             lp = np.maximum(lp, LOG_PROB_FLOOR)
@@ -101,16 +102,27 @@ class NpoLoss:
     def loss(self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None) -> float:
         if ref_logprobs is None:
             ref_logprobs = self.reference_logprobs(batch)
-        feats = batch.features.array if isinstance(batch.features, Tensor) else batch.features
-        return self._graph.run(
-            params, {"features": feats, "labels": batch.labels, "ref_logprob": ref_logprobs}
-        )
+        forward(self._graph, params, batch)
+        lp = self._graph.lp
+        ref = np.asarray(ref_logprobs, dtype=np.float64)
+        if ref.shape != lp.shape:
+            raise DimensionError(f"reference log-probs shape {ref.shape} does not match {lp.shape}")
+        with np.errstate(all="ignore"):
+            z = float(-self.cfg.beta) * (lp - ref)
+            value = float(-2.0 / self.cfg.beta) * np.mean(-np.logaddexp(0.0, -z))
+        if not (np.isfinite(z).all() and math.isfinite(value)):
+            raise NumericError("non-finite NPO loss")
+        self._z = z
+        return float(value)
 
     def loss_and_grad(
         self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None
     ) -> tuple[float, FlatGradient]:
         value = self.loss(params, batch, ref_logprobs)
-        return value, self._graph.backward()
+        # d loss / d lp = (-beta) * sigmoid(-z) * (-(2 / beta) / n)
+        per_row = float(-2.0 / self.cfg.beta) / self._z.shape[0]
+        dlp = float(-self.cfg.beta) * (np.exp(-np.logaddexp(0.0, self._z)) * per_row)
+        return value, self._graph.backward(dlp)
 
 
 def npo_loss(model: Graph, params: ParameterVector, forget_batch, cfg: NpoConfig) -> float:

@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's forward/backward internals where the
 point is to check them: finite differences only call the forward pass, the
-straight-line MLP is a from-scratch numpy transcription, and the dominance
+straight-line MLP passes are from-scratch numpy transcriptions, and the dominance
 oracle is a direct pairwise scan.
 """
 
@@ -49,6 +49,36 @@ def straight_line_mlp_loss(widths, params: ParameterVector, features: np.ndarray
     lse = m + np.log(np.sum(np.exp(h - m), axis=1, keepdims=True))
     logprob = h[np.arange(h.shape[0]), labels] - lse[:, 0]
     return float(-np.mean(logprob))
+
+
+def straight_line_mlp_grad(widths, params: ParameterVector, features, labels, dlp=None) -> np.ndarray:
+    """Independent reverse pass of the tanh MLP, in the order of a plain tape.
+
+    Without ``dlp`` it differentiates the mean cross-entropy; with ``dlp`` it
+    pulls back the given gradient w.r.t. the true-label log-probabilities.
+    """
+    n_layers = len(widths) - 1
+    hs = [features]
+    for i in range(1, n_layers + 1):
+        h = hs[-1] @ params.segment(f"w{i}") + params.segment(f"b{i}")
+        hs.append(np.tanh(h) if i < n_layers else h)
+    logits = hs[-1]
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    probs = e / e.sum(axis=1, keepdims=True)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    if dlp is None:
+        g = (probs - onehot) * (1.0 / len(labels))
+    else:
+        g = np.asarray(dlp).reshape(-1, 1) * (onehot - probs)
+    grads = {}
+    for i in range(n_layers, 0, -1):
+        grads[f"b{i}"] = g.sum(axis=0)
+        grads[f"w{i}"] = hs[i - 1].T @ g
+        if i > 1:
+            g = (1.0 - hs[i - 1] * hs[i - 1]) * (g @ params.segment(f"w{i}").T)
+    return np.concatenate([grads[seg.name].ravel() for seg in params.layout.segments])
 
 
 def random_mlp_case(seed: int):

@@ -8,7 +8,6 @@ import pytest
 from ngdiff import (
     DimensionError,
     FlatGradient,
-    Graph,
     GraphStateError,
     LabeledBatch,
     NumericError,
@@ -21,15 +20,12 @@ from ngdiff import (
 from ngdiff.bench import mlp_factory
 from ngdiff.objectives import theta_layout
 
-from _oracles import assert_matches_fd, random_mlp_case, straight_line_mlp_loss
-
-
-def scalar_quadratic_graph():
-    """Graph computing 0.5 * theta^2 for a single scalar parameter."""
-    g = Graph()
-    theta = g.param("theta", (1,))
-    g.set_loss(g.scale(g.reduce_sum(g.square(theta)), 0.5))
-    return g
+from _oracles import (
+    assert_matches_fd,
+    random_mlp_case,
+    straight_line_mlp_grad,
+    straight_line_mlp_loss,
+)
 
 
 def batch_of(features, labels, classes):
@@ -72,34 +68,82 @@ class TestForward:
         with pytest.raises(ValueError):
             batch_of(np.zeros((0, 4)), [], 3)
 
-    def test_nonfinite_activation_names_the_node(self):
-        g = Graph()
-        theta = g.param("theta", (1,))
-        g.set_loss(g.reduce_sum(g.log(theta)))
-        params = ParameterVector(np.array([1.0]), g.layout)
-        forward(g, params)  # fine at theta=1
-        # log of a negative number -> nan at the log node
-        bad = ParameterVector(np.array([-1.0]), g.layout)
-        with pytest.raises(NumericError, match="log"):
-            forward(g, bad)
+    def test_loss_equals_straight_line_oracle_exactly(self):
+        # the kernel does the oracle's floating-point operations in its order
+        for seed in range(20):
+            graph, params, batch = random_mlp_case(seed)
+            loss = forward(graph, params, batch)
+            assert loss == straight_line_mlp_loss(
+                graph.widths, params, batch.features.array, batch.labels
+            )
+
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_overflowing_preactivation_names_the_layer(self, layer):
+        # all-positive inputs into weights of 1e308 sum past the float64 range
+        graph, params = mlp_factory(0, [3, 4, 3])
+        data = params.data.copy()
+        w = params.layout.segment(f"w{layer}")
+        data[w.offset : w.offset + w.size] = 1e308
+        if layer == 2:
+            b1 = params.layout.segment("b1")
+            data[b1.offset : b1.offset + b1.size] = 20.0  # hidden units saturate at +1
+        bad = ParameterVector(data, params.layout)
+        features = np.full((2, 3), 5.0) if layer == 1 else np.zeros((2, 3))
+        with pytest.raises(NumericError, match=f"layer {layer}"):
+            forward(graph, bad, batch_of(features, [0, 1], 3))
+
+    def test_labels_out_of_range_is_dimension_error(self):
+        graph, params = mlp_factory(0, [4, 3])
+        with pytest.raises(DimensionError):
+            graph.run(params, {"features": np.zeros((2, 4)), "labels": np.array([0, 3])})
+        with pytest.raises(DimensionError):
+            graph.run(params, {"features": np.zeros((2, 4)), "labels": np.array([-1, 0])})
+
+    def test_cached_values_need_a_run(self):
+        graph, params = mlp_factory(0, [4, 3])
+        with pytest.raises(GraphStateError):
+            graph.logits
+        with pytest.raises(GraphStateError):
+            graph.lp
+        batch = batch_of(np.eye(4)[:3], [0, 1, 2], 3)
+        loss = forward(graph, params, batch)
+        assert graph.logits.shape == (3, 3)
+        assert loss == -np.mean(graph.lp)
 
 
 class TestBackward:
-    def test_scalar_quadratic(self):
-        g = scalar_quadratic_graph()
-        params = ParameterVector(np.array([3.0]), g.layout)
-        assert forward(g, params) == 4.5
-        grad = backward(g)
-        assert grad.data[0] == pytest.approx(3.0, abs=1e-15)
+    def test_logistic_regression_gradient_closed_form(self):
+        # one layer: dCE/dW = X^T (P - Y) / n and dCE/db = sum_rows(P - Y) / n
+        graph, params = mlp_factory(4, [4, 3])
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((6, 4))
+        labels = np.array([0, 1, 2, 2, 1, 0])
+        forward(graph, params, batch_of(feats, labels, 3))
+        grad = backward(graph)
+        logits = feats @ params.segment("w1") + params.segment("b1")
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        resid = (probs - np.eye(3)[labels]) / 6.0
+        np.testing.assert_allclose(grad.segment("w1"), feats.T @ resid, atol=1e-15)
+        np.testing.assert_allclose(grad.segment("b1"), resid.sum(axis=0), atol=1e-15)
+
+    def test_gradient_equals_straight_line_oracle_exactly(self):
+        # same floating-point operations in the same order, with and without dlp
+        for seed in range(20):
+            graph, params, batch = random_mlp_case(seed)
+            feats, labels = batch.features.array, batch.labels
+            dlp = np.random.default_rng(seed).standard_normal(batch.n)
+            forward(graph, params, batch)
+            expected = straight_line_mlp_grad(graph.widths, params, feats, labels)
+            assert np.array_equal(backward(graph).data, expected)
+            expected = straight_line_mlp_grad(graph.widths, params, feats, labels, dlp)
+            assert np.array_equal(graph.backward(dlp).data, expected)
 
     def test_constant_loss_gives_zero_gradient(self):
-        g = Graph()
-        g.param("theta", (4,))
-        c = g.const(np.array([2.0]))
-        g.set_loss(g.reduce_sum(c))
-        params = ParameterVector(np.ones(4), g.layout)
-        forward(g, params)
-        assert np.all(backward(g).data == 0.0)
+        # a loss that does not depend on lp has dL/dlp = 0
+        graph, params, batch = random_mlp_case(2)
+        forward(graph, params, batch)
+        assert np.all(graph.backward(np.zeros(batch.n)).data == 0.0)
 
     def test_mlp_gradient_matches_finite_differences(self):
         graph, params, batch = random_mlp_case(7)
@@ -111,28 +155,32 @@ class TestBackward:
         with pytest.raises(GraphStateError):
             backward(graph)
 
-    def test_relu_and_elementwise_chain(self):
-        g = Graph()
-        theta = g.param("theta", (5,))
-        h = g.relu(theta)
-        h = g.add(g.square(h), g.exp(g.scale(theta, -1.0)))
-        g.set_loss(g.reduce_mean(h))
-        params = ParameterVector(np.array([0.7, -1.3, 2.1, -0.2, 0.4]), g.layout)
-        forward(g, params)
-        grad = backward(g)
-        x = params.data
-        expected = (2.0 * np.maximum(x, 0) * (x > 0) - np.exp(-x)) / 5.0
-        np.testing.assert_allclose(grad.data, expected, atol=1e-15)
+    def test_upstream_gradient_matches_finite_differences(self):
+        # backward(dlp) differentiates sum(a * lp) for a fixed weight vector a
+        graph, params, batch = random_mlp_case(5)
+        weights = np.random.default_rng(5).standard_normal(batch.n)
 
-    def test_logsigmoid_gradient(self):
-        g = Graph()
-        theta = g.param("theta", (3,))
-        g.set_loss(g.reduce_sum(g.logsigmoid(theta)))
-        params = ParameterVector(np.array([-40.0, 0.0, 3.5]), g.layout)
-        forward(g, params)
-        grad = backward(g)
-        x = params.data
-        np.testing.assert_allclose(grad.data, 1.0 / (1.0 + np.exp(x)), rtol=1e-12)
+        def weighted(p):
+            forward(graph, p, batch)
+            return float(weights @ graph.lp)
+
+        weighted(params)
+        grad = graph.backward(weights).data
+        eps = 1e-5
+        for i in range(params.size):
+            bump = np.zeros(params.size)
+            bump[i] = eps
+            fd = (
+                weighted(ParameterVector(params.data + bump, params.layout))
+                - weighted(ParameterVector(params.data - bump, params.layout))
+            ) / (2 * eps)
+            assert abs(grad[i] - fd) <= max(1e-8, 1e-5 * abs(fd))
+
+    def test_upstream_shape_mismatch_is_dimension_error(self):
+        graph, params, batch = random_mlp_case(1)
+        forward(graph, params, batch)
+        with pytest.raises(DimensionError):
+            graph.backward(np.zeros(batch.n + 1))
 
 
 class TestProperties:
@@ -143,41 +191,21 @@ class TestProperties:
             assert_matches_fd(graph, params, batch, backward(graph))
 
     def test_backward_is_linear_in_the_loss(self):
-        # gradient of a*L1 + b*L2 equals a*grad(L1) + b*grad(L2)
+        # gradient of a*L1 + b*L2 equals a*grad(L1) + b*grad(L2), with the
+        # losses given by their upstream gradients dL/dlp
         a, b = 0.7, -2.5
+        graph, params, batch = random_mlp_case(3)
         rng = np.random.default_rng(3)
-        feats = rng.standard_normal((6, 4))
-        labels = rng.integers(0, 3, size=6)
-
-        def build(scale_pair):
-            g = Graph()
-            x = g.input("features", width=4)
-            y = g.input_labels()
-            w = g.param("w", (4, 3))
-            bias = g.param("b", (3,))
-            logits = g.add_bias(g.matmul(x, w), bias)
-            l1 = g.softmax_cross_entropy(logits, y)
-            l2 = g.reduce_mean(g.square(w))
-            if scale_pair is None:
-                return g, l1, l2
-            g.set_loss(g.add(g.scale(l1, scale_pair[0]), g.scale(l2, scale_pair[1])))
-            return g
-
-        g1, l1, _ = build(None)
-        g1.set_loss(l1)
-        g2, _, l2 = build(None)
-        g2.set_loss(l2)
-        gc = build((a, b))
-
-        theta = ParameterVector(rng.standard_normal(15), gc.layout)
-        batch = batch_of(feats, labels, 3)
-        forward(g1, theta, batch)
-        grad1 = backward(g1)
-        forward(g2, theta, batch)
-        grad2 = backward(g2)
-        forward(gc, theta, batch)
-        combo = backward(gc)
-        np.testing.assert_allclose(combo.data, a * grad1.data + b * grad2.data, atol=1e-12)
+        d1, d2 = rng.standard_normal(batch.n), rng.standard_normal(batch.n)
+        forward(graph, params, batch)
+        grad1 = graph.backward(d1).data
+        grad2 = graph.backward(d2).data
+        combo = graph.backward(a * d1 + b * d2).data
+        np.testing.assert_allclose(combo, a * grad1 + b * grad2, atol=1e-12)
+        # the cross-entropy is -mean(lp)
+        np.testing.assert_allclose(
+            backward(graph).data, graph.backward(np.full(batch.n, -1.0 / batch.n)).data, atol=1e-15
+        )
 
     def test_determinism_bit_identical(self):
         runs = []

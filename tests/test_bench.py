@@ -45,7 +45,7 @@ class TestGaussianClusters:
         graph, params = mlp_factory(12, [3, 3])
         params = finetune(graph, params, data, 200, 0.5)
         forward(graph, params, data)
-        pred = np.argmax(graph.value(graph.logits), axis=1)
+        pred = np.argmax(graph.logits, axis=1)
         assert (pred == data.labels).mean() >= 0.99
 
     def test_argument_validation(self):
@@ -81,6 +81,21 @@ class TestSplit:
         original = sorted(map(tuple, np.column_stack([data.features.array, data.labels])))
         recombined = sorted(map(tuple, np.column_stack([rows, labels])))
         assert original == recombined
+
+
+    def test_take_cuts_frozen_rows(self):
+        data = gen_gaussian_clusters(0, 3, 5, 4, 4.0)
+        idx = np.array([3, 0, 14])
+        batch = data.take(idx)
+        np.testing.assert_array_equal(batch.features.array, data.features.array[idx])
+        np.testing.assert_array_equal(batch.labels, data.labels[idx])
+        assert batch.class_count == 3 and batch.n == 3
+        with pytest.raises(ValueError):
+            batch.features.array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            batch.labels[0] = 1
+        with pytest.raises(ValueError):
+            data.take(np.array([], dtype=np.int64))
 
 
 class TestMlpFactory:

@@ -28,6 +28,19 @@ def quad_doc(method, steps=200, lr=None, theta0=None):
     }
 
 
+def gauss_doc(**problem):
+    return {
+        "method": {"kind": "ngdiff"},
+        "lr": {"mode": "auto"},
+        "steps": 2,
+        "seeds": {"data": 0, "init": 1, "method": 2},
+        "problem": {
+            "kind": "gaussian", "classes": 3, "per_class": 10, "dim": 4,
+            "hidden": [4], "finetune_steps": 2, **problem,
+        },
+    }
+
+
 def find_one(root, name):
     hits = sorted(root.rglob(name))
     assert hits, f"no {name} under {root}"
@@ -77,6 +90,41 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json", doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "problem, fieldpath",
+        [
+            ({"dim": 2}, "problem.dim"),
+            ({"forget_class": 3}, "problem.forget_class"),
+            ({"forget_class": -1}, "problem.forget_class"),
+            ({"classes": 1, "forget_class": 0}, "problem.classes"),
+            ({"hidden": [0]}, "problem.hidden"),
+            ({"per_class": 0}, "problem.per_class"),
+            ({"separation": 0.0}, "problem.separation"),
+        ],
+    )
+    def test_bad_gaussian_problem_exits_2_with_field_path(self, tmp_path, capsys, problem, fieldpath):
+        cfg = write_config(tmp_path / "cfg.json", gauss_doc(**problem))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {fieldpath}:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, value", [("lr", None), ("problem", 3), ("seeds", [0, 1, 2]), ("method", "ngdiff")]
+    )
+    def test_non_object_section_exits_2(self, tmp_path, capsys, section, value):
+        doc = quad_doc({"kind": "gd"}, steps=5)
+        doc[section] = value
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--seed-data", "1"]) == 2
+        assert f"config error: {section}: must be an object" in capsys.readouterr().err
+
+    def test_non_object_config_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", [1, 2])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--seed-data", "1"]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
 
     def test_seed_flags_override_file(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gd"}, steps=5))
@@ -154,6 +202,54 @@ class TestSweep:
         assert main(
             ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "zeta", "--values", "1"]
         ) == 2
+
+    def test_duplicate_values_exit_2_before_any_child(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))
+        out = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.7,0.7", "--jobs", "2"]
+        ) == 2
+        assert "0.7" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_value_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6,abc"]) == 2
+        assert "'abc' is not a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_object_section_in_sweep_exits_2(self, tmp_path, capsys):
+        doc = quad_doc({"kind": "gd"}, steps=5)
+        doc["lr"] = None
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--param", "eta", "--values", "0.1"]
+        ) == 2
+        assert "lr: must be an object" in capsys.readouterr().err
+
+    def test_unexpected_child_error_is_a_failed_value(self, tmp_path, capsys, monkeypatch):
+        import ngdiff.cli
+
+        real = ngdiff.cli.run_unlearning
+
+        def flaky(cfg, *args, **kwargs):
+            if cfg.method.c == 0.75:
+                raise RuntimeError("disk on fire")
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(ngdiff.cli, "run_unlearning", flaky)
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=20))
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6,0.75,0.9", "--jobs", "1"]
+        )
+        assert code != 0
+        err = capsys.readouterr().err
+        assert "value 0.75" in err and "disk on fire" in err
+        assert "Traceback" not in err
+        listed = [line.split(",")[0] for line in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+        assert listed == ["0.6", "0.9"]
 
     def test_eta_sweep_switches_to_fixed_mode(self, tmp_path):
         doc = quad_doc({"kind": "ngdiff"}, steps=20, lr={"mode": "auto"}, theta0=[0.5, 1.0])

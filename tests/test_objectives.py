@@ -13,6 +13,7 @@ from ngdiff import (
     ParameterVector,
     Tensor,
     UnboundedProblemError,
+    forward,
     npo_loss,
     npo_loss_and_grad,
 )
@@ -73,6 +74,18 @@ class TestNpoLoss:
             ) / (2 * eps)
         err = np.abs(grad.data - fd)
         assert np.all(err <= np.maximum(1e-8, 1e-5 * np.abs(fd)))
+
+    def test_gradient_is_kernel_vjp_of_sigmoid_weights(self):
+        # dL/dlp_i = (2 / n) * sigmoid(beta * (lp_i - ref_i)), also where the
+        # log-sigmoid saturates
+        graph, params, batch = small_model()
+        beta = 1.3
+        npo = NpoLoss(graph, NpoConfig(beta, params))
+        ref = npo.reference_logprobs(batch) + np.array([40.0, 0.0, -3.5, 25.0, -30.0, 1.0])
+        _, grad = npo.loss_and_grad(params, batch, ref)
+        forward(graph, params, batch)
+        weights = (2.0 / batch.n) / (1.0 + np.exp(-beta * (graph.lp - ref)))
+        np.testing.assert_allclose(grad.data, graph.backward(weights).data, rtol=1e-12, atol=1e-300)
 
     def test_reference_logprob_clamp_flags_warning(self):
         graph, params, batch = small_model()
