@@ -157,12 +157,12 @@ def _adopt_vector(cls, data: np.ndarray, layout: ParameterLayout, what: str):
     Only the finiteness check remains: the array is owned by nobody else,
     so it is frozen in place instead of copied.
     """
-    if not np.isfinite(data).all():
+    # count_nonzero skips the Python wrapper of ndarray.all
+    if np.count_nonzero(np.isfinite(data)) != data.size:
         raise NumericError(f"{what} entries must be finite")
-    data.flags.writeable = False
+    data.setflags(write=False)
     value = object.__new__(cls)
-    object.__setattr__(value, "data", data)
-    object.__setattr__(value, "layout", layout)
+    value.__dict__.update(data=data, layout=layout)
     return value
 
 
@@ -199,7 +199,8 @@ class FlatGradient:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        # np.linalg.norm's own formula for a 1-D float vector, without its wrapper
+        return math.sqrt(self.data.dot(self.data))
 
 
 def _same_layout(a: ParameterLayout, b: ParameterLayout, what: str) -> None:

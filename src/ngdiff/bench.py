@@ -3,7 +3,9 @@
 Synthetic Gaussian-cluster classification stands in for image/text corpora:
 class ``k`` is an isotropic unit-variance blob centered at
 ``separation * e_k``.  Everything is a pure function of its seed, so runs
-are reproducible bit for bit on any platform with IEEE float64.
+are reproducible bit for bit on one machine.  Across machines the bits of a
+run may differ: numpy's OpenBLAS picks its matrix kernels by CPU, and their
+summation order goes with them.
 """
 
 from __future__ import annotations

@@ -74,8 +74,8 @@ def _fmt(x: float) -> str:
     return "nan" if not math.isfinite(x) else f"{x:.6f}"
 
 
-def _execute_run(doc: dict, out_dir: str) -> tuple[int, str]:
-    """Run one config document; returns (exit_code, run_directory)."""
+def _execute_run(doc: dict, out_dir: str) -> RunRecord:
+    """Run one config document and write its artifacts; returns the record."""
     cfg = config_from_dict(doc)
     run_dir = Path(out_dir) / run_name(cfg)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -92,14 +92,14 @@ def _execute_run(doc: dict, out_dir: str) -> tuple[int, str]:
         f"acc_retain={_fmt(f.acc_retain)} acc_forget={_fmt(f.acc_forget)} "
         f"overhead={pass_overhead(record):.4f} guard_trips={record.guard_trips}"
     )
-    return 0, str(run_dir)
+    return record
 
 
 def cmd_run(args) -> int:
     doc = _apply_seed_overrides(_load_config_dict(args.config), args)
     try:
-        code, _ = _execute_run(doc, args.out)
-        return code
+        _execute_run(doc, args.out)
+        return 0
     except NumericAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -149,11 +149,13 @@ def _describe(exc: BaseException) -> str:
 def _sweep_child(doc: dict, out_dir: str, value: str):
     """Run one sweep value; every failure comes back as (value, code, None, message)."""
     try:
-        code, run_dir = _execute_run(doc, out_dir)
-        with open(Path(run_dir) / "record.json") as fh:
-            record = record_from_json(fh.read())
-        f = record.final
-        return value, code, (f.loss_retain, f.loss_forget, f.acc_retain, f.acc_forget), None
+        f = _execute_run(doc, out_dir).final
+        # as record.json holds them: a non-finite value is stored as null, read back as nan
+        final = tuple(
+            x if math.isfinite(x) else math.nan
+            for x in (f.loss_retain, f.loss_forget, f.acc_retain, f.acc_forget)
+        )
+        return value, 0, final, None
     except ConfigError as exc:
         return value, 2, None, str(exc)
     except NumericAbort as exc:

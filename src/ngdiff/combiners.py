@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import FlatGradient, _same_layout
+from .autodiff import FlatGradient, _adopt_vector, _same_layout
 from .objectives import LossPair
 
 GD = "gd"
@@ -65,9 +66,11 @@ class CombinerSpec:
             raise ValueError("rlw requires rng_seed")
 
 
-@dataclass(frozen=True)
-class CombinerOutput:
-    """Combined direction plus diagnostics recomputed from that direction."""
+class CombinerOutput(NamedTuple):
+    """Combined direction plus diagnostics recomputed from that direction.
+
+    A named tuple, because the loop builds one per step.
+    """
 
     direction: FlatGradient
     coefficient: float
@@ -112,7 +115,7 @@ def combine(
         unit_r = g_r.data / nr if nr >= NORM_FLOOR else np.zeros_like(g_r.data)
         unit_f = g_f.data / nf if nf >= NORM_FLOOR else np.zeros_like(g_f.data)
         degenerate = nr < NORM_FLOOR or nf < NORM_FLOOR
-        direction = FlatGradient(unit_r - unit_f, g_r.layout)
+        direction = unit_r - unit_f
         if degenerate:
             coefficient = math.nan
         else:
@@ -159,13 +162,13 @@ def combine(
         else:
             raise ValueError(f"unknown combiner kind {kind!r}")
         coefficient = c
-        direction = FlatGradient(c * g_r.data - (1.0 - c) * g_f.data, g_r.layout)
+        direction = c * g_r.data - (1.0 - c) * g_f.data
 
     return CombinerOutput(
-        direction=direction,
+        direction=_adopt_vector(FlatGradient, direction, g_r.layout, "gradient"),
         coefficient=coefficient,
-        dot_retain=float(g_r.data @ direction.data),
-        dot_forget=float(g_f.data @ direction.data),
+        dot_retain=float(g_r.data.dot(direction)),
+        dot_forget=float(g_f.data.dot(direction)),
         norm_retain=nr,
         norm_forget=nf,
         degenerate=degenerate,

@@ -16,8 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .autodiff import (
     Graph,
     NumericError,
     ParameterVector,
+    _adopt_vector,
     axpy_update,
     forward,
 )
@@ -62,6 +64,8 @@ TRACE_COLUMNS = (
     "guard",
 )
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
+# one trace.csv line: the step, the nine floats as repr() writes them, the guard
+_TRACE_LINE = "%d" + ",%r" * 9 + ",%d"
 
 SCHEMA_VERSION = 1
 
@@ -168,6 +172,23 @@ class QuadProblemConfig:
     b: tuple[float, ...]
     forget_kind: str = UNBOUNDED_QUADRATIC
     theta0: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        dim = len(self.a)
+        checks = (
+            ("a", dim >= 1, "must be non-empty"),
+            ("a", all(map(math.isfinite, self.a)), "entries must be finite"),
+            ("b", len(self.b) == dim, f"must have the length of a ({dim})"),
+            ("b", all(map(math.isfinite, self.b)), "entries must be finite"),
+            ("b", self.b != self.a, "must differ from a"),
+            ("theta0", self.theta0 is None or len(self.theta0) == dim,
+             f"must have the length of a ({dim})"),
+            ("theta0", self.theta0 is None or all(map(math.isfinite, self.theta0)),
+             "entries must be finite"),
+        )
+        for name, ok, message in checks:
+            if not ok:
+                raise ConfigError(f"problem.{name}", message)
 
 
 @dataclass(frozen=True)
@@ -393,8 +414,9 @@ def run_name(cfg: RunConfig) -> str:
 # Records
 
 
-@dataclass(frozen=True)
-class StepRow:
+class StepRow(NamedTuple):
+    """One trace row; a named tuple because the loop builds one per step."""
+
     step: int
     loss_retain: float
     loss_forget: float
@@ -464,21 +486,11 @@ def record_to_dict(record: RunRecord) -> dict:
         "schema": record.schema,
         "config": record.config,
         "trace_columns": list(TRACE_COLUMNS),
+        # unpacked, not read by field name: a tuple field read costs twice a dataclass one
         "trace": [
-            [
-                row.step,
-                _num(row.loss_retain),
-                _num(row.loss_forget),
-                _num(row.acc_retain),
-                _num(row.acc_forget),
-                _num(row.lr),
-                _num(row.coeff_c),
-                _num(row.gnorm_retain),
-                _num(row.gnorm_forget),
-                _num(row.cos_rf),
-                row.guard,
-            ]
-            for row in record.rows
+            [step, _num(l_r), _num(l_f), _num(a_r), _num(a_f), _num(lr), _num(c),
+             _num(g_r), _num(g_f), _num(cos), guard]
+            for step, l_r, l_f, a_r, a_f, lr, c, g_r, g_f, cos, guard in record.rows
         ],
         "forward_passes": record.forward_passes,
         "backward_passes": record.backward_passes,
@@ -504,21 +516,7 @@ def record_from_dict(d: dict) -> RunRecord:
     for raw in d["trace"]:
         if len(raw) != len(TRACE_COLUMNS):
             raise ValueError("trace row has the wrong width")
-        rows.append(
-            StepRow(
-                step=int(raw[0]),
-                loss_retain=_denum(raw[1]),
-                loss_forget=_denum(raw[2]),
-                acc_retain=_denum(raw[3]),
-                acc_forget=_denum(raw[4]),
-                lr=_denum(raw[5]),
-                coeff_c=_denum(raw[6]),
-                gnorm_retain=_denum(raw[7]),
-                gnorm_forget=_denum(raw[8]),
-                cos_rf=_denum(raw[9]),
-                guard=int(raw[10]),
-            )
-        )
+        rows.append(StepRow(int(raw[0]), *map(_denum, raw[1:-1]), int(raw[-1])))
     counters = {}
     for key in ("forward_passes", "backward_passes", "probe_forward_passes", "guard_trips"):
         counters[key] = int(d[key])
@@ -549,12 +547,7 @@ def record_from_json(text: str) -> RunRecord:
 
 def write_trace_csv(record: RunRecord, path) -> None:
     lines = [TRACE_HEADER]
-    for r in record.rows:
-        lines.append(
-            f"{r.step},{r.loss_retain!r},{r.loss_forget!r},{r.acc_retain!r},"
-            f"{r.acc_forget!r},{r.lr!r},{r.coeff_c!r},{r.gnorm_retain!r},"
-            f"{r.gnorm_forget!r},{r.cos_rf!r},{r.guard}"
-        )
+    lines.extend(_TRACE_LINE % row for row in record.rows)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -627,11 +620,13 @@ class _BatchStream:
 
 
 class _QuadTask:
-    """Analytic quadratic-pair task: full-batch closed-form losses/gradients."""
+    """Analytic quadratic-pair task: full-batch closed-form losses/gradients.
+
+    The problem returns each gradient as a fresh array, so it is adopted
+    into a ``FlatGradient`` without a copy.
+    """
 
     has_accuracy = False
-    retain_count = 1
-    forget_count = 1
 
     def __init__(self, cfg: RunConfig, counters: _Counters):
         prob = cfg.problem
@@ -647,7 +642,7 @@ class _QuadTask:
         self._counters.backward += 1
         return (
             self.problem.retain_loss(params),
-            FlatGradient(self.problem.retain_grad(params), params.layout),
+            _adopt_vector(FlatGradient, self.problem.retain_grad(params), params.layout, "gradient"),
         )
 
     def forget_loss_grad(self, params, step):
@@ -655,7 +650,7 @@ class _QuadTask:
         self._counters.backward += 1
         return (
             self.problem.forget_loss(params),
-            FlatGradient(self.problem.forget_grad(params), params.layout),
+            _adopt_vector(FlatGradient, self.problem.forget_grad(params), params.layout, "gradient"),
         )
 
     def probe_loss(self, params) -> float:
@@ -698,8 +693,6 @@ class _ClassificationTask:
             self.split.forget.n, cfg.batch_size, [cfg.seeds.method, 1]
         )
         self._retain_batch: LabeledBatch | None = None
-        self.retain_count = min(cfg.batch_size, self.split.retain.n)
-        self.forget_count = min(cfg.batch_size, self.split.forget.n)
         self.npo: NpoLoss | None = None
         self._npo_ref: np.ndarray | None = None
         if isinstance(cfg.method, NpoSpec):
@@ -806,6 +799,7 @@ def run_unlearning(cfg: RunConfig, initial_params: ParameterVector | None = None
     task = _prepare_task(cfg, counters, initial_params)
     params = task.initial_params
     is_npo = isinstance(cfg.method, NpoSpec)
+    needs_losses = not is_npo and cfg.method.kind == combiners.LOSSNORM
     auto = cfg.lr.mode == "auto"
     lr_state = LrState(
         eta=cfg.lr.eta,
@@ -827,23 +821,17 @@ def run_unlearning(cfg: RunConfig, initial_params: ParameterVector | None = None
                     raise NumericError("task loss is non-finite")
                 # cross-entropy on a saturated minibatch can round to exactly 0;
                 # the loss-normalization weights need a strictly positive floor
-                out = combine(
-                    cfg.method,
-                    g_r,
-                    g_f,
-                    LossPair(
-                        max(loss_retain, 1e-12),
-                        max(loss_forget, 1e-12),
-                        retain_count=task.retain_count,
-                        forget_count=task.forget_count,
-                    ),
-                    step=step,
+                losses = (
+                    LossPair(max(loss_retain, 1e-12), max(loss_forget, 1e-12))
+                    if needs_losses
+                    else None
                 )
+                out = combine(cfg.method, g_r, g_f, losses, step=step)
                 direction = out.direction
                 coeff = out.coefficient
                 gnorm_r, gnorm_f = out.norm_retain, out.norm_forget
                 cos_rf = (
-                    float(g_r.data @ g_f.data) / (gnorm_r * gnorm_f)
+                    float(g_r.data.dot(g_f.data)) / (gnorm_r * gnorm_f)
                     if gnorm_r > 0 and gnorm_f > 0
                     else math.nan
                 )
@@ -861,17 +849,8 @@ def run_unlearning(cfg: RunConfig, initial_params: ParameterVector | None = None
 
             rows.append(
                 StepRow(
-                    step=step,
-                    loss_retain=loss_retain,
-                    loss_forget=loss_forget,
-                    acc_retain=acc_retain,
-                    acc_forget=acc_forget,
-                    lr=eta,
-                    coeff_c=coeff,
-                    gnorm_retain=gnorm_r,
-                    gnorm_forget=gnorm_f,
-                    cos_rf=cos_rf,
-                    guard=int(lr_state.guard_trips - guard_before),
+                    step, loss_retain, loss_forget, acc_retain, acc_forget, eta, coeff,
+                    gnorm_r, gnorm_f, cos_rf, lr_state.guard_trips - guard_before,
                 )
             )
             params = axpy_update(params, direction, eta)

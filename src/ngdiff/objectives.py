@@ -39,18 +39,14 @@ class UnboundedProblemError(ValueError):
 
 @dataclass(frozen=True)
 class LossPair:
-    """Current retain/forget scalar losses with their sample counts."""
+    """Current retain/forget scalar losses, as loss normalization reads them."""
 
     retain_loss: float
     forget_loss: float
-    retain_count: int = 1
-    forget_count: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.retain_loss) and math.isfinite(self.forget_loss)):
             raise ValueError("losses must be finite")
-        if self.retain_count < 1 or self.forget_count < 1:
-            raise ValueError("sample counts must be >= 1")
 
 
 @dataclass
@@ -173,20 +169,21 @@ class QuadPairProblem:
 
     def _theta(self, theta) -> np.ndarray:
         arr = theta.data if isinstance(theta, ParameterVector) else np.asarray(theta, dtype=np.float64)
-        if arr.shape != (self.dim,):
+        if arr.shape != self.a.shape:
             raise ValueError(f"theta must have shape ({self.dim},)")
         return arr
 
     def retain_loss(self, theta) -> float:
         d = self._theta(theta) - self.a
-        return 0.5 * float(d @ d)
+        # d.dot(d) gives the bits of d @ d (both are BLAS ddot) without the ufunc overhead
+        return 0.5 * float(d.dot(d))
 
     def retain_grad(self, theta) -> np.ndarray:
         return self._theta(theta) - self.a
 
     def forget_loss(self, theta) -> float:
         d = self._theta(theta) - self.b
-        q = 0.5 * float(d @ d)
+        q = 0.5 * float(d.dot(d))
         if self.forget_kind == UNBOUNDED_QUADRATIC:
             return q
         return -math.expm1(-q)
@@ -195,7 +192,7 @@ class QuadPairProblem:
         d = self._theta(theta) - self.b
         if self.forget_kind == UNBOUNDED_QUADRATIC:
             return d
-        return math.exp(-0.5 * float(d @ d)) * d
+        return math.exp(-0.5 * float(d.dot(d))) * d
 
 
 def lsp_value(problem: QuadPairProblem, theta, c: float) -> float:

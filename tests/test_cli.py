@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism, dominance."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -112,6 +113,39 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "problem, fieldpath",
+        [
+            ({"theta0": [0.0, 0.0, 0.0]}, "problem.theta0"),
+            ({"b": [1.0]}, "problem.b"),
+            ({"b": [0.0, 0.0]}, "problem.b"),
+            ({"a": [], "b": []}, "problem.a"),
+            ({"a": [math.inf, 0.0]}, "problem.a"),
+            ({"b": [math.inf, 0.0]}, "problem.b"),
+            ({"theta0": [0.0, math.inf]}, "problem.theta0"),
+        ],
+    )
+    def test_bad_quad_problem_exits_2_with_field_path(self, tmp_path, capsys, problem, fieldpath):
+        doc = quad_doc({"kind": "gd"}, steps=5)
+        doc["problem"].update(problem)
+        # JSON has no infinity literal; an overflowing number parses to inf
+        text = json.dumps(doc).replace("Infinity", "1e999")
+        (tmp_path / "cfg.json").write_text(text)
+        assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {fieldpath}:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_quad_gradient_exits_3_at_step_0(self, tmp_path, capsys):
+        doc = quad_doc({"kind": "gd"}, steps=5, theta0=[1e308, 0.0])
+        doc["problem"].update(a=[-1e308, 0.0], b=[0.0, 0.0])
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "step 0" in err and "gradient entries must be finite" in err
+
+    @pytest.mark.parametrize(
         "section, value", [("lr", None), ("problem", 3), ("seeds", [0, 1, 2]), ("method", "ngdiff")]
     )
     def test_non_object_section_exits_2(self, tmp_path, capsys, section, value):
@@ -192,6 +226,18 @@ class TestSweep:
             ["sweep", "--config", cfg, "--out", str(parallel), "--param", "c", "--values", "0.6,0.9", "--jobs", "2"]
         ) == 0
         assert (serial / "sweep_summary.csv").read_text() == (parallel / "sweep_summary.csv").read_text()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("steps", [511, 512])
+    def test_summary_row_matches_record_json(self, tmp_path, steps):
+        # at 512 steps the final losses overflow to inf, which record.json stores as null
+        doc = quad_doc({"kind": "ga"}, steps=steps, lr={"mode": "fixed", "eta": 1.0}, theta0=[2.0, 1.0])
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--param", "eta", "--values", "1.0"]) == 0
+        f = record_from_json(find_one(out, "record.json")[0].read_text()).final
+        row = (out / "sweep_summary.csv").read_text().splitlines()[1]
+        assert row == f"1.0,{f.loss_retain!r},{f.loss_forget!r},{f.acc_retain!r},{f.acc_forget!r}"
 
     def test_empty_values_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gd"}, steps=5))

@@ -109,6 +109,32 @@ class TestInvariants:
                 assert out.dot_retain >= -1e-9 * np.linalg.norm(g_r)
                 assert out.dot_forget <= 1e-9 * np.linalg.norm(g_f)
 
+    def test_norms_are_bitwise_np_linalg_norm(self):
+        rng = np.random.default_rng(5)
+        for dim in (2, 195):
+            layout = theta_layout(dim)
+            for _ in range(500):
+                scale = 10.0 ** rng.uniform(-150, 150, size=(2, 1))
+                g_r, g_f = rng.standard_normal((2, dim)) * scale
+                out = combine(CombinerSpec(GD), fg(g_r, layout), fg(g_f, layout))
+                assert out.norm_retain == float(np.linalg.norm(g_r))
+                assert out.norm_forget == float(np.linalg.norm(g_f))
+
+    @pytest.mark.parametrize(
+        "kind, kw",
+        [
+            (GD, {}), (GA, {}), (GDIFF, {"c": 0.6}), (LOSSNORM, {}), (RLW, {"rng_seed": 3}),
+            (PCGRAD, {}), (IMTLG, {}), (NGDIFF, {}),
+            (SCHEDULED_GDIFF, {"c": 0.6, "amplitude": 0.2, "decay": 0.5}),
+        ],
+    )
+    def test_direction_is_frozen_and_owns_its_memory(self, kind, kw):
+        g_r, g_f = fg([0.3, -1.2]), fg([0.7, 0.4])
+        out = combine(CombinerSpec(kind, **kw), g_r, g_f, LossPair(0.5, 2.0), step=1)
+        assert not out.direction.data.flags.writeable
+        assert not np.shares_memory(out.direction.data, g_r.data)
+        assert not np.shares_memory(out.direction.data, g_f.data)
+
     def test_ngdiff_scale_invariance(self):
         rng = np.random.default_rng(1)
         g_r = rng.standard_normal(6)

@@ -23,7 +23,7 @@ from ngdiff import (
 )
 from ngdiff.bench import gen_gaussian_clusters, mlp_factory, split_forget_retain
 from ngdiff.combiners import tail_variation
-from ngdiff.engine import run_name, write_trace_csv
+from ngdiff.engine import _Counters, _QuadTask, run_name, write_trace_csv
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer
 
 from _oracles import brute_force_front
@@ -129,6 +129,17 @@ class TestQuadRuns:
             assert tail_variation([r.coeff_c for r in rec.rows]) < 1e-3
             prob = QuadPairProblem(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
             assert np.linalg.norm(rec.final_params.data - lsp_minimizer(prob, c)) <= 1e-3
+
+    @pytest.mark.parametrize("forget_kind", ["unbounded_quadratic", "bounded_exp"])
+    def test_task_gradients_are_frozen_and_own_their_memory(self, forget_kind):
+        cfg = quad_config({"kind": "gd"}, steps=1, theta0=(0.5, 1.0), forget_kind=forget_kind)
+        task = _QuadTask(cfg, _Counters())
+        params = task.initial_params
+        for loss_grad in (task.retain_loss_grad, task.forget_loss_grad):
+            _, grad = loss_grad(params, 0)
+            assert not grad.data.flags.writeable
+            for other in (params.data, task.problem.a, task.problem.b):
+                assert not np.shares_memory(grad.data, other)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_ga_divergence_aborts_with_step_index(self):

@@ -214,6 +214,6 @@ class TestLossPair:
         with pytest.raises(ValueError):
             LossPair(math.inf, 1.0)
         with pytest.raises(ValueError):
-            LossPair(1.0, 1.0, retain_count=0)
-        pair = LossPair(0.5, 2.0, retain_count=32, forget_count=8)
-        assert pair.forget_loss == 2.0
+            LossPair(1.0, math.nan)
+        pair = LossPair(0.5, 2.0)
+        assert (pair.retain_loss, pair.forget_loss) == (0.5, 2.0)
