@@ -20,7 +20,8 @@ reproducible bit for bit.
 Everything is 64-bit.  Graphs are single-owner: a run/backward pair must
 not be interleaved with runs of the same graph from another thread.
 ``ParameterVector`` and ``FlatGradient`` are immutable values and safe to
-share.
+share, across processes too: a pickled copy is rebuilt through the checking
+constructor, so it arrives frozen and validated.
 """
 
 from __future__ import annotations
@@ -176,6 +177,10 @@ class ParameterVector:
     def __post_init__(self):
         object.__setattr__(self, "data", _check_vector(self.data, self.layout, "parameter"))
 
+    def __reduce__(self):
+        # an unpickled array comes back writeable: rebuild through the checks
+        return ParameterVector, (self.data, self.layout)
+
     def segment(self, name: str) -> np.ndarray:
         return self.layout.view(self.data, name)
 
@@ -193,6 +198,9 @@ class FlatGradient:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _check_vector(self.data, self.layout, "gradient"))
+
+    def __reduce__(self):
+        return FlatGradient, (self.data, self.layout)
 
     def segment(self, name: str) -> np.ndarray:
         return self.layout.view(self.data, name)

@@ -74,15 +74,19 @@ def _fmt(x: float) -> str:
     return "nan" if not math.isfinite(x) else f"{x:.6f}"
 
 
-def _execute_run(doc: dict, out_dir: str) -> RunRecord:
-    """Run one config document and write its artifacts; returns the record."""
+def _execute_run(doc: dict, out_dir: str, initial_params=None) -> RunRecord:
+    """Run one config document and write its artifacts; returns the record.
+
+    ``initial_params`` is the run's finetuned snapshot when it was made
+    elsewhere (see ``run_unlearning``).
+    """
     cfg = config_from_dict(doc)
     run_dir = Path(out_dir) / run_name(cfg)
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "config.json", "w") as fh:
         json.dump(engine.config_to_dict(cfg), fh, sort_keys=True, indent=2)
         fh.write("\n")
-    record = run_unlearning(cfg)
+    record = run_unlearning(cfg, initial_params)
     write_trace_csv(record, run_dir / "trace.csv")
     with open(run_dir / "record.json", "w") as fh:
         fh.write(record_to_json(record) + "\n")
@@ -146,10 +150,10 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}{where}"
 
 
-def _sweep_child(doc: dict, out_dir: str, value: str):
+def _sweep_child(doc: dict, out_dir: str, value: str, initial_params):
     """Run one sweep value; every failure comes back as (value, code, None, message)."""
     try:
-        f = _execute_run(doc, out_dir).final
+        f = _execute_run(doc, out_dir, initial_params).final
         # as record.json holds them: a non-finite value is stored as null, read back as nan
         final = tuple(
             x if math.isfinite(x) else math.nan
@@ -162,6 +166,35 @@ def _sweep_child(doc: dict, out_dir: str, value: str):
         return value, 3, None, str(exc)
     except Exception as exc:  # a failing child must not take the sweep down
         return value, 1, None, _describe(exc)
+
+
+def _shared_snapshots(child_docs: list[dict]) -> list:
+    """The finetuned snapshot of each child, made once per (seeds.data, seeds.init, problem).
+
+    The finetune depends on nothing else, so a sweep over ``c``, ``eta``,
+    ``beta`` or ``method`` makes one.  A child gets None when it has no
+    finetune (quad problems), when its config does not load, or when its
+    finetune fails: it then takes the path of a lone run, which reports the
+    failure itself, with the same message and exit code.
+    """
+    made = {}
+    snapshots = []
+    for doc in child_docs:
+        snapshot = None
+        # any error here, expected or not, is met again by the child, which
+        # reports it as a lone run would
+        try:
+            cfg = config_from_dict(doc)
+            if isinstance(cfg.problem, engine.GaussianProblem):
+                key = (cfg.seeds.data, cfg.seeds.init, cfg.problem)
+                if key not in made:
+                    made[key] = None  # stays None when the finetune raises
+                    made[key] = engine.no_unlearn_params(cfg)
+                snapshot = made[key]
+        except Exception:
+            pass
+        snapshots.append(snapshot)
+    return snapshots
 
 
 def cmd_sweep(args) -> int:
@@ -184,20 +217,18 @@ def cmd_sweep(args) -> int:
         first_value[key] = value
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
+    children = list(zip(child_docs, values, _shared_snapshots(child_docs)))
     results = []
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_sweep_child, d, str(out_root), v)
-                for d, v in zip(child_docs, values)
-            ]
+            futures = [pool.submit(_sweep_child, d, str(out_root), v, s) for d, v, s in children]
             for future, value in zip(futures, values):
                 try:
                     results.append(future.result())
                 except Exception as exc:  # the worker process itself died
                     results.append((value, 1, None, _describe(exc)))
     else:
-        results = [_sweep_child(d, str(out_root), v) for d, v in zip(child_docs, values)]
+        results = [_sweep_child(d, str(out_root), v, s) for d, v, s in children]
 
     worst = 0
     lines = [f"{args.param},loss_retain,loss_forget,acc_retain,acc_forget"]
@@ -219,20 +250,14 @@ def cmd_finetune(args) -> int:
     if not isinstance(cfg.problem, engine.GaussianProblem):
         print("error: problem: finetune requires a classification problem", file=sys.stderr)
         return 2
-    prob = cfg.problem
-    data = engine.gen_gaussian_clusters(
-        cfg.seeds.data, prob.classes, prob.per_class, prob.dim, prob.separation
-    )
-    split = engine.split_forget_retain(data, prob.forget_class)
-    graph, params0 = engine.mlp_factory(
-        cfg.seeds.init, [prob.dim, *prob.hidden, prob.classes]
-    )
+    model = engine.gaussian_model(cfg)
     try:
-        params = engine.finetune(graph, params0, data, prob.finetune_steps, prob.finetune_eta)
+        params = engine.no_unlearn_params(cfg, model)
     except NumericAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    ev = engine.evaluate(graph, params, split)
+    split = engine.split_forget_retain(model.data, cfg.problem.forget_class)
+    ev = engine.evaluate(model.graph, params, split)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshot = {

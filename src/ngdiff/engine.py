@@ -2,8 +2,9 @@
 
 A run is fully described by a :class:`RunConfig` (method, learning-rate
 mode, step budget, seeds, problem).  Classification runs start from the
-"no-unlearn" snapshot produced by :func:`finetune` on the pooled data;
-analytic quadratic-pair runs start from a configured point.  Each step
+"no-unlearn" snapshot that :func:`no_unlearn_params` finetunes on the pooled
+data, which runs with the same data, init and problem can share; analytic
+quadratic-pair runs start from a configured point.  Each step
 computes per-task gradients on fresh minibatches (full batch for analytic
 problems), combines them, optionally refreshes the step size from retain
 probes, and applies ``theta <- theta - eta * g``.  The result is a
@@ -29,6 +30,7 @@ from .autodiff import (
     NumericError,
     ParameterVector,
     _adopt_vector,
+    _same_layout,
     axpy_update,
     forward,
 )
@@ -672,19 +674,16 @@ class _ClassificationTask:
     has_accuracy = True
 
     def __init__(self, cfg: RunConfig, counters: _Counters, initial_params=None):
-        prob = cfg.problem
-        data = gen_gaussian_clusters(
-            cfg.seeds.data, prob.classes, prob.per_class, prob.dim, prob.separation
-        )
-        self.split = split_forget_retain(data, prob.forget_class)
-        widths = [prob.dim, *prob.hidden, prob.classes]
-        self.graph, params0 = mlp_factory(cfg.seeds.init, widths)
-        if initial_params is not None:
-            self.initial_params = initial_params
+        model = gaussian_model(cfg)
+        self.split = split_forget_retain(model.data, cfg.problem.forget_class)
+        self.graph = model.graph
+        if initial_params is None:
+            self.initial_params = no_unlearn_params(cfg, model)
         else:
-            self.initial_params = finetune(
-                self.graph, params0, data, prob.finetune_steps, prob.finetune_eta
-            )
+            # a snapshot made elsewhere is moved onto this graph's own layout
+            # object, which keeps every later layout check an identity test
+            _same_layout(initial_params.layout, self.graph.layout, "initial parameters")
+            self.initial_params = ParameterVector(initial_params.data, self.graph.layout)
         self._counters = counters
         self._retain_stream = _BatchStream(
             self.split.retain.n, cfg.batch_size, [cfg.seeds.method, 0]
@@ -775,6 +774,38 @@ def finetune(
     return params
 
 
+class GaussianModel(NamedTuple):
+    """The pooled data, the graph and its untrained weights of a classification config."""
+
+    data: LabeledBatch
+    graph: Graph
+    params0: ParameterVector
+
+
+def gaussian_model(cfg: RunConfig) -> GaussianModel:
+    """Generate the data and build the MLP of a classification config."""
+    prob = cfg.problem
+    data = gen_gaussian_clusters(
+        cfg.seeds.data, prob.classes, prob.per_class, prob.dim, prob.separation
+    )
+    graph, params0 = mlp_factory(cfg.seeds.init, [prob.dim, *prob.hidden, prob.classes])
+    return GaussianModel(data, graph, params0)
+
+
+def no_unlearn_params(cfg: RunConfig, model: GaussianModel | None = None) -> ParameterVector:
+    """The finetuned snapshot that every classification run of ``cfg`` starts from.
+
+    It depends on ``cfg.seeds.data``, ``cfg.seeds.init`` and ``cfg.problem``
+    alone, so runs that differ only in method, step size or step budget can
+    share it.  ``model`` is ``gaussian_model(cfg)`` when the caller has built
+    it already.  Raises ``NumericAbort`` when the finetune diverges.
+    """
+    if model is None:
+        model = gaussian_model(cfg)
+    prob = cfg.problem
+    return finetune(model.graph, model.params0, model.data, prob.finetune_steps, prob.finetune_eta)
+
+
 # --------------------------------------------------------------------------
 # The unlearning loop
 
@@ -809,55 +840,59 @@ def run_unlearning(cfg: RunConfig, initial_params: ParameterVector | None = None
     rows: list[StepRow] = []
     acc_retain = acc_forget = math.nan
 
-    for step in range(cfg.steps):
+    # every value the loop keeps is checked for finiteness, so numpy's own
+    # overflow warnings on the way to a non-finite one are noise
+    with np.errstate(all="ignore"):
         try:
-            if is_npo:
-                _, direction, loss_retain, loss_forget = task.npo_loss_grad(params, step)
-                coeff = gnorm_r = gnorm_f = cos_rf = math.nan
-            else:
-                loss_retain, g_r = task.retain_loss_grad(params, step)
-                loss_forget, g_f = task.forget_loss_grad(params, step)
-                if not (math.isfinite(loss_retain) and math.isfinite(loss_forget)):
-                    raise NumericError("task loss is non-finite")
-                # cross-entropy on a saturated minibatch can round to exactly 0;
-                # the loss-normalization weights need a strictly positive floor
-                losses = (
-                    LossPair(max(loss_retain, 1e-12), max(loss_forget, 1e-12))
-                    if needs_losses
-                    else None
-                )
-                out = combine(cfg.method, g_r, g_f, losses, step=step)
-                direction = out.direction
-                coeff = out.coefficient
-                gnorm_r, gnorm_f = out.norm_retain, out.norm_forget
-                cos_rf = (
-                    float(g_r.data.dot(g_f.data)) / (gnorm_r * gnorm_f)
-                    if gnorm_r > 0 and gnorm_f > 0
-                    else math.nan
-                )
+            for step in range(cfg.steps):
+                if is_npo:
+                    _, direction, loss_retain, loss_forget = task.npo_loss_grad(params, step)
+                    coeff = gnorm_r = gnorm_f = cos_rf = math.nan
+                else:
+                    loss_retain, g_r = task.retain_loss_grad(params, step)
+                    loss_forget, g_f = task.forget_loss_grad(params, step)
+                    if not (math.isfinite(loss_retain) and math.isfinite(loss_forget)):
+                        raise NumericError("task loss is non-finite")
+                    # cross-entropy on a saturated minibatch can round to exactly 0;
+                    # the loss-normalization weights need a strictly positive floor
+                    losses = (
+                        LossPair(max(loss_retain, 1e-12), max(loss_forget, 1e-12))
+                        if needs_losses
+                        else None
+                    )
+                    out = combine(cfg.method, g_r, g_f, losses, step=step)
+                    direction = out.direction
+                    coeff = out.coefficient
+                    gnorm_r, gnorm_f = out.norm_retain, out.norm_forget
+                    cos_rf = (
+                        float(g_r.data.dot(g_f.data)) / (gnorm_r * gnorm_f)
+                        if gnorm_r > 0 and gnorm_f > 0
+                        else math.nan
+                    )
 
-            guard_before = lr_state.guard_trips
-            if auto:
-                lr_state = maybe_update(
-                    lr_state, step, task.probe_loss, params, direction, loss_zero=loss_retain
-                )
-            eta = lr_state.step_size if auto else cfg.lr.eta
+                guard_before = lr_state.guard_trips
+                if auto:
+                    lr_state = maybe_update(
+                        lr_state, step, task.probe_loss, params, direction, loss_zero=loss_retain
+                    )
+                eta = lr_state.step_size if auto else cfg.lr.eta
 
-            if task.has_accuracy and step % cfg.eval_every == 0:
-                ev = task.evaluate(params)
-                acc_retain, acc_forget = ev.acc_retain, ev.acc_forget
+                if task.has_accuracy and step % cfg.eval_every == 0:
+                    ev = task.evaluate(params)
+                    acc_retain, acc_forget = ev.acc_retain, ev.acc_forget
 
-            rows.append(
-                StepRow(
-                    step, loss_retain, loss_forget, acc_retain, acc_forget, eta, coeff,
-                    gnorm_r, gnorm_f, cos_rf, lr_state.guard_trips - guard_before,
+                rows.append(
+                    StepRow(
+                        step, loss_retain, loss_forget, acc_retain, acc_forget, eta, coeff,
+                        gnorm_r, gnorm_f, cos_rf, lr_state.guard_trips - guard_before,
+                    )
                 )
-            )
-            params = axpy_update(params, direction, eta)
+                params = axpy_update(params, direction, eta)
+            step = cfg.steps  # the final evaluation fails after the last step
+            final = task.evaluate(params)
         except NumericError as exc:
             raise NumericAbort(step, str(exc), params) from None
 
-    final = task.evaluate(params)
     digest = hashlib.sha256(params.data.tobytes()).hexdigest()
     return RunRecord(
         config=config_to_dict(cfg),

@@ -1,6 +1,7 @@
 """Forward/backward correctness of the autodiff core."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -267,3 +268,15 @@ class TestValueTypes:
         p = ParameterVector(np.array([1.0, 2.0]), theta_layout(2))
         with pytest.raises(ValueError):
             p.data[0] = 5.0
+
+    @pytest.mark.parametrize("cls", [ParameterVector, FlatGradient])
+    def test_pickled_copy_is_frozen_and_bit_equal(self, cls):
+        _, params = mlp_factory(3, [4, 5, 3])
+        value = cls(params.data, params.layout)
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is cls
+        assert copy.layout == value.layout
+        assert copy.data.tobytes() == value.data.tobytes()
+        assert not copy.data.flags.writeable
+        with pytest.raises(ValueError):
+            copy.data[0] = 5.0

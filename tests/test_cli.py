@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ngdiff.engine
 from ngdiff.cli import main
 from ngdiff.engine import record_from_json
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer
@@ -40,6 +45,17 @@ def gauss_doc(**problem):
             "hidden": [4], "finetune_steps": 2, **problem,
         },
     }
+
+
+def small_gauss_doc(method, **problem):
+    """A Gaussian config whose finetune and unlearning take 20 steps each."""
+    doc = gauss_doc(per_class=30, finetune_steps=20, **problem)
+    doc.update(method=method, steps=20, eval_every=5)
+    return doc
+
+
+def run_dirs(root):
+    return sorted(p for p in root.iterdir() if p.is_dir())
 
 
 def find_one(root, name):
@@ -144,6 +160,31 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "step 0" in err and "gradient entries must be finite" in err
+
+    @pytest.mark.parametrize(
+        "method, eta, steps", [("ga", 1e308, 1), ("gd", 1e308, 1), ("ngdiff", 1e307, 2)]
+    )
+    def test_overflowing_final_evaluation_exits_3(self, tmp_path, capsys, method, eta, steps):
+        # the last update leaves parameters whose final cross-entropy overflows
+        doc = small_gauss_doc({"kind": method})
+        doc.update(lr={"mode": "fixed", "eta": eta}, steps=steps)
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: non-finite value at step {steps}: non-finite cross-entropy\n"
+
+    def test_diverging_run_prints_only_its_error_line(self, tmp_path):
+        doc = quad_doc({"kind": "ga"}, steps=3000, lr={"mode": "fixed", "eta": 1.0}, theta0=[2.0, 1.0])
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        src = Path(ngdiff.engine.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "ngdiff.cli",
+             "run", "--config", cfg, "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: non-finite value at step 512: task loss is non-finite\n"
 
     @pytest.mark.parametrize(
         "section, value", [("lr", None), ("problem", 3), ("seeds", [0, 1, 2]), ("method", "ngdiff")]
@@ -296,6 +337,81 @@ class TestSweep:
         assert "Traceback" not in err
         listed = [line.split(",")[0] for line in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
         assert listed == ["0.6", "0.9"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "param, values, method",
+        [("method", "ngdiff,gd,rlw", {"kind": "ngdiff"}), ("beta", "0.5,1.0", {"kind": "npo", "beta": 1.0})],
+    )
+    def test_children_match_standalone_runs(self, tmp_path, capsys, param, values, method, jobs):
+        cfg = write_config(tmp_path / "cfg.json", small_gauss_doc(method))
+        out = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", param, "--values", values,
+             "--jobs", jobs]
+        ) == 0
+        children = run_dirs(out)
+        assert len(children) == len(values.split(","))
+        for child in children:
+            alone = tmp_path / "alone"
+            assert main(["run", "--config", str(child / "config.json"), "--out", str(alone)]) == 0
+            for artifact in ("config.json", "record.json", "trace.csv"):
+                assert (child / artifact).read_bytes() == (alone / child.name / artifact).read_bytes()
+
+    @pytest.mark.parametrize(
+        "param, values, method",
+        [("method", "ngdiff,gd,rlw", {"kind": "ngdiff"}), ("beta", "0.5,1.0", {"kind": "npo", "beta": 1.0})],
+    )
+    def test_sweep_finetunes_once(self, tmp_path, monkeypatch, param, values, method):
+        calls = []
+        real = ngdiff.engine.finetune
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ngdiff.engine, "finetune", counted)
+        cfg = write_config(tmp_path / "cfg.json", small_gauss_doc(method))
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--param", param, "--values", values,
+             "--jobs", "1"]
+        ) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_aborting_finetune_fails_every_value(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path / "cfg.json", small_gauss_doc({"kind": "ngdiff"}, finetune_eta=1e308))
+        out = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", "method", "--values", "ngdiff,gd",
+             "--jobs", jobs]
+        ) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": non-finite value at step ")[0] for line in err] == [
+            "error: value ngdiff", "error: value gd",
+        ]
+        assert (out / "sweep_summary.csv").read_text() == "method,loss_retain,loss_forget,acc_retain,acc_forget\n"
+
+    def test_invalid_method_value_fails_alone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", small_gauss_doc({"kind": "gd"}))
+        out = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", "method", "--values", "ngdiff,bogus"]
+        ) == 2
+        assert "error: value bogus: method: unknown combiner kind" in capsys.readouterr().err
+        listed = [line.split(",")[0] for line in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+        assert listed == ["ngdiff"]
+        assert [p.name.split("_")[0] for p in run_dirs(out)] == ["ngdiff"]
+
+    def test_overflowing_final_evaluation_is_a_failed_value(self, tmp_path, capsys):
+        doc = small_gauss_doc({"kind": "ga"})
+        doc.update(lr={"mode": "fixed", "eta": 1e308}, steps=1)
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        out = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", "eta", "--values", "1e308"]
+        ) == 3
+        assert "error: value 1e308: non-finite value at step 1" in capsys.readouterr().err
 
     def test_eta_sweep_switches_to_fixed_mode(self, tmp_path):
         doc = quad_doc({"kind": "ngdiff"}, steps=20, lr={"mode": "auto"}, theta0=[0.5, 1.0])

@@ -10,7 +10,8 @@ invocations then runs on both trees, each in a fresh interpreter with that
 tree's ``src/`` on ``PYTHONPATH`` and its ``configs/``: the ``gauss_run``
 pass 0 and every ``gauss_sweep`` child of workload seeds 0 and 7127, one
 ``quad_sweep`` pass, a quad method sweep over the seven combiners the CLI
-can sweep, the criterion-9 coefficient sweep and a quad run that aborts.
+can sweep, the criterion-9 coefficient sweep, a quad run that aborts and a
+Gaussian method sweep whose shared finetune aborts.
 The argument lists of the benchmark workloads come from
 ``perfbench/workloads.py``, so they stay the ones the benchmark times.
 
@@ -68,6 +69,17 @@ ABORT_CONFIG = {
     "problem": {"kind": "quad_pair", "a": [0.0, 0.0], "b": [1.0, 0.0], "theta0": [2.0, 1.0]},
 }
 
+# the finetune overflows at its step 1, so every child of a sweep falls back
+# to finetuning on its own and exits 3; "bogus" is a config error (exit 2)
+FINETUNE_ABORT_CONFIG = {
+    "method": {"kind": "ngdiff"},
+    "lr": {"mode": "auto"},
+    "steps": 20,
+    "seeds": {"data": 0, "init": 1000, "method": 2000},
+    "problem": {"kind": "gaussian", "finetune_eta": 1e308},
+}
+FINETUNE_ABORT_VALUES = "ngdiff,gd,bogus"
+
 
 def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
     """(name, argv) of every ``ngdiff`` call, writing under ``out``.
@@ -93,13 +105,21 @@ def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
     calls.append(("quad_abort", (
         "run", "--config", str(out / "abort.json"), "--out", str(out / "quad_abort"),
     )))
+    calls.append(("finetune_abort", (
+        "sweep", "--config", str(out / "finetune_abort.json"), "--out", str(out / "finetune_abort"),
+        "--param", "method", "--values", FINETUNE_ABORT_VALUES, "--jobs", "2",
+    )))
     return calls
 
 
 def run_side(tree: Path, out: Path) -> dict[str, tuple[int, str]]:
     """Run every invocation with ``tree``'s program; (exit code, stderr) by name."""
     out.mkdir(parents=True)
-    for name, doc in (("criterion9.json", CRITERION_9_CONFIG), ("abort.json", ABORT_CONFIG)):
+    for name, doc in (
+        ("criterion9.json", CRITERION_9_CONFIG),
+        ("abort.json", ABORT_CONFIG),
+        ("finetune_abort.json", FINETUNE_ABORT_CONFIG),
+    ):
         (out / name).write_text(json.dumps(doc, indent=2) + "\n")
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     results = {}

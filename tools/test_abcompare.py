@@ -22,7 +22,8 @@ def test_against_head_every_artifact_identical(head_work, capsys):
     assert len(artifacts) > 100
     assert {status for _, status in artifacts} == {"identical"}
     names = {rel.split("/")[0] for rel, _ in artifacts}
-    assert {"gauss_run-seed0", "gauss_sweep-seed7127", "quad_sweep-seed0", "criterion9"} <= names
+    expected = {"gauss_run-seed0", "gauss_sweep-seed7127", "quad_sweep-seed0", "criterion9", "finetune_abort"}
+    assert expected <= names
 
 
 def test_altered_record_and_missing_file_are_reported(head_work, tmp_path, capsys):
