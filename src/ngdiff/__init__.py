@@ -15,18 +15,14 @@ from .autodiff import (
     ParameterLayout,
     ParameterVector,
     Segment,
-    Tensor,
     axpy_update,
-    backward,
     forward,
 )
 from .bench import (
     ForgetRetainSplit,
     LabeledBatch,
     gen_gaussian_clusters,
-    load_batch_csv,
     mlp_factory,
-    save_batch_csv,
     split_forget_retain,
 )
 from .combiners import (
@@ -70,8 +66,6 @@ from .objectives import (
     lsp_gradient,
     lsp_minimizer,
     lsp_value,
-    npo_loss,
-    npo_loss_and_grad,
 )
 from .scheduler import (
     LrState,

@@ -55,49 +55,6 @@ def _frozen_f64(value) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Tensor:
-    """Dense row-major float64 array with an explicit shape.
-
-    Invariants: ``len(data) == prod(shape)`` and every entry is finite.
-    """
-
-    shape: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        shape = tuple(int(s) for s in self.shape)
-        if any(s <= 0 for s in shape):
-            raise DimensionError(f"tensor shape must be positive, got {shape}")
-        data = _frozen_f64(self.data).reshape(-1)
-        if data.size != math.prod(shape):
-            raise DimensionError(
-                f"tensor data length {data.size} does not match shape {shape}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise NumericError("tensor entries must be finite")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_array(cls, array) -> "Tensor":
-        arr = _as_f64(array)
-        return cls(arr.shape, arr.reshape(-1))
-
-    @classmethod
-    def _adopt(cls, array: np.ndarray) -> "Tensor":
-        """Wrap a fresh float64 array whose entries are known finite; no copy."""
-        array.flags.writeable = False
-        tensor = object.__new__(cls)
-        object.__setattr__(tensor, "shape", array.shape)
-        object.__setattr__(tensor, "data", array.reshape(-1))
-        return tensor
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.data.reshape(self.shape)
-
-
-@dataclass(frozen=True)
 class Segment:
     """One named slice of the flat parameter vector."""
 
@@ -116,29 +73,20 @@ class ParameterLayout:
 
     segments: tuple[Segment, ...]
     total_size: int = field(init=False, compare=False, repr=False)
-    _by_name: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         offset = 0
-        by_name = {}
+        names = set()
         for seg in self.segments:
             if seg.offset != offset:
                 raise DimensionError(
                     f"segment {seg.name!r} offset {seg.offset}, expected {offset}"
                 )
-            if seg.name in by_name:
+            if seg.name in names:
                 raise DimensionError(f"duplicate segment name {seg.name!r}")
-            by_name[seg.name] = seg
+            names.add(seg.name)
             offset += seg.size
         object.__setattr__(self, "total_size", offset)
-        object.__setattr__(self, "_by_name", by_name)
-
-    def segment(self, name: str) -> Segment:
-        return self._by_name[name]
-
-    def view(self, data: np.ndarray, name: str) -> np.ndarray:
-        seg = self._by_name[name]
-        return data[seg.offset : seg.offset + seg.size].reshape(seg.shape)
 
 
 def _check_vector(data: np.ndarray, layout: ParameterLayout, what: str) -> np.ndarray:
@@ -181,9 +129,6 @@ class ParameterVector:
         # an unpickled array comes back writeable: rebuild through the checks
         return ParameterVector, (self.data, self.layout)
 
-    def segment(self, name: str) -> np.ndarray:
-        return self.layout.view(self.data, name)
-
     @property
     def size(self) -> int:
         return self.data.size
@@ -201,9 +146,6 @@ class FlatGradient:
 
     def __reduce__(self):
         return FlatGradient, (self.data, self.layout)
-
-    def segment(self, name: str) -> np.ndarray:
-        return self.layout.view(self.data, name)
 
     @property
     def norm(self) -> float:
@@ -374,9 +316,4 @@ class Graph:
 
 def forward(graph: Graph, params: ParameterVector, batch) -> float:
     """Run the graph on a labeled batch, binding ``features`` and ``labels``."""
-    features = batch.features.array if isinstance(batch.features, Tensor) else batch.features
-    return graph.run(params, {"features": features, "labels": batch.labels})
-
-
-def backward(graph: Graph) -> FlatGradient:
-    return graph.backward()
+    return graph.run(params, {"features": batch.features, "labels": batch.labels})

@@ -10,43 +10,42 @@ summation order goes with them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, ParameterVector, Tensor
+from .autodiff import Graph, NumericError, ParameterVector, _frozen_f64
 
 
 @dataclass(frozen=True)
 class LabeledBatch:
-    """Feature matrix (n x d) with integer class labels."""
+    """Feature matrix (n x d) with integer class labels, both frozen copies."""
 
-    features: Tensor
+    features: np.ndarray
     labels: np.ndarray
     class_count: int
 
     def __post_init__(self):
+        features = _frozen_f64(self.features)
         labels = np.asarray(self.labels, dtype=np.int64).copy()
         labels.flags.writeable = False
-        if len(self.features.shape) != 2:
+        if features.ndim != 2:
             raise ValueError("features must be 2-D")
-        if labels.ndim != 1 or labels.shape[0] != self.features.shape[0]:
+        if not np.isfinite(features).all():
+            raise NumericError("feature entries must be finite")
+        if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
             raise ValueError("labels must be 1-D with one entry per row")
         if labels.shape[0] < 1:
             raise ValueError("batch must be non-empty")
         if self.class_count < 1 or labels.min() < 0 or labels.max() >= self.class_count:
             raise ValueError("labels must lie in [0, class_count)")
+        object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
 
     def take(self, indices: np.ndarray) -> "LabeledBatch":
         """Rows ``indices`` (a non-empty 1-D index array) as a new batch.
@@ -54,13 +53,14 @@ class LabeledBatch:
         The rows come from this already validated batch, so they are cut
         once and not re-checked.
         """
-        features = self.features.array[indices]
+        features = self.features[indices]
         if features.ndim != 2 or features.shape[0] == 0:
             raise ValueError("take needs a non-empty 1-D index array")
+        features.flags.writeable = False
         labels = self.labels[indices]
         labels.flags.writeable = False
         batch = object.__new__(LabeledBatch)
-        object.__setattr__(batch, "features", Tensor._adopt(features))
+        object.__setattr__(batch, "features", features)
         object.__setattr__(batch, "labels", labels)
         object.__setattr__(batch, "class_count", self.class_count)
         return batch
@@ -97,7 +97,7 @@ def gen_gaussian_clusters(
     features = rng.standard_normal((classes * per_class, dim))
     labels = np.repeat(np.arange(classes), per_class)
     features[np.arange(len(labels)), labels] += separation
-    return LabeledBatch(Tensor.from_array(features), labels, classes)
+    return LabeledBatch(features, labels, classes)
 
 
 def split_forget_retain(data: LabeledBatch, forget_class: int) -> ForgetRetainSplit:
@@ -122,8 +122,6 @@ def mlp_factory(seed: int, layer_widths) -> tuple[Graph, ParameterVector]:
     deterministic in ``seed``.
     """
     widths = [int(w) for w in layer_widths]
-    if len(widths) < 2:
-        raise ValueError("need at least input and output widths")
     graph = Graph(widths)
     rng = np.random.default_rng(seed)
     init = np.zeros(0)
@@ -134,26 +132,3 @@ def mlp_factory(seed: int, layer_widths) -> tuple[Graph, ParameterVector]:
         )
     return graph, ParameterVector(init, graph.layout)
 
-
-def save_batch_csv(batch: LabeledBatch, path) -> None:
-    """Write a dataset as ``f0..f{d-1},label`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(batch.dim)] + ["label"])
-        feats = batch.features.array
-        for i in range(batch.n):
-            writer.writerow([repr(float(v)) for v in feats[i]] + [int(batch.labels[i])])
-
-
-def load_batch_csv(path, class_count: int | None = None) -> LabeledBatch:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "label" or header[:-1] != [f"f{j}" for j in range(len(header) - 1)]:
-            raise ValueError(f"unexpected CSV header in {path}")
-        rows = list(reader)
-    features = np.array([[float(v) for v in row[:-1]] for row in rows])
-    labels = np.array([int(row[-1]) for row in rows], dtype=np.int64)
-    if class_count is None:
-        class_count = int(labels.max()) + 1
-    return LabeledBatch(Tensor.from_array(features), labels, class_count)

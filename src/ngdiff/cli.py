@@ -91,11 +91,14 @@ def _execute_run(doc: dict, out_dir: str, initial_params=None) -> RunRecord:
     with open(run_dir / "record.json", "w") as fh:
         fh.write(record_to_json(record) + "\n")
     f = record.final
-    print(
+    # one write per line: sweep children share stdout, and print's separate
+    # newline write would let another child's line in between when unbuffered
+    sys.stdout.write(
         f"{run_dir.name}: loss_retain={_fmt(f.loss_retain)} loss_forget={_fmt(f.loss_forget)} "
         f"acc_retain={_fmt(f.acc_retain)} acc_forget={_fmt(f.acc_forget)} "
-        f"overhead={pass_overhead(record):.4f} guard_trips={record.guard_trips}"
+        f"overhead={pass_overhead(record):.4f} guard_trips={record.guard_trips}\n"
     )
+    sys.stdout.flush()
     return record
 
 

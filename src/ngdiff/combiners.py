@@ -62,6 +62,10 @@ class CombinerSpec:
                 raise ValueError(f"{self.kind} requires c in [0, 1]")
         if self.kind == SCHEDULED_GDIFF and not 0.0 < self.decay < 1.0:
             raise ValueError("scheduled_gdiff requires decay in (0, 1)")
+        if self.c is not None and not math.isfinite(self.c):
+            raise ValueError("c must be finite")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
         if self.kind == RLW and self.rng_seed is None:
             raise ValueError("rlw requires rng_seed")
 

@@ -98,8 +98,8 @@ class NpoSpec:
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,12 @@ class LrConfig:
             raise ValueError("lr mode must be 'fixed' or 'auto'")
         if self.mode == "fixed" and not (self.eta is not None and self.eta > 0):
             raise ValueError("fixed lr mode requires eta > 0")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if self.eta is not None and not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
         if self.update_period < 1:
             raise ValueError("update_period must be >= 1")
-        if not self.probe_epsilon > 0:
-            raise ValueError("probe_epsilon must be positive")
+        if not 0 < self.probe_epsilon < math.inf:
+            raise ValueError("probe_epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,7 @@ def _problem_from_dict(d: dict) -> GaussianProblem | QuadProblemConfig:
                 forget_kind=forget_kind,
                 theta0=tuple(float(v) for v in theta0) if theta0 is not None else None,
             )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("problem", str(exc)) from None
@@ -349,7 +349,7 @@ def config_from_dict(d: dict) -> RunConfig:
             init=int(_require(seeds_d, "init", "seeds")),
             method=int(_require(seeds_d, "method", "seeds")),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("seeds", "seeds must be integers") from None
@@ -362,25 +362,22 @@ def config_from_dict(d: dict) -> RunConfig:
             update_period=int(lr_d.get("update_period", 10)),
             probe_epsilon=float(lr_d.get("probe_epsilon", 1e-3)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("lr", str(exc)) from None
     method = _method_from_dict(_section(d, "method"), seeds)
     problem = _problem_from_dict(_section(d, "problem"))
+    counts = {}
+    for key, default in (("steps", None), ("batch_size", 32), ("eval_every", 1)):
+        value = _require(d, key, "") if default is None else d.get(key, default)
+        try:
+            counts[key] = int(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(key, str(exc)) from None
     try:
-        return RunConfig(
-            method=method,
-            lr=lr,
-            steps=int(_require(d, "steps", "")),
-            seeds=seeds,
-            problem=problem,
-            batch_size=int(d.get("batch_size", 32)),
-            eval_every=int(d.get("eval_every", 1)),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        return RunConfig(method=method, lr=lr, seeds=seeds, problem=problem, **counts)
+    except ValueError as exc:
         raise ConfigError("", str(exc)) from None
 
 
@@ -732,15 +729,8 @@ class _ClassificationTask:
         self._counters.probe_forward += 1
         return forward(self.graph, params, self._retain_batch)
 
-    def _split_eval(self, params, batch: LabeledBatch) -> tuple[float, float]:
-        loss = forward(self.graph, params, batch)
-        pred = np.argmax(self.graph.logits, axis=1)
-        return float(np.mean(pred == batch.labels)), loss
-
     def evaluate(self, params) -> EvalResult:
-        acc_r, loss_r = self._split_eval(params, self.split.retain)
-        acc_f, loss_f = self._split_eval(params, self.split.forget)
-        return EvalResult(acc_r, acc_f, loss_r, loss_f)
+        return evaluate(self.graph, params, self.split)
 
 
 def evaluate(graph: Graph, params: ParameterVector, split: ForgetRetainSplit) -> EvalResult:

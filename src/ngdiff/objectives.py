@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,17 +119,6 @@ class NpoLoss:
         per_row = float(-2.0 / self.cfg.beta) / self._z.shape[0]
         dlp = float(-self.cfg.beta) * (np.exp(-np.logaddexp(0.0, self._z)) * per_row)
         return value, self._graph.backward(dlp)
-
-
-def npo_loss(model: Graph, params: ParameterVector, forget_batch, cfg: NpoConfig) -> float:
-    """NPO loss of ``params`` on one forget batch (see :class:`NpoLoss`)."""
-    return NpoLoss(model, cfg).loss(params, forget_batch)
-
-
-def npo_loss_and_grad(
-    model: Graph, params: ParameterVector, forget_batch, cfg: NpoConfig
-) -> tuple[float, FlatGradient]:
-    return NpoLoss(model, cfg).loss_and_grad(params, forget_batch)
 
 
 def theta_layout(dim: int) -> ParameterLayout:

@@ -54,7 +54,6 @@ class LrState:
     """
 
     eta: float | None = None
-    last_update_step: int = -1
     update_period: int = 10
     probe_epsilon: float = 1e-3
     fitted: QuadraticFit | None = None
@@ -155,11 +154,9 @@ def maybe_update(
             retain_loss, params, direction, state.step_size, loss_zero
         )
     except ProbeError:
-        return replace(state, guard_trips=state.guard_trips + 1, last_update_step=step)
+        return replace(state, guard_trips=state.guard_trips + 1)
     fit = fit_quadratic(probe, l_minus, l_zero, l_plus)
     eta = optimal_lr(fit)
     if eta is None:
-        return replace(
-            state, fitted=fit, guard_trips=state.guard_trips + 1, last_update_step=step
-        )
-    return replace(state, eta=eta, fitted=fit, last_update_step=step)
+        return replace(state, fitted=fit, guard_trips=state.guard_trips + 1)
+    return replace(state, eta=eta, fitted=fit)

@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ngdiff import FlatGradient, LabeledBatch, ParameterVector, Tensor, forward
+from ngdiff import FlatGradient, LabeledBatch, ParameterVector, forward
 from ngdiff.bench import mlp_factory
+
+
+def segment(layout, data: np.ndarray, name: str) -> np.ndarray:
+    """The ``name`` segment of the flat ``data`` laid out by ``layout``, as a shaped view."""
+    seg = next(s for s in layout.segments if s.name == name)
+    return data[seg.offset : seg.offset + seg.size].reshape(seg.shape)
 
 
 def fd_gradient(graph, params: ParameterVector, batch, eps: float = 1e-5) -> np.ndarray:
@@ -40,8 +46,8 @@ def straight_line_mlp_loss(widths, params: ParameterVector, features: np.ndarray
     h = features
     n_layers = len(widths) - 1
     for i in range(1, n_layers + 1):
-        w = params.segment(f"w{i}")
-        b = params.segment(f"b{i}")
+        w = segment(params.layout, params.data, f"w{i}")
+        b = segment(params.layout, params.data, f"b{i}")
         h = h @ w + b
         if i < n_layers:
             h = np.tanh(h)
@@ -60,7 +66,8 @@ def straight_line_mlp_grad(widths, params: ParameterVector, features, labels, dl
     n_layers = len(widths) - 1
     hs = [features]
     for i in range(1, n_layers + 1):
-        h = hs[-1] @ params.segment(f"w{i}") + params.segment(f"b{i}")
+        w = segment(params.layout, params.data, f"w{i}")
+        h = hs[-1] @ w + segment(params.layout, params.data, f"b{i}")
         hs.append(np.tanh(h) if i < n_layers else h)
     logits = hs[-1]
     m = logits.max(axis=1, keepdims=True)
@@ -77,7 +84,7 @@ def straight_line_mlp_grad(widths, params: ParameterVector, features, labels, dl
         grads[f"b{i}"] = g.sum(axis=0)
         grads[f"w{i}"] = hs[i - 1].T @ g
         if i > 1:
-            g = (1.0 - hs[i - 1] * hs[i - 1]) * (g @ params.segment(f"w{i}").T)
+            g = (1.0 - hs[i - 1] * hs[i - 1]) * (g @ segment(params.layout, params.data, f"w{i}").T)
     return np.concatenate([grads[seg.name].ravel() for seg in params.layout.segments])
 
 
@@ -90,7 +97,7 @@ def random_mlp_case(seed: int):
     n = int(rng.integers(2, 7))
     features = rng.standard_normal((n, widths[0]))
     labels = rng.integers(0, widths[-1], size=n)
-    batch = LabeledBatch(Tensor.from_array(features), labels, widths[-1])
+    batch = LabeledBatch(features, labels, widths[-1])
     # move off the zero-bias init so every layer sees generic values
     params = ParameterVector(params.data + 0.1 * rng.standard_normal(params.size), params.layout)
     return graph, params, batch

@@ -1,29 +1,49 @@
-"""Dataset generators, splits, the MLP factory, and CSV round-trips."""
+"""Labeled batches, dataset generators, splits, and the MLP factory."""
 
 import numpy as np
 import pytest
 
-from ngdiff import LabeledBatch, ParameterVector, Tensor, backward, forward
-from ngdiff.bench import (
-    gen_gaussian_clusters,
-    load_batch_csv,
-    mlp_factory,
-    save_batch_csv,
-    split_forget_retain,
-)
+from ngdiff import LabeledBatch, NumericError, ParameterVector, forward
+from ngdiff.bench import gen_gaussian_clusters, mlp_factory, split_forget_retain
 from ngdiff.engine import finetune
 
-from _oracles import assert_matches_fd
+from _oracles import assert_matches_fd, segment
+
+
+class TestLabeledBatch:
+    def test_features_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            LabeledBatch(np.zeros(3), np.array([0, 1, 2]), 3)
+
+    def test_non_finite_feature_rejected(self):
+        features = np.zeros((2, 3))
+        features[1, 2] = np.inf
+        with pytest.raises(NumericError):
+            LabeledBatch(features, np.array([0, 1]), 3)
+
+    def test_features_are_a_frozen_copy(self):
+        features = np.zeros((2, 3))
+        batch = LabeledBatch(features, np.array([0, 1]), 3)
+        features[0, 0] = 1.0
+        assert batch.features[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            batch.features[0, 0] = 1.0
+
+    def test_generated_features_are_read_only(self):
+        data = gen_gaussian_clusters(0, 3, 5, 4, 4.0)
+        assert data.features.dtype == np.float64 and data.features.shape == (15, 4)
+        with pytest.raises(ValueError):
+            data.features[0, 0] = 1.0
 
 
 class TestGaussianClusters:
     def test_deterministic_in_seed(self):
         a = gen_gaussian_clusters(42, 3, 10, 5, 2.0)
         b = gen_gaussian_clusters(42, 3, 10, 5, 2.0)
-        assert a.features.data.tobytes() == b.features.data.tobytes()
+        assert a.features.tobytes() == b.features.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
         c = gen_gaussian_clusters(43, 3, 10, 5, 2.0)
-        assert a.features.data.tobytes() != c.features.data.tobytes()
+        assert a.features.tobytes() != c.features.tobytes()
 
     def test_minimal_dataset_size(self):
         data = gen_gaussian_clusters(0, 2, 1, 2, 1.0)
@@ -32,7 +52,7 @@ class TestGaussianClusters:
 
     def test_centers_land_on_axes(self):
         data = gen_gaussian_clusters(7, 3, 2000, 4, 6.0)
-        feats = data.features.array
+        feats = data.features
         for k in range(3):
             mean = feats[data.labels == k].mean(axis=0)
             expected = np.zeros(4)
@@ -76,9 +96,9 @@ class TestSplit:
     def test_partition_is_exact_multiset_complement(self):
         data = gen_gaussian_clusters(5, 4, 25, 6, 2.0)
         split = split_forget_retain(data, 2)
-        rows = np.vstack([split.retain.features.array, split.forget.features.array])
+        rows = np.vstack([split.retain.features, split.forget.features])
         labels = np.concatenate([split.retain.labels, split.forget.labels])
-        original = sorted(map(tuple, np.column_stack([data.features.array, data.labels])))
+        original = sorted(map(tuple, np.column_stack([data.features, data.labels])))
         recombined = sorted(map(tuple, np.column_stack([rows, labels])))
         assert original == recombined
 
@@ -87,11 +107,11 @@ class TestSplit:
         data = gen_gaussian_clusters(0, 3, 5, 4, 4.0)
         idx = np.array([3, 0, 14])
         batch = data.take(idx)
-        np.testing.assert_array_equal(batch.features.array, data.features.array[idx])
+        np.testing.assert_array_equal(batch.features, data.features[idx])
         np.testing.assert_array_equal(batch.labels, data.labels[idx])
         assert batch.class_count == 3 and batch.n == 3
         with pytest.raises(ValueError):
-            batch.features.array[0, 0] = 1.0
+            batch.features[0, 0] = 1.0
         with pytest.raises(ValueError):
             batch.labels[0] = 1
         with pytest.raises(ValueError):
@@ -114,40 +134,20 @@ class TestMlpFactory:
 
     def test_init_bounds_match_fan_sizes(self):
         _, params = mlp_factory(3, [4, 16, 3])
-        w1 = params.segment("w1")
+        w1 = segment(params.layout, params.data, "w1")
         assert np.abs(w1).max() <= np.sqrt(6.0 / (4 + 16))
-        assert np.all(params.segment("b1") == 0.0)
+        assert np.all(segment(params.layout, params.data, "b1") == 0.0)
 
     def test_gradient_check(self):
         graph, params = mlp_factory(13, [4, 16, 3])
         rng = np.random.default_rng(14)
-        batch = LabeledBatch(
-            Tensor.from_array(rng.standard_normal((5, 4))), rng.integers(0, 3, 5), 3
-        )
+        batch = LabeledBatch(rng.standard_normal((5, 4)), rng.integers(0, 3, 5), 3)
         # off the zero-bias init
         params = ParameterVector(params.data + 0.05 * rng.standard_normal(params.size), params.layout)
         forward(graph, params, batch)
-        assert_matches_fd(graph, params, batch, backward(graph))
+        assert_matches_fd(graph, params, batch, graph.backward())
 
     def test_needs_two_widths(self):
         with pytest.raises(ValueError):
             mlp_factory(0, [4])
 
-
-class TestCsvRoundTrip:
-    def test_export_import(self, tmp_path):
-        data = gen_gaussian_clusters(21, 3, 12, 5, 2.5)
-        path = tmp_path / "data.csv"
-        save_batch_csv(data, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "f0,f1,f2,f3,f4,label"
-        back = load_batch_csv(path)
-        assert back.class_count == 3
-        np.testing.assert_array_equal(back.labels, data.labels)
-        np.testing.assert_array_equal(back.features.array, data.features.array)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,0\n")
-        with pytest.raises(ValueError):
-            load_batch_csv(path)

@@ -152,6 +152,45 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "changes, fieldpath",
+        [
+            # integer fields: int() of the parsed infinity overflows
+            ({"seeds.data": math.inf}, "seeds"),
+            ({"steps": math.inf}, "steps"),
+            ({"lr.update_period": math.inf}, "lr"),
+            ({"batch_size": math.inf}, "batch_size"),
+            ({"problem.classes": math.inf}, "problem"),
+            ({"problem.hidden": [math.inf]}, "problem"),
+            # float fields that must be finite
+            ({"lr": {"mode": "fixed", "eta": math.inf}}, "lr"),
+            ({"lr.probe_epsilon": math.inf}, "lr"),
+            ({"method": {"kind": "npo", "beta": math.inf}}, "method.beta"),
+            ({"method": {"kind": "scheduled_gdiff", "c": 0.5, "amplitude": math.inf, "decay": 0.9}},
+             "method"),
+            ({"method": {"kind": "gd", "c": math.inf}}, "method"),
+        ],
+        ids=[
+            "seeds.data", "steps", "lr.update_period", "batch_size", "problem.classes",
+            "problem.hidden", "lr.eta", "lr.probe_epsilon", "method.beta", "method.amplitude",
+            "method.c",
+        ],
+    )
+    def test_infinite_field_exits_2_with_field_path(self, tmp_path, capsys, changes, fieldpath):
+        doc = gauss_doc()
+        for path, value in changes.items():
+            *outer, key = path.split(".")
+            section = doc
+            for name in outer:
+                section = section[name]
+            section[key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(doc).replace("Infinity", "1e999"))
+        assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {fieldpath}:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_quad_gradient_exits_3_at_step_0(self, tmp_path, capsys):
         doc = quad_doc({"kind": "gd"}, steps=5, theta0=[1e308, 0.0])
@@ -279,6 +318,24 @@ class TestSweep:
         f = record_from_json(find_one(out, "record.json")[0].read_text()).final
         row = (out / "sweep_summary.csv").read_text().splitlines()[1]
         assert row == f"1.0,{f.loss_retain!r},{f.loss_forget!r},{f.acc_retain!r},{f.acc_forget!r}"
+
+    def test_run_line_is_written_whole(self, tmp_path, monkeypatch):
+        # pool children share one stdout; unbuffered, a line written in two
+        # pieces lets another child's line in between
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--param", "c", "--values", "0.6"]) == 0
+        assert len(writes) == 1 and writes[0].count("\n") == 1 and writes[0].endswith("\n")
 
     def test_empty_values_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gd"}, steps=5))

@@ -11,11 +11,8 @@ from ngdiff import (
     NpoConfig,
     NpoLoss,
     ParameterVector,
-    Tensor,
     UnboundedProblemError,
     forward,
-    npo_loss,
-    npo_loss_and_grad,
 )
 from ngdiff.bench import mlp_factory
 from ngdiff.objectives import (
@@ -26,15 +23,11 @@ from ngdiff.objectives import (
     lsp_value,
 )
 
-from _oracles import assert_matches_fd, fd_gradient
-
 
 def small_model(seed=3):
     graph, params = mlp_factory(seed, [4, 8, 3])
     rng = np.random.default_rng(5)
-    batch = LabeledBatch(
-        Tensor.from_array(rng.standard_normal((6, 4))), rng.integers(0, 3, 6), 3
-    )
+    batch = LabeledBatch(rng.standard_normal((6, 4)), rng.integers(0, 3, 6), 3)
     return graph, params, batch
 
 
@@ -46,7 +39,7 @@ class TestNpoLoss:
     def test_at_reference_equals_two_over_beta_ln2(self):
         graph, params, batch = small_model()
         for beta in (0.25, 1.0, 2.0, 7.3):
-            value = npo_loss(graph, params, batch, NpoConfig(beta, params))
+            value = NpoLoss(graph, NpoConfig(beta, params)).loss(params, batch)
             assert value == pytest.approx((2.0 / beta) * math.log(2.0), rel=1e-14)
 
     def test_log_ratio_one(self):
@@ -101,13 +94,6 @@ class TestNpoLoss:
         _, params, _ = small_model()
         with pytest.raises(ValueError):
             NpoConfig(0.0, params)
-
-    def test_convenience_wrapper_matches_class(self):
-        graph, params, batch = small_model()
-        cfg = NpoConfig(0.8, params)
-        loss, grad = npo_loss_and_grad(graph, params, batch, cfg)
-        assert loss == pytest.approx((2.0 / 0.8) * math.log(2.0), rel=1e-14)
-        assert grad.data.shape == (params.size,)
 
 
 class TestQuadPair:

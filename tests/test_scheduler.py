@@ -17,7 +17,6 @@ from ngdiff import (
     probe_losses,
 )
 from ngdiff.bench import mlp_factory, LabeledBatch
-from ngdiff.autodiff import Tensor
 from ngdiff.objectives import theta_layout
 
 from _oracles import straight_line_mlp_loss
@@ -60,16 +59,14 @@ class TestProbeLosses:
         widths = [4, 6, 3]
         graph, params = mlp_factory(5, widths)
         rng = np.random.default_rng(8)
-        batch = LabeledBatch(
-            Tensor.from_array(rng.standard_normal((7, 4))), rng.integers(0, 3, 7), 3
-        )
+        batch = LabeledBatch(rng.standard_normal((7, 4)), rng.integers(0, 3, 7), 3)
         direction = FlatGradient(rng.standard_normal(params.size), params.layout)
 
         def loss(p):
             return forward(graph, p, batch)
 
         lm, l0, lp, probe = probe_losses(loss, params, direction, 0.05)
-        feats, labels = batch.features.array, batch.labels
+        feats, labels = batch.features, batch.labels
         minus = ParameterVector(params.data - probe * direction.data, params.layout)
         plus = ParameterVector(params.data + probe * direction.data, params.layout)
         np.testing.assert_allclose(lm, straight_line_mlp_loss(widths, minus, feats, labels), rtol=1e-12)

@@ -10,17 +10,20 @@ invocations then runs on both trees, each in a fresh interpreter with that
 tree's ``src/`` on ``PYTHONPATH`` and its ``configs/``: the ``gauss_run``
 pass 0 and every ``gauss_sweep`` child of workload seeds 0 and 7127, one
 ``quad_sweep`` pass, a quad method sweep over the seven combiners the CLI
-can sweep, the criterion-9 coefficient sweep, a quad run that aborts and a
-Gaussian method sweep whose shared finetune aborts.
+can sweep, the criterion-9 coefficient sweep, a quad run that aborts, a
+Gaussian method sweep whose shared finetune aborts and an ``ngdiff finetune``
+of the shipped Gaussian config.
 The argument lists of the benchmark workloads come from
 ``perfbench/workloads.py``, so they stay the ones the benchmark times.
 
 Every file either side writes is printed as ``identical``, ``differing`` or
-``missing in <side>``; every invocation whose exit code or error output
-differs is printed too.  The exit status is 0 when all artifacts are
-identical and all exit codes and error outputs equal, 1 otherwise, and 2
-when ``<rev>`` cannot be extracted or ``--work`` is not empty.  With
-``--work`` the extracted tree and both sides' outputs are kept there.
+``missing in <side>``; every invocation whose exit code, standard output or
+error output differs is printed too.  Pool children print in the order they
+finish, so the output lines of an invocation with ``--jobs`` above 1 are
+compared sorted.  The exit status is 0 when all artifacts are identical and
+all exit codes and outputs equal, 1 otherwise, and 2 when ``<rev>`` cannot
+be extracted or ``--work`` is not empty.  With ``--work`` the extracted tree
+and both sides' outputs are kept there.
 
 The comparison is against a revision, not against stored digests: numpy's
 OpenBLAS picks its kernels by CPU, so the bits of a record may depend on the
@@ -109,11 +112,14 @@ def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
         "sweep", "--config", str(out / "finetune_abort.json"), "--out", str(out / "finetune_abort"),
         "--param", "method", "--values", FINETUNE_ABORT_VALUES, "--jobs", "2",
     )))
+    calls.append(("finetune", (
+        "finetune", "--config", workloads.GAUSS_CONFIG, "--out", str(out / "finetune"),
+    )))
     return calls
 
 
-def run_side(tree: Path, out: Path) -> dict[str, tuple[int, str]]:
-    """Run every invocation with ``tree``'s program; (exit code, stderr) by name."""
+def run_side(tree: Path, out: Path) -> dict[str, tuple[int, str, str]]:
+    """Run every invocation with ``tree``'s program; (exit code, stdout, stderr) by name."""
     out.mkdir(parents=True)
     for name, doc in (
         ("criterion9.json", CRITERION_9_CONFIG),
@@ -121,17 +127,25 @@ def run_side(tree: Path, out: Path) -> dict[str, tuple[int, str]]:
         ("finetune_abort.json", FINETUNE_ABORT_CONFIG),
     ):
         (out / name).write_text(json.dumps(doc, indent=2) + "\n")
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    # buffered stdout: older trees print a run's line in two writes, which
+    # pool children sharing an unbuffered stdout can interleave
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(tree / "src")
     results = {}
     for name, argv in invocations(out):
         # numpy's overflow warnings quote the source line, which may move between trees
         proc = subprocess.run(
             [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "ngdiff.cli", *argv],
-            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            cwd=tree, env=env, capture_output=True, text=True,
         )
         # messages may name the side's own paths, which differ by construction
-        stderr = proc.stderr.replace(str(tree), "<tree>").replace(str(out), "<out>")
-        results[name] = (proc.returncode, stderr)
+        stdout, stderr = (
+            text.replace(str(tree), "<tree>").replace(str(out), "<out>")
+            for text in (proc.stdout, proc.stderr)
+        )
+        if "--jobs" in argv and int(argv[argv.index("--jobs") + 1]) > 1:
+            stdout = "".join(sorted(stdout.splitlines(keepends=True)))
+        results[name] = (proc.returncode, stdout, stderr)
     return results
 
 
@@ -163,14 +177,17 @@ def verdict(artifacts: list[tuple[str, str]], calls: dict[str, tuple]) -> int:
     for name, (base, change) in calls.items():
         if base[0] != change[0]:
             print(f"exit code differs   {name}: base {base[0]}, change {change[0]}")
-            differing_calls += 1
         elif base[1] != change[1]:
+            print(f"output differs       {name} (exit code {base[0]} on both)")
+        elif base[2] != change[2]:
             print(f"error output differs {name} (exit code {base[0]} on both)")
-            differing_calls += 1
+        else:
+            continue
+        differing_calls += 1
     differing = sum(status != "identical" for _, status in artifacts)
     print(
         f"{len(artifacts)} artifacts, {differing} not identical; "
-        f"{len(calls)} invocations, {differing_calls} with differing exit code or error output"
+        f"{len(calls)} invocations, {differing_calls} with differing exit code, output or error output"
     )
     return 1 if differing or differing_calls or not artifacts else 0
 

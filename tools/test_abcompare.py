@@ -22,7 +22,10 @@ def test_against_head_every_artifact_identical(head_work, capsys):
     assert len(artifacts) > 100
     assert {status for _, status in artifacts} == {"identical"}
     names = {rel.split("/")[0] for rel, _ in artifacts}
-    expected = {"gauss_run-seed0", "gauss_sweep-seed7127", "quad_sweep-seed0", "criterion9", "finetune_abort"}
+    expected = {
+        "gauss_run-seed0", "gauss_sweep-seed7127", "quad_sweep-seed0", "criterion9", "finetune_abort",
+        "finetune",
+    }
     assert expected <= names
 
 
@@ -44,9 +47,15 @@ def test_altered_record_and_missing_file_are_reported(head_work, tmp_path, capsy
 
 
 def test_differing_exit_code_is_reported(capsys):
-    calls = {"quad_abort": ((3, "error: a\n"), (0, ""))}
+    calls = {"quad_abort": ((3, "", "error: a\n"), (0, "", ""))}
     assert abcompare.verdict([("x/record.json", "identical")], calls) == 1
     assert "exit code differs" in capsys.readouterr().out
+
+
+def test_differing_output_is_reported(capsys):
+    calls = {"finetune": ((0, "no-unlearn: acc_retain=1.000000\n", ""), (0, "", ""))}
+    assert abcompare.verdict([("x/record.json", "identical")], calls) == 1
+    assert "output differs       finetune" in capsys.readouterr().out
 
 
 def test_unknown_revision_exits_2(tmp_path, capsys):
