@@ -15,7 +15,10 @@ gradients, probes and evaluation.
 
 Finiteness is checked once per layer pre-activation and once on the loss.
 The floating-point operations and their order are fixed, so a run is
-reproducible bit for bit.
+reproducible bit for bit.  They are those of the plain numpy formulas
+(``tests/_oracles.py`` keeps them as the reference); the kernel only picks
+faster forms of the same operations, such as in-place products and the
+reductions ``_row_sum`` and ``_col_sum``.
 
 Everything is 64-bit.  Graphs are single-owner: a run/backward pair must
 not be interleaved with runs of the same graph from another thread.
@@ -180,6 +183,41 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return m.reshape(-1, 1)
 
 
+# Row count from which the reductions below beat numpy's own: under it,
+# numpy's per-row overhead costs less than their extra calls.
+_FAST_ROWS = 128
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1, keepdims=True)``, bit for bit, added column by column.
+
+    Below 8 columns numpy sums each row left to right from zero, which is
+    the order of these column adds, and the 1-D column adds skip numpy's
+    per-row overhead.  From 8 columns on numpy sums pairwise, so the call
+    itself is made, as it is for short inputs.
+    """
+    n, k = x.shape
+    if n < _FAST_ROWS or not 2 <= k < 8:
+        return x.sum(axis=1, keepdims=True)
+    s = x[:, 0] + x[:, 1]
+    for j in range(2, k):
+        s += x[:, j]
+    return s.reshape(-1, 1)
+
+
+def _col_sum(g: np.ndarray) -> np.ndarray:
+    """``g.sum(axis=0)``, bit for bit, for a C-contiguous 2-D ``g``.
+
+    With two or more columns numpy adds the rows one after another, which
+    is also einsum's order there, and einsum avoids numpy's per-row
+    overhead.  A single column is one contiguous vector that numpy sums
+    pairwise, so the call itself is made, as it is for short inputs.
+    """
+    if g.shape[0] < _FAST_ROWS or g.shape[1] == 1:
+        return g.sum(axis=0)
+    return np.einsum("ij->j", g)
+
+
 @dataclass
 class _Cache:
     """What ``Graph.run`` leaves for ``backward`` and for readers of the logits."""
@@ -250,18 +288,24 @@ class Graph:
         with np.errstate(all="ignore"):
             for i, (w_at, w_shape, b_at) in enumerate(self._layers, start=1):
                 w = data[w_at].reshape(w_shape)
-                z = h @ w + data[b_at]
-                if not np.isfinite(z).all():
+                h = h @ w
+                h += data[b_at]
+                if np.count_nonzero(np.isfinite(h)) != h.size:
                     raise NumericError(f"non-finite pre-activation in layer {i}")
-                h = np.tanh(z) if i < last else z
+                if i < last:
+                    np.tanh(h, out=h)
                 weights.append(w)
                 acts.append(h)
             m = _row_max(h)
-            numer = np.exp(h - m)
-            denom = numer.sum(axis=1, keepdims=True)
+            numer = h - m
+            np.exp(numer, out=numer)
+            denom = _row_sum(numer)
             n, classes = h.shape
             at_label = np.arange(0, n * classes, classes) + labels  # flat (row, label) index
-            lp = h.take(at_label) - (m + np.log(denom))[:, 0]
+            lse = np.log(denom)
+            lse += m
+            lp = h.take(at_label)
+            lp -= lse[:, 0]
             loss = float(-(lp.sum() / n))  # -np.mean(lp), without its wrapper
         if not math.isfinite(loss):
             raise NumericError("non-finite cross-entropy")
@@ -291,26 +335,31 @@ class Graph:
         loss whose gradient w.r.t. ``lp`` is ``dlp``.
         """
         c = self._cached()
-        probs = c.numer / c.denom
+        # every product below is written in place; IEEE products commute,
+        # so the operand order of the plain formulas does not matter
+        g = c.numer / c.denom  # probs
         if dlp is None:
-            probs.reshape(-1)[c.at_label] -= 1.0  # probs - onehot
-            g = probs * (1.0 / c.lp.shape[0])
+            g.reshape(-1)[c.at_label] -= 1.0  # probs - onehot
+            g *= 1.0 / c.lp.shape[0]
         else:
             dlp = _as_f64(dlp)
             if dlp.shape != c.lp.shape:
                 raise DimensionError(f"dlp shape {dlp.shape} does not match {c.lp.shape}")
             # onehot - probs, spelled so that zero probabilities give +0.0
-            g = 0.0 - probs
+            np.subtract(0.0, g, out=g)
             g.reshape(-1)[c.at_label] += 1.0
-            g = dlp.reshape(-1, 1) * g
+            g *= dlp.reshape(-1, 1)
         flat = np.empty(self.layout.total_size)
         for i in range(len(self._layers) - 1, -1, -1):
             w_at, _, b_at = self._layers[i]
-            flat[b_at] = g.sum(axis=0)
+            flat[b_at] = _col_sum(g)
             flat[w_at] = (c.acts[i].T @ g).ravel()
             if i > 0:
                 y = c.acts[i]
-                g = (1.0 - y * y) * (g @ c.weights[i].T)
+                dy = y * y
+                np.subtract(1.0, dy, out=dy)
+                g = g @ c.weights[i].T
+                g *= dy  # (1 - y^2) * (g W^T)
         return _adopt_vector(FlatGradient, flat, self.layout, "gradient")
 
 

@@ -14,7 +14,6 @@ abort (the failing step index is printed).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import glob
 import json
 import math
@@ -223,6 +222,8 @@ def cmd_sweep(args) -> int:
     children = list(zip(child_docs, values, _shared_snapshots(child_docs)))
     results = []
     if args.jobs > 1:
+        import concurrent.futures  # only a pool needs it: spares every other command the import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_sweep_child, d, str(out_root), v, s) for d, v, s in children]
             for future, value in zip(futures, values):

@@ -71,15 +71,13 @@ class CombinerSpec:
 
 
 class CombinerOutput(NamedTuple):
-    """Combined direction plus diagnostics recomputed from that direction.
+    """Combined direction plus the diagnostics the loop records.
 
     A named tuple, because the loop builds one per step.
     """
 
     direction: FlatGradient
     coefficient: float
-    dot_retain: float
-    dot_forget: float
     norm_retain: float
     norm_forget: float
     degenerate: bool = False
@@ -171,8 +169,6 @@ def combine(
     return CombinerOutput(
         direction=_adopt_vector(FlatGradient, direction, g_r.layout, "gradient"),
         coefficient=coefficient,
-        dot_retain=float(g_r.data.dot(direction)),
-        dot_forget=float(g_f.data.dot(direction)),
         norm_retain=nr,
         norm_forget=nf,
         degenerate=degenerate,

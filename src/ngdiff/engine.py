@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -204,14 +203,17 @@ class RunConfig:
     eval_every: int = 1
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if isinstance(self.method, NpoSpec) and isinstance(self.problem, QuadProblemConfig):
-            raise ValueError("npo requires a classification problem with a reference model")
+        checks = (
+            ("steps", self.steps >= 1, "must be >= 1"),
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+            ("eval_every", self.eval_every >= 1, "must be >= 1"),
+            ("method",
+             not (isinstance(self.method, NpoSpec) and isinstance(self.problem, QuadProblemConfig)),
+             "npo requires a classification problem with a reference model"),
+        )
+        for name, ok, message in checks:
+            if not ok:
+                raise ConfigError(name, message)
 
 
 def _require(d: dict, key: str, path: str):
@@ -241,10 +243,17 @@ def _method_from_dict(d: dict, seeds: Seeds) -> CombinerSpec | NpoSpec:
         _reject_unknown(d, {"kind", "beta"}, "method")
         try:
             return NpoSpec(beta=float(_require(d, "beta", "method")))
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            if isinstance(exc, ConfigError):
+                raise
             raise ConfigError("method.beta", str(exc)) from None
-    allowed = {"kind", "c", "amplitude", "decay"}
-    _reject_unknown(d, allowed, "method")
+    _reject_unknown(d, {"kind", "c", "amplitude", "decay"}, "method")
+    if kind in combiners.KINDS:
+        # a field the kind does not read would vanish from config.json and the run name
+        used = {combiners.GDIFF: ("c",), combiners.SCHEDULED_GDIFF: ("c", "amplitude", "decay")}
+        for key in ("c", "amplitude", "decay"):
+            if key in d and key not in used.get(kind, ()):
+                raise ConfigError(f"method.{key}", f"not used by method kind {kind!r}")
     try:
         return CombinerSpec(
             kind=kind,
@@ -253,7 +262,7 @@ def _method_from_dict(d: dict, seeds: Seeds) -> CombinerSpec | NpoSpec:
             amplitude=float(d.get("amplitude", 0.0)),
             decay=float(d.get("decay", 1.0)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("method", str(exc)) from None
 
 
@@ -375,10 +384,7 @@ def config_from_dict(d: dict) -> RunConfig:
             counts[key] = int(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(key, str(exc)) from None
-    try:
-        return RunConfig(method=method, lr=lr, seeds=seeds, problem=problem, **counts)
-    except ValueError as exc:
-        raise ConfigError("", str(exc)) from None
+    return RunConfig(method=method, lr=lr, seeds=seeds, problem=problem, **counts)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -576,14 +582,15 @@ def pass_overhead(record: RunRecord) -> float:
 
     Cost model: a forward pass is 1 unit, a backward pass 2 units, and a
     gradient-free probe pass 2 units; the baseline is the 6 units/step of a
-    plain two-task gradient run.  Computed exactly in integer arithmetic.
+    plain two-task gradient run.  Integer true division is correctly
+    rounded, so the ratio is the float nearest the exact one.
     """
     observed = (
         record.forward_passes
         + 2 * record.backward_passes
         + 2 * record.probe_forward_passes
     )
-    return float(Fraction(observed, 6 * record.steps))
+    return observed / (6 * record.steps)
 
 
 # --------------------------------------------------------------------------
@@ -639,18 +646,14 @@ class _QuadTask:
     def retain_loss_grad(self, params, step):
         self._counters.forward += 1
         self._counters.backward += 1
-        return (
-            self.problem.retain_loss(params),
-            _adopt_vector(FlatGradient, self.problem.retain_grad(params), params.layout, "gradient"),
-        )
+        loss, grad = self.problem.retain_loss_grad(params)
+        return loss, _adopt_vector(FlatGradient, grad, params.layout, "gradient")
 
     def forget_loss_grad(self, params, step):
         self._counters.forward += 1
         self._counters.backward += 1
-        return (
-            self.problem.forget_loss(params),
-            _adopt_vector(FlatGradient, self.problem.forget_grad(params), params.layout, "gradient"),
-        )
+        loss, grad = self.problem.forget_loss_grad(params)
+        return loss, _adopt_vector(FlatGradient, grad, params.layout, "gradient")
 
     def probe_loss(self, params) -> float:
         self._counters.probe_forward += 1
@@ -718,11 +721,11 @@ class _ClassificationTask:
         self._counters.forward += 1
         self._counters.backward += 1
         loss, grad = self.npo.loss_and_grad(params, batch, self._npo_ref[idx])
-        # gradient-free diagnostics on matching minibatches, not counted
+        # gradient-free diagnostics on matching minibatches, not counted; the
+        # forget side is the cross-entropy of the NPO loss's own forward
         self._retain_batch = self.split.retain.take(self._retain_stream.next())
         loss_retain = forward(self.graph, params, self._retain_batch)
-        loss_forget = forward(self.graph, params, batch)
-        return loss, grad, loss_retain, loss_forget
+        return loss, grad, loss_retain, self.npo.cross_entropy
 
     def probe_loss(self, params) -> float:
         # probes reuse the minibatch that produced the current retain gradient

@@ -76,7 +76,9 @@ class NpoLoss:
 
     The reference side is treated as a constant: no gradient flows into it.
     The loss is a function of the kernel's true-label log-probabilities, so
-    its gradient is the kernel's backward pass given ``dL/dlp``.
+    its gradient is the kernel's backward pass given ``dL/dlp``.  The
+    forward that ``loss`` runs also gives the batch's mean cross-entropy,
+    kept as ``cross_entropy``.
     """
 
     def __init__(self, model: Graph, cfg: NpoConfig):
@@ -85,6 +87,7 @@ class NpoLoss:
         self.cfg = cfg
         self._graph = copy.copy(model)  # same program and layout, its own forward cache
         self._z: np.ndarray | None = None
+        self.cross_entropy: float | None = None
 
     def reference_logprobs(self, batch) -> np.ndarray:
         """True-label log-probabilities under the frozen reference, clamped below."""
@@ -98,7 +101,7 @@ class NpoLoss:
     def loss(self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None) -> float:
         if ref_logprobs is None:
             ref_logprobs = self.reference_logprobs(batch)
-        forward(self._graph, params, batch)
+        cross_entropy = forward(self._graph, params, batch)
         lp = self._graph.lp
         ref = np.asarray(ref_logprobs, dtype=np.float64)
         if ref.shape != lp.shape:
@@ -109,6 +112,7 @@ class NpoLoss:
         if not (np.isfinite(z).all() and math.isfinite(value)):
             raise NumericError("non-finite NPO loss")
         self._z = z
+        self.cross_entropy = cross_entropy
         return float(value)
 
     def loss_and_grad(
@@ -162,26 +166,31 @@ class QuadPairProblem:
             raise ValueError(f"theta must have shape ({self.dim},)")
         return arr
 
-    def retain_loss(self, theta) -> float:
+    def retain_loss_grad(self, theta) -> tuple[float, np.ndarray]:
+        """The retain loss and its gradient, both from one ``theta - a``."""
         d = self._theta(theta) - self.a
         # d.dot(d) gives the bits of d @ d (both are BLAS ddot) without the ufunc overhead
-        return 0.5 * float(d.dot(d))
+        return 0.5 * float(d.dot(d)), d
 
-    def retain_grad(self, theta) -> np.ndarray:
-        return self._theta(theta) - self.a
-
-    def forget_loss(self, theta) -> float:
+    def forget_loss_grad(self, theta) -> tuple[float, np.ndarray]:
+        """The forget loss and its gradient, both from one ``theta - b``."""
         d = self._theta(theta) - self.b
         q = 0.5 * float(d.dot(d))
         if self.forget_kind == UNBOUNDED_QUADRATIC:
-            return q
-        return -math.expm1(-q)
+            return q, d
+        return -math.expm1(-q), math.exp(-q) * d
+
+    def retain_loss(self, theta) -> float:
+        return self.retain_loss_grad(theta)[0]
+
+    def retain_grad(self, theta) -> np.ndarray:
+        return self.retain_loss_grad(theta)[1]
+
+    def forget_loss(self, theta) -> float:
+        return self.forget_loss_grad(theta)[0]
 
     def forget_grad(self, theta) -> np.ndarray:
-        d = self._theta(theta) - self.b
-        if self.forget_kind == UNBOUNDED_QUADRATIC:
-            return d
-        return math.exp(-0.5 * float(d.dot(d))) * d
+        return self.forget_loss_grad(theta)[1]
 
 
 def lsp_value(problem: QuadPairProblem, theta, c: float) -> float:

@@ -60,7 +60,8 @@ def straight_line_mlp_loss(widths, params: ParameterVector, features: np.ndarray
 def straight_line_mlp_grad(widths, params: ParameterVector, features, labels, dlp=None) -> np.ndarray:
     """Independent reverse pass of the tanh MLP, in the order of a plain tape.
 
-    Without ``dlp`` it differentiates the mean cross-entropy; with ``dlp`` it
+    Its reductions are numpy's plain ``sum`` calls, so it is the reference
+    for the kernel's faster forms of them.  Without ``dlp`` it differentiates the mean cross-entropy; with ``dlp`` it
     pulls back the given gradient w.r.t. the true-label log-probabilities.
     """
     n_layers = len(widths) - 1

@@ -16,6 +16,7 @@ from ngdiff import (
     axpy_update,
     forward,
 )
+from ngdiff.autodiff import _FAST_ROWS, _col_sum, _row_sum
 from ngdiff.bench import mlp_factory
 from ngdiff.objectives import theta_layout
 
@@ -215,6 +216,63 @@ class TestProperties:
             runs.append((loss, grad.data.tobytes()))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+REDUCTION_ROWS = (1, 2, 31, 32, _FAST_ROWS - 1, _FAST_ROWS, 900)
+
+
+class TestFastReductions:
+    """The kernel's reductions are numpy's ``sum`` bit for bit.
+
+    They rest on numpy's summation order: left to right from zero along a
+    row of fewer than 8 entries, and row after row down the columns of a
+    C-contiguous array with two or more columns.  A numpy that changes
+    either order fails here first, under the name of that assumption.
+    """
+
+    @pytest.mark.parametrize("rows", REDUCTION_ROWS)
+    def test_row_sum_is_numpy_row_sum(self, rows):
+        rng = np.random.default_rng(rows)
+        for cols in range(1, 13):
+            # softmax numerators, and values of mixed sign and magnitude
+            numer = np.exp(-3.0 * rng.random((rows, cols)) ** 2)
+            mixed = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-8, 8, (rows, cols))
+            for x in (numer, mixed):
+                assert same_bits(_row_sum(x), x.sum(axis=1, keepdims=True)), (
+                    f"numpy no longer sums a row of {cols} left to right ({rows} rows)"
+                )
+
+    @pytest.mark.parametrize("rows", REDUCTION_ROWS)
+    def test_col_sum_is_numpy_col_sum(self, rows):
+        rng = np.random.default_rng(rows)
+        for cols in (*range(1, 13), 16, 64):
+            g = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-8, 8, (rows, cols))
+            assert same_bits(_col_sum(g), g.sum(axis=0)), (
+                f"numpy no longer sums {cols} columns row after row ({rows} rows)"
+            )
+
+    @pytest.mark.parametrize(
+        "widths", [[8, 16, 3], [8, 9], [8, 1, 3], [8, 16, 8, 5], [4, 3, 1]],
+        ids=["shipped", "9-classes", "hidden-1", "two-hidden", "1-class"],
+    )
+    @pytest.mark.parametrize("rows", [1, 32, 900])
+    def test_kernel_equals_plain_sum_oracle(self, widths, rows):
+        graph, params = mlp_factory(rows, widths)
+        rng = np.random.default_rng([rows, len(widths)])
+        params = ParameterVector(params.data + 0.3 * rng.standard_normal(params.size), params.layout)
+        feats = 2.0 * rng.standard_normal((rows, widths[0]))
+        labels = rng.integers(0, widths[-1], size=rows)
+        dlp = rng.standard_normal(rows)
+        loss = forward(graph, params, batch_of(feats, labels, widths[-1]))
+        assert loss == straight_line_mlp_loss(widths, params, feats, labels)
+        expected = straight_line_mlp_grad(widths, params, feats, labels)
+        assert same_bits(graph.backward().data, expected)
+        expected = straight_line_mlp_grad(widths, params, feats, labels, dlp)
+        assert same_bits(graph.backward(dlp).data, expected)
 
 
 class TestAxpyUpdate:

@@ -168,7 +168,7 @@ class TestRun:
             ({"method": {"kind": "npo", "beta": math.inf}}, "method.beta"),
             ({"method": {"kind": "scheduled_gdiff", "c": 0.5, "amplitude": math.inf, "decay": 0.9}},
              "method"),
-            ({"method": {"kind": "gd", "c": math.inf}}, "method"),
+            ({"method": {"kind": "gd", "c": math.inf}}, "method.c"),
         ],
         ids=[
             "seeds.data", "steps", "lr.update_period", "batch_size", "problem.classes",
@@ -189,6 +189,57 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {fieldpath}:")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc, fieldpath",
+        [
+            ({**gauss_doc(), "steps": 0}, "steps"),
+            ({**gauss_doc(), "batch_size": 0}, "batch_size"),
+            ({**gauss_doc(), "eval_every": -1}, "eval_every"),
+            (quad_doc({"kind": "npo", "beta": 0.5}), "method"),
+        ],
+        ids=["steps", "batch_size", "eval_every", "npo-on-quad"],
+    )
+    def test_bad_run_field_exits_2_with_its_name(self, tmp_path, capsys, doc, fieldpath):
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {fieldpath}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "method, fieldpath",
+        [
+            ({"kind": "npo", "beta": None}, "method.beta"),
+            ({"kind": "npo"}, "method.beta"),
+            ({"kind": "scheduled_gdiff", "c": 0.5, "amplitude": None, "decay": 0.9}, "method"),
+            ({"kind": "scheduled_gdiff", "c": 0.5, "decay": 10**400}, "method"),
+        ],
+    )
+    def test_bad_method_field_exits_2_with_one_path(self, tmp_path, capsys, method, fieldpath):
+        cfg = write_config(tmp_path / "cfg.json", gauss_doc() | {"method": method})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {fieldpath}: ")
+        assert err.count(f"{fieldpath}:") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "method, fieldpath",
+        [
+            ({"kind": "gd", "decay": 7.0, "amplitude": 3.0}, "method.amplitude"),
+            ({"kind": "ngdiff", "c": 0.5}, "method.c"),
+            ({"kind": "rlw", "c": None}, "method.c"),
+            ({"kind": "gdiff", "c": 0.5, "decay": 0.9}, "method.decay"),
+            ({"kind": "gdiff", "c": 0.5, "amplitude": 0.0}, "method.amplitude"),
+        ],
+    )
+    def test_method_field_the_kind_ignores_exits_2(self, tmp_path, capsys, method, fieldpath):
+        cfg = write_config(tmp_path / "cfg.json", quad_doc(method, steps=5))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {fieldpath}: not used by method kind")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow")

@@ -80,6 +80,13 @@ class TestNpoLoss:
         weights = (2.0 / batch.n) / (1.0 + np.exp(-beta * (graph.lp - ref)))
         np.testing.assert_allclose(grad.data, graph.backward(weights).data, rtol=1e-12, atol=1e-300)
 
+    def test_keeps_the_cross_entropy_of_its_forward(self):
+        graph, params, batch = small_model()
+        npo = NpoLoss(graph, NpoConfig(0.7, params))
+        moved = ParameterVector(params.data + 0.1, params.layout)
+        npo.loss_and_grad(moved, batch)
+        assert npo.cross_entropy == forward(graph, moved, batch)
+
     def test_reference_logprob_clamp_flags_warning(self):
         graph, params, batch = small_model()
         # reference with an absurd margin against the true class

@@ -11,8 +11,10 @@ tree's ``src/`` on ``PYTHONPATH`` and its ``configs/``: the ``gauss_run``
 pass 0 and every ``gauss_sweep`` child of workload seeds 0 and 7127, one
 ``quad_sweep`` pass, a quad method sweep over the seven combiners the CLI
 can sweep, the criterion-9 coefficient sweep, a quad run that aborts, a
-Gaussian method sweep whose shared finetune aborts and an ``ngdiff finetune``
-of the shipped Gaussian config.
+Gaussian method sweep whose shared finetune aborts, an ``ngdiff finetune``
+of the shipped Gaussian config and three small Gaussian runs whose shapes
+take the kernel's plain-``sum`` branches (9 classes, a hidden layer of
+width 1, minibatches of 1 row).
 The argument lists of the benchmark workloads come from
 ``perfbench/workloads.py``, so they stay the ones the benchmark times.
 
@@ -83,6 +85,27 @@ FINETUNE_ABORT_CONFIG = {
 }
 FINETUNE_ABORT_VALUES = "ngdiff,gd,bogus"
 
+# Gaussian runs over shapes where the kernel's reductions fall back to
+# numpy's sum: 9 classes (row sums), a width-1 layer (column sums) and
+# 1-row minibatches; 300 or more pooled rows keep the finetune on the fast forms
+def _fallback_config(problem: dict, **top) -> dict:
+    return {
+        "method": {"kind": "ngdiff"},
+        "lr": {"mode": "auto"},
+        "steps": 60,
+        "eval_every": 10,
+        "seeds": {"data": 3, "init": 1003, "method": 2003},
+        "problem": {"kind": "gaussian", "per_class": 100, "finetune_steps": 100, **problem},
+        **top,
+    }
+
+
+FALLBACK_CONFIGS = {
+    "fallback_classes9": _fallback_config({"classes": 9, "dim": 9}),
+    "fallback_hidden1": _fallback_config({"per_class": 300, "hidden": [1]}),
+    "fallback_batch1": _fallback_config({}, batch_size=1),
+}
+
 
 def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
     """(name, argv) of every ``ngdiff`` call, writing under ``out``.
@@ -115,18 +138,22 @@ def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
     calls.append(("finetune", (
         "finetune", "--config", workloads.GAUSS_CONFIG, "--out", str(out / "finetune"),
     )))
+    for name in FALLBACK_CONFIGS:
+        calls.append((name, ("run", "--config", str(out / f"{name}.json"), "--out", str(out / name))))
     return calls
 
 
 def run_side(tree: Path, out: Path) -> dict[str, tuple[int, str, str]]:
     """Run every invocation with ``tree``'s program; (exit code, stdout, stderr) by name."""
     out.mkdir(parents=True)
-    for name, doc in (
-        ("criterion9.json", CRITERION_9_CONFIG),
-        ("abort.json", ABORT_CONFIG),
-        ("finetune_abort.json", FINETUNE_ABORT_CONFIG),
-    ):
-        (out / name).write_text(json.dumps(doc, indent=2) + "\n")
+    docs = {
+        "criterion9": CRITERION_9_CONFIG,
+        "abort": ABORT_CONFIG,
+        "finetune_abort": FINETUNE_ABORT_CONFIG,
+        **FALLBACK_CONFIGS,
+    }
+    for name, doc in docs.items():
+        (out / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
     # buffered stdout: older trees print a run's line in two writes, which
     # pool children sharing an unbuffered stdout can interleave
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
