@@ -25,6 +25,7 @@ from . import engine
 from .engine import (
     ConfigError,
     NumericAbort,
+    RunConfig,
     RunRecord,
     config_from_dict,
     non_dominated_set,
@@ -37,6 +38,8 @@ from .engine import (
 )
 
 SWEEPABLE = ("c", "eta", "beta", "method")
+# the method kinds that read c, as the config field table gives them
+C_KINDS = next(kinds for name, *_, kinds in engine.METHOD_FIELDS if name == "c")
 
 
 def _load_config_dict(path: str) -> dict:
@@ -73,13 +76,12 @@ def _fmt(x: float) -> str:
     return "nan" if not math.isfinite(x) else f"{x:.6f}"
 
 
-def _execute_run(doc: dict, out_dir: str, initial_params=None) -> RunRecord:
-    """Run one config document and write its artifacts; returns the record.
+def _execute_run(cfg: RunConfig, out_dir: str, initial_params=None) -> RunRecord:
+    """Run one config and write its artifacts; returns the record.
 
     ``initial_params`` is the run's finetuned snapshot when it was made
     elsewhere (see ``run_unlearning``).
     """
-    cfg = config_from_dict(doc)
     run_dir = Path(out_dir) / run_name(cfg)
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "config.json", "w") as fh:
@@ -102,9 +104,9 @@ def _execute_run(doc: dict, out_dir: str, initial_params=None) -> RunRecord:
 
 
 def cmd_run(args) -> int:
-    doc = _apply_seed_overrides(_load_config_dict(args.config), args)
+    cfg = config_from_dict(_apply_seed_overrides(_load_config_dict(args.config), args))
     try:
-        _execute_run(doc, args.out)
+        _execute_run(cfg, args.out)
         return 0
     except NumericAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -123,7 +125,7 @@ def _sweep_config(doc: dict, param: str, value: str) -> dict:
     if param == "c":
         method = _object(out, "method")
         kind = method.get("kind", "gdiff")
-        if kind not in ("gdiff", "scheduled_gdiff"):
+        if kind not in C_KINDS:
             kind = "gdiff"
         out["method"] = {**method, "kind": kind, "c": _float(param, value)}
         if kind == "gdiff":
@@ -137,7 +139,7 @@ def _sweep_config(doc: dict, param: str, value: str) -> dict:
         out["method"] = {"kind": "npo", "beta": _float(param, value)}
     elif param == "method":
         method = {"kind": value}
-        if value in ("gdiff", "scheduled_gdiff") and "c" in _object(out, "method"):
+        if value in C_KINDS and "c" in _object(out, "method"):
             method["c"] = out["method"]["c"]
         out["method"] = method
     else:
@@ -152,49 +154,43 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}{where}"
 
 
-def _sweep_child(doc: dict, out_dir: str, value: str, initial_params):
+def _sweep_child(cfg: RunConfig, out_dir: str, value: str, initial_params):
     """Run one sweep value; every failure comes back as (value, code, None, message)."""
     try:
-        f = _execute_run(doc, out_dir, initial_params).final
+        f = _execute_run(cfg, out_dir, initial_params).final
         # as record.json holds them: a non-finite value is stored as null, read back as nan
         final = tuple(
             x if math.isfinite(x) else math.nan
             for x in (f.loss_retain, f.loss_forget, f.acc_retain, f.acc_forget)
         )
         return value, 0, final, None
-    except ConfigError as exc:
-        return value, 2, None, str(exc)
     except NumericAbort as exc:
         return value, 3, None, str(exc)
     except Exception as exc:  # a failing child must not take the sweep down
         return value, 1, None, _describe(exc)
 
 
-def _shared_snapshots(child_docs: list[dict]) -> list:
+def _shared_snapshots(cfgs: list[RunConfig]) -> list:
     """The finetuned snapshot of each child, made once per (seeds.data, seeds.init, problem).
 
     The finetune depends on nothing else, so a sweep over ``c``, ``eta``,
     ``beta`` or ``method`` makes one.  A child gets None when it has no
-    finetune (quad problems), when its config does not load, or when its
-    finetune fails: it then takes the path of a lone run, which reports the
-    failure itself, with the same message and exit code.
+    finetune (quad problems) or when its finetune fails: it then takes the
+    path of a lone run, which reports the failure itself, with the same
+    message and exit code.
     """
     made = {}
     snapshots = []
-    for doc in child_docs:
+    for cfg in cfgs:
         snapshot = None
-        # any error here, expected or not, is met again by the child, which
-        # reports it as a lone run would
-        try:
-            cfg = config_from_dict(doc)
-            if isinstance(cfg.problem, engine.GaussianProblem):
-                key = (cfg.seeds.data, cfg.seeds.init, cfg.problem)
-                if key not in made:
-                    made[key] = None  # stays None when the finetune raises
+        if isinstance(cfg.problem, engine.GaussianProblem):
+            key = (cfg.seeds.data, cfg.seeds.init, cfg.problem)
+            if key not in made:
+                try:
                     made[key] = engine.no_unlearn_params(cfg)
-                snapshot = made[key]
-        except Exception:
-            pass
+                except Exception:  # met again by the child, which reports it as a lone run would
+                    made[key] = None
+            snapshot = made[key]
         snapshots.append(snapshot)
     return snapshots
 
@@ -209,30 +205,42 @@ def cmd_sweep(args) -> int:
         print(f"error: --param must be one of {SWEEPABLE}", file=sys.stderr)
         return 2
     child_docs = [_sweep_config(doc, args.param, v) for v in values]
+    # one result per value, in order; a value whose config fails is not run
+    results = [None] * len(values)
+    runs = []  # (index, value, config) of each child to run
     first_value = {}
-    for value, child in zip(values, child_docs):
-        # equal documents would have two children write one run directory at once
-        key = json.dumps(child, sort_keys=True)
-        if key in first_value:
-            print(f"error: --values {first_value[key]} and {value} give the same run", file=sys.stderr)
+    for i, (value, child) in enumerate(zip(values, child_docs)):
+        try:
+            cfg = config_from_dict(child)
+        except ConfigError as exc:
+            results[i] = (value, 2, None, str(exc))
+            continue
+        # two children of one run directory would write it at once
+        name = run_name(cfg)
+        if name in first_value:
+            print(f"error: --values {first_value[name]} and {value} give the same run", file=sys.stderr)
             return 2
-        first_value[key] = value
+        first_value[name] = value
+        runs.append((i, value, cfg))
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    children = list(zip(child_docs, values, _shared_snapshots(child_docs)))
-    results = []
+    snapshots = _shared_snapshots([cfg for _, _, cfg in runs])
     if args.jobs > 1:
         import concurrent.futures  # only a pool needs it: spares every other command the import
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_sweep_child, d, str(out_root), v, s) for d, v, s in children]
-            for future, value in zip(futures, values):
+            futures = [
+                pool.submit(_sweep_child, cfg, str(out_root), value, snapshot)
+                for (_, value, cfg), snapshot in zip(runs, snapshots)
+            ]
+            for (i, value, _), future in zip(runs, futures):
                 try:
-                    results.append(future.result())
+                    results[i] = future.result()
                 except Exception as exc:  # the worker process itself died
-                    results.append((value, 1, None, _describe(exc)))
+                    results[i] = (value, 1, None, _describe(exc))
     else:
-        results = [_sweep_child(d, str(out_root), v, s) for d, v, s in children]
+        for (i, value, cfg), snapshot in zip(runs, snapshots):
+            results[i] = _sweep_child(cfg, str(out_root), value, snapshot)
 
     worst = 0
     lines = [f"{args.param},loss_retain,loss_forget,acc_retain,acc_forget"]
@@ -262,18 +270,6 @@ def cmd_finetune(args) -> int:
         return 3
     split = engine.split_forget_retain(model.data, cfg.problem.forget_class)
     ev = engine.evaluate(model.graph, params, split)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = {
-        "layout": [
-            {"name": s.name, "shape": list(s.shape), "offset": s.offset}
-            for s in params.layout.segments
-        ],
-        "data": [float(v) for v in params.data],
-    }
-    with open(out_dir / "no_unlearn_params.json", "w") as fh:
-        json.dump(snapshot, fh, sort_keys=True)
-        fh.write("\n")
     print(
         f"no-unlearn: acc_retain={_fmt(ev.acc_retain)} acc_forget={_fmt(ev.acc_forget)} "
         f"loss_retain={_fmt(ev.loss_retain)} loss_forget={_fmt(ev.loss_forget)}"
@@ -364,9 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_ft = sub.add_parser("finetune", help="produce the no-unlearn snapshot for a config")
+    p_ft = sub.add_parser(
+        "finetune", help="finetune a config's no-unlearn model and print its evaluation"
+    )
     p_ft.add_argument("--config", required=True)
-    p_ft.add_argument("--out", required=True)
     add_seed_flags(p_ft)
     p_ft.set_defaults(func=cmd_finetune)
 

@@ -90,15 +90,16 @@ class NumericAbort(RuntimeError):
 
 # --------------------------------------------------------------------------
 # Configuration
+#
+# The holders below are plain frozen records.  What a config document may
+# hold - each field's JSON type, range, default and the kinds that read it -
+# is the field table after them, which one parser and one echo both follow.
 
 
 @dataclass(frozen=True)
 class NpoSpec:
+    kind = "npo"  # a class attribute, as the kind of a CombinerSpec is a field
     beta: float
-
-    def __post_init__(self):
-        if not 0 < self.beta < math.inf:
-            raise ValueError("beta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -110,21 +111,9 @@ class LrConfig:
     """
 
     mode: str
-    eta: float | None = None
-    update_period: int = 10
-    probe_epsilon: float = 1e-3
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "auto"):
-            raise ValueError("lr mode must be 'fixed' or 'auto'")
-        if self.mode == "fixed" and not (self.eta is not None and self.eta > 0):
-            raise ValueError("fixed lr mode requires eta > 0")
-        if self.eta is not None and not 0 < self.eta < math.inf:
-            raise ValueError("eta must be positive and finite")
-        if self.update_period < 1:
-            raise ValueError("update_period must be >= 1")
-        if not 0 < self.probe_epsilon < math.inf:
-            raise ValueError("probe_epsilon must be positive and finite")
+    eta: float | None
+    update_period: int
+    probe_epsilon: float
 
 
 @dataclass(frozen=True)
@@ -138,58 +127,26 @@ class Seeds:
 class GaussianProblem:
     """Synthetic forget-one-class classification task."""
 
-    classes: int = 3
-    per_class: int = 300
-    dim: int = 8
-    separation: float = 4.0
-    forget_class: int = 0
-    hidden: tuple[int, ...] = (16,)
-    finetune_steps: int = 400
-    finetune_eta: float = 0.5
-
-    def __post_init__(self):
-        checks = (
-            ("classes", self.classes >= 2, "need at least 2 classes"),
-            ("per_class", self.per_class >= 1, "must be >= 1"),
-            ("dim", self.dim >= self.classes,
-             f"must be >= classes ({self.classes}) for axis-anchored centers"),
-            ("separation", 0 < self.separation < math.inf, "must be positive and finite"),
-            ("forget_class", 0 <= self.forget_class < self.classes,
-             f"must lie in [0, {self.classes})"),
-            ("hidden", all(w >= 1 for w in self.hidden), "layer widths must be >= 1"),
-            ("finetune_steps", self.finetune_steps >= 0, "must be >= 0"),
-            ("finetune_eta", 0 < self.finetune_eta < math.inf, "must be positive and finite"),
-        )
-        for name, ok, message in checks:
-            if not ok:
-                raise ConfigError(f"problem.{name}", message)
+    kind = "gaussian"
+    classes: int
+    per_class: int
+    dim: int
+    separation: float
+    forget_class: int
+    hidden: tuple[int, ...]
+    finetune_steps: int
+    finetune_eta: float
 
 
 @dataclass(frozen=True)
 class QuadProblemConfig:
-    """Analytic quadratic-pair task; starts from ``theta0`` (default: b)."""
+    """Analytic quadratic-pair task; starts from ``theta0`` (None: from b)."""
 
+    kind = "quad_pair"
     a: tuple[float, ...]
     b: tuple[float, ...]
-    forget_kind: str = UNBOUNDED_QUADRATIC
-    theta0: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        dim = len(self.a)
-        checks = (
-            ("a", dim >= 1, "must be non-empty"),
-            ("a", all(map(math.isfinite, self.a)), "entries must be finite"),
-            ("b", len(self.b) == dim, f"must have the length of a ({dim})"),
-            ("b", all(map(math.isfinite, self.b)), "entries must be finite"),
-            ("b", self.b != self.a, "must differ from a"),
-            ("theta0", self.theta0 is None or len(self.theta0) == dim,
-             f"must have the length of a ({dim})"),
-            ("theta0", self.theta0 is None or all(map(math.isfinite, self.theta0)),
-             "entries must be finite"),
-        )
-        for name, ok, message in checks:
-            if not ok:
-                raise ConfigError(f"problem.{name}", message)
+    forget_kind: str
+    theta0: tuple[float, ...] | None
 
 
 @dataclass(frozen=True)
@@ -199,209 +156,213 @@ class RunConfig:
     steps: int
     seeds: Seeds
     problem: GaussianProblem | QuadProblemConfig
-    batch_size: int = 32
-    eval_every: int = 1
-
-    def __post_init__(self):
-        checks = (
-            ("steps", self.steps >= 1, "must be >= 1"),
-            ("batch_size", self.batch_size >= 1, "must be >= 1"),
-            ("eval_every", self.eval_every >= 1, "must be >= 1"),
-            ("method",
-             not (isinstance(self.method, NpoSpec) and isinstance(self.problem, QuadProblemConfig)),
-             "npo requires a classification problem with a reference model"),
-        )
-        for name, ok, message in checks:
-            if not ok:
-                raise ConfigError(name, message)
+    batch_size: int
+    eval_every: int
 
 
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    return d[key]
+# JSON types of config fields; each is also the message of its check.  A
+# bool or a string is never a number, and an int field takes a float only
+# when it is integral (300.0, 1e3), echoing it as an int.
+INT = "an integer"
+FLOAT = "a finite number"
+STR = "a string"
+INTS = "a list of integers"
+FLOATS = "a list of finite numbers"
+
+REQUIRED = object()  # the default of a field the document must give
+OMIT = object()  # the default of an optional field the echo leaves out when absent
 
 
-def _section(d: dict, key: str) -> dict:
-    """The required top-level ``key`` of ``d``, which must be a JSON object."""
-    value = _require(d, key, "")
-    if not isinstance(value, dict):
-        raise ConfigError(key, "must be an object")
-    return value
+def _at_least(n):
+    return (lambda v: v >= n), f"must be >= {n}"
 
 
-def _reject_unknown(d: dict, allowed, path: str):
+def _one_of(options):
+    return (lambda v: v in options), f"must be one of {options}"
+
+
+_POSITIVE = (lambda v: v > 0), "must be > 0"
+_GAUSSIAN = (GaussianProblem.kind,)
+_QUAD = (QuadProblemConfig.kind,)
+
+# One row per field, checked in this order: (name, JSON type or the rows of a
+# sub-object, (rule, message) or None, default, the kinds that read it or None
+# for all).  A kind-gated row must follow its section's "kind" row; a field
+# the kind does not read is rejected, and neither set nor echoed.  A null
+# stands for an absent field whose default is None or OMIT; a None default
+# echoes as null.  The checks that relate two fields are in
+# _check_across_fields.
+SEEDS_FIELDS = tuple(
+    (name, INT, _at_least(0), REQUIRED, None) for name in ("data", "init", "method")
+)
+LR_FIELDS = (
+    ("mode", STR, _one_of(("fixed", "auto")), REQUIRED, None),
+    ("eta", FLOAT, _POSITIVE, None, None),
+    ("update_period", INT, _at_least(1), 10, None),
+    ("probe_epsilon", FLOAT, _POSITIVE, 1e-3, None),
+)
+METHOD_FIELDS = (
+    ("kind", STR, _one_of((*combiners.KINDS, NpoSpec.kind)), REQUIRED, None),
+    ("c", FLOAT, ((lambda v: 0 <= v <= 1), "must lie in [0, 1]"), REQUIRED,
+     (combiners.GDIFF, combiners.SCHEDULED_GDIFF)),
+    ("amplitude", FLOAT, None, 0.0, (combiners.SCHEDULED_GDIFF,)),
+    ("decay", FLOAT, ((lambda v: 0 < v < 1), "must lie in (0, 1)"), REQUIRED,
+     (combiners.SCHEDULED_GDIFF,)),
+    ("beta", FLOAT, _POSITIVE, REQUIRED, (NpoSpec.kind,)),
+)
+PROBLEM_FIELDS = (
+    ("kind", STR, _one_of((GaussianProblem.kind, QuadProblemConfig.kind)), REQUIRED, None),
+    ("classes", INT, _at_least(2), 3, _GAUSSIAN),
+    ("per_class", INT, _at_least(1), 300, _GAUSSIAN),
+    ("dim", INT, None, 8, _GAUSSIAN),
+    ("separation", FLOAT, _POSITIVE, 4.0, _GAUSSIAN),
+    ("forget_class", INT, None, 0, _GAUSSIAN),
+    ("hidden", INTS, ((lambda v: min(v, default=1) >= 1), "layer widths must be >= 1"), (16,),
+     _GAUSSIAN),
+    ("finetune_steps", INT, _at_least(0), 400, _GAUSSIAN),
+    ("finetune_eta", FLOAT, _POSITIVE, 0.5, _GAUSSIAN),
+    ("a", FLOATS, (len, "must be non-empty"), REQUIRED, _QUAD),
+    ("b", FLOATS, None, REQUIRED, _QUAD),
+    ("forget_kind", STR, _one_of(FORGET_KINDS), UNBOUNDED_QUADRATIC, _QUAD),
+    ("theta0", FLOATS, None, OMIT, _QUAD),
+)
+RUN_FIELDS = (
+    ("seeds", SEEDS_FIELDS, None, REQUIRED, None),
+    ("lr", LR_FIELDS, None, REQUIRED, None),
+    ("method", METHOD_FIELDS, None, REQUIRED, None),
+    ("problem", PROBLEM_FIELDS, None, REQUIRED, None),
+    ("steps", INT, _at_least(1), REQUIRED, None),
+    ("batch_size", INT, _at_least(1), 32, None),
+    ("eval_every", INT, _at_least(1), 1, None),
+)
+_PROBLEMS = {cls.kind: cls for cls in (GaussianProblem, QuadProblemConfig)}
+
+
+def _number(value, integer: bool):
+    """``value`` as an int (``integer``) or a finite float; None when it is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if integer:
+        return int(value) if isinstance(value, int) or value.is_integer() else None
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _typed(value, typ: str, where: str):
+    """``value`` as the JSON type ``typ``; a list becomes a tuple."""
+    if typ == STR:
+        out = value if isinstance(value, str) else None
+    elif typ in (INTS, FLOATS):
+        out = None
+        if isinstance(value, list):
+            items = [_number(v, typ == INTS) for v in value]
+            out = tuple(items) if None not in items else None
+    else:
+        out = _number(value, typ == INT)
+    if out is None:
+        raise ConfigError(where, f"must be {typ}")
+    return out
+
+
+def _parse(d, path: str, rows) -> dict:
+    """The checked values of the JSON object ``d`` at ``path``, by field name."""
+    if not isinstance(d, dict):
+        raise ConfigError(path, "must be an object" if path else "config must be a JSON object")
+    names = {row[0] for row in rows}
     for key in d:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(where, "unknown field")
+        if key not in names:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+    values = {}
+    for name, typ, check, default, kinds in rows:
+        where = f"{path}.{name}" if path else name
+        if kinds is not None and values["kind"] not in kinds:
+            if name in d:
+                raise ConfigError(where, f"not used by {path} kind {values['kind']!r}")
+            continue
+        if d.get(name) is None and (default is None or default is OMIT):
+            values[name] = None
+        elif name not in d:
+            if default is REQUIRED:
+                raise ConfigError(where, "missing required field")
+            values[name] = default
+        else:
+            value = d[name]
+            value = _parse(value, where, typ) if isinstance(typ, tuple) else _typed(value, typ, where)
+            if check is not None and not check[0](value):
+                raise ConfigError(where, check[1])
+            values[name] = value
+    return values
 
 
-def _method_from_dict(d: dict, seeds: Seeds) -> CombinerSpec | NpoSpec:
-    kind = _require(d, "kind", "method")
-    if kind == "npo":
-        _reject_unknown(d, {"kind", "beta"}, "method")
-        try:
-            return NpoSpec(beta=float(_require(d, "beta", "method")))
-        except (TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("method.beta", str(exc)) from None
-    _reject_unknown(d, {"kind", "c", "amplitude", "decay"}, "method")
-    if kind in combiners.KINDS:
-        # a field the kind does not read would vanish from config.json and the run name
-        used = {combiners.GDIFF: ("c",), combiners.SCHEDULED_GDIFF: ("c", "amplitude", "decay")}
-        for key in ("c", "amplitude", "decay"):
-            if key in d and key not in used.get(kind, ()):
-                raise ConfigError(f"method.{key}", f"not used by method kind {kind!r}")
-    try:
-        return CombinerSpec(
-            kind=kind,
-            c=float(d["c"]) if d.get("c") is not None else None,
-            rng_seed=seeds.method if kind == combiners.RLW else None,
-            amplitude=float(d.get("amplitude", 0.0)),
-            decay=float(d.get("decay", 1.0)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("method", str(exc)) from None
-
-
-def _method_to_dict(method: CombinerSpec | NpoSpec) -> dict:
-    if isinstance(method, NpoSpec):
-        return {"kind": "npo", "beta": method.beta}
-    d = {"kind": method.kind}
-    if method.c is not None:
-        d["c"] = method.c
-    if method.kind == combiners.SCHEDULED_GDIFF:
-        d["amplitude"] = method.amplitude
-        d["decay"] = method.decay
-    return d
-
-
-def _problem_from_dict(d: dict) -> GaussianProblem | QuadProblemConfig:
-    kind = _require(d, "kind", "problem")
-    try:
-        if kind == "gaussian":
-            _reject_unknown(
-                d,
-                {
-                    "kind", "classes", "per_class", "dim", "separation",
-                    "forget_class", "hidden", "finetune_steps", "finetune_eta",
-                },
-                "problem",
-            )
-            return GaussianProblem(
-                classes=int(d.get("classes", 3)),
-                per_class=int(d.get("per_class", 300)),
-                dim=int(d.get("dim", 8)),
-                separation=float(d.get("separation", 4.0)),
-                forget_class=int(d.get("forget_class", 0)),
-                hidden=tuple(int(w) for w in d.get("hidden", (16,))),
-                finetune_steps=int(d.get("finetune_steps", 400)),
-                finetune_eta=float(d.get("finetune_eta", 0.5)),
-            )
-        if kind == "quad_pair":
-            _reject_unknown(d, {"kind", "a", "b", "forget_kind", "theta0"}, "problem")
-            forget_kind = d.get("forget_kind", UNBOUNDED_QUADRATIC)
-            if forget_kind not in FORGET_KINDS:
-                raise ConfigError("problem.forget_kind", f"must be one of {FORGET_KINDS}")
-            theta0 = d.get("theta0")
-            return QuadProblemConfig(
-                a=tuple(float(v) for v in _require(d, "a", "problem")),
-                b=tuple(float(v) for v in _require(d, "b", "problem")),
-                forget_kind=forget_kind,
-                theta0=tuple(float(v) for v in theta0) if theta0 is not None else None,
-            )
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("problem", str(exc)) from None
-    raise ConfigError("problem.kind", f"unknown problem kind {kind!r}")
-
-
-def _problem_to_dict(problem: GaussianProblem | QuadProblemConfig) -> dict:
-    if isinstance(problem, GaussianProblem):
-        return {
-            "kind": "gaussian",
-            "classes": problem.classes,
-            "per_class": problem.per_class,
-            "dim": problem.dim,
-            "separation": problem.separation,
-            "forget_class": problem.forget_class,
-            "hidden": list(problem.hidden),
-            "finetune_steps": problem.finetune_steps,
-            "finetune_eta": problem.finetune_eta,
-        }
-    d = {
-        "kind": "quad_pair",
-        "a": list(problem.a),
-        "b": list(problem.b),
-        "forget_kind": problem.forget_kind,
-    }
-    if problem.theta0 is not None:
-        d["theta0"] = list(problem.theta0)
-    return d
+def _check_across_fields(cfg: RunConfig) -> None:
+    p = cfg.problem
+    if p.kind == GaussianProblem.kind:
+        checks = [
+            ("problem.dim", p.dim >= p.classes,
+             f"must be >= classes ({p.classes}) for axis-anchored centers"),
+            ("problem.forget_class", 0 <= p.forget_class < p.classes,
+             f"must lie in [0, {p.classes})"),
+        ]
+    else:
+        n = len(p.a)
+        checks = [
+            ("problem.b", len(p.b) == n, f"must have the length of a ({n})"),
+            ("problem.b", p.b != p.a, "must differ from a"),
+            ("problem.theta0", p.theta0 is None or len(p.theta0) == n,
+             f"must have the length of a ({n})"),
+        ]
+    checks += [
+        ("lr.eta", cfg.lr.mode != "fixed" or cfg.lr.eta is not None, "required in fixed mode"),
+        ("method.kind", cfg.method.kind != NpoSpec.kind or p.kind == GaussianProblem.kind,
+         "npo requires a classification problem with a reference model"),
+    ]
+    for where, ok, message in checks:
+        if not ok:
+            raise ConfigError(where, message)
 
 
 def config_from_dict(d: dict) -> RunConfig:
     """Parse and validate a configuration document; unknown keys are rejected."""
-    if not isinstance(d, dict):
-        raise ConfigError("", "config must be a JSON object")
-    _reject_unknown(
-        d, {"method", "lr", "steps", "batch_size", "seeds", "problem", "eval_every"}, ""
-    )
-    seeds_d = _section(d, "seeds")
-    _reject_unknown(seeds_d, {"data", "init", "method"}, "seeds")
-    try:
-        seeds = Seeds(
-            data=int(_require(seeds_d, "data", "seeds")),
-            init=int(_require(seeds_d, "init", "seeds")),
-            method=int(_require(seeds_d, "method", "seeds")),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("seeds", "seeds must be integers") from None
-    lr_d = _section(d, "lr")
-    _reject_unknown(lr_d, {"mode", "eta", "update_period", "probe_epsilon"}, "lr")
-    try:
-        lr = LrConfig(
-            mode=_require(lr_d, "mode", "lr"),
-            eta=float(lr_d["eta"]) if lr_d.get("eta") is not None else None,
-            update_period=int(lr_d.get("update_period", 10)),
-            probe_epsilon=float(lr_d.get("probe_epsilon", 1e-3)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("lr", str(exc)) from None
-    method = _method_from_dict(_section(d, "method"), seeds)
-    problem = _problem_from_dict(_section(d, "problem"))
-    counts = {}
-    for key, default in (("steps", None), ("batch_size", 32), ("eval_every", 1)):
-        value = _require(d, key, "") if default is None else d.get(key, default)
-        try:
-            counts[key] = int(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(key, str(exc)) from None
-    return RunConfig(method=method, lr=lr, seeds=seeds, problem=problem, **counts)
+    v = _parse(d, "", RUN_FIELDS)
+    seeds = Seeds(**v["seeds"])
+    method = v["method"]
+    kind = method.pop("kind")
+    if kind == NpoSpec.kind:
+        method = NpoSpec(**method)
+    else:
+        rng_seed = seeds.method if kind == combiners.RLW else None
+        method = CombinerSpec(kind, **method, rng_seed=rng_seed)
+    problem = v["problem"]
+    problem = _PROBLEMS[problem.pop("kind")](**problem)
+    v.update(seeds=seeds, lr=LrConfig(**v["lr"]), method=method, problem=problem)
+    cfg = RunConfig(**v)
+    _check_across_fields(cfg)
+    return cfg
+
+
+def _echo(holder, rows) -> dict:
+    kind = getattr(holder, "kind", None)
+    out = {}
+    for name, typ, _, default, kinds in rows:
+        if kinds is not None and kind not in kinds:
+            continue
+        value = getattr(holder, name)
+        if isinstance(typ, tuple):
+            value = _echo(value, typ)
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif value is None and default is OMIT:
+            continue
+        out[name] = value
+    return out
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "method": _method_to_dict(cfg.method),
-        "lr": {
-            "mode": cfg.lr.mode,
-            "eta": cfg.lr.eta,
-            "update_period": cfg.lr.update_period,
-            "probe_epsilon": cfg.lr.probe_epsilon,
-        },
-        "steps": cfg.steps,
-        "batch_size": cfg.batch_size,
-        "seeds": {"data": cfg.seeds.data, "init": cfg.seeds.init, "method": cfg.seeds.method},
-        "problem": _problem_to_dict(cfg.problem),
-        "eval_every": cfg.eval_every,
-    }
+    """The config document of ``cfg``; ``config_from_dict`` parses it back to ``cfg``."""
+    return _echo(cfg, RUN_FIELDS)
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -410,9 +371,8 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def run_name(cfg: RunConfig) -> str:
-    kind = "npo" if isinstance(cfg.method, NpoSpec) else cfg.method.kind
     s = cfg.seeds
-    return f"{kind}_{s.data}-{s.init}-{s.method}_{config_hash(cfg)}"
+    return f"{cfg.method.kind}_{s.data}-{s.init}-{s.method}_{config_hash(cfg)}"
 
 
 # --------------------------------------------------------------------------

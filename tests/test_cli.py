@@ -156,18 +156,18 @@ class TestRun:
         "changes, fieldpath",
         [
             # integer fields: int() of the parsed infinity overflows
-            ({"seeds.data": math.inf}, "seeds"),
+            ({"seeds.data": math.inf}, "seeds.data"),
             ({"steps": math.inf}, "steps"),
-            ({"lr.update_period": math.inf}, "lr"),
+            ({"lr.update_period": math.inf}, "lr.update_period"),
             ({"batch_size": math.inf}, "batch_size"),
-            ({"problem.classes": math.inf}, "problem"),
-            ({"problem.hidden": [math.inf]}, "problem"),
+            ({"problem.classes": math.inf}, "problem.classes"),
+            ({"problem.hidden": [math.inf]}, "problem.hidden"),
             # float fields that must be finite
-            ({"lr": {"mode": "fixed", "eta": math.inf}}, "lr"),
-            ({"lr.probe_epsilon": math.inf}, "lr"),
+            ({"lr": {"mode": "fixed", "eta": math.inf}}, "lr.eta"),
+            ({"lr.probe_epsilon": math.inf}, "lr.probe_epsilon"),
             ({"method": {"kind": "npo", "beta": math.inf}}, "method.beta"),
             ({"method": {"kind": "scheduled_gdiff", "c": 0.5, "amplitude": math.inf, "decay": 0.9}},
-             "method"),
+             "method.amplitude"),
             ({"method": {"kind": "gd", "c": math.inf}}, "method.c"),
         ],
         ids=[
@@ -197,7 +197,7 @@ class TestRun:
             ({**gauss_doc(), "steps": 0}, "steps"),
             ({**gauss_doc(), "batch_size": 0}, "batch_size"),
             ({**gauss_doc(), "eval_every": -1}, "eval_every"),
-            (quad_doc({"kind": "npo", "beta": 0.5}), "method"),
+            (quad_doc({"kind": "npo", "beta": 0.5}), "method.kind"),
         ],
         ids=["steps", "batch_size", "eval_every", "npo-on-quad"],
     )
@@ -213,8 +213,8 @@ class TestRun:
         [
             ({"kind": "npo", "beta": None}, "method.beta"),
             ({"kind": "npo"}, "method.beta"),
-            ({"kind": "scheduled_gdiff", "c": 0.5, "amplitude": None, "decay": 0.9}, "method"),
-            ({"kind": "scheduled_gdiff", "c": 0.5, "decay": 10**400}, "method"),
+            ({"kind": "scheduled_gdiff", "c": 0.5, "amplitude": None, "decay": 0.9}, "method.amplitude"),
+            ({"kind": "scheduled_gdiff", "c": 0.5, "decay": 10**400}, "method.decay"),
         ],
     )
     def test_bad_method_field_exits_2_with_one_path(self, tmp_path, capsys, method, fieldpath):
@@ -506,7 +506,7 @@ class TestSweep:
         assert main(
             ["sweep", "--config", cfg, "--out", str(out), "--param", "method", "--values", "ngdiff,bogus"]
         ) == 2
-        assert "error: value bogus: method: unknown combiner kind" in capsys.readouterr().err
+        assert "error: value bogus: method.kind: must be one of" in capsys.readouterr().err
         listed = [line.split(",")[0] for line in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
         assert listed == ["ngdiff"]
         assert [p.name.split("_")[0] for p in run_dirs(out)] == ["ngdiff"]
@@ -571,7 +571,7 @@ class TestParetoCommand:
 
 
 class TestFinetuneAndReport:
-    def test_finetune_writes_snapshot(self, tmp_path, capsys):
+    def test_finetune_prints_evaluation_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         doc = {
             "method": {"kind": "ngdiff"},
             "lr": {"mode": "auto"},
@@ -586,11 +586,11 @@ class TestFinetuneAndReport:
             },
         }
         cfg = write_config(tmp_path / "cfg.json", doc)
-        assert main(["finetune", "--config", cfg, "--out", str(tmp_path / "ft")]) == 0
-        assert "acc_retain=" in capsys.readouterr().out
-        snapshot = json.loads((tmp_path / "ft" / "no_unlearn_params.json").read_text())
-        size = sum(np.prod(seg["shape"]) for seg in snapshot["layout"])
-        assert len(snapshot["data"]) == size
+        monkeypatch.chdir(tmp_path)
+        assert main(["finetune", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("no-unlearn: acc_retain=") and "loss_forget=" in out
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_report_round_trips_records(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "ngdiff"}, steps=30, lr={"mode": "auto"}, theta0=[0.5, 1.0]))

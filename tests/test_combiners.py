@@ -259,8 +259,6 @@ class TestSpecValidation:
     def test_gdiff_requires_c(self):
         with pytest.raises(ValueError):
             CombinerSpec(GDIFF)
-        with pytest.raises(ValueError):
-            CombinerSpec(GDIFF, c=1.5)
 
     def test_rlw_requires_seed(self):
         with pytest.raises(ValueError):

@@ -12,9 +12,10 @@ pass 0 and every ``gauss_sweep`` child of workload seeds 0 and 7127, one
 ``quad_sweep`` pass, a quad method sweep over the seven combiners the CLI
 can sweep, the criterion-9 coefficient sweep, a quad run that aborts, a
 Gaussian method sweep whose shared finetune aborts, an ``ngdiff finetune``
-of the shipped Gaussian config and three small Gaussian runs whose shapes
+of the shipped Gaussian config, three small Gaussian runs whose shapes
 take the kernel's plain-``sum`` branches (9 classes, a hidden layer of
-width 1, minibatches of 1 row).
+width 1, minibatches of 1 row) and the config-echo corpus: 1-step runs that
+cover every valid way to write a config field (``ECHO_CONFIGS``).
 The argument lists of the benchmark workloads come from
 ``perfbench/workloads.py``, so they stay the ones the benchmark times.
 
@@ -106,6 +107,57 @@ FALLBACK_CONFIGS = {
     "fallback_batch1": _fallback_config({}, batch_size=1),
 }
 
+# The config-echo corpus: the valid surface of the config parser, one 1-step
+# run each.  Every combiner kind on the quad pair with its optional fields
+# present (integer literals in float fields, integral floats in int fields),
+# absent, and null where null is allowed; plus one tiny Gaussian NPO run.
+ECHO_KINDS = ("gd", "ga", "gdiff", "lossnorm", "rlw", "pcgrad", "imtlg", "ngdiff", "scheduled_gdiff")
+_ECHO_METHODS = {
+    "gdiff": ({"c": 1}, {"c": 0.5}),
+    "scheduled_gdiff": ({"c": 0.5, "amplitude": 1, "decay": 0.5}, {"c": 0.5, "decay": 0.9}),
+}
+
+
+def _echo_configs() -> dict:
+    configs = {}
+    for kind in ECHO_KINDS:
+        present, required = _ECHO_METHODS.get(kind, ({}, {}))
+        quad = {"kind": "quad_pair", "a": [0.0, 0.0], "b": [1.0, 0.0]}
+        seeds = {"data": 0, "init": 0, "method": 0}
+        configs[f"echo_{kind}_present"] = {
+            "method": {"kind": kind, **present},
+            "lr": {"mode": "auto", "eta": 1, "update_period": 1.0, "probe_epsilon": 0.001},
+            "steps": 1.0,
+            "batch_size": 32.0,
+            "eval_every": 1.0,
+            "seeds": {"data": 1.0, "init": 1e3, "method": 2.0},
+            "problem": {**quad, "a": [0, 0], "b": [1, 0], "forget_kind": "bounded_exp", "theta0": [1, 1]},
+        }
+        configs[f"echo_{kind}_absent"] = {
+            "method": {"kind": kind, **required}, "lr": {"mode": "auto"}, "steps": 1, "seeds": seeds,
+            "problem": quad,
+        }
+        configs[f"echo_{kind}_null"] = {
+            "method": {"kind": kind, **required}, "lr": {"mode": "auto", "eta": None}, "steps": 1,
+            "seeds": seeds, "problem": {**quad, "theta0": None},
+        }
+    configs["echo_gaussian"] = {
+        "method": {"kind": "npo", "beta": 1},
+        "lr": {"mode": "fixed", "eta": 1},
+        "steps": 1,
+        "batch_size": 8.0,
+        "eval_every": 1,
+        "seeds": {"data": 3.0, "init": 4, "method": 5},
+        "problem": {
+            "kind": "gaussian", "classes": 3.0, "per_class": 10, "dim": 4, "separation": 4,
+            "forget_class": 2.0, "hidden": [4.0], "finetune_steps": 0, "finetune_eta": 1,
+        },
+    }
+    return configs
+
+
+ECHO_CONFIGS = _echo_configs()
+
 
 def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
     """(name, argv) of every ``ngdiff`` call, writing under ``out``.
@@ -135,10 +187,8 @@ def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
         "sweep", "--config", str(out / "finetune_abort.json"), "--out", str(out / "finetune_abort"),
         "--param", "method", "--values", FINETUNE_ABORT_VALUES, "--jobs", "2",
     )))
-    calls.append(("finetune", (
-        "finetune", "--config", workloads.GAUSS_CONFIG, "--out", str(out / "finetune"),
-    )))
-    for name in FALLBACK_CONFIGS:
+    calls.append(("finetune", ("finetune", "--config", workloads.GAUSS_CONFIG)))
+    for name in (*FALLBACK_CONFIGS, *ECHO_CONFIGS):
         calls.append((name, ("run", "--config", str(out / f"{name}.json"), "--out", str(out / name))))
     return calls
 
@@ -151,6 +201,7 @@ def run_side(tree: Path, out: Path) -> dict[str, tuple[int, str, str]]:
         "abort": ABORT_CONFIG,
         "finetune_abort": FINETUNE_ABORT_CONFIG,
         **FALLBACK_CONFIGS,
+        **ECHO_CONFIGS,
     }
     for name, doc in docs.items():
         (out / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
