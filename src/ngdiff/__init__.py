@@ -28,9 +28,7 @@ from .bench import (
 from .combiners import (
     CombinerOutput,
     CombinerSpec,
-    coefficient_trace,
     combine,
-    tail_variation,
 )
 from .engine import (
     ConfigError,
@@ -63,9 +61,7 @@ from .objectives import (
     NpoLoss,
     QuadPairProblem,
     UnboundedProblemError,
-    lsp_gradient,
     lsp_minimizer,
-    lsp_value,
 )
 from .scheduler import (
     LrState,

@@ -21,7 +21,8 @@ faster forms of the same operations, such as in-place products and the
 reductions ``_row_sum`` and ``_col_sum``.
 
 Everything is 64-bit.  Graphs are single-owner: a run/backward pair must
-not be interleaved with runs of the same graph from another thread.
+not be interleaved with runs of the same graph from another thread.  A
+copied or pickled graph leaves its forward cache behind.
 ``ParameterVector`` and ``FlatGradient`` are immutable values and safe to
 share, across processes too: a pickled copy is rebuilt through the checking
 constructor, so it arrives frozen and validated.
@@ -255,6 +256,10 @@ class Graph:
         self.layout = ParameterLayout(tuple(segments))
         self._layers = tuple(layers)
         self._cache: _Cache | None = None
+
+    def __getstate__(self):
+        # a copy, pickled or shallow, starts without the forward cache
+        return {**self.__dict__, "_cache": None}
 
     def _bind(self, bindings: dict) -> tuple[np.ndarray, np.ndarray]:
         for name in ("features", "labels"):

@@ -43,6 +43,10 @@ class LabeledBatch:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
+    def __reduce__(self):
+        # an unpickled array comes back writeable: rebuild through the checks
+        return LabeledBatch, (self.features, self.labels, self.class_count)
+
     @property
     def n(self) -> int:
         return self.features.shape[0]

@@ -76,18 +76,18 @@ def _fmt(x: float) -> str:
     return "nan" if not math.isfinite(x) else f"{x:.6f}"
 
 
-def _execute_run(cfg: RunConfig, out_dir: str, initial_params=None) -> RunRecord:
+def _execute_run(cfg: RunConfig, out_dir: str, start=None) -> RunRecord:
     """Run one config and write its artifacts; returns the record.
 
-    ``initial_params`` is the run's finetuned snapshot when it was made
-    elsewhere (see ``run_unlearning``).
+    ``start`` is the run's no-unlearn start when it was made elsewhere (see
+    ``run_unlearning``).
     """
     run_dir = Path(out_dir) / run_name(cfg)
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "config.json", "w") as fh:
         json.dump(engine.config_to_dict(cfg), fh, sort_keys=True, indent=2)
         fh.write("\n")
-    record = run_unlearning(cfg, initial_params)
+    record = run_unlearning(cfg, start)
     write_trace_csv(record, run_dir / "trace.csv")
     with open(run_dir / "record.json", "w") as fh:
         fh.write(record_to_json(record) + "\n")
@@ -120,17 +120,22 @@ def _float(param: str, value: str) -> float:
         raise ConfigError("values", f"{param} value {value!r} is not a number") from None
 
 
+def _child_method(method: dict, kind: str, **values) -> dict:
+    """A method of ``kind`` with ``values`` and the fields of ``method`` that ``kind`` reads."""
+    kept = {
+        name: method[name]
+        for name, *_, kinds in engine.METHOD_FIELDS
+        if name in method and (kinds is None or kind in kinds)
+    }
+    return {**kept, "kind": kind, **values}
+
+
 def _sweep_config(doc: dict, param: str, value: str) -> dict:
     out = json.loads(json.dumps(doc))
     if param == "c":
-        method = _object(out, "method")
-        kind = method.get("kind", "gdiff")
-        if kind not in C_KINDS:
-            kind = "gdiff"
-        out["method"] = {**method, "kind": kind, "c": _float(param, value)}
-        if kind == "gdiff":
-            out["method"].pop("amplitude", None)
-            out["method"].pop("decay", None)
+        kind = _object(out, "method").get("kind", "gdiff")
+        kind = kind if kind in C_KINDS else "gdiff"
+        out["method"] = _child_method(out["method"], kind, c=_float(param, value))
     elif param == "eta":
         lr = _object(out, "lr")
         lr["mode"] = "fixed"
@@ -138,10 +143,7 @@ def _sweep_config(doc: dict, param: str, value: str) -> dict:
     elif param == "beta":
         out["method"] = {"kind": "npo", "beta": _float(param, value)}
     elif param == "method":
-        method = {"kind": value}
-        if value in C_KINDS and "c" in _object(out, "method"):
-            method["c"] = out["method"]["c"]
-        out["method"] = method
+        out["method"] = _child_method(_object(out, "method"), value)
     else:
         raise ConfigError("param", f"not sweepable: {param!r} (choose from {SWEEPABLE})")
     return out
@@ -154,10 +156,10 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}{where}"
 
 
-def _sweep_child(cfg: RunConfig, out_dir: str, value: str, initial_params):
+def _sweep_child(cfg: RunConfig, out_dir: str, value: str, start):
     """Run one sweep value; every failure comes back as (value, code, None, message)."""
     try:
-        f = _execute_run(cfg, out_dir, initial_params).final
+        f = _execute_run(cfg, out_dir, start).final
         # as record.json holds them: a non-finite value is stored as null, read back as nan
         final = tuple(
             x if math.isfinite(x) else math.nan
@@ -170,29 +172,29 @@ def _sweep_child(cfg: RunConfig, out_dir: str, value: str, initial_params):
         return value, 1, None, _describe(exc)
 
 
-def _shared_snapshots(cfgs: list[RunConfig]) -> list:
-    """The finetuned snapshot of each child, made once per (seeds.data, seeds.init, problem).
+def _shared_starts(cfgs: list[RunConfig]) -> list:
+    """The no-unlearn start of each child, made once per (seeds.data, seeds.init, problem).
 
-    The finetune depends on nothing else, so a sweep over ``c``, ``eta``,
-    ``beta`` or ``method`` makes one.  A child gets None when it has no
-    finetune (quad problems) or when its finetune fails: it then takes the
-    path of a lone run, which reports the failure itself, with the same
-    message and exit code.
+    The start depends on nothing else, so a sweep over ``c``, ``eta``,
+    ``beta`` or ``method`` makes one, which every child takes whole.  A child
+    gets None when it has no start (quad problems) or when its finetune
+    fails: it then takes the path of a lone run, which reports the failure
+    itself, with the same message and exit code.
     """
     made = {}
-    snapshots = []
+    starts = []
     for cfg in cfgs:
-        snapshot = None
+        start = None
         if isinstance(cfg.problem, engine.GaussianProblem):
             key = (cfg.seeds.data, cfg.seeds.init, cfg.problem)
             if key not in made:
                 try:
-                    made[key] = engine.no_unlearn_params(cfg)
+                    made[key] = engine.no_unlearn(cfg)
                 except Exception:  # met again by the child, which reports it as a lone run would
                     made[key] = None
-            snapshot = made[key]
-        snapshots.append(snapshot)
-    return snapshots
+            start = made[key]
+        starts.append(start)
+    return starts
 
 
 def cmd_sweep(args) -> int:
@@ -224,14 +226,14 @@ def cmd_sweep(args) -> int:
         runs.append((i, value, cfg))
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    snapshots = _shared_snapshots([cfg for _, _, cfg in runs])
+    starts = _shared_starts([cfg for _, _, cfg in runs])
     if args.jobs > 1:
         import concurrent.futures  # only a pool needs it: spares every other command the import
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [
-                pool.submit(_sweep_child, cfg, str(out_root), value, snapshot)
-                for (_, value, cfg), snapshot in zip(runs, snapshots)
+                pool.submit(_sweep_child, cfg, str(out_root), value, start)
+                for (_, value, cfg), start in zip(runs, starts)
             ]
             for (i, value, _), future in zip(runs, futures):
                 try:
@@ -239,8 +241,8 @@ def cmd_sweep(args) -> int:
                 except Exception as exc:  # the worker process itself died
                     results[i] = (value, 1, None, _describe(exc))
     else:
-        for (i, value, cfg), snapshot in zip(runs, snapshots):
-            results[i] = _sweep_child(cfg, str(out_root), value, snapshot)
+        for (i, value, cfg), start in zip(runs, starts):
+            results[i] = _sweep_child(cfg, str(out_root), value, start)
 
     worst = 0
     lines = [f"{args.param},loss_retain,loss_forget,acc_retain,acc_forget"]
@@ -262,14 +264,12 @@ def cmd_finetune(args) -> int:
     if not isinstance(cfg.problem, engine.GaussianProblem):
         print("error: problem: finetune requires a classification problem", file=sys.stderr)
         return 2
-    model = engine.gaussian_model(cfg)
     try:
-        params = engine.no_unlearn_params(cfg, model)
+        start = engine.no_unlearn(cfg)
     except NumericAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    split = engine.split_forget_retain(model.data, cfg.problem.forget_class)
-    ev = engine.evaluate(model.graph, params, split)
+    ev = engine.evaluate(start.graph, start.params, start.split)
     print(
         f"no-unlearn: acc_retain={_fmt(ev.acc_retain)} acc_forget={_fmt(ev.acc_forget)} "
         f"loss_retain={_fmt(ev.loss_retain)} loss_forget={_fmt(ev.loss_forget)}"

@@ -169,20 +169,3 @@ def combine(
         degenerate=degenerate,
         clamped=clamped,
     )
-
-
-def coefficient_trace(outputs) -> list[float]:
-    """Extract the per-step coefficient sequence from combiner outputs."""
-    trace = [float(getattr(o, "coefficient", o)) for o in outputs]
-    if not trace:
-        raise ValueError("empty coefficient trace")
-    return trace
-
-
-def tail_variation(trace, window: int = 50) -> float:
-    """Max |c_t - c_{t-1}| over the last ``window`` steps (0 for constant tails)."""
-    cs = coefficient_trace(trace)
-    tail = cs[-(window + 1) :]
-    if len(tail) < 2:
-        return 0.0
-    return max(abs(b - a) for a, b in zip(tail, tail[1:]))

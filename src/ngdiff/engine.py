@@ -2,9 +2,10 @@
 
 A run is fully described by a :class:`RunConfig` (method, learning-rate
 mode, step budget, seeds, problem).  Classification runs start from the
-"no-unlearn" snapshot that :func:`no_unlearn_params` finetunes on the pooled
-data, which runs with the same data, init and problem can share; analytic
-quadratic-pair runs start from a configured point.  Each step
+"no-unlearn" start that :func:`no_unlearn` makes - the forget/retain split,
+the MLP and its weights finetuned on the pooled data - which runs with the
+same data, init and problem can share; analytic quadratic-pair runs start
+from a configured point.  Each step
 computes per-task gradients on fresh minibatches (full batch for analytic
 problems), combines them, optionally refreshes the step size from retain
 probes, and applies ``theta <- theta - eta * g``.  The result is a
@@ -29,7 +30,6 @@ from .autodiff import (
     NumericError,
     ParameterVector,
     _adopt_vector,
-    _same_layout,
     axpy_update,
     forward,
 )
@@ -50,23 +50,6 @@ from .objectives import (
     UNBOUNDED_QUADRATIC,
 )
 from .scheduler import LrState, maybe_update
-
-TRACE_COLUMNS = (
-    "step",
-    "loss_retain",
-    "loss_forget",
-    "acc_retain",
-    "acc_forget",
-    "lr",
-    "coeff_c",
-    "gnorm_retain",
-    "gnorm_forget",
-    "cos_rf",
-    "guard",
-)
-TRACE_HEADER = ",".join(TRACE_COLUMNS)
-# one trace.csv line: the step, the nine floats as repr() writes them, the guard
-_TRACE_LINE = "%d" + ",%r" * 9 + ",%d"
 
 SCHEMA_VERSION = 1
 
@@ -395,6 +378,12 @@ class StepRow(NamedTuple):
     guard: int
 
 
+TRACE_COLUMNS = StepRow._fields
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
+# one trace.csv line: the step, the nine floats as repr() writes them, the guard
+_TRACE_LINE = "%d" + ",%r" * 9 + ",%d"
+
+
 @dataclass(frozen=True)
 class EvalResult:
     acc_retain: float
@@ -603,13 +592,13 @@ class _QuadTask:
         self.initial_params = ParameterVector(theta0, self.problem.layout)
         self._counters = counters
 
-    def retain_loss_grad(self, params, step):
+    def retain_loss_grad(self, params):
         self._counters.forward += 1
         self._counters.backward += 1
         loss, grad = self.problem.retain_loss_grad(params)
         return loss, _adopt_vector(FlatGradient, grad, params.layout, "gradient")
 
-    def forget_loss_grad(self, params, step):
+    def forget_loss_grad(self, params):
         self._counters.forward += 1
         self._counters.backward += 1
         loss, grad = self.problem.forget_loss_grad(params)
@@ -633,17 +622,8 @@ class _ClassificationTask:
 
     has_accuracy = True
 
-    def __init__(self, cfg: RunConfig, counters: _Counters, initial_params=None):
-        model = gaussian_model(cfg)
-        self.split = split_forget_retain(model.data, cfg.problem.forget_class)
-        self.graph = model.graph
-        if initial_params is None:
-            self.initial_params = no_unlearn_params(cfg, model)
-        else:
-            # a snapshot made elsewhere is moved onto this graph's own layout
-            # object, which keeps every later layout check an identity test
-            _same_layout(initial_params.layout, self.graph.layout, "initial parameters")
-            self.initial_params = ParameterVector(initial_params.data, self.graph.layout)
+    def __init__(self, cfg: RunConfig, counters: _Counters, start: NoUnlearn):
+        self.split, self.graph, self.initial_params = start
         self._counters = counters
         self._retain_stream = _BatchStream(
             self.split.retain.n, cfg.batch_size, [cfg.seeds.method, 0]
@@ -661,21 +641,21 @@ class _ClassificationTask:
             # frozen model: reference log-probs precomputed once per sample
             self._npo_ref = self.npo.reference_logprobs(self.split.forget)
 
-    def retain_loss_grad(self, params, step):
+    def retain_loss_grad(self, params):
         self._retain_batch = self.split.retain.take(self._retain_stream.next())
         self._counters.forward += 1
         loss = forward(self.graph, params, self._retain_batch)
         self._counters.backward += 1
         return loss, self.graph.backward()
 
-    def forget_loss_grad(self, params, step):
+    def forget_loss_grad(self, params):
         batch = self.split.forget.take(self._forget_stream.next())
         self._counters.forward += 1
         loss = forward(self.graph, params, batch)
         self._counters.backward += 1
         return loss, self.graph.backward()
 
-    def npo_loss_grad(self, params, step):
+    def npo_loss_grad(self, params):
         idx = self._forget_stream.next()
         batch = self.split.forget.take(idx)
         self._counters.forward += 1
@@ -714,7 +694,7 @@ def finetune(
 ) -> ParameterVector:
     """Plain full-batch descent on the pooled cross-entropy.
 
-    Produces the "no-unlearn" snapshot every unlearning run starts from
+    Produces the "no-unlearn" weights every classification run starts from
     (and the reference model for the preference-loss baseline).
     """
     for step in range(steps):
@@ -727,60 +707,52 @@ def finetune(
     return params
 
 
-class GaussianModel(NamedTuple):
-    """The pooled data, the graph and its untrained weights of a classification config."""
+class NoUnlearn(NamedTuple):
+    """The start of a classification run: its split, its MLP and the finetuned weights.
 
-    data: LabeledBatch
+    ``params.layout`` is ``graph.layout``, which keeps every layout check an
+    identity test; a start pickled in one piece keeps that on the other side.
+    """
+
+    split: ForgetRetainSplit
     graph: Graph
-    params0: ParameterVector
+    params: ParameterVector
 
 
-def gaussian_model(cfg: RunConfig) -> GaussianModel:
-    """Generate the data and build the MLP of a classification config."""
+def no_unlearn(cfg: RunConfig) -> NoUnlearn:
+    """The start that every classification run of ``cfg`` begins from.
+
+    It depends on ``cfg.seeds.data``, ``cfg.seeds.init`` and ``cfg.problem``
+    alone, so runs that differ only in method, step size or step budget can
+    share one, run after run (a graph is single-owner, not thread-safe).
+    Raises ``NumericAbort`` when the finetune diverges.
+    """
     prob = cfg.problem
     data = gen_gaussian_clusters(
         cfg.seeds.data, prob.classes, prob.per_class, prob.dim, prob.separation
     )
     graph, params0 = mlp_factory(cfg.seeds.init, [prob.dim, *prob.hidden, prob.classes])
-    return GaussianModel(data, graph, params0)
-
-
-def no_unlearn_params(cfg: RunConfig, model: GaussianModel | None = None) -> ParameterVector:
-    """The finetuned snapshot that every classification run of ``cfg`` starts from.
-
-    It depends on ``cfg.seeds.data``, ``cfg.seeds.init`` and ``cfg.problem``
-    alone, so runs that differ only in method, step size or step budget can
-    share it.  ``model`` is ``gaussian_model(cfg)`` when the caller has built
-    it already.  Raises ``NumericAbort`` when the finetune diverges.
-    """
-    if model is None:
-        model = gaussian_model(cfg)
-    prob = cfg.problem
-    return finetune(model.graph, model.params0, model.data, prob.finetune_steps, prob.finetune_eta)
+    params = finetune(graph, params0, data, prob.finetune_steps, prob.finetune_eta)
+    return NoUnlearn(split_forget_retain(data, prob.forget_class), graph, params)
 
 
 # --------------------------------------------------------------------------
 # The unlearning loop
 
 
-def _prepare_task(cfg: RunConfig, counters: _Counters, initial_params):
-    if isinstance(cfg.problem, QuadProblemConfig):
-        task = _QuadTask(cfg, counters)
-        if initial_params is not None:
-            task.initial_params = initial_params
-        return task
-    return _ClassificationTask(cfg, counters, initial_params)
-
-
-def run_unlearning(cfg: RunConfig, initial_params: ParameterVector | None = None) -> RunRecord:
+def run_unlearning(cfg: RunConfig, start: NoUnlearn | None = None) -> RunRecord:
     """Execute one unlearning run and return its complete record.
 
-    ``initial_params`` overrides the prepared starting point (useful to share
-    one finetuned snapshot across methods); by default classification runs
-    finetune from scratch, deterministically in the config seeds.
+    ``start`` is the ``no_unlearn(cfg)`` of a classification run when it was
+    made elsewhere (a sweep shares one across its values); by default it is
+    made here, deterministically in the config seeds.  Quad runs start from
+    their configured point and ignore it.
     """
     counters = _Counters()
-    task = _prepare_task(cfg, counters, initial_params)
+    if isinstance(cfg.problem, QuadProblemConfig):
+        task = _QuadTask(cfg, counters)
+    else:
+        task = _ClassificationTask(cfg, counters, start if start is not None else no_unlearn(cfg))
     params = task.initial_params
     is_npo = isinstance(cfg.method, NpoSpec)
     needs_losses = not is_npo and cfg.method.kind == combiners.LOSSNORM
@@ -799,11 +771,11 @@ def run_unlearning(cfg: RunConfig, initial_params: ParameterVector | None = None
         try:
             for step in range(cfg.steps):
                 if is_npo:
-                    _, direction, loss_retain, loss_forget = task.npo_loss_grad(params, step)
+                    _, direction, loss_retain, loss_forget = task.npo_loss_grad(params)
                     coeff = gnorm_r = gnorm_f = cos_rf = math.nan
                 else:
-                    loss_retain, g_r = task.retain_loss_grad(params, step)
-                    loss_forget, g_f = task.forget_loss_grad(params, step)
+                    loss_retain, g_r = task.retain_loss_grad(params)
+                    loss_forget, g_f = task.forget_loss_grad(params)
                     if not (math.isfinite(loss_retain) and math.isfinite(loss_forget)):
                         raise NumericError("task loss is non-finite")
                     # cross-entropy on a saturated minibatch can round to exactly 0;

@@ -193,19 +193,6 @@ class QuadPairProblem:
         return self.forget_loss_grad(theta)[1]
 
 
-def lsp_value(problem: QuadPairProblem, theta, c: float) -> float:
-    """Static scalarization ``c * L_retain - (1 - c) * L_forget``."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("scalarization weight c must lie in [0, 1]")
-    return c * problem.retain_loss(theta) - (1.0 - c) * problem.forget_loss(theta)
-
-
-def lsp_gradient(problem: QuadPairProblem, theta, c: float) -> np.ndarray:
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("scalarization weight c must lie in [0, 1]")
-    return c * problem.retain_grad(theta) - (1.0 - c) * problem.forget_grad(theta)
-
-
 def lsp_minimizer(problem: QuadPairProblem, c: float) -> np.ndarray:
     """Closed-form minimizer ``(c*a - (1-c)*b) / (2c - 1)`` of the scalarized objective.
 

@@ -3,7 +3,8 @@
 These deliberately avoid the library's forward/backward internals where the
 point is to check them: finite differences only call the forward pass, the
 straight-line MLP passes are from-scratch numpy transcriptions, and the dominance
-oracle is a direct pairwise scan.
+oracle is a direct pairwise scan.  The coefficient-trace and static-scalarization
+helpers are what the tests read of a run or a quadratic pair; no run path needs them.
 """
 
 from __future__ import annotations
@@ -122,3 +123,33 @@ def brute_force_front(points):
         if not dominated:
             front.append(p)
     return front
+
+
+def coefficient_trace(outputs) -> list[float]:
+    """Extract the per-step coefficient sequence from combiner outputs."""
+    trace = [float(getattr(o, "coefficient", o)) for o in outputs]
+    if not trace:
+        raise ValueError("empty coefficient trace")
+    return trace
+
+
+def tail_variation(trace, window: int = 50) -> float:
+    """Max |c_t - c_{t-1}| over the last ``window`` steps (0 for constant tails)."""
+    cs = coefficient_trace(trace)
+    tail = cs[-(window + 1) :]
+    if len(tail) < 2:
+        return 0.0
+    return max(abs(b - a) for a, b in zip(tail, tail[1:]))
+
+
+def lsp_value(problem, theta, c: float) -> float:
+    """Static scalarization ``c * L_retain - (1 - c) * L_forget`` of a quadratic pair."""
+    if not 0.0 <= c <= 1.0:
+        raise ValueError("scalarization weight c must lie in [0, 1]")
+    return c * problem.retain_loss(theta) - (1.0 - c) * problem.forget_loss(theta)
+
+
+def lsp_gradient(problem, theta, c: float) -> np.ndarray:
+    if not 0.0 <= c <= 1.0:
+        raise ValueError("scalarization weight c must lie in [0, 1]")
+    return c * problem.retain_grad(theta) - (1.0 - c) * problem.forget_grad(theta)

@@ -29,9 +29,9 @@ from ngdiff import (
     probe_losses,
     run_unlearning,
 )
-from ngdiff.objectives import QuadPairProblem, lsp_gradient, lsp_minimizer, theta_layout
+from ngdiff.objectives import QuadPairProblem, lsp_minimizer, theta_layout
 
-from _oracles import fd_gradient, random_mlp_case
+from _oracles import fd_gradient, lsp_gradient, random_mlp_case
 
 
 @contextmanager

@@ -472,19 +472,39 @@ class TestSweep:
     )
     def test_sweep_finetunes_once(self, tmp_path, monkeypatch, param, values, method):
         calls = []
+        gens = []
         real = ngdiff.engine.finetune
+        real_gen = ngdiff.engine.gen_gaussian_clusters
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
+        def counted_gen(*args, **kwargs):
+            gens.append(1)
+            return real_gen(*args, **kwargs)
+
         monkeypatch.setattr(ngdiff.engine, "finetune", counted)
+        monkeypatch.setattr(ngdiff.engine, "gen_gaussian_clusters", counted_gen)
         cfg = write_config(tmp_path / "cfg.json", small_gauss_doc(method))
         assert main(
             ["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--param", param, "--values", values,
              "--jobs", "1"]
         ) == 0
         assert len(calls) == 1
+        assert len(gens) == 1
+
+    @pytest.mark.parametrize(
+        "param, values", [("c", "0.3,0.7"), ("method", "npo,ngdiff")]
+    )
+    def test_npo_config_sweeps_fields_the_child_kind_reads(self, tmp_path, param, values):
+        cfg = write_config(tmp_path / "cfg.json", small_gauss_doc({"kind": "npo", "beta": 1.0}))
+        out = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", param, "--values", values]
+        ) == 0
+        rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == values.split(",")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_aborting_finetune_fails_every_value(self, tmp_path, capsys, jobs):

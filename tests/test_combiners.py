@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ngdiff import CombinerSpec, FlatGradient, LossPair, coefficient_trace, combine, tail_variation
+from ngdiff import CombinerSpec, FlatGradient, LossPair, combine
 from ngdiff.combiners import GA, GD, GDIFF, IMTLG, LOSSNORM, NGDIFF, PCGRAD, RLW, SCHEDULED_GDIFF
 from ngdiff.objectives import theta_layout
+
+from _oracles import coefficient_trace, tail_variation
 
 L2 = theta_layout(2)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,11 +23,10 @@ from ngdiff import (
     run_unlearning,
 )
 from ngdiff.bench import gen_gaussian_clusters, mlp_factory, split_forget_retain
-from ngdiff.combiners import tail_variation
-from ngdiff.engine import _Counters, _QuadTask, run_name, write_trace_csv
+from ngdiff.engine import _Counters, _QuadTask, no_unlearn, run_name, write_trace_csv
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer
 
-from _oracles import brute_force_front
+from _oracles import brute_force_front, tail_variation
 
 
 def quad_config(method, steps, lr=None, theta0=None, forget_kind=None, **extra):
@@ -136,7 +136,7 @@ class TestQuadRuns:
         task = _QuadTask(cfg, _Counters())
         params = task.initial_params
         for loss_grad in (task.retain_loss_grad, task.forget_loss_grad):
-            _, grad = loss_grad(params, 0)
+            _, grad = loss_grad(params)
             assert not grad.data.flags.writeable
             for other in (params.data, task.problem.a, task.problem.b):
                 assert not np.shares_memory(grad.data, other)
@@ -246,6 +246,18 @@ class TestFinetuneAndEvaluate:
 
 
 class TestClassificationRuns:
+    @pytest.mark.parametrize("method", [{"kind": "ngdiff"}, {"kind": "npo", "beta": 1.0}])
+    def test_pickled_start_runs_like_a_lone_run(self, method):
+        cfg = gaussian_config(method, steps=20, eval_every=5)
+        copy = pickle.loads(pickle.dumps(no_unlearn(cfg)))
+        assert copy.params.layout is copy.graph.layout
+        assert copy.graph._cache is None
+        for batch in (copy.split.retain, copy.split.forget):
+            assert not batch.features.flags.writeable
+            assert not batch.labels.flags.writeable
+        assert not copy.params.data.flags.writeable
+        assert record_to_json(run_unlearning(cfg, copy)) == record_to_json(run_unlearning(cfg))
+
     def test_ngdiff_autolr_unlearns_and_retains(self):
         rec = run_unlearning(gaussian_config({"kind": "ngdiff"}))
         assert rec.final.acc_forget <= 0.05

@@ -11,7 +11,9 @@ tree's ``src/`` on ``PYTHONPATH`` and its ``configs/``: the ``gauss_run``
 pass 0 and every ``gauss_sweep`` child of workload seeds 0 and 7127, one
 ``quad_sweep`` pass, a quad method sweep over the seven combiners the CLI
 can sweep, the criterion-9 coefficient sweep, a quad run that aborts, a
-Gaussian method sweep whose shared finetune aborts, an ``ngdiff finetune``
+Gaussian method sweep whose shared finetune aborts, a small Gaussian NPO
+``beta`` sweep whose children run in one process on one shared start (and
+so one graph, which NPO copies), an ``ngdiff finetune``
 of the shipped Gaussian config, three small Gaussian runs whose shapes
 take the kernel's plain-``sum`` branches (9 classes, a hidden layer of
 width 1, minibatches of 1 row) and the config-echo corpus: 1-step runs that
@@ -85,6 +87,17 @@ FINETUNE_ABORT_CONFIG = {
     "problem": {"kind": "gaussian", "finetune_eta": 1e308},
 }
 FINETUNE_ABORT_VALUES = "ngdiff,gd,bogus"
+
+# a --jobs 1 beta sweep: every child takes the parent's start object itself
+NPO_SWEEP_CONFIG = {
+    "method": {"kind": "npo", "beta": 1.0},
+    "lr": {"mode": "auto"},
+    "steps": 60,
+    "eval_every": 10,
+    "seeds": {"data": 5, "init": 1005, "method": 2005},
+    "problem": {"kind": "gaussian", "per_class": 60, "finetune_steps": 100},
+}
+NPO_SWEEP_VALUES = "0.5,1.0,2.0"
 
 # Gaussian runs over shapes where the kernel's reductions fall back to
 # numpy's sum: 9 classes (row sums), a width-1 layer (column sums) and
@@ -187,6 +200,10 @@ def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
         "sweep", "--config", str(out / "finetune_abort.json"), "--out", str(out / "finetune_abort"),
         "--param", "method", "--values", FINETUNE_ABORT_VALUES, "--jobs", "2",
     )))
+    calls.append(("npo_beta_sweep", (
+        "sweep", "--config", str(out / "npo_beta_sweep.json"), "--out", str(out / "npo_beta_sweep"),
+        "--param", "beta", "--values", NPO_SWEEP_VALUES, "--jobs", "1",
+    )))
     calls.append(("finetune", ("finetune", "--config", workloads.GAUSS_CONFIG)))
     for name in (*FALLBACK_CONFIGS, *ECHO_CONFIGS):
         calls.append((name, ("run", "--config", str(out / f"{name}.json"), "--out", str(out / name))))
@@ -200,6 +217,7 @@ def run_side(tree: Path, out: Path) -> dict[str, tuple[int, str, str]]:
         "criterion9": CRITERION_9_CONFIG,
         "abort": ABORT_CONFIG,
         "finetune_abort": FINETUNE_ABORT_CONFIG,
+        "npo_beta_sweep": NPO_SWEEP_CONFIG,
         **FALLBACK_CONFIGS,
         **ECHO_CONFIGS,
     }

@@ -24,7 +24,7 @@ def test_against_head_every_artifact_identical(head_work, capsys):
     names = {rel.split("/")[0] for rel, _ in artifacts}
     expected = {
         "gauss_run-seed0", "gauss_sweep-seed7127", "quad_sweep-seed0", "criterion9", "finetune_abort",
-        *abcompare.FALLBACK_CONFIGS, *abcompare.ECHO_CONFIGS,
+        "npo_beta_sweep", *abcompare.FALLBACK_CONFIGS, *abcompare.ECHO_CONFIGS,
     }
     assert expected <= names
 
