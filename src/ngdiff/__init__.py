@@ -56,8 +56,6 @@ from .engine import (
     write_trace_csv,
 )
 from .objectives import (
-    LossPair,
-    NpoConfig,
     NpoLoss,
     QuadPairProblem,
     UnboundedProblemError,

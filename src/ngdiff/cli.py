@@ -24,6 +24,7 @@ from pathlib import Path
 from . import engine
 from .engine import (
     ConfigError,
+    EvalResult,
     NumericAbort,
     RunConfig,
     RunRecord,
@@ -76,6 +77,11 @@ def _fmt(x: float) -> str:
     return "nan" if not math.isfinite(x) else f"{x:.6f}"
 
 
+def _summary(final: EvalResult) -> str:
+    """The final metrics as ``name=value`` pairs, the run and report lines' shared segment."""
+    return " ".join(f"{name}={_fmt(x)}" for name, x in zip(EvalResult._fields, final))
+
+
 def _execute_run(cfg: RunConfig, out_dir: str, start=None) -> RunRecord:
     """Run one config and write its artifacts; returns the record.
 
@@ -91,12 +97,10 @@ def _execute_run(cfg: RunConfig, out_dir: str, start=None) -> RunRecord:
     write_trace_csv(record, run_dir / "trace.csv")
     with open(run_dir / "record.json", "w") as fh:
         fh.write(record_to_json(record) + "\n")
-    f = record.final
     # one write per line: sweep children share stdout, and print's separate
     # newline write would let another child's line in between when unbuffered
     sys.stdout.write(
-        f"{run_dir.name}: loss_retain={_fmt(f.loss_retain)} loss_forget={_fmt(f.loss_forget)} "
-        f"acc_retain={_fmt(f.acc_retain)} acc_forget={_fmt(f.acc_forget)} "
+        f"{run_dir.name}: {_summary(record.final)} "
         f"overhead={pass_overhead(record):.4f} guard_trips={record.guard_trips}\n"
     )
     sys.stdout.flush()
@@ -121,12 +125,15 @@ def _float(param: str, value: str) -> float:
 
 
 def _child_method(method: dict, kind: str, **values) -> dict:
-    """A method of ``kind`` with ``values`` and the fields of ``method`` that ``kind`` reads."""
-    kept = {
-        name: method[name]
-        for name, *_, kinds in engine.METHOD_FIELDS
-        if name in method and (kinds is None or kind in kinds)
-    }
+    """A method of ``kind`` with ``values`` and the fields of ``method`` that ``kind`` reads.
+
+    A field no kind reads is a config error, as in a lone run, not dropped.
+    """
+    readers = {name: kinds for name, *_, kinds in engine.METHOD_FIELDS}
+    for key in method:
+        if key not in readers:
+            raise ConfigError(f"method.{key}", "unknown field")
+    kept = {key: v for key, v in method.items() if readers[key] is None or kind in readers[key]}
     return {**kept, "kind": kind, **values}
 
 
@@ -141,7 +148,7 @@ def _sweep_config(doc: dict, param: str, value: str) -> dict:
         lr["mode"] = "fixed"
         lr["eta"] = _float(param, value)
     elif param == "beta":
-        out["method"] = {"kind": "npo", "beta": _float(param, value)}
+        out["method"] = _child_method(_object(out, "method"), "npo", beta=_float(param, value))
     elif param == "method":
         out["method"] = _child_method(_object(out, "method"), value)
     else:
@@ -159,12 +166,9 @@ def _describe(exc: BaseException) -> str:
 def _sweep_child(cfg: RunConfig, out_dir: str, value: str, start):
     """Run one sweep value; every failure comes back as (value, code, None, message)."""
     try:
-        f = _execute_run(cfg, out_dir, start).final
+        final = _execute_run(cfg, out_dir, start).final
         # as record.json holds them: a non-finite value is stored as null, read back as nan
-        final = tuple(
-            x if math.isfinite(x) else math.nan
-            for x in (f.loss_retain, f.loss_forget, f.acc_retain, f.acc_forget)
-        )
+        final = tuple(x if math.isfinite(x) else math.nan for x in final)
         return value, 0, final, None
     except NumericAbort as exc:
         return value, 3, None, str(exc)
@@ -245,14 +249,13 @@ def cmd_sweep(args) -> int:
             results[i] = _sweep_child(cfg, str(out_root), value, start)
 
     worst = 0
-    lines = [f"{args.param},loss_retain,loss_forget,acc_retain,acc_forget"]
+    lines = [",".join((args.param, *EvalResult._fields))]
     for value, code, final, err in results:
         if code != 0:
             print(f"error: value {value}: {err}", file=sys.stderr)
             worst = max(worst, code)
             continue
-        lr_, lf, ar, af = final
-        lines.append(f"{value},{lr_!r},{lf!r},{ar!r},{af!r}")
+        lines.append(",".join((value, *map(repr, final))))
     with open(out_root / "sweep_summary.csv", "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return worst
@@ -297,7 +300,12 @@ def cmd_pareto(args) -> int:
     if not records:
         print("error: no records given", file=sys.stderr)
         return 2
-    points = [record.pareto_point(tag=path) for path, record in records]
+    points = []
+    for path, record in records:
+        try:
+            points.append(record.pareto_point(tag=path))
+        except ValueError as exc:  # a run whose final losses overflowed has no place on the front
+            raise ConfigError(path, str(exc)) from None
     front = non_dominated_set(points)
     front_set = {id(p) for p in front}
     for p in points:
@@ -319,12 +327,9 @@ def cmd_report(args) -> int:
         print("error: no records given", file=sys.stderr)
         return 2
     for path, record in records:
-        method = record.config.get("method", {})
-        f = record.final
         print(
-            f"{path}: method={method.get('kind')} steps={record.steps} "
-            f"loss_retain={_fmt(f.loss_retain)} loss_forget={_fmt(f.loss_forget)} "
-            f"acc_retain={_fmt(f.acc_retain)} acc_forget={_fmt(f.acc_forget)} "
+            f"{path}: method={record.config['method']['kind']} steps={record.steps} "
+            f"{_summary(record.final)} "
             f"overhead={pass_overhead(record):.4f} guard_trips={record.guard_trips} "
             f"passes={record.forward_passes}f/{record.backward_passes}b/"
             f"{record.probe_forward_passes}p"

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import FlatGradient, _adopt_vector, _same_layout
-from .objectives import LossPair
 
 GD = "gd"
 GA = "ga"
@@ -91,12 +90,13 @@ def combine(
     spec: CombinerSpec,
     g_r: FlatGradient,
     g_f: FlatGradient,
-    losses: LossPair | None = None,
+    losses: tuple[float, float] | None = None,
     step: int = 0,
 ) -> CombinerOutput:
     """Apply the selected rule to one pair of per-task gradients.
 
-    ``losses`` is required for ``lossnorm`` (both losses strictly positive).
+    ``losses`` is the (retain, forget) pair of current loss values that
+    ``lossnorm`` requires, both finite and strictly positive.
     ``step`` indexes the RLW draw stream and the scheduled coefficient; all
     randomness is keyed by ``(rng_seed, step)`` so runs are reproducible and
     concurrent runs share no state.
@@ -130,9 +130,10 @@ def combine(
         elif kind == LOSSNORM:
             if losses is None:
                 raise ValueError("lossnorm requires current loss values")
-            if losses.retain_loss <= 0.0 or losses.forget_loss <= 0.0:
-                raise ValueError("lossnorm requires strictly positive losses")
-            c = losses.forget_loss / (losses.forget_loss + losses.retain_loss)
+            loss_r, loss_f = losses
+            if not (0.0 < loss_r < math.inf and 0.0 < loss_f < math.inf):
+                raise ValueError("lossnorm requires finite, strictly positive losses")
+            c = loss_f / (loss_f + loss_r)
         elif kind == RLW:
             lam = np.random.default_rng([spec.rng_seed, step]).standard_normal(2)
             c = 1.0 / (1.0 + math.exp(lam[1] - lam[0]))

@@ -41,14 +41,7 @@ from .bench import (
     split_forget_retain,
 )
 from .combiners import CombinerSpec, combine
-from .objectives import (
-    FORGET_KINDS,
-    LossPair,
-    NpoConfig,
-    NpoLoss,
-    QuadPairProblem,
-    UNBOUNDED_QUADRATIC,
-)
+from .objectives import FORGET_KINDS, UNBOUNDED_QUADRATIC, NpoLoss, QuadPairProblem
 from .scheduler import LrState, maybe_update
 
 SCHEMA_VERSION = 1
@@ -384,12 +377,22 @@ TRACE_HEADER = ",".join(TRACE_COLUMNS)
 _TRACE_LINE = "%d" + ",%r" * 9 + ",%d"
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    acc_retain: float
-    acc_forget: float
+class EvalResult(NamedTuple):
+    """A model's final metrics, in the order every summary lists them.
+
+    Its fields name the metrics wherever they are written or read: the
+    ``final`` object of ``record.json``, the ``run`` and ``report`` lines and
+    ``sweep_summary.csv``.
+    """
+
     loss_retain: float
     loss_forget: float
+    acc_retain: float
+    acc_forget: float
+
+
+# the pass counters of a record, as record.json names them
+RUN_COUNTERS = ("forward_passes", "backward_passes", "probe_forward_passes", "guard_trips")
 
 
 @dataclass(frozen=True)
@@ -432,7 +435,11 @@ def _num(x):
 
 
 def _denum(x) -> float:
-    return math.nan if x is None else float(x)
+    """A float of an emitted record; null stands for a non-finite one."""
+    value = math.nan if x is None else _number(x, False)
+    if value is None:
+        raise ValueError(f"record value {x!r} is not a finite number or null")
+    return value
 
 
 def record_to_dict(record: RunRecord) -> dict:
@@ -446,48 +453,50 @@ def record_to_dict(record: RunRecord) -> dict:
              _num(g_r), _num(g_f), _num(cos), guard]
             for step, l_r, l_f, a_r, a_f, lr, c, g_r, g_f, cos, guard in record.rows
         ],
-        "forward_passes": record.forward_passes,
-        "backward_passes": record.backward_passes,
-        "probe_forward_passes": record.probe_forward_passes,
-        "guard_trips": record.guard_trips,
-        "final": {
-            "acc_retain": _num(record.final.acc_retain),
-            "acc_forget": _num(record.final.acc_forget),
-            "loss_retain": _num(record.final.loss_retain),
-            "loss_forget": _num(record.final.loss_forget),
-        },
+        **{key: getattr(record, key) for key in RUN_COUNTERS},
+        "final": {name: _num(x) for name, x in zip(EvalResult._fields, record.final)},
         "params_digest": record.params_digest,
     }
 
 
+def _count(x, name: str) -> int:
+    value = _number(x, True)
+    if value is None or value < 0:
+        raise ValueError(f"record {name} must be a non-negative integer, not {x!r}")
+    return value
+
+
 def record_from_dict(d: dict) -> RunRecord:
-    """Re-parse an emitted record, re-validating structure and counters."""
+    """Re-parse an emitted record, re-validating structure and counters.
+
+    Raises ``ValueError`` for a document that ``record_to_dict`` cannot have
+    written: a wrong shape or type anywhere, config fields included.
+    """
     if not isinstance(d, dict) or d.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"record schema must be {SCHEMA_VERSION}")
-    if list(d.get("trace_columns", ())) != list(TRACE_COLUMNS):
+    if d.get("trace_columns") != list(TRACE_COLUMNS):
         raise ValueError("record trace columns do not match the schema")
+    _parse(d["config"], "config", RUN_FIELDS)
+    trace = d["trace"]
+    if not isinstance(trace, list):
+        raise ValueError("record trace must be a list")
     rows = []
-    for raw in d["trace"]:
-        if len(raw) != len(TRACE_COLUMNS):
+    for raw in trace:
+        if not isinstance(raw, list) or len(raw) != len(TRACE_COLUMNS):
             raise ValueError("trace row has the wrong width")
-        rows.append(StepRow(int(raw[0]), *map(_denum, raw[1:-1]), int(raw[-1])))
-    counters = {}
-    for key in ("forward_passes", "backward_passes", "probe_forward_passes", "guard_trips"):
-        counters[key] = int(d[key])
-        if counters[key] < 0:
-            raise ValueError(f"{key} must be non-negative")
+        step, guard = _count(raw[0], "step"), _count(raw[-1], "guard")
+        rows.append(StepRow(step, *map(_denum, raw[1:-1]), guard))
     final = d["final"]
+    if not isinstance(final, dict) or final.keys() != set(EvalResult._fields):
+        raise ValueError(f"record final must be an object of {EvalResult._fields}")
+    if not isinstance(d["params_digest"], str):
+        raise ValueError("record params_digest must be a string")
     return RunRecord(
         config=d["config"],
         rows=tuple(rows),
-        final=EvalResult(
-            acc_retain=_denum(final["acc_retain"]),
-            acc_forget=_denum(final["acc_forget"]),
-            loss_retain=_denum(final["loss_retain"]),
-            loss_forget=_denum(final["loss_forget"]),
-        ),
-        params_digest=str(d["params_digest"]),
-        **counters,
+        final=EvalResult(*(_denum(final[name]) for name in EvalResult._fields)),
+        params_digest=d["params_digest"],
+        **{key: _count(d[key], key) for key in RUN_COUNTERS},
     )
 
 
@@ -610,10 +619,7 @@ class _QuadTask:
 
     def evaluate(self, params) -> EvalResult:
         return EvalResult(
-            acc_retain=math.nan,
-            acc_forget=math.nan,
-            loss_retain=self.problem.retain_loss(params),
-            loss_forget=self.problem.forget_loss(params),
+            self.problem.retain_loss(params), self.problem.forget_loss(params), math.nan, math.nan
         )
 
 
@@ -635,9 +641,7 @@ class _ClassificationTask:
         self.npo: NpoLoss | None = None
         self._npo_ref: np.ndarray | None = None
         if isinstance(cfg.method, NpoSpec):
-            self.npo = NpoLoss(
-                self.graph, NpoConfig(cfg.method.beta, self.initial_params)
-            )
+            self.npo = NpoLoss(self.graph, cfg.method.beta, self.initial_params)
             # frozen model: reference log-probs precomputed once per sample
             self._npo_ref = self.npo.reference_logprobs(self.split.forget)
 
@@ -686,7 +690,7 @@ def evaluate(graph: Graph, params: ParameterVector, split: ForgetRetainSplit) ->
 
     acc_r, loss_r = one(split.retain)
     acc_f, loss_f = one(split.forget)
-    return EvalResult(acc_r, acc_f, loss_r, loss_f)
+    return EvalResult(loss_r, loss_f, acc_r, acc_f)
 
 
 def finetune(
@@ -781,9 +785,7 @@ def run_unlearning(cfg: RunConfig, start: NoUnlearn | None = None) -> RunRecord:
                     # cross-entropy on a saturated minibatch can round to exactly 0;
                     # the loss-normalization weights need a strictly positive floor
                     losses = (
-                        LossPair(max(loss_retain, 1e-12), max(loss_forget, 1e-12))
-                        if needs_losses
-                        else None
+                        (max(loss_retain, 1e-12), max(loss_forget, 1e-12)) if needs_losses else None
                     )
                     out = combine(cfg.method, g_r, g_f, losses, step=step)
                     direction = out.direction
@@ -803,8 +805,7 @@ def run_unlearning(cfg: RunConfig, start: NoUnlearn | None = None) -> RunRecord:
                 eta = lr_state.step_size if auto else cfg.lr.eta
 
                 if task.has_accuracy and step % cfg.eval_every == 0:
-                    ev = task.evaluate(params)
-                    acc_retain, acc_forget = ev.acc_retain, ev.acc_forget
+                    _, _, acc_retain, acc_forget = task.evaluate(params)
 
                 rows.append(
                     StepRow(

@@ -37,35 +37,6 @@ class UnboundedProblemError(ValueError):
     """The requested scalarization has no finite minimizer."""
 
 
-@dataclass(frozen=True)
-class LossPair:
-    """Current retain/forget scalar losses, as loss normalization reads them."""
-
-    retain_loss: float
-    forget_loss: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.retain_loss) and math.isfinite(self.forget_loss)):
-            raise ValueError("losses must be finite")
-
-
-@dataclass
-class NpoConfig:
-    """Inverse temperature and the frozen pre-unlearning reference snapshot.
-
-    ``clamp_warnings`` counts batches in which a reference log-probability
-    had to be clamped at log(1e-12).
-    """
-
-    beta: float
-    reference_params: ParameterVector
-    clamp_warnings: int = 0
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-
-
 class NpoLoss:
     """Forget-only preference loss against a frozen reference model.
 
@@ -79,22 +50,30 @@ class NpoLoss:
     its gradient is the kernel's backward pass given ``dL/dlp``.  The
     forward that ``loss`` runs also gives the batch's mean cross-entropy,
     kept as ``cross_entropy``.
+
+    ``beta`` is the inverse temperature and ``reference_params`` the frozen
+    pre-unlearning snapshot.  ``clamp_warnings`` counts batches in which a
+    reference log-probability had to be clamped at log(1e-12).
     """
 
-    def __init__(self, model: Graph, cfg: NpoConfig):
-        if cfg.reference_params.layout != model.layout:
+    def __init__(self, model: Graph, beta: float, reference_params: ParameterVector):
+        if not beta > 0:
+            raise ValueError("beta must be positive")
+        if reference_params.layout != model.layout:
             raise ValueError("reference snapshot layout does not match the model")
-        self.cfg = cfg
+        self.beta = beta
+        self.reference_params = reference_params
+        self.clamp_warnings = 0
         self._graph = copy.copy(model)  # same program and layout, its own forward cache
         self._z: np.ndarray | None = None
         self.cross_entropy: float | None = None
 
     def reference_logprobs(self, batch) -> np.ndarray:
         """True-label log-probabilities under the frozen reference, clamped below."""
-        forward(self._graph, self.cfg.reference_params, batch)
+        forward(self._graph, self.reference_params, batch)
         lp = np.array(self._graph.lp)
         if np.any(lp < LOG_PROB_FLOOR):
-            self.cfg.clamp_warnings += 1
+            self.clamp_warnings += 1
             lp = np.maximum(lp, LOG_PROB_FLOOR)
         return lp
 
@@ -107,8 +86,8 @@ class NpoLoss:
         if ref.shape != lp.shape:
             raise DimensionError(f"reference log-probs shape {ref.shape} does not match {lp.shape}")
         with np.errstate(all="ignore"):
-            z = float(-self.cfg.beta) * (lp - ref)
-            value = float(-2.0 / self.cfg.beta) * np.mean(-np.logaddexp(0.0, -z))
+            z = float(-self.beta) * (lp - ref)
+            value = float(-2.0 / self.beta) * np.mean(-np.logaddexp(0.0, -z))
         if not (np.isfinite(z).all() and math.isfinite(value)):
             raise NumericError("non-finite NPO loss")
         self._z = z
@@ -120,8 +99,8 @@ class NpoLoss:
     ) -> tuple[float, FlatGradient]:
         value = self.loss(params, batch, ref_logprobs)
         # d loss / d lp = (-beta) * sigmoid(-z) * (-(2 / beta) / n)
-        per_row = float(-2.0 / self.cfg.beta) / self._z.shape[0]
-        dlp = float(-self.cfg.beta) * (np.exp(-np.logaddexp(0.0, self._z)) * per_row)
+        per_row = float(-2.0 / self.beta) / self._z.shape[0]
+        dlp = float(-self.beta) * (np.exp(-np.logaddexp(0.0, self._z)) * per_row)
         return value, self._graph.backward(dlp)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import ngdiff.engine
 from ngdiff.cli import main
-from ngdiff.engine import record_from_json
+from ngdiff.engine import EvalResult, record_from_json
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer
 
 
@@ -62,6 +63,13 @@ def find_one(root, name):
     hits = sorted(root.rglob(name))
     assert hits, f"no {name} under {root}"
     return hits
+
+
+def one_record(tmp_path, doc):
+    """The record.json path of one run of ``doc``."""
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    return find_one(tmp_path / "run", "record.json")[0]
 
 
 class TestRun:
@@ -541,6 +549,15 @@ class TestSweep:
         ) == 3
         assert "error: value 1e308: non-finite value at step 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param, values", [("c", "0.3,0.7"), ("method", "gd,ngdiff"), ("beta", "0.5")])
+    def test_unknown_method_field_exits_2(self, tmp_path, capsys, param, values):
+        # run and sweep --param eta reject the typo when they parse the whole config
+        cfg = write_config(tmp_path / "cfg.json", small_gauss_doc({"kind": "gdiff", "c": 0.5, "decya": 0.9}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--param", param, "--values", values]) == 2
+        assert "config error: method.decya: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eta_sweep_switches_to_fixed_mode(self, tmp_path):
         doc = quad_doc({"kind": "ngdiff"}, steps=20, lr={"mode": "auto"}, theta0=[0.5, 1.0])
         cfg = write_config(tmp_path / "cfg.json", doc)
@@ -589,6 +606,18 @@ class TestParetoCommand:
         assert main(["pareto", str(bad), "--out", str(tmp_path)]) == 2
         assert "bad.json" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_final_loss_exits_2(self, tmp_path, capsys):
+        # at 512 steps the run exits 0 with final losses that overflowed to inf
+        doc = quad_doc({"kind": "ga"}, steps=512, lr={"mode": "fixed", "eta": 1.0}, theta0=[2.0, 1.0])
+        rec = one_record(tmp_path, doc)
+        assert json.loads(rec.read_text())["final"]["loss_retain"] is None
+        capsys.readouterr()
+        out = tmp_path / "pareto"
+        assert main(["pareto", str(rec), "--out", str(out)]) == 2
+        assert f"config error: {rec}: pareto point losses must be finite" in capsys.readouterr().err
+        assert not (out / "pareto.csv").exists()
+
 
 class TestFinetuneAndReport:
     def test_finetune_prints_evaluation_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
@@ -611,6 +640,37 @@ class TestFinetuneAndReport:
         out = capsys.readouterr().out
         assert out.startswith("no-unlearn: acc_retain=") and "loss_forget=" in out
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["report", "pareto"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("trace", 5), ("final", []), ("forward_passes", [1]), ("config", []), ("config.method", "gd")],
+    )
+    def test_malformed_record_exits_2(self, tmp_path, capsys, command, key, value):
+        rec = one_record(tmp_path, quad_doc({"kind": "gd"}, steps=5))
+        doc = json.loads(rec.read_text())
+        *parents, last = key.split(".")
+        section = doc
+        for part in parents:
+            section = section[part]
+        section[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "pareto")] if command == "pareto" else []
+        assert main([command, str(bad), *out]) == 2
+        assert f"config error: {bad}: unreadable record: " in capsys.readouterr().err
+        assert not (tmp_path / "pareto").exists()
+
+    def test_run_and_report_lines_share_the_final_metrics(self, tmp_path, capsys):
+        rec = one_record(tmp_path, small_gauss_doc({"kind": "ngdiff"}))
+        run_line = capsys.readouterr().out
+        assert main(["report", str(rec)]) == 0
+        report_line = capsys.readouterr().out
+        segment = " ".join(f"{name}=[0-9.]+" for name in EvalResult._fields)
+        found = [re.findall(f" ({segment}) ", line) for line in (run_line, report_line)]
+        assert len(found[0]) == 1 and found[0] == found[1]
+        assert json.loads(rec.read_text())["final"].keys() == set(EvalResult._fields)
 
     def test_report_round_trips_records(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "ngdiff"}, steps=30, lr={"mode": "auto"}, theta0=[0.5, 1.0]))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ngdiff import CombinerSpec, FlatGradient, LossPair, combine
+from ngdiff import CombinerSpec, FlatGradient, combine
 from ngdiff.combiners import GA, GD, GDIFF, IMTLG, LOSSNORM, NGDIFF, PCGRAD, RLW, SCHEDULED_GDIFF
 from ngdiff.objectives import theta_layout
 
@@ -50,7 +50,7 @@ class TestWorkedExamples:
         np.testing.assert_allclose(out.direction.data, [-0.5, 0.5], atol=1e-15)
 
     def test_lossnorm_coefficient(self):
-        out = run(LOSSNORM, [1.0, 0.0], [0.0, 1.0], LossPair(2.0, 4.0))
+        out = run(LOSSNORM, [1.0, 0.0], [0.0, 1.0], (2.0, 4.0))
         assert out.coefficient == pytest.approx(2.0 / 3.0)
 
     def test_gd_and_ga(self):
@@ -133,7 +133,7 @@ class TestInvariants:
     )
     def test_direction_is_frozen_and_owns_its_memory(self, kind, kw):
         g_r, g_f = fg([0.3, -1.2]), fg([0.7, 0.4])
-        out = combine(CombinerSpec(kind, **kw), g_r, g_f, LossPair(0.5, 2.0), step=1)
+        out = combine(CombinerSpec(kind, **kw), g_r, g_f, (0.5, 2.0), step=1)
         assert not out.direction.data.flags.writeable
         assert not np.shares_memory(out.direction.data, g_r.data)
         assert not np.shares_memory(out.direction.data, g_f.data)
@@ -168,7 +168,7 @@ class TestInvariants:
         for step in range(300):
             g_r = fg(rng.standard_normal(2) * rng.uniform(0.1, 10))
             g_f = fg(rng.standard_normal(2) * rng.uniform(0.1, 10))
-            losses = LossPair(rng.uniform(0.01, 5), rng.uniform(0.01, 5))
+            losses = (rng.uniform(0.01, 5), rng.uniform(0.01, 5))
             for spec in specs:
                 out = combine(spec, g_r, g_f, losses, step=step)
                 if not math.isnan(out.coefficient):
@@ -188,7 +188,7 @@ class TestInvariants:
         for step in range(100):
             g_r = fg(rng.standard_normal(2))
             g_f = fg(rng.standard_normal(2))
-            losses = LossPair(rng.uniform(0.1, 5), rng.uniform(0.1, 5))
+            losses = (rng.uniform(0.1, 5), rng.uniform(0.1, 5))
             for spec in specs:
                 out = combine(spec, g_r, g_f, losses, step=step)
                 c = out.coefficient
@@ -248,9 +248,10 @@ class TestDegenerateHandling:
         assert out.clamped
         assert 0.0 <= out.coefficient <= 1.0
 
-    def test_lossnorm_rejects_nonpositive_loss(self):
-        with pytest.raises(ValueError):
-            run(LOSSNORM, [1.0, 0.0], [0.0, 1.0], LossPair(0.0, 1.0))
+    @pytest.mark.parametrize("losses", [(0.0, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_lossnorm_rejects_nonpositive_or_nonfinite_loss(self, losses):
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            run(LOSSNORM, [1.0, 0.0], [0.0, 1.0], losses)
 
     def test_lossnorm_requires_losses(self):
         with pytest.raises(ValueError):

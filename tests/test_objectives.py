@@ -7,8 +7,6 @@ import pytest
 
 from ngdiff import (
     LabeledBatch,
-    LossPair,
-    NpoConfig,
     NpoLoss,
     ParameterVector,
     UnboundedProblemError,
@@ -35,21 +33,20 @@ class TestNpoLoss:
     def test_at_reference_equals_two_over_beta_ln2(self):
         graph, params, batch = small_model()
         for beta in (0.25, 1.0, 2.0, 7.3):
-            value = NpoLoss(graph, NpoConfig(beta, params)).loss(params, batch)
+            value = NpoLoss(graph, beta, params).loss(params, batch)
             assert value == pytest.approx((2.0 / beta) * math.log(2.0), rel=1e-14)
 
     def test_log_ratio_one(self):
         # live probability e times the reference: loss = -2 log sigmoid(-1)
         graph, params, batch = small_model()
-        npo = NpoLoss(graph, NpoConfig(1.0, params))
+        npo = NpoLoss(graph, 1.0, params)
         shifted_ref = npo.reference_logprobs(batch) - 1.0
         value = npo.loss(params, batch, shifted_ref)
         assert value == pytest.approx(2.6265233750364456, rel=1e-14)
 
     def test_gradient_matches_finite_differences(self):
         graph, params, batch = small_model()
-        cfg = NpoConfig(1.7, params)
-        npo = NpoLoss(graph, cfg)
+        npo = NpoLoss(graph, 1.7, params)
         ref = npo.reference_logprobs(batch)
         _, grad = npo.loss_and_grad(params, batch, ref)
         eps = 1e-6
@@ -69,7 +66,7 @@ class TestNpoLoss:
         # log-sigmoid saturates
         graph, params, batch = small_model()
         beta = 1.3
-        npo = NpoLoss(graph, NpoConfig(beta, params))
+        npo = NpoLoss(graph, beta, params)
         ref = npo.reference_logprobs(batch) + np.array([40.0, 0.0, -3.5, 25.0, -30.0, 1.0])
         _, grad = npo.loss_and_grad(params, batch, ref)
         forward(graph, params, batch)
@@ -78,7 +75,7 @@ class TestNpoLoss:
 
     def test_keeps_the_cross_entropy_of_its_forward(self):
         graph, params, batch = small_model()
-        npo = NpoLoss(graph, NpoConfig(0.7, params))
+        npo = NpoLoss(graph, 0.7, params)
         moved = ParameterVector(params.data + 0.1, params.layout)
         npo.loss_and_grad(moved, batch)
         assert npo.cross_entropy == forward(graph, moved, batch)
@@ -87,16 +84,15 @@ class TestNpoLoss:
         graph, params, batch = small_model()
         # reference with an absurd margin against the true class
         bad = ParameterVector(params.data * 200.0, params.layout)
-        cfg = NpoConfig(1.0, bad)
-        npo = NpoLoss(graph, cfg)
+        npo = NpoLoss(graph, 1.0, bad)
         lp = npo.reference_logprobs(batch)
-        assert cfg.clamp_warnings >= 1
+        assert npo.clamp_warnings >= 1
         assert np.all(lp >= math.log(1e-12))
 
     def test_beta_must_be_positive(self):
-        _, params, _ = small_model()
+        graph, params, _ = small_model()
         with pytest.raises(ValueError):
-            NpoConfig(0.0, params)
+            NpoLoss(graph, 0.0, params)
 
 
 class TestQuadPair:
@@ -196,13 +192,3 @@ class TestScalarization:
             lsp_minimizer(p, 0.5)
         with pytest.raises(UnboundedProblemError):
             lsp_minimizer(quad(BOUNDED_EXP), 0.75)
-
-
-class TestLossPair:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LossPair(math.inf, 1.0)
-        with pytest.raises(ValueError):
-            LossPair(1.0, math.nan)
-        pair = LossPair(0.5, 2.0)
-        assert (pair.retain_loss, pair.forget_loss) == (0.5, 2.0)

@@ -10,7 +10,8 @@ invocations then runs on both trees, each in a fresh interpreter with that
 tree's ``src/`` on ``PYTHONPATH`` and its ``configs/``: the ``gauss_run``
 pass 0 and every ``gauss_sweep`` child of workload seeds 0 and 7127, one
 ``quad_sweep`` pass, a quad method sweep over the seven combiners the CLI
-can sweep, the criterion-9 coefficient sweep, a quad run that aborts, a
+can sweep, ``ngdiff report`` and ``ngdiff pareto`` over that sweep's
+records, the criterion-9 coefficient sweep, a quad run that aborts, a
 Gaussian method sweep whose shared finetune aborts, a small Gaussian NPO
 ``beta`` sweep whose children run in one process on one shared start (and
 so one graph, which NPO copies), an ``ngdiff finetune``
@@ -55,6 +56,11 @@ import workloads  # noqa: E402  (perfbench/workloads.py; imports no ngdiff)
 SIDES = ("base", "change")
 WORKLOAD_SEEDS = (0, workloads.HELD_OUT_SEED)
 QUAD_METHODS = "gd,ga,lossnorm,rlw,pcgrad,imtlg,ngdiff"
+# report and pareto read the quad method sweep's records by a glob that
+# ngdiff expands; they run in the side's output directory, so the record
+# paths they print and write into pareto.csv are the same on both sides
+QUAD_RECORDS = "quad_method/*/record.json"
+RECORD_COMMANDS = ("report", "pareto")
 
 # the configuration and coefficients of acceptance criterion 9
 CRITERION_9_CONFIG = {
@@ -176,7 +182,8 @@ def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
     """(name, argv) of every ``ngdiff`` call, writing under ``out``.
 
     The argument lists do not depend on the tree they run on, apart from
-    the relative ``configs/`` paths, which each tree resolves itself.
+    the relative ``configs/`` paths, which each tree resolves itself, and
+    the relative paths of ``RECORD_COMMANDS``, which resolve in ``out``.
     """
     calls = []
     for seed in WORKLOAD_SEEDS:
@@ -189,6 +196,8 @@ def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
         "sweep", "--config", workloads.QUAD_CONFIG, "--out", str(out / "quad_method"),
         "--param", "method", "--values", QUAD_METHODS,
     )))
+    calls.append(("quad_method_report", ("report", QUAD_RECORDS)))
+    calls.append(("quad_method_pareto", ("pareto", QUAD_RECORDS, "--out", "quad_method_pareto")))
     calls.append(("criterion9", (
         "sweep", "--config", str(out / "criterion9.json"), "--out", str(out / "criterion9"),
         "--param", "c", "--values", CRITERION_9_VALUES,
@@ -232,7 +241,8 @@ def run_side(tree: Path, out: Path) -> dict[str, tuple[int, str, str]]:
         # numpy's overflow warnings quote the source line, which may move between trees
         proc = subprocess.run(
             [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "ngdiff.cli", *argv],
-            cwd=tree, env=env, capture_output=True, text=True,
+            cwd=out if argv[0] in RECORD_COMMANDS else tree,
+            env=env, capture_output=True, text=True,
         )
         # messages may name the side's own paths, which differ by construction
         stdout, stderr = (
