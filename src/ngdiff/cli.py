@@ -14,6 +14,7 @@ abort (the failing step index is printed).
 from __future__ import annotations
 
 import argparse
+import gc
 import glob
 import json
 import math
@@ -397,5 +398,17 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The process entry point, of ``python -m ngdiff.cli`` and the ``ngdiff`` script.
+
+    Freezing the objects the imports made takes them out of every later
+    collection, interpreter shutdown included, and pool workers forked by
+    ``sweep --jobs`` inherit them frozen.  ``main`` does not freeze: it also
+    runs inside other processes, such as the tests.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

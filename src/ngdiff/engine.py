@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +53,7 @@ class ConfigError(ValueError):
 
     def __init__(self, fieldpath: str, message: str):
         self.fieldpath = fieldpath
-        super().__init__(f"{fieldpath}: {message}")
+        super().__init__(f"{fieldpath}: {message}" if fieldpath else message)
 
 
 class NumericAbort(RuntimeError):
@@ -375,6 +376,7 @@ TRACE_COLUMNS = StepRow._fields
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 # one trace.csv line: the step, the nine floats as repr() writes them, the guard
 _TRACE_LINE = "%d" + ",%r" * 9 + ",%d"
+_TRACE_COLUMNS_JSON = json.dumps(list(TRACE_COLUMNS), separators=(",", ":"))
 
 
 class EvalResult(NamedTuple):
@@ -428,6 +430,11 @@ class RunRecord:
     def pareto_point(self, tag: str = "") -> ParetoPoint:
         return ParetoPoint(self.final.loss_retain, self.final.loss_forget, tag)
 
+    @cached_property
+    def trace_lines(self) -> tuple[str, ...]:
+        """The rows as ``trace.csv`` lines, formatted once for both writers."""
+        return tuple(_TRACE_LINE % row for row in self.rows)
+
 
 def _num(x):
     x = float(x)
@@ -442,23 +449,6 @@ def _denum(x) -> float:
     return value
 
 
-def record_to_dict(record: RunRecord) -> dict:
-    return {
-        "schema": record.schema,
-        "config": record.config,
-        "trace_columns": list(TRACE_COLUMNS),
-        # unpacked, not read by field name: a tuple field read costs twice a dataclass one
-        "trace": [
-            [step, _num(l_r), _num(l_f), _num(a_r), _num(a_f), _num(lr), _num(c),
-             _num(g_r), _num(g_f), _num(cos), guard]
-            for step, l_r, l_f, a_r, a_f, lr, c, g_r, g_f, cos, guard in record.rows
-        ],
-        **{key: getattr(record, key) for key in RUN_COUNTERS},
-        "final": {name: _num(x) for name, x in zip(EvalResult._fields, record.final)},
-        "params_digest": record.params_digest,
-    }
-
-
 def _count(x, name: str) -> int:
     value = _number(x, True)
     if value is None or value < 0:
@@ -469,7 +459,7 @@ def _count(x, name: str) -> int:
 def record_from_dict(d: dict) -> RunRecord:
     """Re-parse an emitted record, re-validating structure and counters.
 
-    Raises ``ValueError`` for a document that ``record_to_dict`` cannot have
+    Raises ``ValueError`` for a document that ``record_to_json`` cannot have
     written: a wrong shape or type anywhere, config fields included.
     """
     if not isinstance(d, dict) or d.get("schema") != SCHEMA_VERSION:
@@ -501,7 +491,24 @@ def record_from_dict(d: dict) -> RunRecord:
 
 
 def record_to_json(record: RunRecord) -> str:
-    return json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """The record as one line of compact JSON, keys sorted; non-finite floats are null.
+
+    The trace is spliced in from ``record.trace_lines``: a float's ``repr`` is
+    also its JSON text, so only ``nan``, ``inf`` and ``-inf`` need replacing.
+    Every other key sorts before ``"trace"``.
+    """
+    head = {
+        "schema": record.schema,
+        "config": record.config,
+        **{key: getattr(record, key) for key in RUN_COUNTERS},
+        "final": {name: _num(x) for name, x in zip(EvalResult._fields, record.final)},
+        "params_digest": record.params_digest,
+    }
+    head = json.dumps(head, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    # step and guard are digits, and no finite float's repr holds an "n"
+    trace = "],[".join(record.trace_lines).replace("-inf", "null").replace("inf", "null")
+    trace = f"[[{trace.replace('nan', 'null')}]]" if record.rows else "[]"
+    return f'{head[:-1]},"trace":{trace},"trace_columns":{_TRACE_COLUMNS_JSON}}}'
 
 
 def record_from_json(text: str) -> RunRecord:
@@ -509,10 +516,8 @@ def record_from_json(text: str) -> RunRecord:
 
 
 def write_trace_csv(record: RunRecord, path) -> None:
-    lines = [TRACE_HEADER]
-    lines.extend(_TRACE_LINE % row for row in record.rows)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join((TRACE_HEADER, *record.trace_lines)) + "\n")
 
 
 # --------------------------------------------------------------------------

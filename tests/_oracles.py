@@ -5,14 +5,20 @@ point is to check them: finite differences only call the forward pass, the
 straight-line MLP passes are from-scratch numpy transcriptions, and the dominance
 oracle is a direct pairwise scan.  The coefficient-trace and static-scalarization
 helpers are what the tests read of a run or a quadratic pair; no run path needs them.
+The two-pass record writers format every trace float twice, as the record
+document and as the trace file, which the one-pass writers must match byte for byte.
 """
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 
-from ngdiff import FlatGradient, LabeledBatch, ParameterVector, forward
+from ngdiff import EvalResult, FlatGradient, LabeledBatch, ParameterVector, forward
 from ngdiff.bench import mlp_factory
+from ngdiff.engine import RUN_COUNTERS, TRACE_COLUMNS
 
 
 def segment(layout, data: np.ndarray, name: str) -> np.ndarray:
@@ -153,3 +159,34 @@ def lsp_gradient(problem, theta, c: float) -> np.ndarray:
     if not 0.0 <= c <= 1.0:
         raise ValueError("scalarization weight c must lie in [0, 1]")
     return c * problem.retain_grad(theta) - (1.0 - c) * problem.forget_grad(theta)
+
+
+def _num(x):
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
+def record_to_dict(record) -> dict:
+    """The ``record.json`` document of ``record``, a non-finite float as None."""
+    return {
+        "schema": record.schema,
+        "config": record.config,
+        "trace_columns": list(TRACE_COLUMNS),
+        "trace": [[row[0], *map(_num, row[1:-1]), row[-1]] for row in record.rows],
+        **{key: getattr(record, key) for key in RUN_COUNTERS},
+        "final": {name: _num(x) for name, x in zip(EvalResult._fields, record.final)},
+        "params_digest": record.params_digest,
+    }
+
+
+def record_to_json_two_pass(record) -> str:
+    """``record.json`` as ``json.dumps`` writes the whole document."""
+    return json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def write_trace_csv_two_pass(record, path) -> None:
+    """``trace.csv``, every row formatted on its own: the step, nine float reprs, the guard."""
+    lines = [",".join(TRACE_COLUMNS)]
+    lines.extend(("%d" + ",%r" * 9 + ",%d") % row for row in record.rows)
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism, dominance."""
 
+import gc
 import json
 import math
 import os
@@ -15,6 +16,8 @@ import ngdiff.engine
 from ngdiff.cli import main
 from ngdiff.engine import EvalResult, record_from_json
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, doc):
@@ -53,6 +56,11 @@ def small_gauss_doc(method, **problem):
     doc = gauss_doc(per_class=30, finetune_steps=20, **problem)
     doc.update(method=method, steps=20, eval_every=5)
     return doc
+
+
+def src_env():
+    """The environment of a subprocess that imports ngdiff from this checkout's ``src``."""
+    return {**os.environ, "PYTHONPATH": str(Path(ngdiff.engine.__file__).resolve().parent.parent)}
 
 
 def run_dirs(root):
@@ -274,12 +282,10 @@ class TestRun:
     def test_diverging_run_prints_only_its_error_line(self, tmp_path):
         doc = quad_doc({"kind": "ga"}, steps=3000, lr={"mode": "fixed", "eta": 1.0}, theta0=[2.0, 1.0])
         cfg = write_config(tmp_path / "cfg.json", doc)
-        src = Path(ngdiff.engine.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
             [sys.executable, "-W", "default", "-m", "ngdiff.cli",
              "run", "--config", cfg, "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=src_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 3
         assert proc.stderr == "error: non-finite value at step 512: task loss is non-finite\n"
@@ -295,9 +301,9 @@ class TestRun:
         assert f"config error: {section}: must be an object" in capsys.readouterr().err
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", [1, 2])
+        cfg = write_config(tmp_path / "cfg.json", [])
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--seed-data", "1"]) == 2
-        assert "must be a JSON object" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
     def test_seed_flags_override_file(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gd"}, steps=5))
@@ -421,6 +427,14 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6,abc"]) == 2
         assert "'abc' is not a number" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_object_config_in_sweep_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", [])
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--param", "c", "--values", "0.6"]
+        ) == 2
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+        assert not (tmp_path / "s").exists()
 
     def test_non_object_section_in_sweep_exits_2(self, tmp_path, capsys):
         doc = quad_doc({"kind": "gd"}, steps=5)
@@ -682,3 +696,37 @@ class TestFinetuneAndReport:
         out = capsys.readouterr().out
         assert "method=ngdiff" in out
         assert "overhead=1.0667" in out
+
+
+class TestProcessEntry:
+    """``python -m ngdiff.cli`` freezes the objects of its imports; ``main`` never does."""
+
+    def test_main_leaves_the_freeze_count(self, tmp_path, capsys):
+        before = gc.get_freeze_count()
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gd"}, steps=5))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_run_prints_the_in_process_line(self, tmp_path, capsys):
+        cfg = str(CONFIGS / "gdiff_quad.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ngdiff.cli", "run", "--config", cfg, "--out", str(tmp_path / "a")],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_module_entry_freezes_before_main(self):
+        # runs the module as -m does and reads the freeze count as the process exits
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['ngdiff', '--help']\n"
+            "runpy.run_module('ngdiff.cli', run_name='__main__')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "frozen True"

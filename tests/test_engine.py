@@ -3,14 +3,18 @@
 import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ngdiff import (
     ConfigError,
+    EvalResult,
     NumericAbort,
     ParetoPoint,
+    RunRecord,
+    StepRow,
     config_from_dict,
     config_to_dict,
     dominated_by,
@@ -26,7 +30,15 @@ from ngdiff.bench import gen_gaussian_clusters, mlp_factory, split_forget_retain
 from ngdiff.engine import _Counters, _QuadTask, no_unlearn, run_name, write_trace_csv
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer
 
-from _oracles import brute_force_front, tail_variation
+from _oracles import (
+    brute_force_front,
+    record_to_dict,
+    record_to_json_two_pass,
+    tail_variation,
+    write_trace_csv_two_pass,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def quad_config(method, steps, lr=None, theta0=None, forget_kind=None, **extra):
@@ -366,3 +378,63 @@ class TestRecordSerialization:
         doc["forward_passes"] = -3
         with pytest.raises(ValueError):
             record_from_json(json.dumps(doc))
+
+
+def _hand_built_record(rows) -> RunRecord:
+    return RunRecord(
+        config=config_to_dict(quad_config({"kind": "gd"}, steps=max(len(rows), 1))),
+        rows=tuple(rows),
+        forward_passes=2,
+        backward_passes=2,
+        probe_forward_passes=0,
+        guard_trips=1,
+        final=EvalResult(-0.0, math.inf, math.nan, 5e-324),
+        params_digest="0" * 64,
+    )
+
+
+def _saturated_gaussian_record() -> RunRecord:
+    # a finetune this long and steep leaves both gradients below the combiner's
+    # norm floor: every ngdiff coefficient is nan, and the losses round to -0.0
+    cfg = gaussian_config(
+        {"kind": "ngdiff"}, steps=20, lr={"mode": "fixed", "eta": 0.1}, seeds=(0, 1, 2),
+        eval_every=5,
+        problem={"kind": "gaussian", "classes": 3, "per_class": 10, "dim": 4, "hidden": [4],
+                 "finetune_steps": 100, "finetune_eta": 50.0, "separation": 100.0},
+    )
+    rec = run_unlearning(cfg)
+    assert all(math.isnan(row.coeff_c) for row in rec.rows)
+    return rec
+
+
+RECORDS = {
+    "quad": lambda: run_unlearning(
+        config_from_dict(json.loads((CONFIGS / "gdiff_quad.json").read_text()))
+    ),
+    "gaussian_degenerate": _saturated_gaussian_record,
+    "npo": lambda: run_unlearning(gaussian_config(
+        {"kind": "npo", "beta": 1.0}, steps=20, eval_every=5,
+        problem={"kind": "gaussian", "per_class": 30, "finetune_steps": 20},
+    )),
+    "hand_built": lambda: _hand_built_record([
+        StepRow(0, math.nan, math.inf, -math.inf, -0.0, 1e-05, 5e-324, 0.0, 1.0, -1e300, 0),
+        StepRow(1, -0.0, 1e-05, 5e-324, math.nan, math.inf, -math.inf, 0.1, 2.5, 1e16, 3),
+    ]),
+    "no_rows": lambda: _hand_built_record([]),
+}
+
+
+class TestOnePassWriters:
+    """The writers format each trace row once; the bytes are those of the two-pass oracles."""
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_bytes_match_the_two_pass_writers(self, name, tmp_path):
+        rec = RECORDS[name]()
+        assert record_to_json(rec) == record_to_json_two_pass(rec)
+        write_trace_csv(rec, tmp_path / "one.csv")
+        write_trace_csv_two_pass(rec, tmp_path / "two.csv")
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+    def test_every_other_key_sorts_before_the_trace(self):
+        keys = record_to_dict(RECORDS["hand_built"]()).keys() - {"trace", "trace_columns"}
+        assert keys and max(keys) < "trace"
