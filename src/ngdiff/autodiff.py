@@ -24,14 +24,16 @@ Everything is 64-bit.  Graphs are single-owner: a run/backward pair must
 not be interleaved with runs of the same graph from another thread.  A
 copied or pickled graph leaves its forward cache behind.
 ``ParameterVector`` and ``FlatGradient`` are immutable values and safe to
-share, across processes too: a pickled copy is rebuilt through the checking
-constructor, so it arrives frozen and validated.
+share, across processes too: they are named tuples whose ``__new__`` checks
+and freezes, and a pickled copy is rebuilt through that ``__new__``, so it
+arrives frozen and validated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +60,7 @@ def _frozen_f64(value) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One named slice of the flat parameter vector."""
 
     name: str
@@ -71,17 +72,18 @@ class Segment:
         return math.prod(self.shape)
 
 
-@dataclass(frozen=True)
-class ParameterLayout:
-    """Ordered, contiguous, non-overlapping segments covering a flat vector."""
+class ParameterLayout(namedtuple("ParameterLayout", "segments total_size")):
+    """Ordered, contiguous, non-overlapping segments covering a flat vector.
 
-    segments: tuple[Segment, ...]
-    total_size: int = field(init=False, compare=False, repr=False)
+    Built, and pickled, from ``segments`` alone; ``total_size`` is derived.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, segments):
         offset = 0
         names = set()
-        for seg in self.segments:
+        for seg in segments:
             if seg.offset != offset:
                 raise DimensionError(
                     f"segment {seg.name!r} offset {seg.offset}, expected {offset}"
@@ -90,7 +92,10 @@ class ParameterLayout:
                 raise DimensionError(f"duplicate segment name {seg.name!r}")
             names.add(seg.name)
             offset += seg.size
-        object.__setattr__(self, "total_size", offset)
+        return super().__new__(cls, segments, offset)
+
+    def __getnewargs__(self):
+        return (self.segments,)
 
 
 def _check_vector(data: np.ndarray, layout: ParameterLayout, what: str) -> np.ndarray:
@@ -114,42 +119,29 @@ def _adopt_vector(cls, data: np.ndarray, layout: ParameterLayout, what: str):
     if np.count_nonzero(np.isfinite(data)) != data.size:
         raise NumericError(f"{what} entries must be finite")
     data.setflags(write=False)
-    value = object.__new__(cls)
-    value.__dict__.update(data=data, layout=layout)
-    return value
+    return tuple.__new__(cls, (data, layout))
 
 
-@dataclass(frozen=True)
-class ParameterVector:
+class ParameterVector(namedtuple("ParameterVector", "data layout")):
     """Flat model parameters plus the layout mapping segments to weights."""
 
-    data: np.ndarray
-    layout: ParameterLayout
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", _check_vector(self.data, self.layout, "parameter"))
-
-    def __reduce__(self):
-        # an unpickled array comes back writeable: rebuild through the checks
-        return ParameterVector, (self.data, self.layout)
+    def __new__(cls, data, layout):
+        return super().__new__(cls, _check_vector(data, layout, "parameter"), layout)
 
     @property
     def size(self) -> int:
         return self.data.size
 
 
-@dataclass(frozen=True)
-class FlatGradient:
+class FlatGradient(namedtuple("FlatGradient", "data layout")):
     """Flat gradient in the same layout as the parameter vector it differentiates."""
 
-    data: np.ndarray
-    layout: ParameterLayout
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", _check_vector(self.data, self.layout, "gradient"))
-
-    def __reduce__(self):
-        return FlatGradient, (self.data, self.layout)
+    def __new__(cls, data, layout):
+        return super().__new__(cls, _check_vector(data, layout, "gradient"), layout)
 
     @property
     def norm(self) -> float:
@@ -219,8 +211,7 @@ def _col_sum(g: np.ndarray) -> np.ndarray:
     return np.einsum("ij->j", g)
 
 
-@dataclass
-class _Cache:
+class _Cache(NamedTuple):
     """What ``Graph.run`` leaves for ``backward`` and for readers of the logits."""
 
     weights: list  # w_i views into the parameter vector

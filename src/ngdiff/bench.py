@@ -11,24 +11,21 @@ summation order goes with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .autodiff import Graph, NumericError, ParameterVector, _frozen_f64
 
 
-@dataclass(frozen=True)
-class LabeledBatch:
+class LabeledBatch(namedtuple("LabeledBatch", "features labels class_count")):
     """Feature matrix (n x d) with integer class labels, both frozen copies."""
 
-    features: np.ndarray
-    labels: np.ndarray
-    class_count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        features = _frozen_f64(self.features)
-        labels = np.asarray(self.labels, dtype=np.int64).copy()
+    def __new__(cls, features, labels, class_count):
+        features = _frozen_f64(features)
+        labels = np.asarray(labels, dtype=np.int64).copy()
         labels.flags.writeable = False
         if features.ndim != 2:
             raise ValueError("features must be 2-D")
@@ -38,14 +35,9 @@ class LabeledBatch:
             raise ValueError("labels must be 1-D with one entry per row")
         if labels.shape[0] < 1:
             raise ValueError("batch must be non-empty")
-        if self.class_count < 1 or labels.min() < 0 or labels.max() >= self.class_count:
+        if class_count < 1 or labels.min() < 0 or labels.max() >= class_count:
             raise ValueError("labels must lie in [0, class_count)")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-
-    def __reduce__(self):
-        # an unpickled array comes back writeable: rebuild through the checks
-        return LabeledBatch, (self.features, self.labels, self.class_count)
+        return super().__new__(cls, features, labels, class_count)
 
     @property
     def n(self) -> int:
@@ -63,26 +55,21 @@ class LabeledBatch:
         features.flags.writeable = False
         labels = self.labels[indices]
         labels.flags.writeable = False
-        batch = object.__new__(LabeledBatch)
-        object.__setattr__(batch, "features", features)
-        object.__setattr__(batch, "labels", labels)
-        object.__setattr__(batch, "class_count", self.class_count)
-        return batch
+        return tuple.__new__(LabeledBatch, (features, labels, self.class_count))
 
 
-@dataclass(frozen=True)
-class ForgetRetainSplit:
+class ForgetRetainSplit(namedtuple("ForgetRetainSplit", "retain forget forget_class")):
     """Partition of a dataset into the class to forget and everything else."""
 
-    retain: LabeledBatch
-    forget: LabeledBatch
-    forget_class: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not np.all(self.forget.labels == self.forget_class):
             raise ValueError("forget split must contain only the forget class")
         if np.any(self.retain.labels == self.forget_class):
             raise ValueError("retain split must not contain the forget class")
+        return self
 
 
 def gen_gaussian_clusters(

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import glob
 import json
 import math
 import sys
-import traceback
 from pathlib import Path
 
 from . import engine
@@ -74,6 +72,19 @@ def _apply_seed_overrides(doc: dict, args) -> dict:
     return doc
 
 
+class OutError(Exception):
+    """``--out`` cannot be made a directory; ``main`` prints it and exits 2."""
+
+
+def _make_dir(path: Path, out: str) -> Path:
+    """Create the directory ``path``, which is ``--out`` or lies under it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise OutError(f"--out {out}: cannot create directory {path}: {exc.strerror}") from None
+    return path
+
+
 def _fmt(x: float) -> str:
     return "nan" if not math.isfinite(x) else f"{x:.6f}"
 
@@ -89,8 +100,7 @@ def _execute_run(cfg: RunConfig, out_dir: str, start=None) -> RunRecord:
     ``start`` is the run's no-unlearn start when it was made elsewhere (see
     ``run_unlearning``).
     """
-    run_dir = Path(out_dir) / run_name(cfg)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = _make_dir(Path(out_dir) / run_name(cfg), out_dir)
     with open(run_dir / "config.json", "w") as fh:
         json.dump(engine.config_to_dict(cfg), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -159,6 +169,8 @@ def _sweep_config(doc: dict, param: str, value: str) -> dict:
 
 def _describe(exc: BaseException) -> str:
     """One line naming an unexpected error and the line that raised it."""
+    import traceback  # only a failed sweep child needs it
+
     frames = traceback.extract_tb(exc.__traceback__)
     where = f" (at {Path(frames[-1].filename).name}:{frames[-1].lineno})" if frames else ""
     return f"{type(exc).__name__}: {exc}{where}"
@@ -211,6 +223,9 @@ def cmd_sweep(args) -> int:
     if args.param not in SWEEPABLE:
         print(f"error: --param must be one of {SWEEPABLE}", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return 2
     child_docs = [_sweep_config(doc, args.param, v) for v in values]
     # one result per value, in order; a value whose config fails is not run
     results = [None] * len(values)
@@ -229,13 +244,13 @@ def cmd_sweep(args) -> int:
             return 2
         first_value[name] = value
         runs.append((i, value, cfg))
-    out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = _make_dir(Path(args.out), args.out)
     starts = _shared_starts([cfg for _, _, cfg in runs])
-    if args.jobs > 1:
+    workers = min(args.jobs, len(runs))
+    if workers > 1:
         import concurrent.futures  # only a pool needs it: spares every other command the import
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_sweep_child, cfg, str(out_root), value, start)
                 for (_, value, cfg), start in zip(runs, starts)
@@ -282,6 +297,8 @@ def cmd_finetune(args) -> int:
 
 
 def _load_records(patterns) -> list[tuple[str, RunRecord]]:
+    import glob  # only report and pareto read records
+
     paths: list[str] = []
     for pattern in patterns:
         hits = sorted(glob.glob(pattern))
@@ -309,11 +326,10 @@ def cmd_pareto(args) -> int:
             raise ConfigError(path, str(exc)) from None
     front = non_dominated_set(points)
     front_set = {id(p) for p in front}
+    out_path = _make_dir(Path(args.out), args.out) / "pareto.csv"
     for p in points:
         status = "non-dominated" if id(p) in front_set else "dominated"
         print(f"{status}: {p.tag} loss_retain={p.retain_loss!r} loss_forget={p.forget_loss!r}")
-    out_path = Path(args.out) / "pareto.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["tag,loss_retain,loss_forget"]
     for p in front:
         lines.append(f"{p.tag},{p.retain_loss!r},{p.forget_loss!r}")
@@ -395,6 +411,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OutError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

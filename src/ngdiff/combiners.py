@@ -14,7 +14,7 @@ so the scale difference is absorbed by the learning rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -38,8 +38,9 @@ KINDS = (GD, GA, GDIFF, LOSSNORM, RLW, PCGRAD, IMTLG, NGDIFF, SCHEDULED_GDIFF)
 NORM_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class CombinerSpec:
+class CombinerSpec(
+    namedtuple("CombinerSpec", "kind c rng_seed amplitude decay", defaults=(None, None, 0.0, 1.0))
+):
     """Which combination rule to run, plus its rule-specific knobs.
 
     ``c`` is the static weight for ``gdiff`` and the asymptotic weight for
@@ -49,19 +50,17 @@ class CombinerSpec:
     (``engine.METHOD_FIELDS``).
     """
 
-    kind: str
-    c: float | None = None
-    rng_seed: int | None = None
-    amplitude: float = 0.0
-    decay: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in KINDS:
             raise ValueError(f"unknown combiner kind {self.kind!r}")
         if self.kind in (GDIFF, SCHEDULED_GDIFF) and self.c is None:
             raise ValueError(f"{self.kind} requires c")
         if self.kind == RLW and self.rng_seed is None:
             raise ValueError("rlw requires rng_seed")
+        return self
 
 
 class CombinerOutput(NamedTuple):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
 
@@ -68,19 +68,17 @@ class NumericAbort(RuntimeError):
 # --------------------------------------------------------------------------
 # Configuration
 #
-# The holders below are plain frozen records.  What a config document may
+# The holders below are plain named tuples.  What a config document may
 # hold - each field's JSON type, range, default and the kinds that read it -
 # is the field table after them, which one parser and one echo both follow.
 
 
-@dataclass(frozen=True)
-class NpoSpec:
+class NpoSpec(NamedTuple):
     kind = "npo"  # a class attribute, as the kind of a CombinerSpec is a field
     beta: float
 
 
-@dataclass(frozen=True)
-class LrConfig:
+class LrConfig(NamedTuple):
     """Fixed step size, or probe-based automatic selection.
 
     In auto mode ``eta`` (optional) is the step size used until the first
@@ -93,15 +91,13 @@ class LrConfig:
     probe_epsilon: float
 
 
-@dataclass(frozen=True)
-class Seeds:
+class Seeds(NamedTuple):
     data: int
     init: int
     method: int
 
 
-@dataclass(frozen=True)
-class GaussianProblem:
+class GaussianProblem(NamedTuple):
     """Synthetic forget-one-class classification task."""
 
     kind = "gaussian"
@@ -115,8 +111,7 @@ class GaussianProblem:
     finetune_eta: float
 
 
-@dataclass(frozen=True)
-class QuadProblemConfig:
+class QuadProblemConfig(NamedTuple):
     """Analytic quadratic-pair task; starts from ``theta0`` (None: from b)."""
 
     kind = "quad_pair"
@@ -126,8 +121,7 @@ class QuadProblemConfig:
     theta0: tuple[float, ...] | None
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     method: CombinerSpec | NpoSpec
     lr: LrConfig
     steps: int
@@ -397,31 +391,30 @@ class EvalResult(NamedTuple):
 RUN_COUNTERS = ("forward_passes", "backward_passes", "probe_forward_passes", "guard_trips")
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
+class ParetoPoint(namedtuple("ParetoPoint", "retain_loss forget_loss tag", defaults=("",))):
     """One model's (retain loss, forget loss) summary for dominance checks."""
 
-    retain_loss: float
-    forget_loss: float
-    tag: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.retain_loss) and math.isfinite(self.forget_loss)):
             raise ValueError("pareto point losses must be finite")
+        return self
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    config: dict
-    rows: tuple[StepRow, ...]
-    forward_passes: int
-    backward_passes: int
-    probe_forward_passes: int
-    guard_trips: int
-    final: EvalResult
-    params_digest: str
-    final_params: ParameterVector | None = None
-    schema: int = SCHEMA_VERSION
+class RunRecord(
+    namedtuple(
+        "RunRecord",
+        "config rows forward_passes backward_passes probe_forward_passes guard_trips final "
+        "params_digest final_params schema",
+        defaults=(None, SCHEMA_VERSION),
+    )
+):
+    """A run's config echo, trace rows, pass counters, final metrics and parameters.
+
+    It keeps an instance dict (no ``__slots__``), where ``trace_lines`` is cached.
+    """
 
     @property
     def steps(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -109,27 +109,23 @@ def theta_layout(dim: int) -> ParameterLayout:
     return ParameterLayout((Segment("theta", (dim,), 0),))
 
 
-@dataclass(frozen=True)
-class QuadPairProblem:
+class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
     """Two-task objective with retain anchor ``a`` and forget anchor ``b``."""
 
-    a: np.ndarray
-    b: np.ndarray
-    forget_kind: str = UNBOUNDED_QUADRATIC
+    __slots__ = ()
 
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
+    def __new__(cls, a, b, forget_kind=UNBOUNDED_QUADRATIC):
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
         if a.ndim != 1 or a.shape != b.shape:
             raise ValueError("anchors must be 1-D vectors of equal length")
         if np.array_equal(a, b):
             raise ValueError("anchors must differ")
-        if self.forget_kind not in FORGET_KINDS:
+        if forget_kind not in FORGET_KINDS:
             raise ValueError(f"forget_kind must be one of {FORGET_KINDS}")
         a.flags.writeable = False
         b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        return super().__new__(cls, a, b, forget_kind)
 
     @property
     def dim(self) -> int:

@@ -20,8 +20,8 @@ overhead is amortized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from collections import namedtuple
+from typing import Callable, NamedTuple
 
 from .autodiff import FlatGradient, ParameterVector, axpy_update
 
@@ -32,8 +32,7 @@ class ProbeError(RuntimeError):
     """Probe losses stayed non-finite after all retries."""
 
 
-@dataclass(frozen=True)
-class QuadraticFit:
+class QuadraticFit(NamedTuple):
     """Parabola through three equally spaced loss samples along a direction."""
 
     probe: float
@@ -45,27 +44,29 @@ class QuadraticFit:
     a0: float
 
 
-@dataclass(frozen=True)
-class LrState:
+class LrState(
+    namedtuple(
+        "LrState", "eta update_period probe_epsilon fitted guard_trips",
+        defaults=(None, 10, 1e-3, None, 0),
+    )
+):
     """Step-size state threaded through the unlearning loop.
 
     ``eta`` is None until the first successful fit; until then the acting
     step size (and probe magnitude) falls back to ``probe_epsilon``.
     """
 
-    eta: float | None = None
-    update_period: int = 10
-    probe_epsilon: float = 1e-3
-    fitted: QuadraticFit | None = None
-    guard_trips: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.eta is not None and not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError("eta must be positive and finite")
         if self.update_period < 1:
             raise ValueError("update_period must be >= 1")
         if not self.probe_epsilon > 0:
             raise ValueError("probe_epsilon must be positive")
+        return self
 
     @property
     def step_size(self) -> float:
@@ -154,9 +155,14 @@ def maybe_update(
             retain_loss, params, direction, state.step_size, loss_zero
         )
     except ProbeError:
-        return replace(state, guard_trips=state.guard_trips + 1)
+        return _replace(state, guard_trips=state.guard_trips + 1)
     fit = fit_quadratic(probe, l_minus, l_zero, l_plus)
     eta = optimal_lr(fit)
     if eta is None:
-        return replace(state, fitted=fit, guard_trips=state.guard_trips + 1)
-    return replace(state, eta=eta, fitted=fit)
+        return _replace(state, fitted=fit, guard_trips=state.guard_trips + 1)
+    return _replace(state, eta=eta, fitted=fit)
+
+
+def _replace(state: LrState, **changes) -> LrState:
+    """``state`` with ``changes``, built through the checks that ``state._replace`` skips."""
+    return LrState(**{**state._asdict(), **changes})

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ngdiff.cli
 import ngdiff.engine
 from ngdiff.cli import main
 from ngdiff.engine import EvalResult, record_from_json
@@ -572,6 +573,63 @@ class TestSweep:
         assert "config error: method.decya: unknown field" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))
+        out = tmp_path / "s"
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6,0.9",
+             "--jobs", jobs]
+        ) == 2
+        assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "jobs, values, pools", [("8", "0.6,0.7,0.8", [3]), ("2", "0.6,0.7,0.8", [2]),
+                                ("8", "0.6", []), ("8", "0.6,2.0", [])],
+    )
+    def test_pool_has_at_most_one_worker_per_child(self, tmp_path, monkeypatch, jobs, values, pools):
+        import concurrent.futures
+
+        made = []
+
+        class InlinePool:
+            """Records its size and runs each task at once, in this process."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))
+        main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--param", "c", "--values", values,
+              "--jobs", jobs])
+        # c=2.0 fails its config check, which leaves one child to run
+        assert made == pools
+        ok = (tmp_path / "s" / "sweep_summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in ok] == [v for v in values.split(",") if v != "2.0"]
+
+    def test_equal_problems_share_one_start(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(ngdiff.engine, "no_unlearn", lambda cfg: made.append(cfg) or object())
+        # parsed apart, so the problems are equal but not the same object
+        cfgs = [ngdiff.engine.config_from_dict(small_gauss_doc({"kind": k})) for k in ("gd", "ga")]
+        other = ngdiff.engine.config_from_dict(small_gauss_doc({"kind": "gd"}, dim=5))
+        assert cfgs[0].problem is not cfgs[1].problem
+        starts = ngdiff.cli._shared_starts([*cfgs, other])
+        assert len(made) == 2
+        assert starts[0] is starts[1] is not starts[2]
+
     def test_eta_sweep_switches_to_fixed_mode(self, tmp_path):
         doc = quad_doc({"kind": "ngdiff"}, steps=20, lr={"mode": "auto"}, theta0=[0.5, 1.0])
         cfg = write_config(tmp_path / "cfg.json", doc)
@@ -698,6 +756,31 @@ class TestFinetuneAndReport:
         assert "overhead=1.0667" in out
 
 
+class TestOutPath:
+    """``--out`` naming an existing file is an argument error, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "pareto"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_file_as_out_exits_2(self, tmp_path, capsys, command, under):
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))
+        record = str(one_record(tmp_path, quad_doc({"kind": "gd"}, steps=5)))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "sub" if under else blocker)
+        argv = {
+            "run": ["run", "--config", cfg, "--out", out],
+            "sweep": ["sweep", "--config", cfg, "--out", out, "--param", "c", "--values", "0.6"],
+            "pareto": ["pareto", record, "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: --out {out}: cannot create directory")
+        assert captured.out == ""
+        assert blocker.read_text() == ""
+
+
 class TestProcessEntry:
     """``python -m ngdiff.cli`` freezes the objects of its imports; ``main`` never does."""
 
@@ -716,6 +799,22 @@ class TestProcessEntry:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
         assert proc.stdout == capsys.readouterr().out
+
+    def test_cli_import_loads_no_cli_only_module(self):
+        # dataclasses would mean generated code at import; the others load where they are used
+        code = (
+            "import sys\n"
+            "import numpy, json, argparse, hashlib\n"
+            "before = set(sys.modules)\n"
+            "import ngdiff.cli\n"
+            "lazy = {'dataclasses', 'traceback', 'glob', 'concurrent.futures'}\n"
+            "print(sorted(lazy & (set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=120
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "[]\n"
 
     def test_module_entry_freezes_before_main(self):
         # runs the module as -m does and reads the freeze count as the process exits

@@ -1,0 +1,189 @@
+"""The package's value types: frozen named tuples, pickled through their checks."""
+
+import math
+import pickle
+
+import numpy as np
+import pytest
+
+import ngdiff.scheduler
+from ngdiff import (
+    CombinerSpec,
+    DimensionError,
+    FlatGradient,
+    LabeledBatch,
+    LrState,
+    NumericError,
+    ParameterLayout,
+    ParameterVector,
+    ParetoPoint,
+    QuadPairProblem,
+    Segment,
+    config_from_dict,
+    fit_quadratic,
+    maybe_update,
+    run_unlearning,
+    split_forget_retain,
+)
+from ngdiff.autodiff import _Cache
+from ngdiff.objectives import theta_layout
+
+QUAD_DOC = {
+    "method": {"kind": "gdiff", "c": 0.75},
+    "lr": {"mode": "fixed", "eta": 0.1},
+    "steps": 3,
+    "seeds": {"data": 0, "init": 0, "method": 0},
+    "problem": {"kind": "quad_pair", "a": [0.0, 0.0], "b": [1.0, 0.0]},
+}
+GAUSS_DOC = {
+    "method": {"kind": "npo", "beta": 0.5},
+    "lr": {"mode": "auto", "eta": 0.01},
+    "steps": 3,
+    "seeds": {"data": 0, "init": 1, "method": 2},
+    "problem": {"kind": "gaussian", "hidden": [4, 3]},
+}
+
+
+def _batch():
+    return LabeledBatch(np.arange(12.0).reshape(6, 2), [0, 1, 2, 0, 1, 2], 3)
+
+
+def _values():
+    """One value of every value type, by name."""
+    layout = theta_layout(2)
+    quad, gauss = config_from_dict(QUAD_DOC), config_from_dict(GAUSS_DOC)
+    fit = fit_quadratic(0.1, 1.0, 0.5, 0.7)
+    return {
+        "Segment": Segment("w1", (2, 3), 0),
+        "ParameterLayout": layout,
+        "ParameterVector": ParameterVector([1.0, 2.0], layout),
+        "FlatGradient": FlatGradient([0.5, -0.5], layout),
+        "LabeledBatch": _batch(),
+        "ForgetRetainSplit": split_forget_retain(_batch(), 1),
+        "CombinerSpec": quad.method,
+        "QuadPairProblem": QuadPairProblem([0.0, 0.0], [1.0, 0.0], "bounded_exp"),
+        "QuadraticFit": fit,
+        "LrState": LrState(eta=0.2, fitted=fit, guard_trips=1),
+        "NpoSpec": gauss.method,
+        "LrConfig": quad.lr,
+        "Seeds": quad.seeds,
+        "GaussianProblem": gauss.problem,
+        "QuadProblemConfig": quad.problem,
+        "RunConfig": gauss,
+        "ParetoPoint": ParetoPoint(0.1, 0.2, "tag"),
+        "RunRecord": run_unlearning(quad),
+    }
+
+
+VALUES = _values()
+
+
+def assert_same(copy, value):
+    """Equal field by field, with every array of ``copy`` bit-equal and read-only."""
+    assert type(copy) is type(value)
+    if isinstance(value, np.ndarray):
+        assert copy.dtype == value.dtype and copy.tobytes() == value.tobytes()
+        assert not copy.flags.writeable
+    elif isinstance(value, tuple):
+        assert len(copy) == len(value)
+        for a, b in zip(copy, value):
+            assert_same(a, b)
+    elif isinstance(value, float):
+        assert repr(copy) == repr(value)  # nan too
+    else:
+        assert copy == value
+
+
+def test_every_value_type_is_covered():
+    assert sorted(VALUES) == sorted({type(v).__name__ for v in VALUES.values()})
+    assert len(VALUES) + 1 == 19  # and _Cache, which only Graph.run builds
+
+
+@pytest.mark.parametrize("name", [*VALUES, "_Cache"])
+def test_rebinding_a_field_raises(name):
+    value = VALUES[name] if name != "_Cache" else _Cache([], [], None, None, None, None)
+    for field in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_pickled_copy_is_equal_and_frozen(name):
+    assert_same(pickle.loads(pickle.dumps(VALUES[name])), VALUES[name])
+
+
+def _bypassed(cls, *fields):
+    """A ``cls`` built without its checks, as a corrupted pickle would describe one."""
+    return tuple.__new__(cls, fields)
+
+
+INVALID = {
+    "ParameterLayout": (
+        _bypassed(ParameterLayout, (Segment("a", (2,), 0), Segment("b", (1,), 3)), 4),
+        DimensionError, "segment 'b' offset 3, expected 2",
+    ),
+    "ParameterVector": (
+        _bypassed(ParameterVector, np.array([1.0, math.nan]), theta_layout(2)),
+        NumericError, "parameter entries must be finite",
+    ),
+    "FlatGradient": (
+        _bypassed(FlatGradient, np.zeros(3), theta_layout(2)),
+        DimensionError, "gradient length 3 does not match layout size 2",
+    ),
+    "LabeledBatch": (
+        _bypassed(LabeledBatch, np.zeros((2, 2)), np.array([0, 3]), 3),
+        ValueError, r"labels must lie in \[0, class_count\)",
+    ),
+    "ForgetRetainSplit": (
+        _bypassed(type(VALUES["ForgetRetainSplit"]), _batch(), _batch(), 1),
+        ValueError, "forget split must contain only the forget class",
+    ),
+    "CombinerSpec": (
+        _bypassed(CombinerSpec, "rlw", None, None, 0.0, 1.0),
+        ValueError, "rlw requires rng_seed",
+    ),
+    "QuadPairProblem": (
+        _bypassed(QuadPairProblem, np.zeros(2), np.zeros(2), "bounded_exp"),
+        ValueError, "anchors must differ",
+    ),
+    "LrState": (
+        _bypassed(LrState, math.inf, 10, 1e-3, None, 0),
+        ValueError, "eta must be positive and finite",
+    ),
+    "ParetoPoint": (
+        _bypassed(ParetoPoint, math.nan, 0.0, ""),
+        ValueError, "pareto point losses must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(INVALID))
+def test_invalid_pickled_payload_raises_the_constructor_error(name):
+    value, error, message = INVALID[name]
+    payload = pickle.dumps(value)
+    with pytest.raises(error, match=message):
+        pickle.loads(payload)
+
+
+def test_layout_pickles_its_segments_alone():
+    layout = VALUES["ParameterLayout"]
+    assert layout.__getnewargs__() == (layout.segments,)
+    assert pickle.loads(pickle.dumps(layout)).total_size == 2
+
+
+def test_update_still_rejects_a_non_finite_eta(monkeypatch):
+    monkeypatch.setattr(ngdiff.scheduler, "optimal_lr", lambda fit: math.inf)
+    params = ParameterVector([1.0], theta_layout(1))
+    direction = FlatGradient([1.0], params.layout)
+
+    def loss(p):
+        return 0.5 * float(p.data[0]) ** 2
+
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        maybe_update(LrState(eta=0.1), 0, loss, params, direction)
+
+
+def test_record_formats_its_trace_once():
+    record = run_unlearning(config_from_dict(QUAD_DOC))
+    assert record.trace_lines is record.trace_lines
+    assert len(record.trace_lines) == record.steps == 3
