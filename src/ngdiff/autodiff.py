@@ -14,6 +14,12 @@ function of ``lp``, so this one kernel serves finetuning, both task
 gradients, probes and evaluation.
 
 Finiteness is checked once per layer pre-activation and once on the loss.
+Every parameter or gradient vector is checked once, by its sum of squares
+``data.dot(data)``: a finite sum proves every entry finite, since a nan
+entry makes it nan and an infinite one inf.  Only a non-finite sum, which
+huge finite entries also give when their squares overflow, is followed by
+the entry-wise test.  A ``FlatGradient`` keeps the sum's root as its
+``norm``, which ``combiners.combine`` and the trace's ``gnorm_*`` columns read.
 The floating-point operations and their order are fixed, so a run is
 reproducible bit for bit.  They are those of the plain numpy formulas
 (``tests/_oracles.py`` keeps them as the reference); the kernel only picks
@@ -98,27 +104,40 @@ class ParameterLayout(namedtuple("ParameterLayout", "segments total_size")):
         return (self.segments,)
 
 
-def _check_vector(data: np.ndarray, layout: ParameterLayout, what: str) -> np.ndarray:
+def _check_vector(cls, data, layout: ParameterLayout, what: str):
+    """Build a ``cls`` value around a frozen copy of ``data``, checked against ``layout``.
+
+    The public constructors, and so unpickling, come this way.  Unlike the
+    adopt path, which runs inside the loops' own errstate, they silence
+    numpy's warning about a sum of squares that overflows themselves.
+    """
     data = _frozen_f64(data).reshape(-1)
     if data.size != layout.total_size:
         raise DimensionError(
             f"{what} length {data.size} does not match layout size {layout.total_size}"
         )
-    if not np.all(np.isfinite(data)):
-        raise NumericError(f"{what} entries must be finite")
-    return data
+    with np.errstate(over="ignore"):
+        return _adopt_vector(cls, data, layout, what)
 
 
-def _adopt_vector(cls, data: np.ndarray, layout: ParameterLayout, what: str):
+def _adopt_vector(cls, data: np.ndarray, layout: ParameterLayout, what: str, sq=None):
     """Build a ``cls`` value around a fresh flat array of the layout's size.
 
     Only the finiteness check remains: the array is owned by nobody else,
-    so it is frozen in place instead of copied.
+    so it is frozen in place instead of copied.  A finite sum of squares
+    proves every entry finite (a nan entry makes it nan, an infinite one
+    inf); only a non-finite sum, which huge finite entries can also give,
+    is followed by the entry-wise test.  A gradient keeps the sum's root
+    as its norm.  ``sq`` is ``data.dot(data)`` when the caller has taken it.
     """
+    if sq is None:
+        sq = data.dot(data)
     # count_nonzero skips the Python wrapper of ndarray.all
-    if np.count_nonzero(np.isfinite(data)) != data.size:
+    if not math.isfinite(sq) and np.count_nonzero(np.isfinite(data)) != data.size:
         raise NumericError(f"{what} entries must be finite")
     data.setflags(write=False)
+    if cls is FlatGradient:
+        return tuple.__new__(cls, (data, layout, math.sqrt(sq)))
     return tuple.__new__(cls, (data, layout))
 
 
@@ -128,25 +147,28 @@ class ParameterVector(namedtuple("ParameterVector", "data layout")):
     __slots__ = ()
 
     def __new__(cls, data, layout):
-        return super().__new__(cls, _check_vector(data, layout, "parameter"), layout)
+        return _check_vector(cls, data, layout, "parameter")
 
     @property
     def size(self) -> int:
         return self.data.size
 
 
-class FlatGradient(namedtuple("FlatGradient", "data layout")):
-    """Flat gradient in the same layout as the parameter vector it differentiates."""
+class FlatGradient(namedtuple("FlatGradient", "data layout norm")):
+    """Flat gradient in the same layout as the parameter vector it differentiates.
+
+    Built, and pickled, from ``data`` and ``layout`` alone; ``norm`` is
+    derived: ``math.sqrt(data.dot(data))``, the root of the sum of squares
+    that proved the entries finite (``inf`` when that sum overflows).
+    """
 
     __slots__ = ()
 
     def __new__(cls, data, layout):
-        return super().__new__(cls, _check_vector(data, layout, "gradient"), layout)
+        return _check_vector(cls, data, layout, "gradient")
 
-    @property
-    def norm(self) -> float:
-        # np.linalg.norm's own formula for a 1-D float vector, without its wrapper
-        return math.sqrt(self.data.dot(self.data))
+    def __getnewargs__(self):
+        return (self.data, self.layout)
 
 
 def _same_layout(a: ParameterLayout, b: ParameterLayout, what: str) -> None:

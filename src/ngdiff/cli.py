@@ -85,6 +85,17 @@ def _make_dir(path: Path, out: str) -> Path:
     return path
 
 
+def _out_file(directory: Path, name: str, out: str) -> Path:
+    """The artifact ``directory / name`` under ``--out``; a directory in its place is an OutError.
+
+    Checked before anything is computed, so a run does not fail after its loop.
+    """
+    path = directory / name
+    if path.is_dir():
+        raise OutError(f"--out {out}: cannot write {path}: Is a directory")
+    return path
+
+
 def _fmt(x: float) -> str:
     return "nan" if not math.isfinite(x) else f"{x:.6f}"
 
@@ -101,12 +112,15 @@ def _execute_run(cfg: RunConfig, out_dir: str, start=None) -> RunRecord:
     ``run_unlearning``).
     """
     run_dir = _make_dir(Path(out_dir) / run_name(cfg), out_dir)
-    with open(run_dir / "config.json", "w") as fh:
+    config_path, trace_path, record_path = (
+        _out_file(run_dir, name, out_dir) for name in ("config.json", "trace.csv", "record.json")
+    )
+    with open(config_path, "w") as fh:
         json.dump(engine.config_to_dict(cfg), fh, sort_keys=True, indent=2)
         fh.write("\n")
     record = run_unlearning(cfg, start)
-    write_trace_csv(record, run_dir / "trace.csv")
-    with open(run_dir / "record.json", "w") as fh:
+    write_trace_csv(record, trace_path)
+    with open(record_path, "w") as fh:
         fh.write(record_to_json(record) + "\n")
     # one write per line: sweep children share stdout, and print's separate
     # newline write would let another child's line in between when unbuffered
@@ -185,6 +199,8 @@ def _sweep_child(cfg: RunConfig, out_dir: str, value: str, start):
         return value, 0, final, None
     except NumericAbort as exc:
         return value, 3, None, str(exc)
+    except OutError as exc:
+        return value, 2, None, str(exc)
     except Exception as exc:  # a failing child must not take the sweep down
         return value, 1, None, _describe(exc)
 
@@ -245,6 +261,7 @@ def cmd_sweep(args) -> int:
         first_value[name] = value
         runs.append((i, value, cfg))
     out_root = _make_dir(Path(args.out), args.out)
+    summary_path = _out_file(out_root, "sweep_summary.csv", args.out)
     starts = _shared_starts([cfg for _, _, cfg in runs])
     workers = min(args.jobs, len(runs))
     if workers > 1:
@@ -272,7 +289,7 @@ def cmd_sweep(args) -> int:
             worst = max(worst, code)
             continue
         lines.append(",".join((value, *map(repr, final))))
-    with open(out_root / "sweep_summary.csv", "w", newline="") as fh:
+    with open(summary_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return worst
 
@@ -326,7 +343,7 @@ def cmd_pareto(args) -> int:
             raise ConfigError(path, str(exc)) from None
     front = non_dominated_set(points)
     front_set = {id(p) for p in front}
-    out_path = _make_dir(Path(args.out), args.out) / "pareto.csv"
+    out_path = _out_file(_make_dir(Path(args.out), args.out), "pareto.csv", args.out)
     for p in points:
         status = "non-dominated" if id(p) in front_set else "dominated"
         print(f"{status}: {p.tag} loss_retain={p.retain_loss!r} loss_forget={p.forget_loss!r}")

@@ -584,8 +584,9 @@ class _BatchStream:
 class _QuadTask:
     """Analytic quadratic-pair task: full-batch closed-form losses/gradients.
 
-    The problem returns each gradient as a fresh array, so it is adopted
-    into a ``FlatGradient`` without a copy.
+    The problem returns each gradient as a fresh array with its sum of
+    squares, so it is adopted into a ``FlatGradient`` without a copy or a
+    second pass.
     """
 
     has_accuracy = False
@@ -602,14 +603,14 @@ class _QuadTask:
     def retain_loss_grad(self, params):
         self._counters.forward += 1
         self._counters.backward += 1
-        loss, grad = self.problem.retain_loss_grad(params)
-        return loss, _adopt_vector(FlatGradient, grad, params.layout, "gradient")
+        loss, grad, sq = self.problem.retain_loss_grad(params)
+        return loss, _adopt_vector(FlatGradient, grad, params.layout, "gradient", sq)
 
     def forget_loss_grad(self, params):
         self._counters.forward += 1
         self._counters.backward += 1
-        loss, grad = self.problem.forget_loss_grad(params)
-        return loss, _adopt_vector(FlatGradient, grad, params.layout, "gradient")
+        loss, grad, sq = self.problem.forget_loss_grad(params)
+        return loss, _adopt_vector(FlatGradient, grad, params.layout, "gradient", sq)
 
     def probe_loss(self, params) -> float:
         self._counters.probe_forward += 1
@@ -699,13 +700,17 @@ def finetune(
     Produces the "no-unlearn" weights every classification run starts from
     (and the reference model for the preference-loss baseline).
     """
-    for step in range(steps):
-        try:
-            forward(graph, params, data)  # raises NumericError on a non-finite loss
-            grad = graph.backward()
-            params = axpy_update(params, grad, eta)
-        except NumericError as exc:
-            raise NumericAbort(step, str(exc), params) from None
+    # every value kept is checked for finiteness, so numpy's own overflow
+    # warnings on the way to a non-finite one are noise; one errstate for
+    # the whole loop, since entering one costs about as much as a check
+    with np.errstate(all="ignore"):
+        for step in range(steps):
+            try:
+                forward(graph, params, data)  # raises NumericError on a non-finite loss
+                grad = graph.backward()
+                params = axpy_update(params, grad, eta)
+            except NumericError as exc:
+                raise NumericAbort(step, str(exc), params) from None
     return params
 
 

@@ -141,19 +141,27 @@ class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
             raise ValueError(f"theta must have shape ({self.dim},)")
         return arr
 
-    def retain_loss_grad(self, theta) -> tuple[float, np.ndarray]:
-        """The retain loss and its gradient, both from one ``theta - a``."""
+    def retain_loss_grad(self, theta) -> tuple[float, np.ndarray, float]:
+        """The retain loss, its gradient and the gradient's sum of squares.
+
+        All three come from one ``theta - a``; the sum of squares is the
+        gradient's, so a caller that checks or normalizes it need not take
+        it again.
+        """
         d = self._theta(theta) - self.a
         # d.dot(d) gives the bits of d @ d (both are BLAS ddot) without the ufunc overhead
-        return 0.5 * float(d.dot(d)), d
+        sq = d.dot(d)
+        return 0.5 * float(sq), d, sq
 
-    def forget_loss_grad(self, theta) -> tuple[float, np.ndarray]:
-        """The forget loss and its gradient, both from one ``theta - b``."""
+    def forget_loss_grad(self, theta) -> tuple[float, np.ndarray, float]:
+        """The forget loss, its gradient and the gradient's sum of squares, from one ``theta - b``."""
         d = self._theta(theta) - self.b
-        q = 0.5 * float(d.dot(d))
+        sq = d.dot(d)
+        q = 0.5 * float(sq)
         if self.forget_kind == UNBOUNDED_QUADRATIC:
-            return q, d
-        return -math.expm1(-q), math.exp(-q) * d
+            return q, d, sq
+        g = math.exp(-q) * d
+        return -math.expm1(-q), g, g.dot(g)
 
     def retain_loss(self, theta) -> float:
         return self.retain_loss_grad(theta)[0]

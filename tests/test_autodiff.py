@@ -16,8 +16,9 @@ from ngdiff import (
     axpy_update,
     forward,
 )
-from ngdiff.autodiff import _FAST_ROWS, _col_sum, _row_sum
+from ngdiff.autodiff import _FAST_ROWS, _adopt_vector, _col_sum, _row_sum
 from ngdiff.bench import mlp_factory
+from ngdiff.combiners import CombinerSpec, combine
 from ngdiff.objectives import theta_layout
 
 from _oracles import (
@@ -327,3 +328,92 @@ class TestValueTypes:
         assert not copy.data.flags.writeable
         with pytest.raises(ValueError):
             copy.data[0] = 5.0
+
+
+HUGE = [[1e200, 1.0], [1e300, -1e300]]  # finite, but their sums of squares overflow
+NON_FINITE = [
+    [math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0],
+    [1e300, math.nan], [math.inf, 1e300], [-1e300, -math.inf], [math.inf, -math.inf],
+]
+
+
+def root_of_squares(data: np.ndarray) -> str:
+    with np.errstate(over="ignore"):
+        return repr(math.sqrt(data.dot(data)))
+
+
+class TestFinitenessRule:
+    """One sum of squares checks a vector and, for a gradient, gives its norm."""
+
+    layout = theta_layout(2)
+
+    @pytest.mark.filterwarnings("error")  # the constructors, and unpickling, never warn
+    @pytest.mark.parametrize("values", HUGE)
+    @pytest.mark.parametrize("cls", [ParameterVector, FlatGradient])
+    def test_huge_finite_entries_are_accepted(self, cls, values):
+        value = cls(values, self.layout)
+        assert value.data.tolist() == values
+        assert pickle.loads(pickle.dumps(value)).data.tolist() == values
+
+    @pytest.mark.parametrize("values", HUGE)
+    def test_huge_finite_update_is_accepted(self, values):
+        params = ParameterVector(values, self.layout)
+        step = FlatGradient([1.0, -1.0], self.layout)
+        with np.errstate(over="ignore"):  # as in the loops, which check instead
+            updated = axpy_update(params, step, 1.0)
+        assert updated.data.tolist() == (np.array(values) - [1.0, -1.0]).tolist()
+
+    def test_huge_finite_backward_is_accepted(self):
+        graph, params = mlp_factory(0, [1, 2])
+        params = ParameterVector([1.0, -1.0, 0.0, 0.0], params.layout)
+        with np.errstate(over="ignore"):
+            assert forward(graph, params, batch_of([[1e200]], [1], 2)) == 2e200
+            grad = graph.backward()
+        assert grad.data.tolist() == [1e200, -1e200, 1.0, -1.0]
+        assert grad.norm == math.inf
+
+    @pytest.mark.parametrize("values", NON_FINITE)
+    @pytest.mark.parametrize("cls, what", [(ParameterVector, "parameter"), (FlatGradient, "gradient")])
+    def test_non_finite_entries_are_rejected(self, cls, what, values):
+        with pytest.raises(NumericError, match=f"^{what} entries must be finite$"):
+            cls(values, self.layout)
+        # the adopt path relies on its caller's errstate, as in the loops
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=f"^{what} entries must be finite$"
+        ):
+            _adopt_vector(cls, np.array(values), self.layout, what)
+
+    @pytest.mark.parametrize(
+        "params, step", [([1e300, 1.0], [-1e300, 0.0]), ([1e300, -1e300], [-1e300, 1e300])]
+    )
+    def test_overflowing_update_is_rejected(self, params, step):
+        params = ParameterVector(params, self.layout)
+        step = FlatGradient(step, self.layout)
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match="^parameter entries must be finite$"
+        ):
+            axpy_update(params, step, 1e10)
+
+    @pytest.mark.parametrize("values", [*HUGE, [0.0, 0.0], [3.0, -4.0], [1e-200, 1e-200]])
+    def test_norm_is_the_root_of_the_sum_of_squares(self, values):
+        built = FlatGradient(values, self.layout)
+        with np.errstate(over="ignore"):
+            adopted = _adopt_vector(FlatGradient, np.array(values), self.layout, "gradient")
+        for grad in (built, adopted, pickle.loads(pickle.dumps(built))):
+            assert type(grad.norm) is float
+            assert repr(grad.norm) == root_of_squares(grad.data)
+
+    def test_kernel_and_combined_norms_are_the_root_of_the_sum_of_squares(self):
+        graph, params, batch = random_mlp_case(4)
+        forward(graph, params, batch)
+        g_r = graph.backward()
+        g_f = graph.backward(np.linspace(-1.0, 1.0, batch.n))
+        direction = combine(CombinerSpec("ngdiff"), g_r, g_f).direction
+        for grad in (g_r, g_f, direction):
+            assert repr(grad.norm) == root_of_squares(grad.data)
+
+    def test_gradient_pickles_its_data_and_layout_alone(self):
+        grad = FlatGradient([3.0, -4.0], self.layout)
+        data, layout = grad.__getnewargs__()
+        assert data is grad.data and layout is grad.layout
+        assert grad.norm == 5.0

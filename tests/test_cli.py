@@ -781,6 +781,62 @@ class TestOutPath:
         assert blocker.read_text() == ""
 
 
+    @pytest.mark.parametrize("artifact", ["config.json", "trace.csv", "record.json"])
+    def test_directory_as_run_artifact_exits_2_before_the_loop(
+        self, tmp_path, capsys, monkeypatch, artifact
+    ):
+        doc = quad_doc({"kind": "gd"}, steps=5)
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        out = str(tmp_path / "out")
+        blocked = Path(out) / ngdiff.engine.run_name(ngdiff.engine.config_from_dict(doc)) / artifact
+        blocked.mkdir(parents=True)
+        monkeypatch.setattr(ngdiff.cli, "run_unlearning", None)  # the loop must not start
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out {out}: cannot write {blocked}: Is a directory\n"
+        assert captured.out == ""
+        assert [p.name for p in blocked.parent.iterdir()] == [artifact]
+
+    def test_directory_as_pareto_csv_exits_2(self, tmp_path, capsys):
+        record = str(one_record(tmp_path, quad_doc({"kind": "gd"}, steps=5)))
+        out = str(tmp_path / "p")
+        (tmp_path / "p" / "pareto.csv").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["pareto", record, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out {out}: cannot write {out}/pareto.csv: Is a directory\n"
+        assert captured.out == ""
+
+    def test_directory_as_sweep_summary_exits_2_before_any_child(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))
+        out = tmp_path / "sweep"
+        (out / "sweep_summary.csv").mkdir(parents=True)
+        argv = ["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --out {out}: cannot write {out}/sweep_summary.csv: Is a directory\n"
+        )
+        assert captured.out == "" and [p.name for p in out.iterdir()] == ["sweep_summary.csv"]
+
+    def test_directory_as_child_artifact_fails_that_value_alone(self, tmp_path, capsys):
+        doc = quad_doc({"kind": "gdiff", "c": 0.5}, steps=5)
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        out = tmp_path / "sweep"
+        blocked_doc = quad_doc({"kind": "gdiff", "c": 0.6}, steps=5)
+        blocked = out / ngdiff.engine.run_name(ngdiff.engine.config_from_dict(blocked_doc))
+        (blocked / "record.json").mkdir(parents=True)
+        argv = ["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6,0.8"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: value 0.6: --out {out}: cannot write {blocked}/record.json: Is a directory\n"
+        )
+        assert len(captured.out.splitlines()) == 1  # the run line of 0.8
+        summary = (out / "sweep_summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in summary] == ["c", "0.8"]
+
+
 class TestProcessEntry:
     """``python -m ngdiff.cli`` freezes the objects of its imports; ``main`` never does."""
 
@@ -799,6 +855,23 @@ class TestProcessEntry:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
         assert proc.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "method", "--values", "gd,ngdiff", "--jobs", "2"]])
+    def test_overflowing_finetune_prints_no_numpy_warning(self, tmp_path, command):
+        # a finetune step of 1e200 leaves finite weights whose sums of squares
+        # overflow; the pool children unpickle them
+        doc = json.loads((CONFIGS / "ngdiff_gaussian.json").read_text())
+        doc["problem"]["finetune_eta"] = 1e200
+        doc["steps"] = 3
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "ngdiff.cli", *command,
+             "--config", cfg, "--out", str(tmp_path / "out")],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        for record in find_one(tmp_path / "out", "record.json"):
+            assert record_from_json(record.read_text()).final.loss_retain > 1e100
 
     def test_cli_import_loads_no_cli_only_module(self):
         # dataclasses would mean generated code at import; the others load where they are used

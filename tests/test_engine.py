@@ -150,6 +150,7 @@ class TestQuadRuns:
         for loss_grad in (task.retain_loss_grad, task.forget_loss_grad):
             _, grad = loss_grad(params)
             assert not grad.data.flags.writeable
+            assert repr(grad.norm) == repr(math.sqrt(grad.data.dot(grad.data)))
             for other in (params.data, task.problem.a, task.problem.b):
                 assert not np.shares_memory(grad.data, other)
 

@@ -142,6 +142,14 @@ class TestQuadPair:
                         fd = (loss_fn(theta + bump) - loss_fn(theta - bump)) / (2 * eps)
                         assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ["unbounded_quadratic", BOUNDED_EXP])
+    def test_loss_grad_returns_the_gradients_sum_of_squares(self, kind):
+        p = quad(kind, a=(0.3, -1.0, 2.0), b=(1.0, 0.5, -0.2))
+        for theta in np.random.default_rng(6).standard_normal((20, 3)):
+            for loss_grad in (p.retain_loss_grad, p.forget_loss_grad):
+                _, g, sq = loss_grad(theta)
+                assert repr(sq) == repr(g.dot(g))
+
     def test_anchors_must_differ(self):
         with pytest.raises(ValueError):
             QuadPairProblem(np.zeros(2), np.zeros(2))
