@@ -350,26 +350,48 @@ def run_name(cfg: RunConfig) -> str:
 # Records
 
 
-class StepRow(NamedTuple):
-    """One trace row; a named tuple because the loop builds one per step."""
+def _num(x):
+    x = float(x)
+    return x if math.isfinite(x) else None
 
-    step: int
-    loss_retain: float
-    loss_forget: float
-    acc_retain: float
-    acc_forget: float
-    lr: float
-    coeff_c: float
-    gnorm_retain: float
-    gnorm_forget: float
-    cos_rf: float
-    guard: int
 
+def _denum(x, name: str) -> float:
+    """A float of an emitted record; null stands for a non-finite one."""
+    value = math.nan if x is None else _number(x, False)
+    if value is None:
+        raise ValueError(f"record {name} must be a finite number or null, not {x!r}")
+    return value
+
+
+def _count(x, name: str) -> int:
+    value = _number(x, True)
+    if value is None or value < 0:
+        raise ValueError(f"record {name} must be a non-negative integer, not {x!r}")
+    return value
+
+
+# How a trace cell of each type is written on a trace.csv line and parsed back
+# from record.json.  Numbers only: record_to_json turns the nan and inf of the
+# lines into null, which would corrupt a text cell; a code is an int column.
+_CELLS = {int: ("%d", _count), float: ("%r", _denum)}
+
+# The trace columns in order, with their types, which StepRow, the header, the
+# trace.csv line and the record.json parse all follow.
+TRACE_FIELDS = (
+    ("step", int),
+    ("loss_retain", float), ("loss_forget", float), ("acc_retain", float), ("acc_forget", float),
+    ("lr", float), ("coeff_c", float),
+    ("gnorm_retain", float), ("gnorm_forget", float), ("cos_rf", float),
+    ("guard", int),
+)
+# the functional form: under the class syntax the types would be strings here
+StepRow = NamedTuple("StepRow", TRACE_FIELDS)
+StepRow.__doc__ = "One trace row; a named tuple because the loop builds one per step."
 
 TRACE_COLUMNS = StepRow._fields
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
-# one trace.csv line: the step, the nine floats as repr() writes them, the guard
-_TRACE_LINE = "%d" + ",%r" * 9 + ",%d"
+_TRACE_LINE = ",".join(_CELLS[typ][0] for _, typ in TRACE_FIELDS)
+_TRACE_PARSE = tuple((name, _CELLS[typ][1]) for name, typ in TRACE_FIELDS)
 _TRACE_COLUMNS_JSON = json.dumps(list(TRACE_COLUMNS), separators=(",", ":"))
 
 
@@ -406,8 +428,7 @@ class ParetoPoint(namedtuple("ParetoPoint", "retain_loss forget_loss tag", defau
 class RunRecord(
     namedtuple(
         "RunRecord",
-        "config rows forward_passes backward_passes probe_forward_passes guard_trips final "
-        "params_digest final_params schema",
+        ("config", "rows", *RUN_COUNTERS, "final", "params_digest", "final_params", "schema"),
         defaults=(None, SCHEMA_VERSION),
     )
 ):
@@ -429,26 +450,6 @@ class RunRecord(
         return tuple(_TRACE_LINE % row for row in self.rows)
 
 
-def _num(x):
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
-def _denum(x) -> float:
-    """A float of an emitted record; null stands for a non-finite one."""
-    value = math.nan if x is None else _number(x, False)
-    if value is None:
-        raise ValueError(f"record value {x!r} is not a finite number or null")
-    return value
-
-
-def _count(x, name: str) -> int:
-    value = _number(x, True)
-    if value is None or value < 0:
-        raise ValueError(f"record {name} must be a non-negative integer, not {x!r}")
-    return value
-
-
 def record_from_dict(d: dict) -> RunRecord:
     """Re-parse an emitted record, re-validating structure and counters.
 
@@ -467,8 +468,7 @@ def record_from_dict(d: dict) -> RunRecord:
     for raw in trace:
         if not isinstance(raw, list) or len(raw) != len(TRACE_COLUMNS):
             raise ValueError("trace row has the wrong width")
-        step, guard = _count(raw[0], "step"), _count(raw[-1], "guard")
-        rows.append(StepRow(step, *map(_denum, raw[1:-1]), guard))
+        rows.append(StepRow._make([parse(x, name) for x, (name, parse) in zip(raw, _TRACE_PARSE)]))
     final = d["final"]
     if not isinstance(final, dict) or final.keys() != set(EvalResult._fields):
         raise ValueError(f"record final must be an object of {EvalResult._fields}")
@@ -477,7 +477,7 @@ def record_from_dict(d: dict) -> RunRecord:
     return RunRecord(
         config=d["config"],
         rows=tuple(rows),
-        final=EvalResult(*(_denum(final[name]) for name in EvalResult._fields)),
+        final=EvalResult(*(_denum(final[name], name) for name in EvalResult._fields)),
         params_digest=d["params_digest"],
         **{key: _count(d[key], key) for key in RUN_COUNTERS},
     )
@@ -498,7 +498,7 @@ def record_to_json(record: RunRecord) -> str:
         "params_digest": record.params_digest,
     }
     head = json.dumps(head, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    # step and guard are digits, and no finite float's repr holds an "n"
+    # an int cell is digits, and no finite float's repr holds an "n"
     trace = "],[".join(record.trace_lines).replace("-inf", "null").replace("inf", "null")
     trace = f"[[{trace.replace('nan', 'null')}]]" if record.rows else "[]"
     return f'{head[:-1]},"trace":{trace},"trace_columns":{_TRACE_COLUMNS_JSON}}}'

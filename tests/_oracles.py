@@ -166,13 +166,23 @@ def _num(x):
     return x if math.isfinite(x) else None
 
 
+def _json_cell(x):
+    """A trace cell as record.json holds it: an int as is, a float as a number or None."""
+    return x if isinstance(x, int) else _num(x)
+
+
+def _csv_cell(x) -> str:
+    """A trace cell as trace.csv holds it: an int in decimal, a float as its repr."""
+    return "%d" % x if isinstance(x, int) else repr(x)
+
+
 def record_to_dict(record) -> dict:
     """The ``record.json`` document of ``record``, a non-finite float as None."""
     return {
         "schema": record.schema,
         "config": record.config,
         "trace_columns": list(TRACE_COLUMNS),
-        "trace": [[row[0], *map(_num, row[1:-1]), row[-1]] for row in record.rows],
+        "trace": [[_json_cell(x) for x in row] for row in record.rows],
         **{key: getattr(record, key) for key in RUN_COUNTERS},
         "final": {name: _num(x) for name, x in zip(EvalResult._fields, record.final)},
         "params_digest": record.params_digest,
@@ -185,8 +195,8 @@ def record_to_json_two_pass(record) -> str:
 
 
 def write_trace_csv_two_pass(record, path) -> None:
-    """``trace.csv``, every row formatted on its own: the step, nine float reprs, the guard."""
+    """``trace.csv``, every cell formatted on its own by its Python type."""
     lines = [",".join(TRACE_COLUMNS)]
-    lines.extend(("%d" + ",%r" * 9 + ",%d") % row for row in record.rows)
+    lines.extend(",".join(map(_csv_cell, row)) for row in record.rows)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

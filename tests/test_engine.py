@@ -27,7 +27,15 @@ from ngdiff import (
     run_unlearning,
 )
 from ngdiff.bench import gen_gaussian_clusters, mlp_factory, split_forget_retain
-from ngdiff.engine import _Counters, _QuadTask, no_unlearn, run_name, write_trace_csv
+from ngdiff.engine import (
+    TRACE_COLUMNS,
+    TRACE_HEADER,
+    _Counters,
+    _QuadTask,
+    no_unlearn,
+    run_name,
+    write_trace_csv,
+)
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer
 
 from _oracles import (
@@ -38,7 +46,8 @@ from _oracles import (
     write_trace_csv_two_pass,
 )
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def quad_config(method, steps, lr=None, theta0=None, forget_kind=None, **extra):
@@ -439,3 +448,23 @@ class TestOnePassWriters:
     def test_every_other_key_sorts_before_the_trace(self):
         keys = record_to_dict(RECORDS["hand_built"]()).keys() - {"trace", "trace_columns"}
         assert keys and max(keys) < "trace"
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_every_record_re_parses_to_the_same_bytes(self, name):
+        text = record_to_json(RECORDS[name]())
+        assert record_to_json(record_from_json(text)) == text
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [("step", 1.5), ("step", -1), ("guard", 0.5), ("guard", -2), ("loss_retain", "0.5"),
+         ("cos_rf", "nan")],
+    )
+    def test_a_cell_of_the_wrong_type_is_rejected(self, column, value):
+        doc = json.loads(record_to_json(RECORDS["hand_built"]()))
+        doc["trace"][1][TRACE_COLUMNS.index(column)] = value
+        with pytest.raises(ValueError, match=f"record {column} must be"):
+            record_from_json(json.dumps(doc))
+
+    def test_readme_trace_header_is_the_engines(self):
+        lines = (ROOT / "README.md").read_text().splitlines()
+        assert [line for line in lines if line.startswith("step,")] == [TRACE_HEADER]
