@@ -12,9 +12,12 @@ of probe size; elsewhere the central differences are accurate to
 The fit can fail to justify a step: non-positive curvature or a
 non-positive minimizer means the direction does not locally descend the
 retain loss at this scale.  Both cases are guard trips - the previous
-step size is kept and a counter is bumped.  Updates run on a fixed cadence
-(every ``update_period`` steps, the step-0 probe included) so the probe
-overhead is amortized.
+step size is kept and a counter is bumped.  A fit is also trusted only near
+the scale it was probed at: once a step size has been fitted, an update may
+raise it at most ``ETA_GROWTH_CAP``-fold, and a capped update is a guard trip
+too.  The first fit, probed at ``probe_epsilon``, is not capped.  Updates run
+on a fixed cadence (every ``update_period`` steps, the step-0 probe included)
+so the probe overhead is amortized.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from typing import Callable, NamedTuple
 from .autodiff import FlatGradient, ParameterVector, axpy_update
 
 CURVATURE_FLOOR = 1e-12
+# the most one update may multiply a fitted step size by; an exact line
+# minimum can lie 3.44x past the current step size on the criterion-3 bowls
+ETA_GROWTH_CAP = 4.0
 
 
 class ProbeError(RuntimeError):
@@ -144,7 +150,7 @@ def maybe_update(
 
     Off-cadence steps perform zero extra forward passes.  On cadence, the
     probe magnitude is the current step size; guard trips keep the previous
-    step size.
+    step size, and a capped update takes ``ETA_GROWTH_CAP`` times it.
     """
     if step < 0:
         raise ValueError("step must be >= 0")
@@ -160,6 +166,10 @@ def maybe_update(
     eta = optimal_lr(fit)
     if eta is None:
         return _replace(state, fitted=fit, guard_trips=state.guard_trips + 1)
+    if state.fitted is not None and state.eta is not None and eta > ETA_GROWTH_CAP * state.eta:
+        return _replace(
+            state, eta=ETA_GROWTH_CAP * state.eta, fitted=fit, guard_trips=state.guard_trips + 1
+        )
     return _replace(state, eta=eta, fitted=fit)
 
 

@@ -285,6 +285,18 @@ class TestClassificationRuns:
         assert rec.final.acc_forget <= 0.05
         assert rec.final.acc_retain >= 0.90
 
+    @pytest.mark.parametrize("seed", [0, 4, 6, 7, 13])
+    def test_automatic_step_size_stays_bounded(self, seed):
+        # without a cap on eta's growth these seeds reach eta > 10 (seed 13:
+        # 5e7) as a clean fit is used far outside its probe width, and
+        # retain accuracy falls as low as 0.38
+        doc = json.loads((CONFIGS / "ngdiff_gaussian.json").read_text())
+        doc["seeds"] = {"data": seed, "init": 1000 + seed, "method": 2000 + seed}
+        rec = run_unlearning(config_from_dict(doc))
+        assert max(row.lr for row in rec.rows) <= 10.0
+        assert min(row.acc_retain for row in rec.rows) >= 0.98
+        assert rec.final.acc_retain >= 0.98
+
     def test_npo_run_unlearns(self):
         rec = run_unlearning(gaussian_config({"kind": "npo", "beta": 1.0}))
         assert rec.final.acc_forget <= 0.05

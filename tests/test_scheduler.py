@@ -17,6 +17,7 @@ from ngdiff import (
     probe_losses,
 )
 from ngdiff.bench import mlp_factory, LabeledBatch
+from ngdiff.scheduler import ETA_GROWTH_CAP
 from ngdiff.objectives import theta_layout
 
 from _oracles import straight_line_mlp_loss
@@ -232,6 +233,22 @@ class TestMaybeUpdate:
         state = maybe_update(LrState(eta=0.1), 0, loss, theta, grad_like(theta, [1.0]))
         assert state.eta == 0.1
         assert state.guard_trips == 1
+
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_growth_past_the_cap_is_a_capped_guard_trip(self, fitted):
+        # the line minimum of x^2/2 from x=1 along d=1 is eta=1, ten times the
+        # current step size; only a step size that came from a fit is capped
+        theta = vec([1.0])
+        fit = fit_quadratic(0.1, 0.405, 0.5, 0.605) if fitted else None
+        state = LrState(eta=0.1, fitted=fit)
+        out = maybe_update(state, 0, quadratic_loss([[1.0]]), theta, grad_like(theta, [1.0]))
+        if fitted:
+            assert out.eta == ETA_GROWTH_CAP * 0.1
+            assert out.guard_trips == 1
+        else:
+            assert abs(out.eta - 1.0) <= 1e-12
+            assert out.guard_trips == 0
+        assert out.fitted.probe == 0.1
 
     def test_probe_bookkeeping_two_per_event(self):
         loss_calls = []
