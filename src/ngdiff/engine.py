@@ -153,6 +153,9 @@ def _one_of(options):
 
 
 _POSITIVE = (lambda v: v > 0), "must be > 0"
+# the most entries a Gaussian problem's data (classes*per_class*dim) and its
+# MLP's parameter vector may each hold; the shipped config holds 7200 and 195
+SIZE_CAP = 2**24
 _GAUSSIAN = (GaussianProblem.kind,)
 _QUAD = (QuadProblemConfig.kind,)
 
@@ -268,6 +271,11 @@ def _parse(d, path: str, rows) -> dict:
     return values
 
 
+def _mlp_size(widths) -> int:
+    """The parameter count of an MLP of ``widths``: each layer's weights and biases."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+
+
 def _check_across_fields(cfg: RunConfig) -> None:
     p = cfg.problem
     if p.kind == GaussianProblem.kind:
@@ -276,6 +284,10 @@ def _check_across_fields(cfg: RunConfig) -> None:
              f"must be >= classes ({p.classes}) for axis-anchored centers"),
             ("problem.forget_class", 0 <= p.forget_class < p.classes,
              f"must lie in [0, {p.classes})"),
+            ("problem.per_class", p.classes * p.per_class * p.dim <= SIZE_CAP,
+             f"classes*per_class*dim must be <= {SIZE_CAP}"),
+            ("problem.hidden", _mlp_size((p.dim, *p.hidden, p.classes)) <= SIZE_CAP,
+             f"the MLP must have <= {SIZE_CAP} parameters"),
         ]
     else:
         n = len(p.a)

@@ -142,3 +142,26 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, command, flag, leaf):
     err = capsys.readouterr().err
     assert f"{leaf}: must be >= 0" in err and "Traceback" not in err
     assert not out.exists() or not [p for p in out.iterdir() if p.is_dir()]
+
+
+@pytest.mark.parametrize(
+    "problem, leaf",
+    [
+        # 4*per_class*8 data entries: 2**24 at per_class 2**19
+        ({"classes": 4, "dim": 8, "per_class": 2**19}, None),
+        ({"classes": 4, "dim": 8, "per_class": 2**19 + 1}, "problem.per_class"),
+        ({"per_class": 10**9}, "problem.per_class"),
+        # 7*h + h + h*4 + 4 = 12h + 4 parameters: 2**24 at h = 1398101
+        ({"classes": 4, "dim": 7, "hidden": [1398101]}, None),
+        ({"classes": 4, "dim": 7, "hidden": [1398102]}, "problem.hidden"),
+        ({"hidden": [4096, 4096]}, "problem.hidden"),
+    ],
+)
+def test_gaussian_sizes_are_capped(problem, leaf):
+    doc = {**GAUSSIAN, "problem": {**GAUSSIAN["problem"], **problem}}
+    if leaf is None:
+        config_from_dict(doc)
+        return
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(doc)
+    assert exc.value.fieldpath == leaf
