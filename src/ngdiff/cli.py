@@ -20,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import engine
+from . import combiners, engine
 from .engine import (
     ConfigError,
     EvalResult,
@@ -65,7 +65,7 @@ def _apply_seed_overrides(doc: dict, args) -> dict:
         raise ConfigError("", "config must be a JSON object")
     doc = json.loads(json.dumps(doc))  # deep copy
     seeds = _object(doc, "seeds")
-    for name in ("data", "init", "method"):
+    for name in engine.Seeds._fields:
         value = getattr(args, f"seed_{name}", None)
         if value is not None:
             seeds[name] = value
@@ -165,15 +165,15 @@ def _child_method(method: dict, kind: str, **values) -> dict:
 def _sweep_config(doc: dict, param: str, value: str) -> dict:
     out = json.loads(json.dumps(doc))
     if param == "c":
-        kind = _object(out, "method").get("kind", "gdiff")
-        kind = kind if kind in C_KINDS else "gdiff"
+        kind = _object(out, "method").get("kind", combiners.GDIFF)
+        kind = kind if kind in C_KINDS else combiners.GDIFF
         out["method"] = _child_method(out["method"], kind, c=_float(param, value))
     elif param == "eta":
         lr = _object(out, "lr")
         lr["mode"] = "fixed"
         lr["eta"] = _float(param, value)
     elif param == "beta":
-        out["method"] = _child_method(_object(out, "method"), "npo", beta=_float(param, value))
+        out["method"] = _child_method(_object(out, "method"), engine.NPO, beta=_float(param, value))
     elif param == "method":
         out["method"] = _child_method(_object(out, "method"), value)
     else:
@@ -380,9 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed_flags(p):
-        p.add_argument("--seed-data", type=int, default=None, help="override seeds.data")
-        p.add_argument("--seed-init", type=int, default=None, help="override seeds.init")
-        p.add_argument("--seed-method", type=int, default=None, help="override seeds.method")
+        for name in engine.Seeds._fields:
+            p.add_argument(f"--seed-{name}", type=int, default=None, help=f"override seeds.{name}")
 
     p_run = sub.add_parser("run", help="execute one unlearning run from a config file")
     p_run.add_argument("--config", required=True, help="path to the JSON run config")

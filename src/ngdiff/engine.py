@@ -68,68 +68,14 @@ class NumericAbort(RuntimeError):
 # --------------------------------------------------------------------------
 # Configuration
 #
-# The holders below are plain named tuples.  What a config document may
-# hold - each field's JSON type, range, default and the kinds that read it -
-# is the field table after them, which one parser and one echo both follow.
+# What a config document may hold - each field's JSON type, range, default
+# and the kinds that read it - is one field table, which the holders below
+# it, one parser and one echo all follow.
 
-
-class NpoSpec(NamedTuple):
-    kind = "npo"  # a class attribute, as the kind of a CombinerSpec is a field
-    beta: float
-
-
-class LrConfig(NamedTuple):
-    """Fixed step size, or probe-based automatic selection.
-
-    In auto mode ``eta`` (optional) is the step size used until the first
-    successful probe fit; when omitted it falls back to ``probe_epsilon``.
-    """
-
-    mode: str
-    eta: float | None
-    update_period: int
-    probe_epsilon: float
-
-
-class Seeds(NamedTuple):
-    data: int
-    init: int
-    method: int
-
-
-class GaussianProblem(NamedTuple):
-    """Synthetic forget-one-class classification task."""
-
-    kind = "gaussian"
-    classes: int
-    per_class: int
-    dim: int
-    separation: float
-    forget_class: int
-    hidden: tuple[int, ...]
-    finetune_steps: int
-    finetune_eta: float
-
-
-class QuadProblemConfig(NamedTuple):
-    """Analytic quadratic-pair task; starts from ``theta0`` (None: from b)."""
-
-    kind = "quad_pair"
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    forget_kind: str
-    theta0: tuple[float, ...] | None
-
-
-class RunConfig(NamedTuple):
-    method: CombinerSpec | NpoSpec
-    lr: LrConfig
-    steps: int
-    seeds: Seeds
-    problem: GaussianProblem | QuadProblemConfig
-    batch_size: int
-    eval_every: int
-
+# the kinds that are not combiner kinds: the NPO baseline and the two problems
+NPO = "npo"
+GAUSSIAN = "gaussian"  # synthetic forget-one-class classification
+QUAD_PAIR = "quad_pair"  # analytic quadratic pair; starts from theta0 (None: from b)
 
 # JSON types of config fields; each is also the message of its check.  A
 # bool or a string is never a number, and an int field takes a float only
@@ -156,8 +102,8 @@ _POSITIVE = (lambda v: v > 0), "must be > 0"
 # the most entries a Gaussian problem's data (classes*per_class*dim) and its
 # MLP's parameter vector may each hold; the shipped config holds 7200 and 195
 SIZE_CAP = 2**24
-_GAUSSIAN = (GaussianProblem.kind,)
-_QUAD = (QuadProblemConfig.kind,)
+_GAUSSIAN = (GAUSSIAN,)
+_QUAD = (QUAD_PAIR,)
 
 # One row per field, checked in this order: (name, JSON type or the rows of a
 # sub-object, (rule, message) or None, default, the kinds that read it or None
@@ -169,6 +115,8 @@ _QUAD = (QuadProblemConfig.kind,)
 SEEDS_FIELDS = tuple(
     (name, INT, _at_least(0), REQUIRED, None) for name in ("data", "init", "method")
 )
+# In auto mode eta is the step size until the first successful probe fit; an
+# omitted eta falls back to probe_epsilon.
 LR_FIELDS = (
     ("mode", STR, _one_of(("fixed", "auto")), REQUIRED, None),
     ("eta", FLOAT, _POSITIVE, None, None),
@@ -176,16 +124,16 @@ LR_FIELDS = (
     ("probe_epsilon", FLOAT, _POSITIVE, 1e-3, None),
 )
 METHOD_FIELDS = (
-    ("kind", STR, _one_of((*combiners.KINDS, NpoSpec.kind)), REQUIRED, None),
+    ("kind", STR, _one_of((*combiners.KINDS, NPO)), REQUIRED, None),
     ("c", FLOAT, ((lambda v: 0 <= v <= 1), "must lie in [0, 1]"), REQUIRED,
      (combiners.GDIFF, combiners.SCHEDULED_GDIFF)),
     ("amplitude", FLOAT, None, 0.0, (combiners.SCHEDULED_GDIFF,)),
     ("decay", FLOAT, ((lambda v: 0 < v < 1), "must lie in (0, 1)"), REQUIRED,
      (combiners.SCHEDULED_GDIFF,)),
-    ("beta", FLOAT, _POSITIVE, REQUIRED, (NpoSpec.kind,)),
+    ("beta", FLOAT, _POSITIVE, REQUIRED, (NPO,)),
 )
 PROBLEM_FIELDS = (
-    ("kind", STR, _one_of((GaussianProblem.kind, QuadProblemConfig.kind)), REQUIRED, None),
+    ("kind", STR, _one_of((GAUSSIAN, QUAD_PAIR)), REQUIRED, None),
     ("classes", INT, _at_least(2), 3, _GAUSSIAN),
     ("per_class", INT, _at_least(1), 300, _GAUSSIAN),
     ("dim", INT, None, 8, _GAUSSIAN),
@@ -209,6 +157,27 @@ RUN_FIELDS = (
     ("batch_size", INT, _at_least(1), 32, None),
     ("eval_every", INT, _at_least(1), 1, None),
 )
+
+
+def _holder(name: str, rows, kind: str | None = None):
+    """The named tuple ``name`` of the fields in ``rows`` that ``kind`` reads.
+
+    ``kind`` is a class attribute, not a field; the echo and ``run_name`` read
+    it as they read the ``kind`` field of a CombinerSpec.
+    """
+    fields = [n for n, *_, kinds in rows if n != "kind" and (kinds is None or kind in kinds)]
+    cls = namedtuple(name, fields, module=__name__)
+    if kind is not None:
+        cls.kind = kind
+    return cls
+
+
+Seeds = _holder("Seeds", SEEDS_FIELDS)
+LrConfig = _holder("LrConfig", LR_FIELDS)
+NpoSpec = _holder("NpoSpec", METHOD_FIELDS, NPO)
+GaussianProblem = _holder("GaussianProblem", PROBLEM_FIELDS, GAUSSIAN)
+QuadProblemConfig = _holder("QuadProblemConfig", PROBLEM_FIELDS, QUAD_PAIR)
+RunConfig = _holder("RunConfig", RUN_FIELDS)
 _PROBLEMS = {cls.kind: cls for cls in (GaussianProblem, QuadProblemConfig)}
 
 
@@ -278,7 +247,7 @@ def _mlp_size(widths) -> int:
 
 def _check_across_fields(cfg: RunConfig) -> None:
     p = cfg.problem
-    if p.kind == GaussianProblem.kind:
+    if p.kind == GAUSSIAN:
         checks = [
             ("problem.dim", p.dim >= p.classes,
              f"must be >= classes ({p.classes}) for axis-anchored centers"),
@@ -299,7 +268,7 @@ def _check_across_fields(cfg: RunConfig) -> None:
         ]
     checks += [
         ("lr.eta", cfg.lr.mode != "fixed" or cfg.lr.eta is not None, "required in fixed mode"),
-        ("method.kind", cfg.method.kind != NpoSpec.kind or p.kind == GaussianProblem.kind,
+        ("method.kind", cfg.method.kind != NPO or p.kind == GAUSSIAN,
          "npo requires a classification problem with a reference model"),
     ]
     for where, ok, message in checks:
@@ -313,7 +282,7 @@ def config_from_dict(d: dict) -> RunConfig:
     seeds = Seeds(**v["seeds"])
     method = v["method"]
     kind = method.pop("kind")
-    if kind == NpoSpec.kind:
+    if kind == NPO:
         method = NpoSpec(**method)
     else:
         rng_seed = seeds.method if kind == combiners.RLW else None
