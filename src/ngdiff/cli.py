@@ -314,6 +314,7 @@ def cmd_finetune(args) -> int:
 
 
 def _load_records(patterns) -> list[tuple[str, RunRecord]]:
+    """One record per match of ``patterns``, a pattern with none read as a path; never empty."""
     import glob  # only report and pareto read records
 
     paths: list[str] = []
@@ -332,9 +333,6 @@ def _load_records(patterns) -> list[tuple[str, RunRecord]]:
 
 def cmd_pareto(args) -> int:
     records = _load_records(args.records)
-    if not records:
-        print("error: no records given", file=sys.stderr)
-        return 2
     points = []
     for path, record in records:
         try:
@@ -357,9 +355,6 @@ def cmd_pareto(args) -> int:
 
 def cmd_report(args) -> int:
     records = _load_records(args.records)
-    if not records:
-        print("error: no records given", file=sys.stderr)
-        return 2
     for path, record in records:
         print(
             f"{path}: method={record.config['method']['kind']} steps={record.steps} "

@@ -71,8 +71,6 @@ class CombinerOutput(NamedTuple):
 
     direction: FlatGradient
     coefficient: float
-    norm_retain: float
-    norm_forget: float
     degenerate: bool = False
     clamped: bool = False
 
@@ -164,8 +162,6 @@ def combine(
     return CombinerOutput(
         direction=_adopt_vector(FlatGradient, direction, g_r.layout, "gradient"),
         coefficient=coefficient,
-        norm_retain=nr,
-        norm_forget=nf,
         degenerate=degenerate,
         clamped=clamped,
     )

@@ -160,11 +160,8 @@ RUN_FIELDS = (
 
 
 def _holder(name: str, rows, kind: str | None = None):
-    """The named tuple ``name`` of the fields in ``rows`` that ``kind`` reads.
-
-    ``kind`` is a class attribute, not a field; the echo and ``run_name`` read
-    it as they read the ``kind`` field of a CombinerSpec.
-    """
+    """The named tuple of the fields in ``rows`` that ``kind`` reads; ``kind``
+    is a class attribute, which the echo reads as it reads a CombinerSpec's field."""
     fields = [n for n, *_, kinds in rows if n != "kind" and (kinds is None or kind in kinds)]
     cls = namedtuple(name, fields, module=__name__)
     if kind is not None:
@@ -774,7 +771,7 @@ def run_unlearning(cfg: RunConfig, start: NoUnlearn | None = None) -> RunRecord:
                     out = combine(cfg.method, g_r, g_f, losses, step=step)
                     direction = out.direction
                     coeff = out.coefficient
-                    gnorm_r, gnorm_f = out.norm_retain, out.norm_forget
+                    gnorm_r, gnorm_f = g_r.norm, g_f.norm
                     cos_rf = (
                         float(g_r.data.dot(g_f.data)) / (gnorm_r * gnorm_f)
                         if gnorm_r > 0 and gnorm_f > 0

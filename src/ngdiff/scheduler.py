@@ -11,13 +11,14 @@ of probe size; elsewhere the central differences are accurate to
 
 The fit can fail to justify a step: non-positive curvature or a
 non-positive minimizer means the direction does not locally descend the
-retain loss at this scale.  Both cases are guard trips - the previous
-step size is kept and a counter is bumped.  A fit is also trusted only near
-the scale it was probed at: once a step size has been fitted, an update may
-raise it at most ``ETA_GROWTH_CAP``-fold, and a capped update is a guard trip
-too.  The first fit, probed at ``probe_epsilon``, is not capped.  Updates run
-on a fixed cadence (every ``update_period`` steps, the step-0 probe included)
-so the probe overhead is amortized.
+retain loss at this scale, and a probe whose square rounds to 0 measures no
+curvature.  All three are guard trips - the previous step size is kept and a
+counter is bumped.  A fit is also trusted only near the scale it was probed
+at: once a step size has been fitted, an update may raise it at most
+``ETA_GROWTH_CAP``-fold, and a capped update is a guard trip too.  The first
+fit, probed at ``probe_epsilon``, is not capped.  Updates run on a fixed
+cadence (every ``update_period`` steps, the step-0 probe included) so the
+probe overhead is amortized.
 """
 
 from __future__ import annotations
@@ -121,18 +122,20 @@ def fit_quadratic(probe: float, l_minus: float, l_zero: float, l_plus: float) ->
     if not probe > 0:
         raise ValueError("probe must be positive")
     a1 = (l_plus - l_minus) / (2.0 * probe)
-    a2 = (l_plus - 2.0 * l_zero + l_minus) / (2.0 * probe * probe)
+    # a probe below about 1.5e-162 measures no curvature: the divisor rounds to 0
+    divisor = 2.0 * probe * probe
+    a2 = (l_plus - 2.0 * l_zero + l_minus) / divisor if divisor else math.nan
     return QuadraticFit(probe, l_minus, l_zero, l_plus, a2=a2, a1=a1, a0=l_zero)
 
 
-def optimal_lr(fit: QuadraticFit, curvature_floor: float = CURVATURE_FLOOR) -> float | None:
+def optimal_lr(fit: QuadraticFit) -> float | None:
     """Step size minimizing the fitted parabola under ``theta - eta*d``.
 
-    Returns None (guard) when the fitted curvature is at or below the floor
-    or the minimizer is non-positive; stepping backwards along the update
-    direction would raise the retain loss.
+    Returns None (guard) when the fitted curvature is at or below
+    ``CURVATURE_FLOOR`` or not a number, or the minimizer is non-positive;
+    stepping backwards along the update direction would raise the retain loss.
     """
-    if not fit.a2 > curvature_floor:
+    if not fit.a2 > CURVATURE_FLOOR:
         return None
     eta = fit.a1 / (2.0 * fit.a2)
     return eta if eta > 0 else None

@@ -306,6 +306,32 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--seed-data", "1"]) == 2
         assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
+    @pytest.mark.parametrize("value", [1e-200, 1e-300, 5e-324])
+    @pytest.mark.parametrize("leaf", ["probe_epsilon", "eta"])
+    @pytest.mark.parametrize("config", ["gdiff_quad.json", "ngdiff_gaussian.json"])
+    def test_probe_too_small_to_fit_runs_to_the_end(self, tmp_path, capsys, config, leaf, value):
+        # the probe's squared size rounds to 0: every update is a guard trip
+        doc = json.loads((CONFIGS / config).read_text())
+        doc["lr"] = {"mode": "auto", leaf: value}
+        doc["steps"] = 3
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        record = record_from_json(find_one(tmp_path / "out", "record.json")[0].read_text())
+        assert [row.lr for row in record.rows] == [value] * 3
+        assert record.guard_trips == 1
+
+    def test_probe_too_small_to_fit_sweeps_every_combiner(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "gdiff_quad.json").read_text())
+        doc["lr"] = {"mode": "auto", "probe_epsilon": 5e-324}
+        doc["steps"] = 3
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        methods = "gd,ga,lossnorm,rlw,pcgrad,imtlg,ngdiff"
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--param", "method"]
+        assert main([*argv, "--values", methods]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(find_one(tmp_path / "out", "record.json")) == 7
+
     def test_seed_flags_override_file(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gd"}, steps=5))
         assert main(

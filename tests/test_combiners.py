@@ -112,17 +112,6 @@ class TestInvariants:
                 assert g_r.dot(d) >= -1e-9 * np.linalg.norm(g_r)
                 assert g_f.dot(d) <= 1e-9 * np.linalg.norm(g_f)
 
-    def test_norms_are_bitwise_np_linalg_norm(self):
-        rng = np.random.default_rng(5)
-        for dim in (2, 195):
-            layout = theta_layout(dim)
-            for _ in range(500):
-                scale = 10.0 ** rng.uniform(-150, 150, size=(2, 1))
-                g_r, g_f = rng.standard_normal((2, dim)) * scale
-                out = combine(CombinerSpec(GD), fg(g_r, layout), fg(g_f, layout))
-                assert out.norm_retain == float(np.linalg.norm(g_r))
-                assert out.norm_forget == float(np.linalg.norm(g_f))
-
     @pytest.mark.parametrize(
         "kind, kw",
         [

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ngdiff.engine
 from ngdiff import (
     ConfigError,
     EvalResult,
@@ -16,6 +17,7 @@ from ngdiff import (
     RunRecord,
     StepRow,
     config_from_dict,
+    combine,
     config_to_dict,
     dominated_by,
     evaluate,
@@ -162,6 +164,26 @@ class TestQuadRuns:
             assert repr(grad.norm) == repr(math.sqrt(grad.data.dot(grad.data)))
             for other in (params.data, task.problem.a, task.problem.b):
                 assert not np.shares_memory(grad.data, other)
+
+    def test_trace_norms_are_the_task_gradients_norms(self, monkeypatch):
+        # the gnorm columns are the norms of the gradients the combiner was given
+        seen = []
+
+        def spy(spec, g_r, g_f, losses=None, step=0):
+            seen.append((g_r.data, g_f.data))
+            return combine(spec, g_r, g_f, losses, step=step)
+
+        monkeypatch.setattr(ngdiff.engine, "combine", spy)
+        for cfg in (
+            quad_config({"kind": "ngdiff"}, steps=20, lr={"mode": "auto"}, theta0=(0.5, 1.0)),
+            gaussian_config({"kind": "pcgrad"}, steps=5, problem={"kind": "gaussian", "per_class": 20}),
+        ):
+            seen.clear()
+            rows = run_unlearning(cfg).rows
+            assert len(seen) == len(rows)
+            for row, (g_r, g_f) in zip(rows, seen):
+                assert row.gnorm_retain == float(np.linalg.norm(g_r))
+                assert row.gnorm_forget == float(np.linalg.norm(g_f))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_ga_divergence_aborts_with_step_index(self):

@@ -250,6 +250,19 @@ class TestMaybeUpdate:
             assert out.guard_trips == 0
         assert out.fitted.probe == 0.1
 
+    @pytest.mark.parametrize("probe", [1e-200, 1e-300, 5e-324])
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_probe_too_small_to_fit_is_a_guard_trip(self, probe, fitted):
+        # 2*probe*probe rounds to 0: no curvature is measurable, so the step
+        # size stays what it was, as on a flat or concave fit
+        theta = vec([1.0])
+        fit = fit_quadratic(0.1, 0.405, 0.5, 0.605) if fitted else None
+        state = LrState(eta=probe if fitted else None, probe_epsilon=probe, fitted=fit)
+        out = maybe_update(state, 0, quadratic_loss([[1.0]]), theta, grad_like(theta, [1.0]))
+        assert out.eta == state.eta and out.step_size == probe
+        assert out.guard_trips == 1
+        assert out.fitted.probe == probe and math.isnan(out.fitted.a2)
+
     def test_probe_bookkeeping_two_per_event(self):
         loss_calls = []
         H = np.eye(2)
