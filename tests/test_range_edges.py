@@ -5,7 +5,7 @@ kind that reads it, to the smallest subnormal, 1e-300, 1e300 and the
 largest float, and to their negatives where the field's rule allows them.
 Each case runs three steps through ``cli.main``.  The contract: exit 0, 2 or
 3, never a traceback, a record that re-parses on exit 0, and at least one
-accepted value per field.
+accepted value per field in each base.
 """
 
 import json
@@ -44,7 +44,7 @@ UNGATED = {
 
 
 def float_leaves(rows, prefix=()):
-    """(path, rule, the kinds that read it) of every float or float-list field."""
+    """(path, type, rule, the kinds that read it) of every float or float-list field."""
     for name, typ, check, _, kinds in rows:
         if isinstance(typ, tuple):
             yield from float_leaves(typ, (*prefix, name))
