@@ -27,18 +27,16 @@ from .bench import (
 )
 from .combiners import (
     CombinerOutput,
-    CombinerSpec,
     combine,
 )
 from .engine import (
     ConfigError,
     EvalResult,
-    GaussianProblem,
     LrConfig,
-    NpoSpec,
+    MethodSpec,
     NumericAbort,
     ParetoPoint,
-    QuadProblemConfig,
+    ProblemSpec,
     RunConfig,
     RunRecord,
     Seeds,

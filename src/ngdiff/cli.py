@@ -218,7 +218,7 @@ def _shared_starts(cfgs: list[RunConfig]) -> list:
     starts = []
     for cfg in cfgs:
         start = None
-        if isinstance(cfg.problem, engine.GaussianProblem):
+        if cfg.problem.kind == engine.GAUSSIAN:
             key = (cfg.seeds.data, cfg.seeds.init, cfg.problem)
             if key not in made:
                 try:
@@ -297,7 +297,7 @@ def cmd_sweep(args) -> int:
 def cmd_finetune(args) -> int:
     doc = _apply_seed_overrides(_load_config_dict(args.config), args)
     cfg = config_from_dict(doc)
-    if not isinstance(cfg.problem, engine.GaussianProblem):
+    if cfg.problem.kind != engine.GAUSSIAN:
         print("error: problem: finetune requires a classification problem", file=sys.stderr)
         return 2
     try:

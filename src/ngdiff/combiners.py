@@ -14,7 +14,6 @@ so the scale difference is absorbed by the learning rate.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -38,31 +37,6 @@ KINDS = (GD, GA, GDIFF, LOSSNORM, RLW, PCGRAD, IMTLG, NGDIFF, SCHEDULED_GDIFF)
 NORM_FLOOR = 1e-12
 
 
-class CombinerSpec(
-    namedtuple("CombinerSpec", "kind c rng_seed amplitude decay", defaults=(None, None, 0.0, 1.0))
-):
-    """Which combination rule to run, plus its rule-specific knobs.
-
-    ``c`` is the static weight for ``gdiff`` and the asymptotic weight for
-    ``scheduled_gdiff`` (where ``c_t = c + amplitude * decay**t``, clipped to
-    [0, 1]).  ``rng_seed`` keys the RLW draw stream.  The ranges of ``c``,
-    ``amplitude`` and ``decay`` are checked where a config is parsed
-    (``engine.METHOD_FIELDS``).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown combiner kind {self.kind!r}")
-        if self.kind in (GDIFF, SCHEDULED_GDIFF) and self.c is None:
-            raise ValueError(f"{self.kind} requires c")
-        if self.kind == RLW and self.rng_seed is None:
-            raise ValueError("rlw requires rng_seed")
-        return self
-
-
 class CombinerOutput(NamedTuple):
     """Combined direction plus the diagnostics the loop records.
 
@@ -84,19 +58,23 @@ def _clamp01(c: float) -> tuple[float, bool]:
 
 
 def combine(
-    spec: CombinerSpec,
+    spec,
     g_r: FlatGradient,
     g_f: FlatGradient,
     losses: tuple[float, float] | None = None,
     step: int = 0,
+    seed: int = 0,
 ) -> CombinerOutput:
-    """Apply the selected rule to one pair of per-task gradients.
+    """Apply the rule ``spec.kind`` to one pair of per-task gradients.
 
-    ``losses`` is the (retain, forget) pair of current loss values that
-    ``lossnorm`` requires, both finite and strictly positive.
-    ``step`` indexes the RLW draw stream and the scheduled coefficient; all
-    randomness is keyed by ``(rng_seed, step)`` so runs are reproducible and
-    concurrent runs share no state.
+    ``spec`` is a config's ``engine.MethodSpec``, whose field table checks the
+    knobs: ``c`` is the static weight for ``gdiff`` and the asymptotic weight
+    for ``scheduled_gdiff``, where ``c_t = c + amplitude * decay**t``,
+    clipped to [0, 1].  ``losses`` is the (retain, forget) pair of current
+    loss values that ``lossnorm`` requires, both finite and strictly
+    positive.  ``step`` indexes the RLW draw stream and the scheduled
+    coefficient; all randomness is keyed by ``(seed, step)`` so runs are
+    reproducible and concurrent runs share no state.
     """
     _same_layout(g_r.layout, g_f.layout, "combine")
     nr = g_r.norm
@@ -132,7 +110,7 @@ def combine(
                 raise ValueError("lossnorm requires finite, strictly positive losses")
             c = loss_f / (loss_f + loss_r)
         elif kind == RLW:
-            lam = np.random.default_rng([spec.rng_seed, step]).standard_normal(2)
+            lam = np.random.default_rng([seed, step]).standard_normal(2)
             c = 1.0 / (1.0 + math.exp(lam[1] - lam[0]))
         elif kind == PCGRAD:
             # ratio c/(1-c) = 1 + g_f.g_r / |g_r|^2

@@ -41,7 +41,7 @@ from .bench import (
     mlp_factory,
     split_forget_retain,
 )
-from .combiners import CombinerSpec, combine
+from .combiners import combine
 from .objectives import FORGET_KINDS, UNBOUNDED_QUADRATIC, NpoLoss, QuadPairProblem
 from .scheduler import LrState, maybe_update
 
@@ -159,23 +159,21 @@ RUN_FIELDS = (
 )
 
 
-def _holder(name: str, rows, kind: str | None = None):
-    """The named tuple of the fields in ``rows`` that ``kind`` reads; ``kind``
-    is a class attribute, which the echo reads as it reads a CombinerSpec's field."""
-    fields = [n for n, *_, kinds in rows if n != "kind" and (kinds is None or kind in kinds)]
-    cls = namedtuple(name, fields, module=__name__)
-    if kind is not None:
-        cls.kind = kind
+_HOLDERS = {}  # the holder of each section's rows, which _parse builds
+
+
+def _holder(name: str, rows):
+    """The named tuple of every field in ``rows``; a field the section's kind
+    does not read holds None."""
+    cls = _HOLDERS[rows] = namedtuple(name, [row[0] for row in rows], module=__name__)
     return cls
 
 
 Seeds = _holder("Seeds", SEEDS_FIELDS)
 LrConfig = _holder("LrConfig", LR_FIELDS)
-NpoSpec = _holder("NpoSpec", METHOD_FIELDS, NPO)
-GaussianProblem = _holder("GaussianProblem", PROBLEM_FIELDS, GAUSSIAN)
-QuadProblemConfig = _holder("QuadProblemConfig", PROBLEM_FIELDS, QUAD_PAIR)
+MethodSpec = _holder("MethodSpec", METHOD_FIELDS)
+ProblemSpec = _holder("ProblemSpec", PROBLEM_FIELDS)
 RunConfig = _holder("RunConfig", RUN_FIELDS)
-_PROBLEMS = {cls.kind: cls for cls in (GaussianProblem, QuadProblemConfig)}
 
 
 def _number(value, integer: bool):
@@ -207,13 +205,13 @@ def _typed(value, typ: str, where: str):
     return out
 
 
-def _parse(d, path: str, rows) -> dict:
-    """The checked values of the JSON object ``d`` at ``path``, by field name."""
+def _parse(d, path: str, rows):
+    """The holder of ``rows`` for the JSON object ``d`` at ``path``, every value checked."""
     if not isinstance(d, dict):
         raise ConfigError(path, "must be an object" if path else "config must be a JSON object")
-    names = {row[0] for row in rows}
+    holder = _HOLDERS[rows]
     for key in d:
-        if key not in names:
+        if key not in holder._fields:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
     values = {}
     for name, typ, check, default, kinds in rows:
@@ -221,8 +219,8 @@ def _parse(d, path: str, rows) -> dict:
         if kinds is not None and values["kind"] not in kinds:
             if name in d:
                 raise ConfigError(where, f"not used by {path} kind {values['kind']!r}")
-            continue
-        if d.get(name) is None and (default is None or default is OMIT):
+            values[name] = None
+        elif d.get(name) is None and (default is None or default is OMIT):
             values[name] = None
         elif name not in d:
             if default is REQUIRED:
@@ -234,7 +232,7 @@ def _parse(d, path: str, rows) -> dict:
             if check is not None and not check[0](value):
                 raise ConfigError(where, check[1])
             values[name] = value
-    return values
+    return holder(**values)
 
 
 def _mlp_size(widths) -> int:
@@ -275,19 +273,7 @@ def _check_across_fields(cfg: RunConfig) -> None:
 
 def config_from_dict(d: dict) -> RunConfig:
     """Parse and validate a configuration document; unknown keys are rejected."""
-    v = _parse(d, "", RUN_FIELDS)
-    seeds = Seeds(**v["seeds"])
-    method = v["method"]
-    kind = method.pop("kind")
-    if kind == NPO:
-        method = NpoSpec(**method)
-    else:
-        rng_seed = seeds.method if kind == combiners.RLW else None
-        method = CombinerSpec(kind, **method, rng_seed=rng_seed)
-    problem = v["problem"]
-    problem = _PROBLEMS[problem.pop("kind")](**problem)
-    v.update(seeds=seeds, lr=LrConfig(**v["lr"]), method=method, problem=problem)
-    cfg = RunConfig(**v)
+    cfg = _parse(d, "", RUN_FIELDS)
     _check_across_fields(cfg)
     return cfg
 
@@ -617,7 +603,7 @@ class _ClassificationTask:
         self._retain_batch: LabeledBatch | None = None
         self.npo: NpoLoss | None = None
         self._npo_ref: np.ndarray | None = None
-        if isinstance(cfg.method, NpoSpec):
+        if cfg.method.kind == NPO:
             self.npo = NpoLoss(self.graph, cfg.method.beta, self.initial_params)
             # frozen model: reference log-probs precomputed once per sample
             self._npo_ref = self.npo.reference_logprobs(self.split.forget)
@@ -734,13 +720,13 @@ def run_unlearning(cfg: RunConfig, start: NoUnlearn | None = None) -> RunRecord:
     their configured point and ignore it.
     """
     counters = _Counters()
-    if isinstance(cfg.problem, QuadProblemConfig):
+    if cfg.problem.kind == QUAD_PAIR:
         task = _QuadTask(cfg, counters)
     else:
         task = _ClassificationTask(cfg, counters, start if start is not None else no_unlearn(cfg))
     params = task.initial_params
-    is_npo = isinstance(cfg.method, NpoSpec)
-    needs_losses = not is_npo and cfg.method.kind == combiners.LOSSNORM
+    is_npo = cfg.method.kind == NPO
+    needs_losses = cfg.method.kind == combiners.LOSSNORM
     auto = cfg.lr.mode == "auto"
     lr_state = LrState(
         eta=cfg.lr.eta,
@@ -768,7 +754,7 @@ def run_unlearning(cfg: RunConfig, start: NoUnlearn | None = None) -> RunRecord:
                     losses = (
                         (max(loss_retain, 1e-12), max(loss_forget, 1e-12)) if needs_losses else None
                     )
-                    out = combine(cfg.method, g_r, g_f, losses, step=step)
+                    out = combine(cfg.method, g_r, g_f, losses, step, cfg.seeds.method)
                     direction = out.direction
                     coeff = out.coefficient
                     gnorm_r, gnorm_f = g_r.norm, g_f.norm

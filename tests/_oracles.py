@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ngdiff import EvalResult, FlatGradient, LabeledBatch, ParameterVector, forward
+from ngdiff import EvalResult, FlatGradient, LabeledBatch, MethodSpec, ParameterVector, forward
 from ngdiff.bench import mlp_factory
 from ngdiff.engine import RUN_COUNTERS, TRACE_COLUMNS
 
@@ -129,6 +129,11 @@ def brute_force_front(points):
         if not dominated:
             front.append(p)
     return front
+
+
+def method_spec(kind: str, **fields) -> MethodSpec:
+    """The method holder of ``kind`` as a parsed config holds it: a field not given is None."""
+    return MethodSpec(**{**dict.fromkeys(MethodSpec._fields), "kind": kind, **fields})
 
 
 def coefficient_trace(outputs) -> list[float]:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from ngdiff import (
-    CombinerSpec,
     FlatGradient,
     LrState,
     ParameterVector,
@@ -31,7 +30,7 @@ from ngdiff import (
 )
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer, theta_layout
 
-from _oracles import fd_gradient, lsp_gradient, random_mlp_case
+from _oracles import fd_gradient, lsp_gradient, method_spec, random_mlp_case
 
 
 @contextmanager
@@ -97,7 +96,7 @@ def test_criterion_1_gradient_fidelity():
 def test_criterion_2_sign_correct_direction():
     with criterion(2, "normalized difference is sign-correct on 10,000 random pairs", 10):
         rng = np.random.default_rng(2024)
-        spec = CombinerSpec("ngdiff")
+        spec = method_spec("ngdiff")
         for dim, count in ((2, 5000), (10, 4000), (10_000, 1000)):
             layout = theta_layout(dim)
             for _ in range(count):

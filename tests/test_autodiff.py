@@ -18,11 +18,12 @@ from ngdiff import (
 )
 from ngdiff.autodiff import _FAST_ROWS, _adopt_vector, _col_sum, _row_sum
 from ngdiff.bench import mlp_factory
-from ngdiff.combiners import CombinerSpec, combine
+from ngdiff.combiners import combine
 from ngdiff.objectives import theta_layout
 
 from _oracles import (
     assert_matches_fd,
+    method_spec,
     random_mlp_case,
     segment,
     straight_line_mlp_grad,
@@ -408,7 +409,7 @@ class TestFinitenessRule:
         forward(graph, params, batch)
         g_r = graph.backward()
         g_f = graph.backward(np.linspace(-1.0, 1.0, batch.n))
-        direction = combine(CombinerSpec("ngdiff"), g_r, g_f).direction
+        direction = combine(method_spec("ngdiff"), g_r, g_f).direction
         for grad in (g_r, g_f, direction):
             assert repr(grad.norm) == root_of_squares(grad.data)
 

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ngdiff import CombinerSpec, FlatGradient, combine
+from ngdiff import FlatGradient, combine
 from ngdiff.combiners import GA, GD, GDIFF, IMTLG, LOSSNORM, NGDIFF, PCGRAD, RLW, SCHEDULED_GDIFF
 from ngdiff.objectives import theta_layout
 
-from _oracles import coefficient_trace, tail_variation
+from _oracles import coefficient_trace, method_spec, tail_variation
 
 L2 = theta_layout(2)
 
@@ -19,7 +19,7 @@ def fg(values, layout=L2):
 
 
 def run(kind, g_r, g_f, losses=None, step=0, **kw):
-    return combine(CombinerSpec(kind, **kw), fg(g_r), fg(g_f), losses, step=step)
+    return combine(method_spec(kind, **kw), fg(g_r), fg(g_f), losses, step=step)
 
 
 class TestWorkedExamples:
@@ -81,7 +81,7 @@ class TestImtlgDefiningProperty:
         for _ in range(50):
             g_r = rng.standard_normal(2)
             g_f = rng.standard_normal(2)
-            out = combine(CombinerSpec(IMTLG), fg(g_r), fg(g_f))
+            out = combine(method_spec(IMTLG), fg(g_r), fg(g_f))
             if out.clamped or out.degenerate:
                 continue
             c = out.coefficient
@@ -92,7 +92,7 @@ class TestImtlgDefiningProperty:
     def test_against_grid_scan(self):
         g_r = np.array([0.7, -1.2])
         g_f = np.array([1.5, 0.4])
-        out = combine(CombinerSpec(IMTLG), fg(g_r), fg(g_f))
+        out = combine(method_spec(IMTLG), fg(g_r), fg(g_f))
         assert not out.clamped
         assert out.coefficient == pytest.approx(self.imtlg_equal_projection_root(g_r, g_f), abs=5e-6)
 
@@ -108,21 +108,21 @@ class TestInvariants:
             for _ in range(200):
                 g_r = rng.standard_normal(dim)
                 g_f = rng.standard_normal(dim)
-                d = combine(CombinerSpec(NGDIFF), fg(g_r, layout), fg(g_f, layout)).direction.data
+                d = combine(method_spec(NGDIFF), fg(g_r, layout), fg(g_f, layout)).direction.data
                 assert g_r.dot(d) >= -1e-9 * np.linalg.norm(g_r)
                 assert g_f.dot(d) <= 1e-9 * np.linalg.norm(g_f)
 
     @pytest.mark.parametrize(
         "kind, kw",
         [
-            (GD, {}), (GA, {}), (GDIFF, {"c": 0.6}), (LOSSNORM, {}), (RLW, {"rng_seed": 3}),
+            (GD, {}), (GA, {}), (GDIFF, {"c": 0.6}), (LOSSNORM, {}), (RLW, {}),
             (PCGRAD, {}), (IMTLG, {}), (NGDIFF, {}),
             (SCHEDULED_GDIFF, {"c": 0.6, "amplitude": 0.2, "decay": 0.5}),
         ],
     )
     def test_direction_is_frozen_and_owns_its_memory(self, kind, kw):
         g_r, g_f = fg([0.3, -1.2]), fg([0.7, 0.4])
-        out = combine(CombinerSpec(kind, **kw), g_r, g_f, (0.5, 2.0), step=1)
+        out = combine(method_spec(kind, **kw), g_r, g_f, (0.5, 2.0), step=1, seed=3)
         assert not out.direction.data.flags.writeable
         assert not np.shares_memory(out.direction.data, g_r.data)
         assert not np.shares_memory(out.direction.data, g_f.data)
@@ -132,54 +132,54 @@ class TestInvariants:
         g_r = rng.standard_normal(6)
         g_f = rng.standard_normal(6)
         layout = theta_layout(6)
-        base = combine(CombinerSpec(NGDIFF), fg(g_r, layout), fg(g_f, layout))
+        base = combine(method_spec(NGDIFF), fg(g_r, layout), fg(g_f, layout))
         # bit-exact under power-of-two scalings
-        out = combine(CombinerSpec(NGDIFF), fg(4.0 * g_r, layout), fg(0.25 * g_f, layout))
+        out = combine(method_spec(NGDIFF), fg(4.0 * g_r, layout), fg(0.25 * g_f, layout))
         assert out.direction.data.tobytes() == base.direction.data.tobytes()
         # within float rounding for arbitrary positive scalings
         for alpha, beta_ in ((3.7, 0.013), (1e6, 1e-6), (math.pi, math.e)):
-            out = combine(CombinerSpec(NGDIFF), fg(alpha * g_r, layout), fg(beta_ * g_f, layout))
+            out = combine(method_spec(NGDIFF), fg(alpha * g_r, layout), fg(beta_ * g_f, layout))
             np.testing.assert_allclose(out.direction.data, base.direction.data, rtol=1e-12)
 
     def test_coefficient_always_in_unit_interval(self):
         rng = np.random.default_rng(2)
         specs = [
-            CombinerSpec(GD),
-            CombinerSpec(GA),
-            CombinerSpec(GDIFF, c=0.3),
-            CombinerSpec(LOSSNORM),
-            CombinerSpec(RLW, rng_seed=5),
-            CombinerSpec(PCGRAD),
-            CombinerSpec(IMTLG),
-            CombinerSpec(NGDIFF),
-            CombinerSpec(SCHEDULED_GDIFF, c=0.75, amplitude=0.2, decay=0.99),
+            method_spec(GD),
+            method_spec(GA),
+            method_spec(GDIFF, c=0.3),
+            method_spec(LOSSNORM),
+            method_spec(RLW),
+            method_spec(PCGRAD),
+            method_spec(IMTLG),
+            method_spec(NGDIFF),
+            method_spec(SCHEDULED_GDIFF, c=0.75, amplitude=0.2, decay=0.99),
         ]
         for step in range(300):
             g_r = fg(rng.standard_normal(2) * rng.uniform(0.1, 10))
             g_f = fg(rng.standard_normal(2) * rng.uniform(0.1, 10))
             losses = (rng.uniform(0.01, 5), rng.uniform(0.01, 5))
             for spec in specs:
-                out = combine(spec, g_r, g_f, losses, step=step)
+                out = combine(spec, g_r, g_f, losses, step=step, seed=5)
                 if not math.isnan(out.coefficient):
                     assert 0.0 <= out.coefficient <= 1.0
 
     def test_direction_equals_coefficient_form(self):
         rng = np.random.default_rng(3)
         specs = [
-            CombinerSpec(GD),
-            CombinerSpec(GA),
-            CombinerSpec(GDIFF, c=0.8),
-            CombinerSpec(LOSSNORM),
-            CombinerSpec(RLW, rng_seed=9),
-            CombinerSpec(PCGRAD),
-            CombinerSpec(IMTLG),
+            method_spec(GD),
+            method_spec(GA),
+            method_spec(GDIFF, c=0.8),
+            method_spec(LOSSNORM),
+            method_spec(RLW),
+            method_spec(PCGRAD),
+            method_spec(IMTLG),
         ]
         for step in range(100):
             g_r = fg(rng.standard_normal(2))
             g_f = fg(rng.standard_normal(2))
             losses = (rng.uniform(0.1, 5), rng.uniform(0.1, 5))
             for spec in specs:
-                out = combine(spec, g_r, g_f, losses, step=step)
+                out = combine(spec, g_r, g_f, losses, step=step, seed=9)
                 c = out.coefficient
                 np.testing.assert_allclose(
                     out.direction.data, c * g_r.data - (1 - c) * g_f.data, atol=1e-12
@@ -190,7 +190,7 @@ class TestInvariants:
         for _ in range(100):
             g_r = fg(rng.standard_normal(2))
             g_f = fg(rng.standard_normal(2))
-            out = combine(CombinerSpec(NGDIFF), g_r, g_f)
+            out = combine(method_spec(NGDIFF), g_r, g_f)
             c = out.coefficient
             factor = 1.0 / np.linalg.norm(g_r.data) + 1.0 / np.linalg.norm(g_f.data)
             np.testing.assert_allclose(
@@ -200,17 +200,17 @@ class TestInvariants:
             )
 
     def test_rlw_mean_near_half(self):
-        spec = CombinerSpec(RLW, rng_seed=7)
+        spec = method_spec(RLW)
         g_r, g_f = fg([1.0, 0.0]), fg([0.0, 1.0])
-        cs = [combine(spec, g_r, g_f, step=t).coefficient for t in range(10_000)]
+        cs = [combine(spec, g_r, g_f, step=t, seed=7).coefficient for t in range(10_000)]
         assert abs(float(np.mean(cs)) - 0.5) <= 0.02
 
     def test_rlw_reproducible_and_counter_keyed(self):
-        spec = CombinerSpec(RLW, rng_seed=21)
+        spec = method_spec(RLW)
         g_r, g_f = fg([1.0, 0.0]), fg([0.0, 1.0])
-        a = combine(spec, g_r, g_f, step=4).coefficient
-        b = combine(spec, g_r, g_f, step=4).coefficient
-        c = combine(spec, g_r, g_f, step=5).coefficient
+        a = combine(spec, g_r, g_f, step=4, seed=21).coefficient
+        b = combine(spec, g_r, g_f, step=4, seed=21).coefficient
+        c = combine(spec, g_r, g_f, step=5, seed=21).coefficient
         assert a == b
         assert a != c
 
@@ -246,19 +246,9 @@ class TestDegenerateHandling:
         with pytest.raises(ValueError):
             run(LOSSNORM, [1.0, 0.0], [0.0, 1.0])
 
-
-class TestSpecValidation:
-    def test_gdiff_requires_c(self):
-        with pytest.raises(ValueError):
-            CombinerSpec(GDIFF)
-
-    def test_rlw_requires_seed(self):
-        with pytest.raises(ValueError):
-            CombinerSpec(RLW)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            CombinerSpec("mystery")
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown combiner kind 'mystery'"):
+            run("mystery", [1.0, 0.0], [0.0, 1.0])
 
 
 class TestCoefficientTrace:

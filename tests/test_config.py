@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ngdiff import combiners, engine
 from ngdiff.cli import main
 from ngdiff.engine import ConfigError, config_from_dict, config_to_dict
 
@@ -90,6 +91,28 @@ def test_every_leaf_echoes_unchanged(name):
         assert lookup(echo, path) == lookup(DOCS[name], path)
         assert type(lookup(echo, path)) is type(lookup(DOCS[name], path))
     assert config_from_dict(echo) == cfg
+
+
+# a value of every field that a section's kind gates
+GATED = {**GAUSSIAN["problem"], **QUAD["problem"], "theta0": [0.5, 1.0],
+         "c": 0.5, "amplitude": 0.2, "decay": 0.9, "beta": 1.0}
+SECTION_ROWS = {"method": engine.METHOD_FIELDS, "problem": engine.PROBLEM_FIELDS}
+
+
+@pytest.mark.parametrize(
+    "section, kind",
+    [("method", kind) for kind in (*combiners.KINDS, engine.NPO)]
+    + [("problem", kind) for kind in (engine.GAUSSIAN, engine.QUAD_PAIR)],
+)
+def test_a_field_the_kind_does_not_read_holds_none(section, kind):
+    read = {name for name, *_, kinds in SECTION_ROWS[section] if kinds is None or kind in kinds}
+    given = {name: GATED[name] for name in read - {"kind"}}
+    base = GAUSSIAN if kind in (engine.NPO, engine.GAUSSIAN) else QUAD
+    cfg = config_from_dict({**base, section: {"kind": kind, **given}})
+    holder = getattr(cfg, section)
+    assert {name for name in holder._fields if getattr(holder, name) is None} == set(holder._fields) - read
+    assert config_to_dict(cfg)[section] == {"kind": kind, **given}
+    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 @pytest.mark.parametrize(

@@ -169,9 +169,9 @@ class TestQuadRuns:
         # the gnorm columns are the norms of the gradients the combiner was given
         seen = []
 
-        def spy(spec, g_r, g_f, losses=None, step=0):
+        def spy(spec, g_r, g_f, losses, step, seed):
             seen.append((g_r.data, g_f.data))
-            return combine(spec, g_r, g_f, losses, step=step)
+            return combine(spec, g_r, g_f, losses, step, seed)
 
         monkeypatch.setattr(ngdiff.engine, "combine", spy)
         for cfg in (
@@ -391,9 +391,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             quad_config({"kind": "npo", "beta": 1.0}, steps=5)
 
-    def test_rlw_seed_comes_from_method_seed(self):
-        cfg = gaussian_config({"kind": "rlw"})
-        assert cfg.method.rng_seed == cfg.seeds.method
+    def test_rlw_weights_are_drawn_from_the_method_seed(self):
+        cfg = quad_config({"kind": "rlw"}, steps=5, seeds={"data": 1, "init": 2, "method": 7})
+        for row in run_unlearning(cfg).rows:
+            lam = np.random.default_rng([7, row.step]).standard_normal(2)
+            assert row.coeff_c == 1.0 / (1.0 + math.exp(lam[1] - lam[0]))
 
     def test_run_name_is_deterministic(self):
         cfg = gaussian_config({"kind": "ngdiff"})

@@ -8,7 +8,6 @@ import pytest
 
 import ngdiff.scheduler
 from ngdiff import (
-    CombinerSpec,
     DimensionError,
     FlatGradient,
     LabeledBatch,
@@ -60,15 +59,13 @@ def _values():
         "FlatGradient": FlatGradient([0.5, -0.5], layout),
         "LabeledBatch": _batch(),
         "ForgetRetainSplit": split_forget_retain(_batch(), 1),
-        "CombinerSpec": quad.method,
+        "MethodSpec": quad.method,
         "QuadPairProblem": QuadPairProblem([0.0, 0.0], [1.0, 0.0], "bounded_exp"),
         "QuadraticFit": fit,
         "LrState": LrState(eta=0.2, fitted=fit, guard_trips=1),
-        "NpoSpec": gauss.method,
         "LrConfig": quad.lr,
         "Seeds": quad.seeds,
-        "GaussianProblem": gauss.problem,
-        "QuadProblemConfig": quad.problem,
+        "ProblemSpec": gauss.problem,
         "RunConfig": gauss,
         "ParetoPoint": ParetoPoint(0.1, 0.2, "tag"),
         "RunRecord": run_unlearning(quad),
@@ -96,7 +93,7 @@ def assert_same(copy, value):
 
 def test_every_value_type_is_covered():
     assert sorted(VALUES) == sorted({type(v).__name__ for v in VALUES.values()})
-    assert len(VALUES) + 1 == 19  # and _Cache, which only Graph.run builds
+    assert len(VALUES) + 1 == 17  # and _Cache, which only Graph.run builds
 
 
 @pytest.mark.parametrize("name", [*VALUES, "_Cache"])
@@ -137,10 +134,6 @@ INVALID = {
     "ForgetRetainSplit": (
         _bypassed(type(VALUES["ForgetRetainSplit"]), _batch(), _batch(), 1),
         ValueError, "forget split must contain only the forget class",
-    ),
-    "CombinerSpec": (
-        _bypassed(CombinerSpec, "rlw", None, None, 0.0, 1.0),
-        ValueError, "rlw requires rng_seed",
     ),
     "QuadPairProblem": (
         _bypassed(QuadPairProblem, np.zeros(2), np.zeros(2), "bounded_exp"),
