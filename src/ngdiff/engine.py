@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
@@ -94,11 +95,19 @@ def _at_least(n):
     return (lambda v: v >= n), f"must be >= {n}"
 
 
+def _within(lo, hi):
+    return (lambda v: lo <= v <= hi), f"must be >= {lo} and <= {hi}"
+
+
 def _one_of(options):
     return (lambda v: v in options), f"must be one of {options}"
 
 
-_POSITIVE = (lambda v: v > 0), "must be > 0"
+def _above(x):
+    return (lambda v: v > x), f"must be > {x!r}"
+
+
+_POSITIVE = _above(0)
 # the most entries a Gaussian problem's data (classes*per_class*dim) and its
 # MLP's parameter vector may each hold; the shipped config holds 7200 and 195
 SIZE_CAP = 2**24
@@ -108,12 +117,13 @@ _QUAD = (QUAD_PAIR,)
 # One row per field, checked in this order: (name, JSON type or the rows of a
 # sub-object, (rule, message) or None, default, the kinds that read it or None
 # for all).  A kind-gated row must follow its section's "kind" row; a field
-# the kind does not read is rejected, and neither set nor echoed.  A null
-# stands for an absent field whose default is None or OMIT; a None default
-# echoes as null.  The checks that relate two fields are in
-# _check_across_fields.
+# the kind does not read is rejected when given, holds None and is not echoed.
+# A null stands for an absent field whose default is None or OMIT; a None
+# default echoes as null.  The checks that relate two fields are in
+# _check_across_fields.  A seed is below 2**64: its run's directory name
+# spells it out, in 20 digits at most.
 SEEDS_FIELDS = tuple(
-    (name, INT, _at_least(0), REQUIRED, None) for name in ("data", "init", "method")
+    (name, INT, _within(0, 2**64 - 1), REQUIRED, None) for name in ("data", "init", "method")
 )
 # In auto mode eta is the step size until the first successful probe fit; an
 # omitted eta falls back to probe_epsilon.
@@ -130,13 +140,15 @@ METHOD_FIELDS = (
     ("amplitude", FLOAT, None, 0.0, (combiners.SCHEDULED_GDIFF,)),
     ("decay", FLOAT, ((lambda v: 0 < v < 1), "must lie in (0, 1)"), REQUIRED,
      (combiners.SCHEDULED_GDIFF,)),
-    ("beta", FLOAT, _POSITIVE, REQUIRED, (NPO,)),
+    # the NPO loss scales by 2/beta, which overflows at any smaller beta
+    ("beta", FLOAT, _above(2 / sys.float_info.max), REQUIRED, (NPO,)),
 )
 PROBLEM_FIELDS = (
     ("kind", STR, _one_of((GAUSSIAN, QUAD_PAIR)), REQUIRED, None),
-    ("classes", INT, _at_least(2), 3, _GAUSSIAN),
+    # classes and dim are capped alone too, so that a huge one is named at its own path
+    ("classes", INT, _within(2, SIZE_CAP), 3, _GAUSSIAN),
     ("per_class", INT, _at_least(1), 300, _GAUSSIAN),
-    ("dim", INT, None, 8, _GAUSSIAN),
+    ("dim", INT, ((lambda v: v <= SIZE_CAP), f"must be <= {SIZE_CAP}"), 8, _GAUSSIAN),
     ("separation", FLOAT, _POSITIVE, 4.0, _GAUSSIAN),
     ("forget_class", INT, None, 0, _GAUSSIAN),
     ("hidden", INTS, ((lambda v: min(v, default=1) >= 1), "layer widths must be >= 1"), (16,),

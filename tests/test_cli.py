@@ -433,11 +433,14 @@ class TestSweep:
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gd"}, steps=5))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "c", "--values", ""]) == 2
 
-    def test_bad_param_exit_2(self, tmp_path):
+    def test_bad_param_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gd"}, steps=5))
+        out = tmp_path / "out"
         assert main(
-            ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "zeta", "--values", "1"]
+            ["sweep", "--config", cfg, "--out", str(out), "--param", "bogus", "--values", "1"]
         ) == 2
+        assert "argument --param: invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_values_exit_2_before_any_child(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))

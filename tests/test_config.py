@@ -4,6 +4,7 @@ shipped configs either fails with that field's path or round-trips."""
 import copy
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,35 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, command, flag, leaf):
     err = capsys.readouterr().err
     assert f"{leaf}: must be >= 0" in err and "Traceback" not in err
     assert not out.exists() or not [p for p in out.iterdir() if p.is_dir()]
+
+
+@pytest.mark.parametrize(
+    "seed, code", [(2**64 - 1, 0), (2**64, 2), (10**300, 2)], ids=["2**64-1", "2**64", "10**300"]
+)
+@pytest.mark.parametrize("name", ["data", "init", "method"])
+def test_a_seed_is_below_2_to_the_64(tmp_path, capsys, name, seed, code):
+    # a seed is spelled out in the run directory's name: a huge one must not blame --out
+    doc = mutate(QUAD, ("steps",), 3)
+    flag = [f"--seed-{name}", str(seed)]
+    for i, (doc, extra) in enumerate(((mutate(doc, ("seeds", name), seed), []), (doc, flag))):
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--config", write(tmp_path / f"cfg{i}.json", doc), "--out", str(out), *extra]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == f"config error: seeds.{name}: must be >= 0 and <= 18446744073709551615\n"
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("beta, code", [(1e-310, 2), (2 / sys.float_info.max, 2), (1.112536929253601e-308, 0)])
+def test_npo_beta_keeps_2_over_beta_finite(tmp_path, capsys, beta, code):
+    # the NPO loss scales by 2/beta: a smaller beta could never take a step
+    doc = mutate(mutate(GAUSSIAN, ("problem", "per_class"), 20), ("problem", "finetune_steps"), 3)
+    doc = {**doc, "method": {"kind": "npo", "beta": beta}, "steps": 3}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path / "cfg.json", doc), "--out", str(out)]) == code
+    if code == 2:
+        assert capsys.readouterr().err == "config error: method.beta: must be > 1.1125369292536007e-308\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
