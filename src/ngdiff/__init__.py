@@ -67,6 +67,7 @@ from .scheduler import (
     maybe_update,
     optimal_lr,
     probe_losses,
+    step_size,
 )
 
 __version__ = "0.1.0"

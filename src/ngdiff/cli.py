@@ -7,13 +7,14 @@ directory alone.  Output directories are named
 ``<method>_<seeds>_<config-hash>`` - deterministic, so reruns land in the
 same place and produce byte-identical files.
 
-Exit codes: 0 success, 2 invalid configuration or arguments, 3 numeric
-abort (the failing step index is printed).
+Exit codes: 0 success, 2 invalid configuration or arguments or an unreadable
+or unwritable file, 3 numeric abort (the failing step index is printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
@@ -50,6 +51,8 @@ def _load_config_dict(path: str) -> dict:
         raise ConfigError(path, f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"config is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(path, "config nests too deeply to parse") from None
 
 
 def _object(doc: dict, key: str) -> dict:
@@ -73,7 +76,7 @@ def _apply_seed_overrides(doc: dict, args) -> dict:
 
 
 class OutError(Exception):
-    """``--out`` cannot be made a directory; ``main`` prints it and exits 2."""
+    """``--out`` or an artifact under it cannot be written; ``main`` prints it and exits 2."""
 
 
 def _make_dir(path: Path, out: str) -> Path:
@@ -96,6 +99,15 @@ def _out_file(directory: Path, name: str, out: str) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _writing(path: Path, out: str):
+    """Turn an OSError raised while writing the artifact ``path`` under ``--out`` into an OutError."""
+    try:
+        yield
+    except OSError as exc:  # a dangling symlink, or no permission
+        raise OutError(f"--out {out}: cannot write {path}: {exc.strerror}") from None
+
+
 def _fmt(x: float) -> str:
     return "nan" if not math.isfinite(x) else f"{x:.6f}"
 
@@ -115,12 +127,13 @@ def _execute_run(cfg: RunConfig, out_dir: str, start=None) -> RunRecord:
     config_path, trace_path, record_path = (
         _out_file(run_dir, name, out_dir) for name in ("config.json", "trace.csv", "record.json")
     )
-    with open(config_path, "w") as fh:
+    with _writing(config_path, out_dir), open(config_path, "w") as fh:
         json.dump(engine.config_to_dict(cfg), fh, sort_keys=True, indent=2)
         fh.write("\n")
     record = run_unlearning(cfg, start)
-    write_trace_csv(record, trace_path)
-    with open(record_path, "w") as fh:
+    with _writing(trace_path, out_dir):
+        write_trace_csv(record, trace_path)
+    with _writing(record_path, out_dir), open(record_path, "w") as fh:
         fh.write(record_to_json(record) + "\n")
     # one write per line: sweep children share stdout, and print's separate
     # newline write would let another child's line in between when unbuffered
@@ -134,12 +147,8 @@ def _execute_run(cfg: RunConfig, out_dir: str, start=None) -> RunRecord:
 
 def cmd_run(args) -> int:
     cfg = config_from_dict(_apply_seed_overrides(_load_config_dict(args.config), args))
-    try:
-        _execute_run(cfg, args.out)
-        return 0
-    except NumericAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    _execute_run(cfg, args.out)
+    return 0
 
 
 def _float(param: str, value: str) -> float:
@@ -284,7 +293,7 @@ def cmd_sweep(args) -> int:
             worst = max(worst, code)
             continue
         lines.append(",".join((value, *map(repr, final))))
-    with open(summary_path, "w", newline="") as fh:
+    with _writing(summary_path, args.out), open(summary_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return worst
 
@@ -295,11 +304,7 @@ def cmd_finetune(args) -> int:
     if cfg.problem.kind != engine.GAUSSIAN:
         print("error: problem: finetune requires a classification problem", file=sys.stderr)
         return 2
-    try:
-        start = engine.no_unlearn(cfg)
-    except NumericAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    start = engine.no_unlearn(cfg)
     ev = engine.evaluate(start.graph, start.params, start.split)
     print(
         f"no-unlearn: acc_retain={_fmt(ev.acc_retain)} acc_forget={_fmt(ev.acc_forget)} "
@@ -321,7 +326,7 @@ def _load_records(patterns) -> list[tuple[str, RunRecord]]:
         try:
             with open(path) as fh:
                 records.append((path, record_from_json(fh.read())))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, RecursionError) as exc:
             raise ConfigError(path, f"unreadable record: {exc}") from None
     return records
 
@@ -343,7 +348,7 @@ def cmd_pareto(args) -> int:
     lines = ["tag,loss_retain,loss_forget"]
     for p in front:
         lines.append(f"{p.tag},{p.retain_loss!r},{p.forget_loss!r}")
-    with open(out_path, "w", newline="") as fh:
+    with _writing(out_path, args.out), open(out_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
 
@@ -418,9 +423,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OutError as exc:
+    except (OutError, NumericAbort) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericAbort) else 2
 
 
 def entry() -> None:

@@ -44,7 +44,7 @@ from .bench import (
 )
 from .combiners import combine
 from .objectives import FORGET_KINDS, UNBOUNDED_QUADRATIC, NpoLoss, QuadPairProblem
-from .scheduler import LrState, maybe_update
+from .scheduler import LrState, maybe_update, step_size
 
 SCHEMA_VERSION = 1
 
@@ -740,11 +740,7 @@ def run_unlearning(cfg: RunConfig, start: NoUnlearn | None = None) -> RunRecord:
     is_npo = cfg.method.kind == NPO
     needs_losses = cfg.method.kind == combiners.LOSSNORM
     auto = cfg.lr.mode == "auto"
-    lr_state = LrState(
-        eta=cfg.lr.eta,
-        update_period=cfg.lr.update_period,
-        probe_epsilon=cfg.lr.probe_epsilon,
-    )
+    lr_state = LrState(cfg.lr.eta)
     rows: list[StepRow] = []
     acc_retain = acc_forget = math.nan
 
@@ -779,9 +775,9 @@ def run_unlearning(cfg: RunConfig, start: NoUnlearn | None = None) -> RunRecord:
                 guard_before = lr_state.guard_trips
                 if auto:
                     lr_state = maybe_update(
-                        lr_state, step, task.probe_loss, params, direction, loss_zero=loss_retain
+                        lr_state, step, cfg.lr, task.probe_loss, params, direction, loss_retain
                     )
-                eta = lr_state.step_size if auto else cfg.lr.eta
+                eta = step_size(lr_state, cfg.lr)
 
                 if task.has_accuracy and step % cfg.eval_every == 0:
                     _, _, acc_retain, acc_forget = task.evaluate(params)

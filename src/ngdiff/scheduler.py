@@ -2,7 +2,7 @@
 
 The retain loss is sampled at ``theta - probe*d``, ``theta``, and
 ``theta + probe*d`` with gradient-free forward passes, a parabola
-``Q(x) = a2*x^2 + a1*x + a0`` is fitted through the three points
+``Q(x) = a2*x^2 + a1*x + loss_zero`` is fitted through the three points
 (``x`` is the signed multiple of ``d`` added to ``theta``), and the step
 size for the descent update ``theta - eta*d`` is ``eta* = a1 / (2*a2)``.
 On an exactly quadratic loss this recovers ``(g.d) / (d.H.d)`` regardless
@@ -16,15 +16,14 @@ curvature.  All three are guard trips - the previous step size is kept and a
 counter is bumped.  A fit is also trusted only near the scale it was probed
 at: once a step size has been fitted, an update may raise it at most
 ``ETA_GROWTH_CAP``-fold, and a capped update is a guard trip too.  The first
-fit, probed at ``probe_epsilon``, is not capped.  Updates run on a fixed
-cadence (every ``update_period`` steps, the step-0 probe included) so the
-probe overhead is amortized.
+fit is not capped.  Updates run on the cadence of the run's ``LrConfig``
+(every ``lr.update_period`` steps, the step-0 probe included) so the probe
+overhead is amortized.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import Callable, NamedTuple
 
 from .autodiff import FlatGradient, ParameterVector, axpy_update
@@ -48,36 +47,24 @@ class QuadraticFit(NamedTuple):
     loss_plus: float
     a2: float
     a1: float
-    a0: float
 
 
-class LrState(
-    namedtuple(
-        "LrState", "eta update_period probe_epsilon fitted guard_trips",
-        defaults=(None, 10, 1e-3, None, 0),
-    )
-):
+class LrState(NamedTuple):
     """Step-size state threaded through the unlearning loop.
 
-    ``eta`` is None until the first successful fit; until then the acting
-    step size (and probe magnitude) falls back to ``probe_epsilon``.
+    ``eta`` starts as the run's ``lr.eta`` and is None until the first fit
+    when that is omitted; ``step_size`` gives the step size that acts.
     """
 
-    __slots__ = ()
+    eta: float | None
+    fitted: QuadraticFit | None = None
+    guard_trips: int = 0
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.eta is not None and not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError("eta must be positive and finite")
-        if self.update_period < 1:
-            raise ValueError("update_period must be >= 1")
-        if not self.probe_epsilon > 0:
-            raise ValueError("probe_epsilon must be positive")
-        return self
 
-    @property
-    def step_size(self) -> float:
-        return self.eta if self.eta is not None else self.probe_epsilon
+def step_size(state: LrState, lr) -> float:
+    """The acting step size under the run's ``LrConfig`` ``lr``: ``state.eta``,
+    or ``lr.probe_epsilon`` until the first fit when ``lr.eta`` is omitted."""
+    return state.eta if state.eta is not None else lr.probe_epsilon
 
 
 def probe_losses(
@@ -85,20 +72,18 @@ def probe_losses(
     params: ParameterVector,
     direction: FlatGradient,
     probe: float,
-    loss_zero: float | None = None,
+    loss_zero: float,
 ) -> tuple[float, float, float, float]:
     """Sample the retain loss at ``theta -+ probe*d`` and ``theta``.
 
     Returns ``(loss_minus, loss_zero, loss_plus, probe_used)``.  A non-finite
     probe loss shrinks the probe tenfold and retries, at most three times.
-    ``loss_zero`` may be passed in to reuse the already computed current
-    loss.  ``params`` is never mutated, so the caller's parameters are
-    bit-identical before and after probing.
+    ``loss_zero`` is the current loss, which the caller has computed.  ``params``
+    is never mutated, so the caller's parameters are bit-identical before and
+    after probing.
     """
     if not probe > 0:
         raise ValueError("probe must be positive")
-    if loss_zero is None:
-        loss_zero = retain_loss(params)
     if not math.isfinite(loss_zero):
         raise ProbeError("current retain loss is non-finite")
     for _ in range(4):
@@ -125,7 +110,7 @@ def fit_quadratic(probe: float, l_minus: float, l_zero: float, l_plus: float) ->
     # a probe below about 1.5e-162 measures no curvature: the divisor rounds to 0
     divisor = 2.0 * probe * probe
     a2 = (l_plus - 2.0 * l_zero + l_minus) / divisor if divisor else math.nan
-    return QuadraticFit(probe, l_minus, l_zero, l_plus, a2=a2, a1=a1, a0=l_zero)
+    return QuadraticFit(probe, l_minus, l_zero, l_plus, a2=a2, a1=a1)
 
 
 def optimal_lr(fit: QuadraticFit) -> float | None:
@@ -144,38 +129,31 @@ def optimal_lr(fit: QuadraticFit) -> float | None:
 def maybe_update(
     state: LrState,
     step: int,
+    lr,
     retain_loss: Callable[[ParameterVector], float],
     params: ParameterVector,
     direction: FlatGradient,
-    loss_zero: float | None = None,
+    loss_zero: float,
 ) -> LrState:
-    """Refresh the step size on the update cadence; otherwise return ``state``.
+    """Refresh the step size every ``lr.update_period`` steps; otherwise return ``state``.
 
     Off-cadence steps perform zero extra forward passes.  On cadence, the
     probe magnitude is the current step size; guard trips keep the previous
     step size, and a capped update takes ``ETA_GROWTH_CAP`` times it.
     """
-    if step < 0:
-        raise ValueError("step must be >= 0")
-    if step % state.update_period != 0:
+    if step % lr.update_period != 0:
         return state
+    trips = state.guard_trips + 1
     try:
         l_minus, l_zero, l_plus, probe = probe_losses(
-            retain_loss, params, direction, state.step_size, loss_zero
+            retain_loss, params, direction, step_size(state, lr), loss_zero
         )
     except ProbeError:
-        return _replace(state, guard_trips=state.guard_trips + 1)
+        return state._replace(guard_trips=trips)
     fit = fit_quadratic(probe, l_minus, l_zero, l_plus)
     eta = optimal_lr(fit)
     if eta is None:
-        return _replace(state, fitted=fit, guard_trips=state.guard_trips + 1)
+        return LrState(state.eta, fit, trips)
     if state.fitted is not None and state.eta is not None and eta > ETA_GROWTH_CAP * state.eta:
-        return _replace(
-            state, eta=ETA_GROWTH_CAP * state.eta, fitted=fit, guard_trips=state.guard_trips + 1
-        )
-    return _replace(state, eta=eta, fitted=fit)
-
-
-def _replace(state: LrState, **changes) -> LrState:
-    """``state`` with ``changes``, built through the checks that ``state._replace`` skips."""
-    return LrState(**{**state._asdict(), **changes})
+        return LrState(ETA_GROWTH_CAP * state.eta, fit, trips)
+    return LrState(eta, fit, state.guard_trips)

@@ -28,6 +28,7 @@ from ngdiff import (
     probe_losses,
     run_unlearning,
 )
+from ngdiff.engine import LrConfig
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer, theta_layout
 
 from _oracles import fd_gradient, lsp_gradient, method_spec, random_mlp_case
@@ -130,14 +131,15 @@ def test_criterion_3_probe_fit_exactness():
                 continue
             direction = FlatGradient(d_vec, layout)
             probe = float(rng.uniform(1e-3, 1.0))
-            lm, l0, lp, used = probe_losses(loss, theta, direction, probe)
+            lm, l0, lp, used = probe_losses(loss, theta, direction, probe, loss(theta))
             eta = optimal_lr(fit_quadratic(used, lm, l0, lp))
             assert abs(eta - expected) <= 1e-8 * abs(expected)
 
             # one cadence update lands on the exact line minimum (probe at an
             # O(1) step size; a tiny probe wastes digits to cancellation)
             state = maybe_update(
-                LrState(eta=float(rng.uniform(0.25, 1.0))), 0, loss, theta, direction
+                LrState(eta=float(rng.uniform(0.25, 1.0))), 0, LrConfig("auto", None, 10, 1e-3),
+                loss, theta, direction, loss(theta),
             )
             stepped = theta.data - state.eta * d_vec
             residual = abs(float((H @ (stepped - center)) @ d_vec)) / np.linalg.norm(d_vec)

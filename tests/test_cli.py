@@ -14,6 +14,7 @@ import pytest
 
 import ngdiff.cli
 import ngdiff.engine
+import ngdiff.scheduler
 from ngdiff.cli import main
 from ngdiff.engine import EvalResult, record_from_json
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer
@@ -124,6 +125,15 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json", doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "step" in capsys.readouterr().err
+
+    def test_non_finite_fitted_step_size_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ngdiff.scheduler, "optimal_lr", lambda fit: math.inf)
+        doc = quad_doc({"kind": "ngdiff"}, steps=5, lr={"mode": "auto"}, theta0=[0.5, 1.0])
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite value at step 0: step size must be finite\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "problem, fieldpath",
@@ -300,6 +310,21 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json", doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--seed-data", "1"]) == 2
         assert f"config error: {section}: must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "finetune"])
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        argv = {
+            "run": ["run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            "sweep": ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                      "--param", "c", "--values", "0.5"],
+            "finetune": ["finetune", "--config", str(cfg)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {cfg}: config nests too deeply to parse\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", [])
@@ -763,6 +788,16 @@ class TestFinetuneAndReport:
         assert f"config error: {bad}: unreadable record: " in capsys.readouterr().err
         assert not (tmp_path / "pareto").exists()
 
+    @pytest.mark.parametrize("command", ["report", "pareto"])
+    def test_deeply_nested_record_exits_2(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        out = ["--out", str(tmp_path / "pareto")] if command == "pareto" else []
+        assert main([command, str(deep), *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {deep}: unreadable record: maximum recursion")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
     def test_run_and_report_lines_share_the_final_metrics(self, tmp_path, capsys):
         rec = one_record(tmp_path, small_gauss_doc({"kind": "ngdiff"}))
         run_line = capsys.readouterr().out
@@ -835,6 +870,41 @@ class TestOutPath:
         captured = capsys.readouterr()
         assert captured.err == f"error: --out {out}: cannot write {out}/pareto.csv: Is a directory\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("artifact", ["config.json", "trace.csv", "record.json"])
+    def test_dangling_symlink_as_run_artifact_exits_2(self, tmp_path, capsys, artifact):
+        doc = quad_doc({"kind": "gd"}, steps=5)
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        out = str(tmp_path / "out")
+        link = Path(out) / ngdiff.engine.run_name(ngdiff.engine.config_from_dict(doc)) / artifact
+        link.parent.mkdir(parents=True)
+        link.symlink_to(tmp_path / "missing" / artifact)
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out {out}: cannot write {link}: No such file or directory\n"
+        assert captured.out == ""
+
+    def test_dangling_symlink_as_pareto_csv_exits_2(self, tmp_path, capsys):
+        record = str(one_record(tmp_path, quad_doc({"kind": "gd"}, steps=5)))
+        out = tmp_path / "p"
+        out.mkdir()
+        (out / "pareto.csv").symlink_to(tmp_path / "missing" / "pareto.csv")
+        capsys.readouterr()
+        assert main(["pareto", record, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: cannot write {out}/pareto.csv: No such file or directory\n"
+        )
+
+    def test_dangling_symlink_as_sweep_summary_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "sweep_summary.csv").symlink_to(tmp_path / "missing" / "sweep_summary.csv")
+        argv = ["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: cannot write {out}/sweep_summary.csv: No such file or directory\n"
+        )
 
     def test_directory_as_sweep_summary_exits_2_before_any_child(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))

@@ -15,8 +15,10 @@ from ngdiff import (
     maybe_update,
     optimal_lr,
     probe_losses,
+    step_size,
 )
 from ngdiff.bench import mlp_factory, LabeledBatch
+from ngdiff.engine import LrConfig
 from ngdiff.scheduler import ETA_GROWTH_CAP
 from ngdiff.objectives import theta_layout
 
@@ -30,6 +32,10 @@ def vec(values):
 
 def grad_like(params, values):
     return FlatGradient(np.asarray(values, dtype=float), params.layout)
+
+
+def auto_lr(update_period=10, probe_epsilon=1e-3):
+    return LrConfig("auto", None, update_period, probe_epsilon)
 
 
 def quadratic_loss(H, center=None):
@@ -46,14 +52,14 @@ def quadratic_loss(H, center=None):
 class TestProbeLosses:
     def test_scalar_quadratic_probe_values(self):
         loss = quadratic_loss([[1.0]])
-        lm, l0, lp, probe = probe_losses(loss, vec([3.0]), grad_like(vec([3.0]), [3.0]), 0.1)
+        lm, l0, lp, probe = probe_losses(loss, vec([3.0]), grad_like(vec([3.0]), [3.0]), 0.1, 4.5)
         assert (lm, l0, lp) == (3.6450000000000005, 4.5, 5.444999999999999)
         assert probe == 0.1
 
     def test_zero_direction_gives_equal_losses(self):
         loss = quadratic_loss(np.eye(2))
         p = vec([1.0, 2.0])
-        lm, l0, lp, _ = probe_losses(loss, p, grad_like(p, [0.0, 0.0]), 0.5)
+        lm, l0, lp, _ = probe_losses(loss, p, grad_like(p, [0.0, 0.0]), 0.5, loss(p))
         assert lm == l0 == lp
 
     def test_matches_independent_forward_reimplementation(self):
@@ -66,7 +72,7 @@ class TestProbeLosses:
         def loss(p):
             return forward(graph, p, batch)
 
-        lm, l0, lp, probe = probe_losses(loss, params, direction, 0.05)
+        lm, l0, lp, probe = probe_losses(loss, params, direction, 0.05, loss(params))
         feats, labels = batch.features, batch.labels
         minus = ParameterVector(params.data - probe * direction.data, params.layout)
         plus = ParameterVector(params.data + probe * direction.data, params.layout)
@@ -77,7 +83,7 @@ class TestProbeLosses:
         loss = quadratic_loss(np.diag([1.0, 4.0]))
         p = vec([1.0, 1.0])
         before = p.data.tobytes()
-        probe_losses(loss, p, grad_like(p, [1.0, 4.0]), 0.3)
+        probe_losses(loss, p, grad_like(p, [1.0, 4.0]), 0.3, loss(p))
         assert p.data.tobytes() == before
 
     def test_shrinks_probe_on_nonfinite_loss(self):
@@ -89,7 +95,7 @@ class TestProbeLosses:
             return math.inf if abs(x - 1.0) > 0.05 else (x - 1.0) ** 2
 
         p = vec([1.0])
-        lm, l0, lp, probe = probe_losses(loss, p, grad_like(p, [1.0]), 1.0)
+        lm, l0, lp, probe = probe_losses(loss, p, grad_like(p, [1.0]), 1.0, loss(p))
         assert probe == pytest.approx(0.01)
         assert math.isfinite(lm) and math.isfinite(lp)
 
@@ -99,7 +105,7 @@ class TestProbeLosses:
 
         p = vec([1.0])
         with pytest.raises(ProbeError):
-            probe_losses(loss, p, grad_like(p, [1.0]), 1.0)
+            probe_losses(loss, p, grad_like(p, [1.0]), 1.0, loss(p))
 
 
 class TestFitQuadratic:
@@ -107,10 +113,9 @@ class TestFitQuadratic:
         fit = fit_quadratic(0.1, 3.645, 4.5, 5.445)
         assert fit.a1 == pytest.approx(9.0, rel=1e-12)
         assert fit.a2 == pytest.approx(4.5, rel=1e-10)
-        assert fit.a0 == 4.5
         # the parabola interpolates all three points
         for x, y in ((-0.1, 3.645), (0.0, 4.5), (0.1, 5.445)):
-            assert fit.a2 * x * x + fit.a1 * x + fit.a0 == pytest.approx(y, rel=1e-12)
+            assert fit.a2 * x * x + fit.a1 * x + fit.loss_zero == pytest.approx(y, rel=1e-12)
 
     def test_symmetric_losses_have_zero_slope(self):
         fit = fit_quadratic(0.2, 7.5, 5.0, 7.5)
@@ -146,7 +151,7 @@ class TestOptimalLr:
         theta = vec([1.0, 1.0])
         g = H @ theta.data
         d = grad_like(theta, g)
-        lm, l0, lp, probe = probe_losses(loss, theta, d, 0.37)
+        lm, l0, lp, probe = probe_losses(loss, theta, d, 0.37, loss(theta))
         eta = optimal_lr(fit_quadratic(probe, lm, l0, lp))
         assert eta == pytest.approx(17.0 / 65.0, rel=1e-12)
 
@@ -166,7 +171,7 @@ class TestOptimalLr:
             if expected <= 0:
                 continue
             for probe in (1e-3, 0.1, 2.0):
-                lm, l0, lp, used = probe_losses(loss, theta, d, probe)
+                lm, l0, lp, used = probe_losses(loss, theta, d, probe, loss(theta))
                 eta = optimal_lr(fit_quadratic(used, lm, l0, lp))
                 assert eta == pytest.approx(expected, rel=1e-8)
 
@@ -178,7 +183,7 @@ class TestOptimalLr:
         theta = vec([1.0, -2.0, 0.5])
         d_vec = np.array([0.3, -1.0, 0.2])
         d = grad_like(theta, d_vec)
-        lm, l0, lp, probe = probe_losses(loss, theta, d, 0.05)
+        lm, l0, lp, probe = probe_losses(loss, theta, d, 0.05, loss(theta))
         eta = optimal_lr(fit_quadratic(probe, lm, l0, lp))
         g = H @ theta.data
         bound = 2.0 * float(g @ d_vec) / float(d_vec @ H @ d_vec)
@@ -196,7 +201,7 @@ class TestMaybeUpdate:
             return 0.0
 
         p = vec([1.0])
-        out = maybe_update(state, 3, loss, p, grad_like(p, [1.0]))
+        out = maybe_update(state, 3, auto_lr(), loss, p, grad_like(p, [1.0]), 0.0)
         assert out is state
         assert calls == []
 
@@ -206,7 +211,7 @@ class TestMaybeUpdate:
         theta = vec([1.0, 1.0])
         g = H @ theta.data
         d = grad_like(theta, g)
-        state = maybe_update(LrState(probe_epsilon=1e-3), 0, loss, theta, d)
+        state = maybe_update(LrState(None), 0, auto_lr(), loss, theta, d, loss(theta))
         assert state.eta is not None
         stepped = ParameterVector(theta.data - state.eta * d.data, theta.layout)
         residual = float((H @ stepped.data) @ d.data) / np.linalg.norm(d.data)
@@ -221,7 +226,7 @@ class TestMaybeUpdate:
         theta = vec([0.5])
         d = grad_like(theta, [1.0])
         state = LrState(eta=0.25)
-        out = maybe_update(state, 0, loss, theta, d)
+        out = maybe_update(state, 0, auto_lr(), loss, theta, d, loss(theta))
         assert out.eta == 0.25
         assert out.guard_trips == 1
 
@@ -230,7 +235,7 @@ class TestMaybeUpdate:
             return math.inf if p.data[0] != 1.0 else 0.5
 
         theta = vec([1.0])
-        state = maybe_update(LrState(eta=0.1), 0, loss, theta, grad_like(theta, [1.0]))
+        state = maybe_update(LrState(eta=0.1), 0, auto_lr(), loss, theta, grad_like(theta, [1.0]), 0.5)
         assert state.eta == 0.1
         assert state.guard_trips == 1
 
@@ -241,7 +246,7 @@ class TestMaybeUpdate:
         theta = vec([1.0])
         fit = fit_quadratic(0.1, 0.405, 0.5, 0.605) if fitted else None
         state = LrState(eta=0.1, fitted=fit)
-        out = maybe_update(state, 0, quadratic_loss([[1.0]]), theta, grad_like(theta, [1.0]))
+        out = maybe_update(state, 0, auto_lr(), quadratic_loss([[1.0]]), theta, grad_like(theta, [1.0]), 0.5)
         if fitted:
             assert out.eta == ETA_GROWTH_CAP * 0.1
             assert out.guard_trips == 1
@@ -257,13 +262,15 @@ class TestMaybeUpdate:
         # size stays what it was, as on a flat or concave fit
         theta = vec([1.0])
         fit = fit_quadratic(0.1, 0.405, 0.5, 0.605) if fitted else None
-        state = LrState(eta=probe if fitted else None, probe_epsilon=probe, fitted=fit)
-        out = maybe_update(state, 0, quadratic_loss([[1.0]]), theta, grad_like(theta, [1.0]))
-        assert out.eta == state.eta and out.step_size == probe
+        lr = auto_lr(probe_epsilon=probe)
+        state = LrState(eta=probe if fitted else None, fitted=fit)
+        out = maybe_update(state, 0, lr, quadratic_loss([[1.0]]), theta, grad_like(theta, [1.0]), 0.5)
+        assert out.eta == state.eta and step_size(out, lr) == probe
         assert out.guard_trips == 1
         assert out.fitted.probe == probe and math.isnan(out.fitted.a2)
 
-    def test_probe_bookkeeping_two_per_event(self):
+    @pytest.mark.parametrize("period", [10, 7])
+    def test_probe_bookkeeping_two_per_event(self, period):
         loss_calls = []
         H = np.eye(2)
 
@@ -271,15 +278,16 @@ class TestMaybeUpdate:
             loss_calls.append(1)
             return 0.5 * float(p.data @ H @ p.data)
 
-        state = LrState(probe_epsilon=1e-2)
+        lr = auto_lr(update_period=period, probe_epsilon=1e-2)
+        state = LrState(None)
         theta = vec([2.0, 1.0])
         for step in range(25):
             d = grad_like(theta, H @ theta.data)
             # current loss supplied by the caller, as in the run loop
-            state = maybe_update(state, step, loss, theta, d, loss_zero=loss(theta))
-        # 25 steps, period 10 -> events at 0, 10, 20; two probe passes each
+            state = maybe_update(state, step, lr, loss, theta, d, loss(theta))
+        # events at 0, period, 2*period, ... below 25; two probe passes each
         probes = len(loss_calls) - 25
-        assert probes == 2 * math.ceil(25 / 10)
+        assert probes == 2 * math.ceil(25 / period)
 
     def test_uninitialized_eta_probes_at_epsilon(self):
         seen = []
@@ -289,12 +297,10 @@ class TestMaybeUpdate:
             return 0.5 * float(p.data[0]) ** 2
 
         theta = vec([1.0])
-        maybe_update(LrState(probe_epsilon=1e-3), 0, loss, theta, grad_like(theta, [1.0]), loss_zero=0.5)
+        maybe_update(LrState(None), 0, auto_lr(), loss, theta, grad_like(theta, [1.0]), 0.5)
         np.testing.assert_allclose(sorted(seen), [1.0 - 1e-3, 1.0 + 1e-3])
 
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            LrState(eta=-1.0)
-        with pytest.raises(ValueError):
-            LrState(update_period=0)
-        assert LrState(probe_epsilon=0.5).step_size == 0.5
+    def test_step_size_falls_back_to_probe_epsilon(self):
+        assert LrState._fields == ("eta", "fitted", "guard_trips")
+        assert step_size(LrState(None), auto_lr(probe_epsilon=0.5)) == 0.5
+        assert step_size(LrState(0.2), auto_lr(probe_epsilon=0.5)) == 0.2

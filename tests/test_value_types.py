@@ -6,7 +6,6 @@ import pickle
 import numpy as np
 import pytest
 
-import ngdiff.scheduler
 from ngdiff import (
     DimensionError,
     FlatGradient,
@@ -20,7 +19,6 @@ from ngdiff import (
     Segment,
     config_from_dict,
     fit_quadratic,
-    maybe_update,
     run_unlearning,
     split_forget_retain,
 )
@@ -139,10 +137,6 @@ INVALID = {
         _bypassed(QuadPairProblem, np.zeros(2), np.zeros(2), "bounded_exp"),
         ValueError, "anchors must differ",
     ),
-    "LrState": (
-        _bypassed(LrState, math.inf, 10, 1e-3, None, 0),
-        ValueError, "eta must be positive and finite",
-    ),
     "ParetoPoint": (
         _bypassed(ParetoPoint, math.nan, 0.0, ""),
         ValueError, "pareto point losses must be finite",
@@ -162,18 +156,6 @@ def test_layout_pickles_its_segments_alone():
     layout = VALUES["ParameterLayout"]
     assert layout.__getnewargs__() == (layout.segments,)
     assert pickle.loads(pickle.dumps(layout)).total_size == 2
-
-
-def test_update_still_rejects_a_non_finite_eta(monkeypatch):
-    monkeypatch.setattr(ngdiff.scheduler, "optimal_lr", lambda fit: math.inf)
-    params = ParameterVector([1.0], theta_layout(1))
-    direction = FlatGradient([1.0], params.layout)
-
-    def loss(p):
-        return 0.5 * float(p.data[0]) ** 2
-
-    with pytest.raises(ValueError, match="eta must be positive and finite"):
-        maybe_update(LrState(eta=0.1), 0, loss, params, direction)
 
 
 def test_record_formats_its_trace_once():
