@@ -13,6 +13,11 @@ preference loss in ``objectives`` uses that).  Every production loss is a
 function of ``lp``, so this one kernel serves finetuning, both task
 gradients, probes and evaluation.
 
+A pass may stack equal-size batches as groups of rows (``stack``); each
+group's loss, ``lp``, logits and gradient are bit for bit those of a lone
+pass over its batch (a pass of one group), since every product is one GEMM
+per group and every reduction keeps its per-group order.
+
 Finiteness is checked once per layer pre-activation and once on the loss.
 Every parameter or gradient vector is checked once, by its sum of squares
 ``data.dot(data)``: a finite sum proves every entry finite, since a nan
@@ -221,23 +226,23 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _col_sum(g: np.ndarray) -> np.ndarray:
-    """``g.sum(axis=0)``, bit for bit, for a C-contiguous 2-D ``g``.
+    """``g.sum(axis=-2)``, bit for bit, for a C-contiguous ``g`` (a matrix or a stack of them).
 
     With two or more columns numpy adds the rows one after another, which
     is also einsum's order there, and einsum avoids numpy's per-row
     overhead.  A single column is one contiguous vector that numpy sums
     pairwise, so the call itself is made, as it is for short inputs.
     """
-    if g.shape[0] < _FAST_ROWS or g.shape[1] == 1:
-        return g.sum(axis=0)
-    return np.einsum("ij->j", g)
+    if g.shape[-2] < _FAST_ROWS or g.shape[-1] == 1:
+        return g.sum(axis=-2)
+    return np.einsum("...ij->...j", g)
 
 
 class _Cache(NamedTuple):
     """What ``Graph.run`` leaves for ``backward`` and for readers of the logits."""
 
     weights: list  # w_i views into the parameter vector
-    acts: list  # acts[0] is the input, acts[i] the output of layer i
+    acts: list  # (groups, n, width): acts[0] the input, acts[i] layer i's output; 2-D logits last
     at_label: np.ndarray  # flat index of each row's true label in the logits
     numer: np.ndarray  # exp(logits - rowmax)
     denom: np.ndarray  # row sums of ``numer``, shape (n, 1)
@@ -274,7 +279,8 @@ class Graph:
         # a copy, pickled or shallow, starts without the forward cache
         return {**self.__dict__, "_cache": None}
 
-    def _bind(self, bindings: dict) -> tuple[np.ndarray, np.ndarray]:
+    def bind(self, bindings: dict) -> dict:
+        """``bindings``, whose rows split into ``groups`` (default 1) equal groups, checked once."""
         for name in ("features", "labels"):
             if name not in bindings:
                 raise DimensionError(f"missing binding for {name!r}")
@@ -283,22 +289,30 @@ class Graph:
             raise DimensionError(f"features expect shape (n, {self.widths[0]}), got {x.shape}")
         if x.shape[0] == 0:
             raise DimensionError("features must be non-empty")
-        labels = np.asarray(bindings["labels"])
-        if labels.dtype != np.int64:
-            labels = labels.astype(np.int64)
+        groups = bindings.get("groups", 1)
+        if type(groups) is not int or groups < 1 or x.shape[0] % groups:
+            raise DimensionError(f"features do not split into {groups!r} groups of equal size")
+        labels = np.asarray(bindings["labels"], dtype=np.int64)
         if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
             raise DimensionError("labels must be a 1-D integer array with one entry per row")
         if labels.min() < 0 or labels.max() >= self.widths[-1]:
             raise DimensionError("labels out of class range")
-        return x, labels
+        k = self.widths[-1]
+        at_label = np.arange(0, x.shape[0] * k, k) + labels  # flat (row, true label) index
+        checked = {"features": x, "labels": labels, "groups": groups, "at_label": at_label}
+        return {**checked, "widths": self.widths}  # the graph's own widths mark them checked
 
-    def run(self, params: ParameterVector, bindings: dict) -> float:
+    def run(self, params: ParameterVector, bindings: dict) -> tuple[float, ...]:
         """Forward pass over ``bindings["features"]`` and ``bindings["labels"]``.
 
-        Returns the mean cross-entropy and caches what ``backward`` needs.
+        Returns each group's mean cross-entropy and caches what ``backward``
+        needs.  Bindings that ``bind`` returned are not checked again.
         """
         _same_layout(params.layout, self.layout, "forward")
-        h, labels = self._bind(bindings)
+        if bindings.get("widths") is not self.widths:
+            bindings = self.bind(bindings)
+        h = bindings["features"].reshape(bindings["groups"], -1, self.widths[0])
+        n = h.shape[1]
         data = params.data
         weights, acts = [], [h]
         last = len(self._layers)
@@ -306,7 +320,7 @@ class Graph:
         with np.errstate(all="ignore"):
             for i, (w_at, w_shape, b_at) in enumerate(self._layers, start=1):
                 w = data[w_at].reshape(w_shape)
-                h = h @ w
+                h = h @ w  # one GEMM per group
                 h += data[b_at]
                 if np.count_nonzero(np.isfinite(h)) != h.size:
                     raise NumericError(f"non-finite pre-activation in layer {i}")
@@ -314,21 +328,21 @@ class Graph:
                     np.tanh(h, out=h)
                 weights.append(w)
                 acts.append(h)
-            m = _row_max(h)
-            numer = h - m
+            acts[-1] = logits = h.reshape(-1, h.shape[-1])
+            m = _row_max(logits)
+            numer = logits - m
             np.exp(numer, out=numer)
             denom = _row_sum(numer)
-            n, classes = h.shape
-            at_label = np.arange(0, n * classes, classes) + labels  # flat (row, label) index
             lse = np.log(denom)
             lse += m
-            lp = h.take(at_label)
+            lp = logits.take(bindings["at_label"])
             lp -= lse[:, 0]
-            loss = float(-(lp.sum() / n))  # -np.mean(lp), without its wrapper
-        if not math.isfinite(loss):
+            # -np.mean(lp) of each group, without its wrapper
+            losses = tuple([float(-(lp[i : i + n].sum() / n)) for i in range(0, lp.size, n)])
+        if not all(map(math.isfinite, losses)):
             raise NumericError("non-finite cross-entropy")
-        self._cache = _Cache(weights, acts, at_label, numer, denom, lp)
-        return loss
+        self._cache = _Cache(weights, acts, bindings["at_label"], numer, denom, lp)
+        return losses
 
     def _cached(self) -> _Cache:
         if self._cache is None:
@@ -337,50 +351,69 @@ class Graph:
 
     @property
     def logits(self) -> np.ndarray:
-        """Logits of the most recent ``run``."""
+        """Logits of the most recent ``run``, one row per row of its features."""
         return self._cached().acts[-1]
 
     @property
     def lp(self) -> np.ndarray:
-        """True-label log-probabilities of the most recent ``run``."""
+        """True-label log-probabilities of the most recent ``run``, one per row."""
         return self._cached().lp
 
-    def backward(self, dlp: np.ndarray | None = None) -> FlatGradient:
-        """Gradient w.r.t. the flat parameter vector, after a ``run``.
+    def backward(self, dlp: np.ndarray | None = None, groups: int | None = None) -> tuple:
+        """Gradients w.r.t. the flat parameter vector, after a ``run``: one per group.
 
-        Without ``dlp`` this differentiates the cross-entropy that ``run``
-        returned; with ``dlp`` (one entry per row) it differentiates any
-        loss whose gradient w.r.t. ``lp`` is ``dlp``.
+        Without ``dlp`` this differentiates the cross-entropy of each group
+        that ``run`` returned; with ``dlp`` (one entry per row) it
+        differentiates any loss whose gradient w.r.t. ``lp`` is ``dlp``.
+        With ``groups`` only the first ``groups`` groups are differentiated.
         """
-        c = self._cached()
+        weights, acts, at_label, numer, denom, _ = self._cached()
+        stacked, n = acts[0].shape[:2]
+        groups = stacked if groups is None else groups
+        if groups != stacked:
+            if not 0 < groups < stacked:
+                raise DimensionError(f"cannot differentiate {groups} of {stacked} groups")
+            acts = [a[:groups] for a in acts[:-1]]
+            numer, denom, at_label = (a[: groups * n] for a in (numer, denom, at_label))
         # every product below is written in place; IEEE products commute,
         # so the operand order of the plain formulas does not matter
-        g = c.numer / c.denom  # probs
+        g = numer / denom  # probs
         if dlp is None:
-            g.reshape(-1)[c.at_label] -= 1.0  # probs - onehot
-            g *= 1.0 / c.lp.shape[0]
+            g.reshape(-1)[at_label] -= 1.0  # probs - onehot
+            g *= 1.0 / n
         else:
             dlp = _as_f64(dlp)
-            if dlp.shape != c.lp.shape:
-                raise DimensionError(f"dlp shape {dlp.shape} does not match {c.lp.shape}")
+            if dlp.shape != at_label.shape:
+                raise DimensionError(f"dlp shape {dlp.shape} does not match {at_label.shape}")
             # onehot - probs, spelled so that zero probabilities give +0.0
             np.subtract(0.0, g, out=g)
-            g.reshape(-1)[c.at_label] += 1.0
+            g.reshape(-1)[at_label] += 1.0
             g *= dlp.reshape(-1, 1)
-        flat = np.empty(self.layout.total_size)
+        g = g.reshape(groups, n, -1)
+        flat = np.empty((groups, self.layout.total_size))
         for i in range(len(self._layers) - 1, -1, -1):
             w_at, _, b_at = self._layers[i]
-            flat[b_at] = _col_sum(g)
-            flat[w_at] = (c.acts[i].T @ g).ravel()
+            y = acts[i]
+            flat[:, b_at] = _col_sum(g)
+            flat[:, w_at] = (y.transpose(0, 2, 1) @ g).reshape(groups, -1)  # one GEMM per group
             if i > 0:
-                y = c.acts[i]
-                dy = y * y
+                dy = np.square(y)  # the bits of y * y, in numpy's faster loop
                 np.subtract(1.0, dy, out=dy)
-                g = g @ c.weights[i].T
+                g = g @ weights[i].T
                 g *= dy  # (1 - y^2) * (g W^T)
-        return _adopt_vector(FlatGradient, flat, self.layout, "gradient")
+        return tuple([_adopt_vector(FlatGradient, data, self.layout, "gradient") for data in flat])
+
+
+def stack(batches) -> dict:
+    """The bindings of one pass over equal-size labeled ``batches``, one group each."""
+    if len({b.n for b in batches}) != 1:
+        raise DimensionError("stacked batches must have one size")
+    features = np.concatenate([b.features for b in batches])
+    labels = np.concatenate([b.labels for b in batches])
+    return {"features": features, "labels": labels, "groups": len(batches)}
 
 
 def forward(graph: Graph, params: ParameterVector, batch) -> float:
-    """Run the graph on a labeled batch, binding ``features`` and ``labels``."""
-    return graph.run(params, {"features": batch.features, "labels": batch.labels})
+    """Run the graph on one labeled batch; its mean cross-entropy."""
+    return graph.run(params, {"features": batch.features, "labels": batch.labels})[0]
+

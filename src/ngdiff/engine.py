@@ -1,16 +1,16 @@
 """Unlearning loop, orchestration, metrics, Pareto tooling, and cost accounting.
 
-A run is fully described by a :class:`RunConfig` (method, learning-rate
-mode, step budget, seeds, problem).  Classification runs start from the
+A run is fully described by a :class:`RunConfig` (method, learning-rate mode,
+step budget, seeds, problem).  Classification runs start from the
 "no-unlearn" start that :func:`no_unlearn` makes - the forget/retain split,
 the MLP and its weights finetuned on the pooled data - which runs with the
 same data, init and problem can share; analytic quadratic-pair runs start
-from a configured point.  Each step
-computes per-task gradients on fresh minibatches (full batch for analytic
-problems), combines them, optionally refreshes the step size from retain
-probes, and applies ``theta <- theta - eta * g``.  The result is a
-:class:`RunRecord` with one row per step, exact pass counters, and final
-metrics; identical configs reproduce records bit for bit.
+from a configured point.  Each step computes per-task gradients on fresh
+minibatches (full batch for analytic problems; one kernel pass for both
+minibatches when they have one size), combines them, optionally refreshes the
+step size from retain probes, and applies ``theta <- theta - eta * g``.  The
+result is a :class:`RunRecord` with one row per step, exact pass counters,
+and final metrics; identical configs reproduce records bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .autodiff import (
     _adopt_vector,
     axpy_update,
     forward,
+    stack,
 )
 from .bench import (
     ForgetRetainSplit,
@@ -436,10 +437,12 @@ def record_from_dict(d: dict) -> RunRecord:
         raise ValueError(f"record schema must be {SCHEMA_VERSION}")
     if d.get("trace_columns") != list(TRACE_COLUMNS):
         raise ValueError("record trace columns do not match the schema")
-    _parse(d["config"], "config", RUN_FIELDS)
+    steps = _parse(d["config"], "config", RUN_FIELDS).steps
     trace = d["trace"]
     if not isinstance(trace, list):
         raise ValueError("record trace must be a list")
+    if len(trace) != steps:  # a run writes one row per step, an abort no record
+        raise ValueError(f"record trace has {len(trace)} rows for {steps} steps")
     rows = []
     for raw in trace:
         if not isinstance(raw, list) or len(raw) != len(TRACE_COLUMNS):
@@ -576,17 +579,12 @@ class _QuadTask:
         self.initial_params = ParameterVector(theta0, self.problem.layout)
         self._counters = counters
 
-    def retain_loss_grad(self, params):
-        self._counters.forward += 1
-        self._counters.backward += 1
-        loss, grad, sq = self.problem.retain_loss_grad(params)
-        return loss, _adopt_vector(FlatGradient, grad, params.layout, "gradient", sq)
-
-    def forget_loss_grad(self, params):
-        self._counters.forward += 1
-        self._counters.backward += 1
-        loss, grad, sq = self.problem.forget_loss_grad(params)
-        return loss, _adopt_vector(FlatGradient, grad, params.layout, "gradient", sq)
+    def loss_grads(self, params):
+        self._counters.forward += 2
+        self._counters.backward += 2
+        pairs = self.problem.retain_loss_grad(params), self.problem.forget_loss_grad(params)
+        layout = params.layout
+        return [(loss, _adopt_vector(FlatGradient, g, layout, "gradient", sq)) for loss, g, sq in pairs]
 
     def probe_loss(self, params) -> float:
         self._counters.probe_forward += 1
@@ -620,31 +618,38 @@ class _ClassificationTask:
             # frozen model: reference log-probs precomputed once per sample
             self._npo_ref = self.npo.reference_logprobs(self.split.forget)
 
-    def retain_loss_grad(self, params):
-        self._retain_batch = self.split.retain.take(self._retain_stream.next())
-        self._counters.forward += 1
-        loss = forward(self.graph, params, self._retain_batch)
-        self._counters.backward += 1
-        return loss, self.graph.backward()
+    def loss_grads(self, params):
+        """The retain and the forget (loss, gradient) pairs, from one kernel pass.
 
-    def forget_loss_grad(self, params):
-        batch = self.split.forget.take(self._forget_stream.next())
-        self._counters.forward += 1
-        loss = forward(self.graph, params, batch)
-        self._counters.backward += 1
-        return loss, self.graph.backward()
+        Minibatches of unequal size, and a pass that meets a non-finite value, run
+        one pass each, retain first, so an error is the one the lone passes raise first.
+        """
+        self._retain_batch = self.split.retain.take(self._retain_stream.next())
+        batches = self._retain_batch, self.split.forget.take(self._forget_stream.next())
+        self._counters.forward += 2
+        self._counters.backward += 2
+        if batches[0].n == batches[1].n:
+            try:
+                return list(zip(self.graph.run(params, stack(batches)), self.graph.backward()))
+            except NumericError:
+                pass
+        return [(forward(self.graph, params, b), self.graph.backward()[0]) for b in batches]
 
     def npo_loss_grad(self, params):
         idx = self._forget_stream.next()
         batch = self.split.forget.take(idx)
         self._counters.forward += 1
         self._counters.backward += 1
+        # gradient-free diagnostics, not counted: both minibatches' cross-entropy, from one pass
+        retain = self._retain_batch = self.split.retain.take(self._retain_stream.next())
+        if retain.n == batch.n:
+            try:
+                loss, grad = self.npo.loss_and_grad(params, batch, self._npo_ref[idx], retain)
+                return loss, grad, self.npo.cross_entropy[1], self.npo.cross_entropy[0]
+            except NumericError:  # rerun as lone passes, which raise in their order
+                pass
         loss, grad = self.npo.loss_and_grad(params, batch, self._npo_ref[idx])
-        # gradient-free diagnostics on matching minibatches, not counted; the
-        # forget side is the cross-entropy of the NPO loss's own forward
-        self._retain_batch = self.split.retain.take(self._retain_stream.next())
-        loss_retain = forward(self.graph, params, self._retain_batch)
-        return loss, grad, loss_retain, self.npo.cross_entropy
+        return loss, grad, forward(self.graph, params, retain), self.npo.cross_entropy[0]
 
     def probe_loss(self, params) -> float:
         # probes reuse the minibatch that produced the current retain gradient
@@ -679,11 +684,12 @@ def finetune(
     # every value kept is checked for finiteness, so numpy's own overflow
     # warnings on the way to a non-finite one are noise; one errstate for
     # the whole loop, since entering one costs about as much as a check
+    bindings = graph.bind({"features": data.features, "labels": data.labels})
     with np.errstate(all="ignore"):
         for step in range(steps):
             try:
-                forward(graph, params, data)  # raises NumericError on a non-finite loss
-                grad = graph.backward()
+                graph.run(params, bindings)  # raises NumericError on a non-finite loss
+                (grad,) = graph.backward()
                 params = axpy_update(params, grad, eta)
             except NumericError as exc:
                 raise NumericAbort(step, str(exc), params) from None
@@ -753,8 +759,7 @@ def run_unlearning(cfg: RunConfig, start: NoUnlearn | None = None) -> RunRecord:
                     _, direction, loss_retain, loss_forget = task.npo_loss_grad(params)
                     coeff = gnorm_r = gnorm_f = cos_rf = math.nan
                 else:
-                    loss_retain, g_r = task.retain_loss_grad(params)
-                    loss_forget, g_f = task.forget_loss_grad(params)
+                    (loss_retain, g_r), (loss_forget, g_f) = task.loss_grads(params)
                     if not (math.isfinite(loss_retain) and math.isfinite(loss_forget)):
                         raise NumericError("task loss is non-finite")
                     # cross-entropy on a saturated minibatch can round to exactly 0;

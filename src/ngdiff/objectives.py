@@ -9,7 +9,6 @@ Pareto front; it is a test fixture, not part of the classification path.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import namedtuple
 
@@ -24,6 +23,7 @@ from .autodiff import (
     ParameterVector,
     Segment,
     forward,
+    stack,
 )
 
 UNBOUNDED_QUADRATIC = "unbounded_quadratic"
@@ -47,9 +47,9 @@ class NpoLoss:
 
     The reference side is treated as a constant: no gradient flows into it.
     The loss is a function of the kernel's true-label log-probabilities, so
-    its gradient is the kernel's backward pass given ``dL/dlp``.  The
-    forward that ``loss`` runs also gives the batch's mean cross-entropy,
-    kept as ``cross_entropy``.
+    its gradient is the kernel's backward pass given ``dL/dlp``.  The pass
+    that ``loss`` runs on ``model`` keeps ``cross_entropy``: the batch's mean
+    cross-entropy, then a same-size ``retain`` batch's (stacked in, no gradient).
 
     ``beta`` is the inverse temperature and ``reference_params`` the frozen
     pre-unlearning snapshot.  ``clamp_warnings`` counts batches in which a
@@ -64,9 +64,9 @@ class NpoLoss:
         self.beta = beta
         self.reference_params = reference_params
         self.clamp_warnings = 0
-        self._graph = copy.copy(model)  # same program and layout, its own forward cache
+        self._graph = model
         self._z: np.ndarray | None = None
-        self.cross_entropy: float | None = None
+        self.cross_entropy: tuple[float, ...] | None = None
 
     def reference_logprobs(self, batch) -> np.ndarray:
         """True-label log-probabilities under the frozen reference, clamped below."""
@@ -77,11 +77,13 @@ class NpoLoss:
             lp = np.maximum(lp, LOG_PROB_FLOOR)
         return lp
 
-    def loss(self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None) -> float:
+    def loss(
+        self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None, retain=None
+    ) -> float:
         if ref_logprobs is None:
             ref_logprobs = self.reference_logprobs(batch)
-        cross_entropy = forward(self._graph, params, batch)
-        lp = self._graph.lp
+        cross_entropy = self._graph.run(params, stack((batch,) if retain is None else (batch, retain)))
+        lp = self._graph.lp[: batch.n]
         ref = np.asarray(ref_logprobs, dtype=np.float64)
         if ref.shape != lp.shape:
             raise DimensionError(f"reference log-probs shape {ref.shape} does not match {lp.shape}")
@@ -95,13 +97,13 @@ class NpoLoss:
         return float(value)
 
     def loss_and_grad(
-        self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None
+        self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None, retain=None
     ) -> tuple[float, FlatGradient]:
-        value = self.loss(params, batch, ref_logprobs)
+        value = self.loss(params, batch, ref_logprobs, retain)
         # d loss / d lp = (-beta) * sigmoid(-z) * (-(2 / beta) / n)
         per_row = float(-2.0 / self.beta) / self._z.shape[0]
         dlp = float(-self.beta) * (np.exp(-np.logaddexp(0.0, self._z)) * per_row)
-        return value, self._graph.backward(dlp)
+        return value, self._graph.backward(dlp, groups=1)[0]
 
 
 def theta_layout(dim: int) -> ParameterLayout:

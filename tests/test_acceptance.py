@@ -88,7 +88,7 @@ def test_criterion_1_gradient_fidelity():
         for seed in range(100):
             graph, params, batch = random_mlp_case(seed)
             forward(graph, params, batch)
-            grad = graph.backward().data
+            grad = graph.backward()[0].data
             fd = fd_gradient(graph, params, batch)
             err = np.abs(grad - fd)
             assert np.all(err <= np.maximum(1e-8, 1e-5 * np.abs(fd)))

@@ -16,7 +16,7 @@ from ngdiff import (
     axpy_update,
     forward,
 )
-from ngdiff.autodiff import _FAST_ROWS, _adopt_vector, _col_sum, _row_sum
+from ngdiff.autodiff import _FAST_ROWS, _adopt_vector, _col_sum, _row_sum, stack
 from ngdiff.bench import mlp_factory
 from ngdiff.combiners import combine
 from ngdiff.objectives import theta_layout
@@ -120,7 +120,7 @@ class TestBackward:
         feats = rng.standard_normal((6, 4))
         labels = np.array([0, 1, 2, 2, 1, 0])
         forward(graph, params, batch_of(feats, labels, 3))
-        grad = graph.backward()
+        grad = graph.backward()[0]
         w1 = segment(params.layout, params.data, "w1")
         logits = feats @ w1 + segment(params.layout, params.data, "b1")
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -137,20 +137,20 @@ class TestBackward:
             dlp = np.random.default_rng(seed).standard_normal(batch.n)
             forward(graph, params, batch)
             expected = straight_line_mlp_grad(graph.widths, params, feats, labels)
-            assert np.array_equal(graph.backward().data, expected)
+            assert np.array_equal(graph.backward()[0].data, expected)
             expected = straight_line_mlp_grad(graph.widths, params, feats, labels, dlp)
-            assert np.array_equal(graph.backward(dlp).data, expected)
+            assert np.array_equal(graph.backward(dlp)[0].data, expected)
 
     def test_constant_loss_gives_zero_gradient(self):
         # a loss that does not depend on lp has dL/dlp = 0
         graph, params, batch = random_mlp_case(2)
         forward(graph, params, batch)
-        assert np.all(graph.backward(np.zeros(batch.n)).data == 0.0)
+        assert np.all(graph.backward(np.zeros(batch.n))[0].data == 0.0)
 
     def test_mlp_gradient_matches_finite_differences(self):
         graph, params, batch = random_mlp_case(7)
         forward(graph, params, batch)
-        assert_matches_fd(graph, params, batch, graph.backward())
+        assert_matches_fd(graph, params, batch, graph.backward()[0])
 
     def test_backward_without_forward_is_state_error(self):
         graph, _ = mlp_factory(0, [3, 3])
@@ -167,7 +167,7 @@ class TestBackward:
             return float(weights @ graph.lp)
 
         weighted(params)
-        grad = graph.backward(weights).data
+        grad = graph.backward(weights)[0].data
         eps = 1e-5
         for i in range(params.size):
             bump = np.zeros(params.size)
@@ -190,7 +190,7 @@ class TestProperties:
         for seed in range(10):
             graph, params, batch = random_mlp_case(seed)
             forward(graph, params, batch)
-            assert_matches_fd(graph, params, batch, graph.backward())
+            assert_matches_fd(graph, params, batch, graph.backward()[0])
 
     def test_backward_is_linear_in_the_loss(self):
         # gradient of a*L1 + b*L2 equals a*grad(L1) + b*grad(L2), with the
@@ -200,13 +200,13 @@ class TestProperties:
         rng = np.random.default_rng(3)
         d1, d2 = rng.standard_normal(batch.n), rng.standard_normal(batch.n)
         forward(graph, params, batch)
-        grad1 = graph.backward(d1).data
-        grad2 = graph.backward(d2).data
-        combo = graph.backward(a * d1 + b * d2).data
+        grad1 = graph.backward(d1)[0].data
+        grad2 = graph.backward(d2)[0].data
+        combo = graph.backward(a * d1 + b * d2)[0].data
         np.testing.assert_allclose(combo, a * grad1 + b * grad2, atol=1e-12)
         # the cross-entropy is -mean(lp)
         np.testing.assert_allclose(
-            graph.backward().data, graph.backward(np.full(batch.n, -1.0 / batch.n)).data, atol=1e-15
+            graph.backward()[0].data, graph.backward(np.full(batch.n, -1.0 / batch.n))[0].data, atol=1e-15
         )
 
     def test_determinism_bit_identical(self):
@@ -214,7 +214,7 @@ class TestProperties:
         for _ in range(2):
             graph, params, batch = random_mlp_case(11)
             loss = forward(graph, params, batch)
-            grad = graph.backward()
+            grad = graph.backward()[0]
             runs.append((loss, grad.data.tobytes()))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
@@ -272,9 +272,88 @@ class TestFastReductions:
         loss = forward(graph, params, batch_of(feats, labels, widths[-1]))
         assert loss == straight_line_mlp_loss(widths, params, feats, labels)
         expected = straight_line_mlp_grad(widths, params, feats, labels)
-        assert same_bits(graph.backward().data, expected)
+        assert same_bits(graph.backward()[0].data, expected)
         expected = straight_line_mlp_grad(widths, params, feats, labels, dlp)
-        assert same_bits(graph.backward(dlp).data, expected)
+        assert same_bits(graph.backward(dlp)[0].data, expected)
+
+
+def lone_passes(graph, params, batches, dlps):
+    """(loss, lp, logits, cross-entropy gradient, dL/dlp gradient) of each batch, one pass each."""
+    out = []
+    for batch, dlp in zip(batches, dlps):
+        loss = forward(graph, params, batch)
+        lp, logits = graph.lp.copy(), graph.logits.copy()
+        out.append((loss, lp, logits, graph.backward()[0], graph.backward(dlp)[0]))
+    return out
+
+
+def same_gradient(a: FlatGradient, b: FlatGradient) -> bool:
+    return same_bits(a.data, b.data) and repr(a.norm) == repr(b.norm)
+
+
+class TestStackedPass:
+    """A pass over stacked equal-size batches is, group by group, their lone passes bit for bit."""
+
+    @pytest.mark.parametrize("classes", [2, 3, 8, 9])
+    @pytest.mark.parametrize("hidden", [[], [1], [16], [16, 8]], ids=str)
+    @pytest.mark.parametrize("rows", [1, 32, _FAST_ROWS - 1, _FAST_ROWS, 200])
+    def test_groups_equal_lone_passes_and_the_oracle(self, classes, hidden, rows):
+        widths = [5, *hidden, classes]
+        graph, params = mlp_factory(rows, widths)
+        rng = np.random.default_rng([rows, classes, len(hidden)])
+        params = ParameterVector(params.data + 0.3 * rng.standard_normal(params.size), params.layout)
+        batches = [
+            batch_of(2.0 * rng.standard_normal((rows, 5)), rng.integers(0, classes, rows), classes)
+            for _ in range(2)
+        ]
+        dlps = [rng.standard_normal(rows) for _ in batches]
+        lone = lone_passes(graph, params, batches, dlps)
+
+        losses = graph.run(params, stack(batches))
+        assert losses == tuple(loss for loss, *_ in lone)
+        assert same_bits(graph.lp, np.concatenate([lp for _, lp, *_ in lone]))
+        assert same_bits(graph.logits, np.concatenate([logits for _, _, logits, *_ in lone]))
+        grads = graph.backward()
+        dlp_grads = graph.backward(np.concatenate(dlps))
+        first = graph.backward(dlps[0], groups=1)
+        assert len(grads) == len(dlp_grads) == 2 and len(first) == 1
+        assert same_gradient(first[0], lone[0][4])
+        for batch, dlp, (loss, _, _, grad, dlp_grad), g, g_dlp in zip(batches, dlps, lone, grads, dlp_grads):
+            assert same_gradient(g, grad) and same_gradient(g_dlp, dlp_grad)
+            assert loss == straight_line_mlp_loss(widths, params, batch.features, batch.labels)
+            assert same_bits(g.data, straight_line_mlp_grad(widths, params, batch.features, batch.labels))
+            expected = straight_line_mlp_grad(widths, params, batch.features, batch.labels, dlp)
+            assert same_bits(g_dlp.data, expected)
+
+    def test_three_groups_and_bound_bindings(self):
+        graph, params = mlp_factory(5, [4, 16, 3])
+        rng = np.random.default_rng(5)
+        batches = [batch_of(rng.standard_normal((40, 4)), rng.integers(0, 3, 40), 3) for _ in range(3)]
+        lone = lone_passes(graph, params, batches, [np.ones(40)] * 3)
+        bound = graph.bind(stack(batches))
+        for _ in range(2):  # bindings checked once serve every run
+            assert graph.run(params, bound) == tuple(loss for loss, *_ in lone)
+            assert all(same_gradient(g, one[3]) for g, one in zip(graph.backward(), lone))
+
+    def test_batches_of_unequal_size_do_not_stack(self):
+        short, long = (batch_of(np.zeros((n, 4)), np.zeros(n, dtype=np.int64), 3) for n in (5, 6))
+        with pytest.raises(DimensionError, match="^stacked batches must have one size$"):
+            stack((short, long))
+
+    @pytest.mark.parametrize("rows, groups", [(5, 2), (5, 4), (6, 0), (6, 2.0), (6, -2)])
+    def test_rows_that_do_not_split_into_the_groups_are_rejected(self, rows, groups):
+        graph, params = mlp_factory(0, [4, 3])
+        bindings = {"features": np.zeros((rows, 4)), "labels": np.zeros(rows, dtype=np.int64), "groups": groups}
+        with pytest.raises(DimensionError, match=f"^features do not split into {groups!r} groups of equal size$"):
+            graph.run(params, bindings)
+
+    def test_backward_of_groups_the_pass_lacks_is_rejected(self):
+        graph, params = mlp_factory(0, [4, 3])
+        batch = batch_of(np.zeros((2, 4)), [0, 1], 3)
+        graph.run(params, stack((batch, batch)))
+        for groups in (0, 3):
+            with pytest.raises(DimensionError, match=f"^cannot differentiate {groups} of 2 groups$"):
+                graph.backward(groups=groups)
 
 
 class TestAxpyUpdate:
@@ -369,7 +448,7 @@ class TestFinitenessRule:
         params = ParameterVector([1.0, -1.0, 0.0, 0.0], params.layout)
         with np.errstate(over="ignore"):
             assert forward(graph, params, batch_of([[1e200]], [1], 2)) == 2e200
-            grad = graph.backward()
+            grad = graph.backward()[0]
         assert grad.data.tolist() == [1e200, -1e200, 1.0, -1.0]
         assert grad.norm == math.inf
 
@@ -407,8 +486,8 @@ class TestFinitenessRule:
     def test_kernel_and_combined_norms_are_the_root_of_the_sum_of_squares(self):
         graph, params, batch = random_mlp_case(4)
         forward(graph, params, batch)
-        g_r = graph.backward()
-        g_f = graph.backward(np.linspace(-1.0, 1.0, batch.n))
+        g_r = graph.backward()[0]
+        g_f = graph.backward(np.linspace(-1.0, 1.0, batch.n))[0]
         direction = combine(method_spec("ngdiff"), g_r, g_f).direction
         for grad in (g_r, g_f, direction):
             assert repr(grad.norm) == root_of_squares(grad.data)

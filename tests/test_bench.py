@@ -145,7 +145,7 @@ class TestMlpFactory:
         # off the zero-bias init
         params = ParameterVector(params.data + 0.05 * rng.standard_normal(params.size), params.layout)
         forward(graph, params, batch)
-        assert_matches_fd(graph, params, batch, graph.backward())
+        assert_matches_fd(graph, params, batch, graph.backward()[0])
 
     def test_needs_two_widths(self):
         with pytest.raises(ValueError):

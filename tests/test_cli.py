@@ -789,6 +789,25 @@ class TestFinetuneAndReport:
         assert not (tmp_path / "pareto").exists()
 
     @pytest.mark.parametrize("command", ["report", "pareto"])
+    @pytest.mark.parametrize("rows", [0, 1, 1800], ids=["empty", "one-row", "doubled"])
+    def test_trace_of_another_length_than_the_steps_exits_2(self, tmp_path, capsys, command, rows):
+        # the shipped quad config runs 900 steps, so its record holds 900 rows
+        rec = one_record(tmp_path, json.loads((CONFIGS / "gdiff_quad.json").read_text()))
+        doc = json.loads(rec.read_text())
+        doc["trace"] = (doc["trace"] * 2)[:rows]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "pareto")] if command == "pareto" else []
+        assert main([command, str(bad), *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: {bad}: unreadable record: record trace has {rows} rows for 900 steps\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "pareto").exists()
+
+    @pytest.mark.parametrize("command", ["report", "pareto"])
     def test_deeply_nested_record_exits_2(self, tmp_path, capsys, command):
         deep = tmp_path / "deep.json"
         deep.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}")

@@ -28,10 +28,19 @@ from ngdiff import (
     record_to_json,
     run_unlearning,
 )
-from ngdiff.bench import gen_gaussian_clusters, mlp_factory, split_forget_retain
+from ngdiff.autodiff import Graph, NumericError, ParameterVector, forward
+from ngdiff.bench import (
+    ForgetRetainSplit,
+    LabeledBatch,
+    gen_gaussian_clusters,
+    mlp_factory,
+    split_forget_retain,
+)
 from ngdiff.engine import (
     TRACE_COLUMNS,
     TRACE_HEADER,
+    NoUnlearn,
+    _ClassificationTask,
     _Counters,
     _QuadTask,
     no_unlearn,
@@ -158,8 +167,7 @@ class TestQuadRuns:
         cfg = quad_config({"kind": "gd"}, steps=1, theta0=(0.5, 1.0), forget_kind=forget_kind)
         task = _QuadTask(cfg, _Counters())
         params = task.initial_params
-        for loss_grad in (task.retain_loss_grad, task.forget_loss_grad):
-            _, grad = loss_grad(params)
+        for _, grad in task.loss_grads(params):
             assert not grad.data.flags.writeable
             assert repr(grad.norm) == repr(math.sqrt(grad.data.dot(grad.data)))
             for other in (params.data, task.problem.a, task.problem.b):
@@ -224,6 +232,119 @@ class TestCounters:
         assert rec.backward_passes == 20
         expected_probes = 0 if period is None else 2 * math.ceil(20 / period)
         assert rec.probe_forward_passes == expected_probes
+
+
+class TestOneKernelPassPerStep:
+    """A step runs the kernel once over its stacked minibatches, and twice when their sizes differ."""
+
+    @staticmethod
+    def spy_on_run(monkeypatch):
+        calls = []
+        run = Graph.run
+
+        def spy(graph, params, bindings):
+            calls.append((len(bindings["features"]), bindings.get("groups", 1)))
+            return run(graph, params, bindings)
+
+        monkeypatch.setattr(Graph, "run", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "method, batch_size, per_step",
+        [({"kind": "ngdiff"}, 8, 1), ({"kind": "npo", "beta": 1.0}, 8, 1),
+         ({"kind": "ngdiff"}, 25, 2), ({"kind": "npo", "beta": 1.0}, 25, 2)],
+        ids=["ngdiff-stacked", "npo-stacked", "ngdiff-unequal", "npo-unequal"],
+    )
+    def test_calls_per_step(self, monkeypatch, method, batch_size, per_step):
+        # 40 retain and 20 forget rows: a 25-row minibatch is cut to 20 on the forget side
+        cfg = gaussian_config(
+            method, steps=12, lr={"mode": "fixed", "eta": 0.1}, eval_every=5, batch_size=batch_size,
+            problem={"kind": "gaussian", "per_class": 20, "finetune_steps": 7},
+        )
+        calls = self.spy_on_run(monkeypatch)
+        rec = run_unlearning(cfg)
+        evals = 2 * (math.ceil(12 / 5) + 1)  # both splits, every 5th step and at the end
+        reference = 1 if method["kind"] == "npo" else 0
+        assert len(calls) == 7 + reference + per_step * 12 + evals
+        stacked = [rows for rows, groups in calls if groups == 2]
+        assert stacked == ([2 * batch_size] * 12 if per_step == 1 else [])
+        assert rec.forward_passes == rec.backward_passes == (1 if reference else 2) * 12
+
+    def test_rows_through_the_kernel_for_the_shipped_config(self, monkeypatch):
+        cfg = config_from_dict(json.loads((CONFIGS / "ngdiff_gaussian.json").read_text()))
+        calls = self.spy_on_run(monkeypatch)
+        run_unlearning(cfg)
+        assert sum(rows for rows, _ in calls) == 409020
+        assert calls.count((64, 2)) == 300  # one stacked pass of two 32-row minibatches per step
+
+
+# One-row minibatches, each non-finite at a named place when it runs alone,
+# for a [1, 1, 2] MLP: w1 = 2, b1 = 0, w2 = (1e308, -1e308), b2 = 0.  The
+# logits are +-1e308 * tanh(2x); a row of class 0 takes -x for the same effect.
+CHAIN_PARAMS = [2.0, 0.0, 1e308, -1e308, 0.0, 0.0]
+CHAIN_ROWS = {
+    "ok": 0.0,  # logits 0: every value finite
+    "gradient": 1e-308,  # logits +-2, but dL/dh sums two terms near 1e308
+    "cross-entropy": 4.0,  # lp = -1e308 - 1e308
+    "layer 1": 1e308,  # 2 * 1e308
+}
+# a [1, 1, 1, 2] MLP whose second layer overflows once the first saturates
+# at +1: w1 = 2, w2 = b2 = 1e308, w3 = (1, -1); the class does not matter
+DEEP_PARAMS = [2.0, 0.0, 1e308, 1e308, 1.0, -1.0, 0.0, 0.0]
+DEEP_ROWS = {"ok": 0.0, "layer 2": 4.0, "layer 1": 1e308}
+MESSAGES = {
+    "gradient": "gradient entries must be finite",
+    "cross-entropy": "non-finite cross-entropy",
+    "layer 1": "non-finite pre-activation in layer 1",
+    "layer 2": "non-finite pre-activation in layer 2",
+}
+
+
+def one_row_task(retain: str, forget: str, method: dict, deep: bool = False):
+    """The task of a start whose splits are one row each, and its batches."""
+    widths, values, rows = ([1, 1, 1, 2], DEEP_PARAMS, DEEP_ROWS) if deep else ([1, 1, 2], CHAIN_PARAMS, CHAIN_ROWS)
+    graph, params = mlp_factory(0, widths)
+    params = ParameterVector(values, params.layout)
+    retain_batch = LabeledBatch([[rows[retain]]], [1], 2)
+    forget_batch = LabeledBatch([[rows[forget] if deep else -rows[forget]]], [0], 2)
+    split = ForgetRetainSplit(retain=retain_batch, forget=forget_batch, forget_class=0)
+    cfg = gaussian_config(method, steps=1, batch_size=1, problem={"kind": "gaussian", "classes": 2, "dim": 2})
+    return _ClassificationTask(cfg, _Counters(), NoUnlearn(split, graph, params)), params, split
+
+
+PAIRS = [
+    *((False, r, f) for r in CHAIN_ROWS for f in CHAIN_ROWS if (r, f) != ("ok", "ok")),
+    *((True, r, f) for r in DEEP_ROWS for f in DEEP_ROWS if (r, f) != ("ok", "ok")),
+]
+
+
+class TestStackedStepErrors:
+    """A step whose stacked pass meets a non-finite value raises what its lone passes raise first."""
+
+    @pytest.mark.parametrize("deep, retain, forget", PAIRS)
+    def test_retain_pass_then_forget_pass(self, deep, retain, forget):
+        task, params, split = one_row_task(retain, forget, {"kind": "ngdiff"}, deep)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as lone:
+                for batch in (split.retain, split.forget):
+                    forward(task.graph, params, batch)
+                    task.graph.backward()
+            with pytest.raises(NumericError) as stacked:
+                task.loss_grads(params)
+        assert str(stacked.value) == str(lone.value) == MESSAGES[retain if retain != "ok" else forget]
+
+    @pytest.mark.parametrize(
+        "retain, forget", [("layer 1", "gradient"), ("layer 1", "ok"), ("ok", "gradient"), ("cross-entropy", "ok")]
+    )
+    def test_npo_forget_pass_then_retain_pass(self, retain, forget):
+        task, params, split = one_row_task(retain, forget, {"kind": "npo", "beta": 1.0})
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as lone:
+                task.npo.loss_and_grad(params, split.forget, task._npo_ref)
+                forward(task.graph, params, split.retain)
+            with pytest.raises(NumericError) as stacked:
+                task.npo_loss_grad(params)
+        assert str(stacked.value) == str(lone.value) == MESSAGES[forget if forget != "ok" else retain]
 
 
 class TestPassOverhead:
@@ -466,16 +587,18 @@ RECORDS = {
         StepRow(0, math.nan, math.inf, -math.inf, -0.0, 1e-05, 5e-324, 0.0, 1.0, -1e300, 0),
         StepRow(1, -0.0, 1e-05, 5e-324, math.nan, math.inf, -math.inf, 0.1, 2.5, 1e16, 3),
     ]),
-    "no_rows": lambda: _hand_built_record([]),
 }
+# no run writes a record without rows (a config has at least 1 step), so it
+# does not re-parse; the writers still handle it
+WRITER_RECORDS = {**RECORDS, "no_rows": lambda: _hand_built_record([])}
 
 
 class TestOnePassWriters:
     """The writers format each trace row once; the bytes are those of the two-pass oracles."""
 
-    @pytest.mark.parametrize("name", RECORDS)
+    @pytest.mark.parametrize("name", WRITER_RECORDS)
     def test_bytes_match_the_two_pass_writers(self, name, tmp_path):
-        rec = RECORDS[name]()
+        rec = WRITER_RECORDS[name]()
         assert record_to_json(rec) == record_to_json_two_pass(rec)
         write_trace_csv(rec, tmp_path / "one.csv")
         write_trace_csv_two_pass(rec, tmp_path / "two.csv")
@@ -489,6 +612,10 @@ class TestOnePassWriters:
     def test_every_record_re_parses_to_the_same_bytes(self, name):
         text = record_to_json(RECORDS[name]())
         assert record_to_json(record_from_json(text)) == text
+
+    def test_a_record_without_rows_does_not_re_parse(self):
+        with pytest.raises(ValueError, match="^record trace has 0 rows for 1 steps$"):
+            record_from_json(record_to_json(WRITER_RECORDS["no_rows"]()))
 
     @pytest.mark.parametrize(
         "column,value",

@@ -71,14 +71,27 @@ class TestNpoLoss:
         _, grad = npo.loss_and_grad(params, batch, ref)
         forward(graph, params, batch)
         weights = (2.0 / batch.n) / (1.0 + np.exp(-beta * (graph.lp - ref)))
-        np.testing.assert_allclose(grad.data, graph.backward(weights).data, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(grad.data, graph.backward(weights)[0].data, rtol=1e-12, atol=1e-300)
 
     def test_keeps_the_cross_entropy_of_its_forward(self):
         graph, params, batch = small_model()
         npo = NpoLoss(graph, 0.7, params)
         moved = ParameterVector(params.data + 0.1, params.layout)
         npo.loss_and_grad(moved, batch)
-        assert npo.cross_entropy == forward(graph, moved, batch)
+        assert npo.cross_entropy == (forward(graph, moved, batch),)
+
+    def test_a_stacked_retain_batch_rides_along_undifferentiated(self):
+        graph, params, batch = small_model()
+        rng = np.random.default_rng(9)
+        retain = LabeledBatch(rng.standard_normal((6, 4)), rng.integers(0, 3, 6), 3)
+        moved = ParameterVector(params.data + 0.1, params.layout)
+        npo = NpoLoss(graph, 0.7, params)
+        ref = npo.reference_logprobs(batch)
+        lone_value, lone_grad = npo.loss_and_grad(moved, batch, ref)
+        value, grad = npo.loss_and_grad(moved, batch, ref, retain)
+        assert value == lone_value
+        assert grad.data.tobytes() == lone_grad.data.tobytes() and grad.norm == lone_grad.norm
+        assert npo.cross_entropy == (forward(graph, moved, batch), forward(graph, moved, retain))
 
     def test_reference_logprob_clamp_flags_warning(self):
         graph, params, batch = small_model()

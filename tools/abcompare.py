@@ -14,11 +14,14 @@ can sweep, ``ngdiff report`` and ``ngdiff pareto`` over that sweep's
 records, the criterion-9 coefficient sweep, a quad run that aborts, a
 Gaussian method sweep whose shared finetune aborts, a small Gaussian NPO
 ``beta`` sweep whose children run in one process on one shared start (and
-so one graph, which NPO copies), an ``ngdiff finetune``
+so one graph), an ``ngdiff finetune``
 of the shipped Gaussian config, three small Gaussian runs whose shapes
 take the kernel's plain-``sum`` branches (9 classes, a hidden layer of
-width 1, minibatches of 1 row) and the config-echo corpus: 1-step runs that
-cover every valid way to write a config field (``ECHO_CONFIGS``).
+width 1, minibatches of 1 row), two runs of the shipped Gaussian config at
+other minibatch sizes (``BATCH_CONFIGS``), an ``eta`` sweep of it whose
+loop aborts at its first update (``loop_abort``) and the config-echo
+corpus: 1-step runs that cover every valid way to write a config field
+(``ECHO_CONFIGS``).
 The argument lists of the benchmark workloads come from
 ``perfbench/workloads.py``, so they stay the ones the benchmark times.
 
@@ -126,6 +129,16 @@ FALLBACK_CONFIGS = {
     "fallback_batch1": _fallback_config({}, batch_size=1),
 }
 
+# The shipped Gaussian config (600 retain and 300 forget rows) at other
+# minibatch sizes: at 200 both minibatches have 200 rows, so the stacked
+# pass of a step takes the reductions for 128 rows and above; at 400 the
+# forget minibatch has 300 rows, so each minibatch runs a pass of its own
+_GAUSS = json.loads((ROOT / workloads.GAUSS_CONFIG).read_text())
+BATCH_CONFIGS = {f"gauss_batch{n}": {**_GAUSS, "batch_size": n} for n in (200, 400)}
+
+# eta 1e308 overflows the first layer at step 1, so the sweep's one child exits 3
+LOOP_ABORT_VALUES = "1e308"
+
 # The config-echo corpus: the valid surface of the config parser, one 1-step
 # run each.  Every combiner kind on the quad pair with its optional fields
 # present (integer literals in float fields, integral floats in int fields),
@@ -214,7 +227,11 @@ def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
         "--param", "beta", "--values", NPO_SWEEP_VALUES, "--jobs", "1",
     )))
     calls.append(("finetune", ("finetune", "--config", workloads.GAUSS_CONFIG)))
-    for name in (*FALLBACK_CONFIGS, *ECHO_CONFIGS):
+    calls.append(("loop_abort", (
+        "sweep", "--config", workloads.GAUSS_CONFIG, "--out", str(out / "loop_abort"),
+        "--param", "eta", "--values", LOOP_ABORT_VALUES,
+    )))
+    for name in (*FALLBACK_CONFIGS, *BATCH_CONFIGS, *ECHO_CONFIGS):
         calls.append((name, ("run", "--config", str(out / f"{name}.json"), "--out", str(out / name))))
     return calls
 
@@ -228,6 +245,7 @@ def run_side(tree: Path, out: Path) -> dict[str, tuple[int, str, str]]:
         "finetune_abort": FINETUNE_ABORT_CONFIG,
         "npo_beta_sweep": NPO_SWEEP_CONFIG,
         **FALLBACK_CONFIGS,
+        **BATCH_CONFIGS,
         **ECHO_CONFIGS,
     }
     for name, doc in docs.items():
