@@ -16,7 +16,12 @@ gradients, probes and evaluation.
 A pass may stack equal-size batches as groups of rows (``stack``); each
 group's loss, ``lp``, logits and gradient are bit for bit those of a lone
 pass over its batch (a pass of one group), since every product is one GEMM
-per group and every reduction keeps its per-group order.
+per group and every reduction keeps its per-group order.  A pass may also
+take several parameter vectors, a run axis in front of the groups:
+``(1, groups, n, d) @ (runs, 1, d, k)`` is one GEMM per run and group, and
+each run's losses, ``lp``, logits and gradients are bit for bit those of
+its lone pass.  One vector takes the pass without a run axis, which costs
+less.
 
 Finiteness is checked once per layer pre-activation and once on the loss.
 Every parameter or gradient vector is checked once, by its sum of squares
@@ -241,12 +246,13 @@ def _col_sum(g: np.ndarray) -> np.ndarray:
 class _Cache(NamedTuple):
     """What ``Graph.run`` leaves for ``backward`` and for readers of the logits."""
 
-    weights: list  # w_i views into the parameter vector
-    acts: list  # (groups, n, width): acts[0] the input, acts[i] layer i's output; 2-D logits last
-    at_label: np.ndarray  # flat index of each row's true label in the logits
-    numer: np.ndarray  # exp(logits - rowmax)
-    denom: np.ndarray  # row sums of ``numer``, shape (n, 1)
-    lp: np.ndarray  # true-label log-probabilities
+    weights: list  # w_i views into the parameter vector(s)
+    acts: list  # ([runs,] groups, n, width): acts[0] the input, acts[i] layer i's output; logits last
+    at_label: np.ndarray  # flat index of each row's true label in one run's logits
+    numer: np.ndarray  # exp(logits - rowmax), one row per row of every run
+    denom: np.ndarray  # row sums of ``numer``, shape (rows, 1)
+    lp: np.ndarray  # true-label log-probabilities, one row per run on a run axis
+    runs: tuple  # () for a lone pass, (runs,) for a pass with a run axis
 
 
 class Graph:
@@ -302,47 +308,67 @@ class Graph:
         checked = {"features": x, "labels": labels, "groups": groups, "at_label": at_label}
         return {**checked, "widths": self.widths}  # the graph's own widths mark them checked
 
-    def run(self, params: ParameterVector, bindings: dict) -> tuple[float, ...]:
+    def run(self, params, bindings: dict) -> tuple:
         """Forward pass over ``bindings["features"]`` and ``bindings["labels"]``.
 
         Returns each group's mean cross-entropy and caches what ``backward``
         needs.  Bindings that ``bind`` returned are not checked again.
+        ``params`` is one ``ParameterVector``, or a sequence of them: a pass
+        over several runs at once, which returns each run's tuple of group
+        losses, bit for bit those of its lone pass.
         """
-        _same_layout(params.layout, self.layout, "forward")
+        lone = isinstance(params, ParameterVector)
+        for p in (params,) if lone else params:
+            _same_layout(p.layout, self.layout, "forward")
         if bindings.get("widths") is not self.widths:
             bindings = self.bind(bindings)
-        h = bindings["features"].reshape(bindings["groups"], -1, self.widths[0])
+        groups = bindings["groups"]
+        h = bindings["features"].reshape(groups, -1, self.widths[0])
         n = h.shape[1]
-        data = params.data
+        if lone:
+            data, runs, lead = params.data, (), ()
+        else:  # a run axis in front: (1, groups, n, d) @ (runs, 1, d, k) is one GEMM per run and group
+            data, runs = np.stack([p.data for p in params]), (len(params),)
+            lead = (*runs, 1)
+            h = h[None]
         weights, acts = [], [h]
         last = len(self._layers)
         # finiteness is checked once per layer, so numpy's own warnings are noise
         with np.errstate(all="ignore"):
             for i, (w_at, w_shape, b_at) in enumerate(self._layers, start=1):
-                w = data[w_at].reshape(w_shape)
+                w = data[..., w_at].reshape(*lead, *w_shape)
                 h = h @ w  # one GEMM per group
-                h += data[b_at]
+                h += data[b_at] if lone else data[:, None, None, b_at]
                 if np.count_nonzero(np.isfinite(h)) != h.size:
                     raise NumericError(f"non-finite pre-activation in layer {i}")
                 if i < last:
                     np.tanh(h, out=h)
                 weights.append(w)
                 acts.append(h)
-            acts[-1] = logits = h.reshape(-1, h.shape[-1])
+            logits = h.reshape(-1, h.shape[-1])
             m = _row_max(logits)
             numer = logits - m
             np.exp(numer, out=numer)
             denom = _row_sum(numer)
             lse = np.log(denom)
             lse += m
-            lp = logits.take(bindings["at_label"])
-            lp -= lse[:, 0]
-            # -np.mean(lp) of each group, without its wrapper
-            losses = tuple([float(-(lp[i : i + n].sum() / n)) for i in range(0, lp.size, n)])
+            if lone:
+                acts[-1] = logits
+                lp = logits.take(bindings["at_label"])
+                lp -= lse[:, 0]
+            else:  # each run's logits and lp, laid out as its lone pass lays them out
+                acts[-1] = logits.reshape(*runs, -1, logits.shape[1])
+                lp = logits.reshape(*runs, -1).take(bindings["at_label"], axis=1)
+                lp -= lse.reshape(lp.shape)
+            # -np.mean(lp) of each group of each run, without its wrapper
+            losses = [float(-(row[i : i + n].sum() / n)) for row in ((lp,) if lone else lp)
+                      for i in range(0, row.size, n)]
         if not all(map(math.isfinite, losses)):
             raise NumericError("non-finite cross-entropy")
-        self._cache = _Cache(weights, acts, bindings["at_label"], numer, denom, lp)
-        return losses
+        self._cache = _Cache(weights, acts, bindings["at_label"], numer, denom, lp, runs)
+        if lone:
+            return tuple(losses)
+        return tuple([tuple(losses[i : i + groups]) for i in range(0, len(losses), groups)])
 
     def _cached(self) -> _Cache:
         if self._cache is None:
@@ -363,44 +389,59 @@ class Graph:
         """Gradients w.r.t. the flat parameter vector, after a ``run``: one per group.
 
         Without ``dlp`` this differentiates the cross-entropy of each group
-        that ``run`` returned; with ``dlp`` (one entry per row) it
-        differentiates any loss whose gradient w.r.t. ``lp`` is ``dlp``.
-        With ``groups`` only the first ``groups`` groups are differentiated.
+        that ``run`` returned; with ``dlp`` (one entry per row, shaped as
+        ``lp``) it differentiates any loss whose gradient w.r.t. ``lp`` is
+        ``dlp``.  With ``groups`` only the first ``groups`` groups are
+        differentiated.  After a pass over several runs it returns each
+        run's tuple of group gradients.
         """
-        weights, acts, at_label, numer, denom, _ = self._cached()
-        stacked, n = acts[0].shape[:2]
+        weights, acts, at_label, numer, denom, _, runs = self._cached()
+        stacked, n = acts[0].shape[-3:-1]
         groups = stacked if groups is None else groups
         if groups != stacked:
             if not 0 < groups < stacked:
                 raise DimensionError(f"cannot differentiate {groups} of {stacked} groups")
-            acts = [a[:groups] for a in acts[:-1]]
-            numer, denom, at_label = (a[: groups * n] for a in (numer, denom, at_label))
+            acts = [a[..., :groups, :, :] for a in acts[:-1]]
+            rows = groups * n
+            at_label = at_label[:rows]
+            numer, denom = (a.reshape(*runs, stacked * n, -1)[..., :rows, :] for a in (numer, denom))
         # every product below is written in place; IEEE products commute,
         # so the operand order of the plain formulas does not matter
         g = numer / denom  # probs
         if dlp is None:
-            g.reshape(-1)[at_label] -= 1.0  # probs - onehot
+            if runs:
+                g.reshape(*runs, -1)[:, at_label] -= 1.0  # probs - onehot
+            else:
+                g.reshape(-1)[at_label] -= 1.0
             g *= 1.0 / n
         else:
             dlp = _as_f64(dlp)
-            if dlp.shape != at_label.shape:
-                raise DimensionError(f"dlp shape {dlp.shape} does not match {at_label.shape}")
+            if dlp.shape != (*runs, at_label.size):
+                raise DimensionError(f"dlp shape {dlp.shape} does not match {(*runs, at_label.size)}")
             # onehot - probs, spelled so that zero probabilities give +0.0
             np.subtract(0.0, g, out=g)
-            g.reshape(-1)[at_label] += 1.0
-            g *= dlp.reshape(-1, 1)
-        g = g.reshape(groups, n, -1)
-        flat = np.empty((groups, self.layout.total_size))
+            if runs:
+                g.reshape(*runs, -1)[:, at_label] += 1.0
+            else:
+                g.reshape(-1)[at_label] += 1.0
+            g *= dlp.reshape(*g.shape[:-1], 1)
+        g = g.reshape(*runs, groups, n, -1)
+        flat = np.empty((*runs, groups, self.layout.total_size))
         for i in range(len(self._layers) - 1, -1, -1):
             w_at, _, b_at = self._layers[i]
             y = acts[i]
-            flat[:, b_at] = _col_sum(g)
-            flat[:, w_at] = (y.transpose(0, 2, 1) @ g).reshape(groups, -1)  # one GEMM per group
+            flat[..., b_at] = _col_sum(g)
+            flat[..., w_at] = (y.swapaxes(-1, -2) @ g).reshape(*runs, groups, -1)  # one GEMM per group
             if i > 0:
                 dy = np.square(y)  # the bits of y * y, in numpy's faster loop
                 np.subtract(1.0, dy, out=dy)
-                g = g @ weights[i].T
+                g = g @ weights[i].swapaxes(-1, -2)
                 g *= dy  # (1 - y^2) * (g W^T)
+        if runs:
+            return tuple([self._gradients(run) for run in flat])
+        return self._gradients(flat)
+
+    def _gradients(self, flat: np.ndarray) -> tuple:
         return tuple([_adopt_vector(FlatGradient, data, self.layout, "gradient") for data in flat])
 
 

@@ -108,6 +108,12 @@ def _writing(path: Path, out: str):
         raise OutError(f"--out {out}: cannot write {path}: {exc.strerror}") from None
 
 
+def _write(path: Path, text: str, out: str) -> None:
+    """Write the artifact ``path`` under ``--out`` whole (``engine.write_file``)."""
+    with _writing(path, out):
+        engine.write_file(path, text)
+
+
 def _fmt(x: float) -> str:
     return "nan" if not math.isfinite(x) else f"{x:.6f}"
 
@@ -117,37 +123,57 @@ def _summary(final: EvalResult) -> str:
     return " ".join(f"{name}={_fmt(x)}" for name, x in zip(EvalResult._fields, final))
 
 
-def _execute_run(cfg: RunConfig, out_dir: str, start=None) -> RunRecord:
-    """Run one config and write its artifacts; returns the record.
+ARTIFACTS = ("config.json", "trace.csv", "record.json")
 
-    ``start`` is the run's no-unlearn start when it was made elsewhere (see
+
+def _execute_run(cfgs: list, out_dir: str, start=None) -> list:
+    """Run configs of one ``engine.lockstep_key`` in lockstep and write each one's artifacts.
+
+    Returns one outcome per config: its record, or the exception that ended
+    it (an ``OutError`` when an artifact cannot be written, which a config
+    meets before the loop starts unless the loop's own artifacts fail).
+    ``start`` is the runs' no-unlearn start when it was made elsewhere (see
     ``run_unlearning``).
     """
-    run_dir = _make_dir(Path(out_dir) / run_name(cfg), out_dir)
-    config_path, trace_path, record_path = (
-        _out_file(run_dir, name, out_dir) for name in ("config.json", "trace.csv", "record.json")
-    )
-    with _writing(config_path, out_dir), open(config_path, "w") as fh:
-        json.dump(engine.config_to_dict(cfg), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    record = run_unlearning(cfg, start)
-    with _writing(trace_path, out_dir):
-        write_trace_csv(record, trace_path)
-    with _writing(record_path, out_dir), open(record_path, "w") as fh:
-        fh.write(record_to_json(record) + "\n")
-    # one write per line: sweep children share stdout, and print's separate
-    # newline write would let another child's line in between when unbuffered
-    sys.stdout.write(
-        f"{run_dir.name}: {_summary(record.final)} "
-        f"overhead={pass_overhead(record):.4f} guard_trips={record.guard_trips}\n"
-    )
-    sys.stdout.flush()
-    return record
+    outcomes = [None] * len(cfgs)
+    paths = {}
+    for i, cfg in enumerate(cfgs):
+        try:
+            run_dir = _make_dir(Path(out_dir) / run_name(cfg), out_dir)
+            paths[i] = run_dir, *(_out_file(run_dir, name, out_dir) for name in ARTIFACTS)
+            text = json.dumps(engine.config_to_dict(cfg), sort_keys=True, indent=2)
+            _write(paths[i][1], text + "\n", out_dir)
+        except OutError as exc:
+            outcomes[i] = exc
+    todo = [i for i in range(len(cfgs)) if outcomes[i] is None]
+    if todo:
+        for i, result in zip(todo, run_unlearning([cfgs[i] for i in todo], start)):
+            outcomes[i] = result
+            if not isinstance(result, RunRecord):
+                continue
+            run_dir, _, trace_path, record_path = paths[i]
+            try:
+                with _writing(trace_path, out_dir):
+                    write_trace_csv(result, trace_path)
+                _write(record_path, record_to_json(result) + "\n", out_dir)
+            except OutError as exc:
+                outcomes[i] = exc
+                continue
+            # one write per line: sweep children share stdout, and print's separate
+            # newline write would let another child's line in between when unbuffered
+            sys.stdout.write(
+                f"{run_dir.name}: {_summary(result.final)} "
+                f"overhead={pass_overhead(result):.4f} guard_trips={result.guard_trips}\n"
+            )
+            sys.stdout.flush()
+    return outcomes
 
 
 def cmd_run(args) -> int:
     cfg = config_from_dict(_apply_seed_overrides(_load_config_dict(args.config), args))
-    _execute_run(cfg, args.out)
+    (outcome,) = _execute_run([cfg], args.out)
+    if isinstance(outcome, Exception):
+        raise outcome
     return 0
 
 
@@ -197,19 +223,51 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}{where}"
 
 
-def _sweep_child(cfg: RunConfig, out_dir: str, value: str, start):
-    """Run one sweep value; every failure comes back as (value, code, None, message)."""
-    try:
-        final = _execute_run(cfg, out_dir, start).final
+def _child_result(value: str, outcome) -> tuple:
+    """(value, exit code, final metrics or None, message or None) of one sweep value."""
+    if isinstance(outcome, RunRecord):
         # as record.json holds them: a non-finite value is stored as null, read back as nan
-        final = tuple(x if math.isfinite(x) else math.nan for x in final)
-        return value, 0, final, None
-    except NumericAbort as exc:
-        return value, 3, None, str(exc)
-    except OutError as exc:
-        return value, 2, None, str(exc)
-    except Exception as exc:  # a failing child must not take the sweep down
-        return value, 1, None, _describe(exc)
+        return value, 0, tuple(x if math.isfinite(x) else math.nan for x in outcome.final), None
+    if isinstance(outcome, NumericAbort):
+        return value, 3, None, str(outcome)
+    if isinstance(outcome, OutError):
+        return value, 2, None, str(outcome)
+    return value, 1, None, _describe(outcome)  # a failing child must not take the sweep down
+
+
+def _sweep_child(chunk: list, out_dir: str, start) -> list:
+    """Run one chunk of a lockstep group, ``(value, config)`` pairs, in lockstep.
+
+    Returns each value's ``(value, code, final, message)``; every failure
+    comes back this way, one that ends the whole chunk for each of its values.
+    """
+    try:
+        outcomes = _execute_run([cfg for _, cfg in chunk], out_dir, start)
+    except Exception as exc:  # e.g. the chunk's own finetune aborted
+        outcomes = [exc] * len(chunk)
+    return [_child_result(value, outcome) for (value, _), outcome in zip(chunk, outcomes)]
+
+
+def _chunks(runs: list, jobs: int) -> list:
+    """The sweep's tasks: each lockstep group of ``runs``, split into at most ``jobs`` chunks.
+
+    ``runs`` holds ``(index, value, config, start)``; groups come in the order
+    of their first value and keep the values' order, and a group's chunks
+    differ in size by one at most, larger first.
+    """
+    groups = {}
+    for i, run in enumerate(runs):
+        key = engine.lockstep_key(run[2])
+        groups.setdefault(i if key is None else key, []).append(run)
+    chunks = []
+    for group in groups.values():
+        count = min(jobs, len(group))
+        size, extra = divmod(len(group), count)
+        at = 0
+        for k in range(count):
+            chunks.append(group[at : at + size + (k < extra)])
+            at += size + (k < extra)
+    return chunks
 
 
 def _shared_starts(cfgs: list[RunConfig]) -> list:
@@ -267,23 +325,28 @@ def cmd_sweep(args) -> int:
     out_root = _make_dir(Path(args.out), args.out)
     summary_path = _out_file(out_root, "sweep_summary.csv", args.out)
     starts = _shared_starts([cfg for _, _, cfg in runs])
-    workers = min(args.jobs, len(runs))
+    # one task per chunk: (value, config) pairs, their result indices and their start
+    tasks = [
+        ([(value, cfg) for _, value, cfg, _ in chunk], [i for i, *_ in chunk], chunk[0][3])
+        for chunk in _chunks([(*run, start) for run, start in zip(runs, starts)], args.jobs)
+    ]
+    workers = min(args.jobs, len(tasks))
     if workers > 1:
         import concurrent.futures  # only a pool needs it: spares every other command the import
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sweep_child, cfg, str(out_root), value, start)
-                for (_, value, cfg), start in zip(runs, starts)
-            ]
-            for (i, value, _), future in zip(runs, futures):
+            futures = [pool.submit(_sweep_child, pairs, str(out_root), start) for pairs, _, start in tasks]
+            for (pairs, indices, _), future in zip(tasks, futures):
                 try:
-                    results[i] = future.result()
+                    chunk_results = future.result()
                 except Exception as exc:  # the worker process itself died
-                    results[i] = (value, 1, None, _describe(exc))
+                    chunk_results = [(value, 1, None, _describe(exc)) for value, _ in pairs]
+                for i, result in zip(indices, chunk_results):
+                    results[i] = result
     else:
-        for (i, value, cfg), start in zip(runs, starts):
-            results[i] = _sweep_child(cfg, str(out_root), value, start)
+        for pairs, indices, start in tasks:
+            for i, result in zip(indices, _sweep_child(pairs, str(out_root), start)):
+                results[i] = result
 
     worst = 0
     lines = [",".join((args.param, *EvalResult._fields))]
@@ -293,8 +356,7 @@ def cmd_sweep(args) -> int:
             worst = max(worst, code)
             continue
         lines.append(",".join((value, *map(repr, final))))
-    with _writing(summary_path, args.out), open(summary_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(summary_path, "\n".join(lines) + "\n", args.out)
     return worst
 
 
@@ -348,8 +410,7 @@ def cmd_pareto(args) -> int:
     lines = ["tag,loss_retain,loss_forget"]
     for p in front:
         lines.append(f"{p.tag},{p.retain_loss!r},{p.forget_loss!r}")
-    with _writing(out_path, args.out), open(out_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out_path, "\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -11,13 +11,27 @@ minibatches when they have one size), combines them, optionally refreshes the
 step size from retain probes, and applies ``theta <- theta - eta * g``.  The
 result is a :class:`RunRecord` with one row per step, exact pass counters,
 and final metrics; identical configs reproduce records bit for bit.
+
+The loop advances a lockstep group of runs: classification runs that share
+a start, their minibatches, their evaluation cadence, their step count and
+whether they are NPO runs (:func:`lockstep_key`), as the values of a sweep
+do.  Each step draws the minibatches once and makes one kernel pass for
+every run still going, with a run axis in front of the parameters; each
+evaluation is one pass per side of the split.  The combination, the step
+size (whose probes are lone passes), the trace row and the update stay per
+run, so every run's record is bit for bit its lone run's.  A run that meets
+a non-finite value reruns that step as lone passes, aborts with the lone
+run's step and message, and leaves the group.  A lone run is a group of one.
+Artifacts are written whole or not at all (:func:`write_file`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from functools import cached_property
@@ -487,9 +501,29 @@ def record_from_json(text: str) -> RunRecord:
     return record_from_dict(json.loads(text))
 
 
+def write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    It goes to a temporary name in the same directory, which is then renamed
+    over ``path``, so a reader, or a process killed midway, never sees a
+    partial file.  A symlink at ``path`` is written through, as
+    ``open(path, "w")`` would.
+    """
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_trace_csv(record: RunRecord, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join((TRACE_HEADER, *record.trace_lines)) + "\n")
+    write_file(path, "\n".join((TRACE_HEADER, *record.trace_lines)) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -560,117 +594,229 @@ class _BatchStream:
         return out
 
 
+def lockstep_key(cfg: RunConfig):
+    """What the runs of one lockstep group share; None for a run that steps alone.
+
+    A classification group shares its start (``seeds.data``, ``seeds.init``
+    and ``problem``), its minibatches (``seeds.method`` and ``batch_size``),
+    its evaluation cadence, its step count and whether its runs are NPO
+    runs, whose step differentiates another loss.  A quad run has no kernel
+    pass to share, and batching its 2-vector products would change their
+    bits (BLAS ``ddot`` rounds one as ``fma(x1, y1, x0*y0)``), so it steps
+    alone.
+    """
+    if cfg.problem.kind == QUAD_PAIR:
+        return None
+    s = cfg.seeds
+    return (s.data, s.init, cfg.problem, s.method, cfg.batch_size, cfg.eval_every, cfg.steps,
+            cfg.method.kind == NPO)
+
+
+def _pass(graph: Graph, params: list, bindings) -> list:
+    """Each run's group losses from one kernel pass; one run takes the lone pass, which costs less."""
+    if len(params) == 1:
+        return [graph.run(params[0], bindings)]
+    return list(graph.run(params, bindings))
+
+
+def _backward(graph: Graph, runs: int, dlp=None, groups=None) -> list:
+    """Each run's group gradients after ``_pass``; ``dlp`` holds one row per run."""
+    if runs == 1:
+        return [graph.backward(None if dlp is None else dlp[0], groups)]
+    return list(graph.backward(dlp, groups))
+
+
+def _rows(batch: LabeledBatch) -> dict:
+    """The bindings of a pass over ``batch`` alone."""
+    return {"features": batch.features, "labels": batch.labels}
+
+
+def bind_split(graph: Graph, split: ForgetRetainSplit) -> tuple:
+    """Both sides of ``split``, retain first, checked once by ``graph.bind`` for every evaluation."""
+    return tuple(graph.bind(_rows(side)) for side in (split.retain, split.forget))
+
+
+def _caught(fn, *args):
+    """``fn(*args)``, or the ``NumericError`` it raised."""
+    try:
+        return fn(*args)
+    except NumericError as exc:
+        return exc
+
+
 class _QuadTask:
     """Analytic quadratic-pair task: full-batch closed-form losses/gradients.
 
     The problem returns each gradient as a fresh array with its sum of
     squares, so it is adopted into a ``FlatGradient`` without a copy or a
-    second pass.
+    second pass.  Its runs step alone (``lockstep_key``).
     """
 
     has_accuracy = False
 
-    def __init__(self, cfg: RunConfig, counters: _Counters):
+    def __init__(self, cfg: RunConfig):
         prob = cfg.problem
         self.problem = QuadPairProblem(
             np.array(prob.a), np.array(prob.b), prob.forget_kind
         )
         theta0 = np.array(prob.theta0 if prob.theta0 is not None else prob.b, dtype=float)
         self.initial_params = ParameterVector(theta0, self.problem.layout)
-        self._counters = counters
 
     def loss_grads(self, params):
-        self._counters.forward += 2
-        self._counters.backward += 2
         pairs = self.problem.retain_loss_grad(params), self.problem.forget_loss_grad(params)
         layout = params.layout
         return [(loss, _adopt_vector(FlatGradient, g, layout, "gradient", sq)) for loss, g, sq in pairs]
 
+    def step(self, runs):
+        (run,) = runs
+        run.counters.forward += 2
+        run.counters.backward += 2
+        return [self.loss_grads(run.params)]
+
     def probe_loss(self, params) -> float:
-        self._counters.probe_forward += 1
         return self.problem.retain_loss(params)
 
-    def evaluate(self, params) -> EvalResult:
-        return EvalResult(
-            self.problem.retain_loss(params), self.problem.forget_loss(params), math.nan, math.nan
-        )
+    def evaluate(self, runs) -> list:
+        return [
+            EvalResult(self.problem.retain_loss(p), self.problem.forget_loss(p), math.nan, math.nan)
+            for p in (run.params for run in runs)
+        ]
 
 
 class _ClassificationTask:
-    """Forget-one-class task over a finetuned MLP with minibatch streams."""
+    """Forget-one-class task over a finetuned MLP, for a lockstep group of runs.
+
+    The runs share the start and the minibatch streams, so each step draws
+    its minibatches once and serves every run from one kernel pass, and the
+    split is bound once for every evaluation.
+    """
 
     has_accuracy = True
 
-    def __init__(self, cfg: RunConfig, counters: _Counters, start: NoUnlearn):
+    def __init__(self, cfgs, start: NoUnlearn):
         self.split, self.graph, self.initial_params = start
-        self._counters = counters
+        cfg = cfgs[0]
         self._retain_stream = _BatchStream(
             self.split.retain.n, cfg.batch_size, [cfg.seeds.method, 0]
         )
         self._forget_stream = _BatchStream(
             self.split.forget.n, cfg.batch_size, [cfg.seeds.method, 1]
         )
+        self._bound_split = bind_split(self.graph, self.split)
         self._retain_batch: LabeledBatch | None = None
-        self.npo: NpoLoss | None = None
+        self._probe_rows: dict | None = None  # the step's retain minibatch, bound at its first probe
         self._npo_ref: np.ndarray | None = None
         if cfg.method.kind == NPO:
-            self.npo = NpoLoss(self.graph, cfg.method.beta, self.initial_params)
-            # frozen model: reference log-probs precomputed once per sample
-            self._npo_ref = self.npo.reference_logprobs(self.split.forget)
+            # frozen model: reference log-probs precomputed once per sample, for every run
+            reference = NpoLoss(self.graph, cfg.method.beta, self.initial_params)
+            self._npo_ref = reference.reference_logprobs(self.split.forget)
 
-    def loss_grads(self, params):
-        """The retain and the forget (loss, gradient) pairs, from one kernel pass.
-
-        Minibatches of unequal size, and a pass that meets a non-finite value, run
-        one pass each, retain first, so an error is the one the lone passes raise first.
-        """
-        self._retain_batch = self.split.retain.take(self._retain_stream.next())
-        batches = self._retain_batch, self.split.forget.take(self._forget_stream.next())
-        self._counters.forward += 2
-        self._counters.backward += 2
+    def _passes(self, batches) -> list:
+        """The bound passes over ``batches``: one stacked pass when they have one size."""
         if batches[0].n == batches[1].n:
-            try:
-                return list(zip(self.graph.run(params, stack(batches)), self.graph.backward()))
-            except NumericError:
-                pass
-        return [(forward(self.graph, params, b), self.graph.backward()[0]) for b in batches]
+            return [self.graph.bind(stack(batches))]
+        passes = [self.graph.bind(_rows(b)) for b in batches]
+        for batch, bindings in zip(batches, passes):
+            if batch is self._retain_batch:
+                self._probe_rows = bindings
+        return passes
 
-    def npo_loss_grad(self, params):
-        idx = self._forget_stream.next()
-        batch = self.split.forget.take(idx)
-        self._counters.forward += 1
-        self._counters.backward += 1
-        # gradient-free diagnostics, not counted: both minibatches' cross-entropy, from one pass
-        retain = self._retain_batch = self.split.retain.take(self._retain_stream.next())
-        if retain.n == batch.n:
-            try:
-                loss, grad = self.npo.loss_and_grad(params, batch, self._npo_ref[idx], retain)
-                return loss, grad, self.npo.cross_entropy[1], self.npo.cross_entropy[0]
-            except NumericError:  # rerun as lone passes, which raise in their order
-                pass
-        loss, grad = self.npo.loss_and_grad(params, batch, self._npo_ref[idx])
-        return loss, grad, forward(self.graph, params, retain), self.npo.cross_entropy[0]
+    def step(self, runs) -> list:
+        """Each run's step results, from one kernel pass over every run.
+
+        A combiner run gets its retain and forget (loss, gradient) pairs; an
+        NPO run its loss, its gradient and the retain and forget minibatches'
+        cross-entropy.  When a pass meets a non-finite value, each run reruns
+        the step as its lone passes, and the error those raise first comes
+        back in the run's place.
+        """
+        self._probe_rows = None
+        per_run = 1 if self._npo_ref is not None else 2
+        for run in runs:
+            run.counters.forward += per_run
+            run.counters.backward += per_run
+        if self._npo_ref is not None:
+            idx = self._forget_stream.next()
+            forget = self.split.forget.take(idx)
+            # gradient-free diagnostics, not counted: the retain minibatch's cross-entropy
+            retain = self._retain_batch = self.split.retain.take(self._retain_stream.next())
+            shared, lone, args = self._npo_step, self._npo_lone, (forget, retain, self._npo_ref[idx])
+        else:
+            retain = self._retain_batch = self.split.retain.take(self._retain_stream.next())
+            forget = self.split.forget.take(self._forget_stream.next())
+            shared, lone, args = self._step, self._lone, ((retain, forget),)
+        try:
+            return shared(runs, *args)
+        except NumericError:
+            return [_caught(lone, run, *args) for run in runs]
+
+    def _step(self, runs, batches) -> list:
+        params = [run.params for run in runs]
+        pairs = [[] for _ in runs]
+        for bindings in self._passes(batches):
+            losses = _pass(self.graph, params, bindings)
+            for out, run_losses, grads in zip(pairs, losses, _backward(self.graph, len(runs))):
+                out += zip(run_losses, grads)
+        return pairs
+
+    def _lone(self, run, batches) -> list:
+        # retain first, so an error is the one the lone passes raise first
+        return [(forward(self.graph, run.params, b), self.graph.backward()[0]) for b in batches]
+
+    def _npo_step(self, runs, forget, retain, ref) -> list:
+        params = [run.params for run in runs]
+        passes = self._passes((forget, retain))
+        cross = _pass(self.graph, params, passes[0])
+        lps = self.graph.lp.reshape(len(runs), -1)[:, : forget.n]
+        values = [run.npo.score(lp, ref) for run, lp in zip(runs, lps)]
+        dlp = np.array([run.npo.upstream() for run in runs])
+        grads = _backward(self.graph, len(runs), dlp, 1)
+        if len(passes) > 1:
+            cross = [f + r for f, r in zip(cross, _pass(self.graph, params, passes[1]))]
+        return [(v, g, c[1], c[0]) for v, (g,), c in zip(values, grads, cross)]
+
+    def _npo_lone(self, run, forget, retain, ref):
+        # the forget minibatch's loss and gradient first, then the retain pass
+        value, grad = run.npo.loss_and_grad(run.params, forget, ref)
+        return value, grad, forward(self.graph, run.params, retain), run.npo.cross_entropy
 
     def probe_loss(self, params) -> float:
-        # probes reuse the minibatch that produced the current retain gradient
-        self._counters.probe_forward += 1
-        return forward(self.graph, params, self._retain_batch)
+        # probes reuse the retain minibatch of the step's gradients, bound once per step
+        if self._probe_rows is None:
+            self._probe_rows = self.graph.bind(_rows(self._retain_batch))
+        return self.graph.run(params, self._probe_rows)[0]
 
-    def evaluate(self, params) -> EvalResult:
-        return evaluate(self.graph, params, self.split)
+    def evaluate(self, runs) -> list:
+        """Each run's metrics, from one pass per side of the split over every run.
+
+        When a pass meets a non-finite value, each run is evaluated alone,
+        and its error comes back in its place.
+        """
+        params = [run.params for run in runs]
+        try:
+            return evaluate(self.graph, params, self.split, self._bound_split)
+        except NumericError:
+            return [_caught(evaluate, self.graph, p, self.split, self._bound_split) for p in params]
 
 
-def evaluate(graph: Graph, params: ParameterVector, split: ForgetRetainSplit) -> EvalResult:
-    """Mean losses and argmax accuracies on both sides of a split."""
+def evaluate(graph: Graph, params, split: ForgetRetainSplit, bound=None):
+    """Mean losses and argmax accuracies on both sides of a split.
 
-    def one(batch):
-        loss = forward(graph, params, batch)
-        pred = np.argmax(graph.logits, axis=1)
-        return float(np.mean(pred == batch.labels)), loss
-
-    acc_r, loss_r = one(split.retain)
-    acc_f, loss_f = one(split.forget)
-    return EvalResult(loss_r, loss_f, acc_r, acc_f)
+    ``params`` is one vector, or a sequence of them, evaluated in one pass
+    per side and given one result each.  ``bound`` is ``bind_split(graph,
+    split)`` when the split is bound once for many evaluations.
+    """
+    runs = [params] if isinstance(params, ParameterVector) else list(params)
+    sides = []
+    for batch, bindings in zip((split.retain, split.forget), bound or bind_split(graph, split)):
+        losses = _pass(graph, runs, bindings)
+        logits = graph.logits.reshape(len(runs), batch.n, -1)
+        sides.append([
+            (loss, float(np.mean(np.argmax(run_logits, axis=1) == batch.labels)))
+            for (loss,), run_logits in zip(losses, logits)
+        ])
+    results = [EvalResult(loss_r, loss_f, acc_r, acc_f) for (loss_r, acc_r), (loss_f, acc_f) in zip(*sides)]
+    return results[0] if isinstance(params, ParameterVector) else results
 
 
 def finetune(
@@ -729,85 +875,149 @@ def no_unlearn(cfg: RunConfig) -> NoUnlearn:
 # The unlearning loop
 
 
-def run_unlearning(cfg: RunConfig, start: NoUnlearn | None = None) -> RunRecord:
-    """Execute one unlearning run and return its complete record.
+class _Run:
+    """One config in the unlearning loop: its parameters, step size, trace and outcome."""
 
-    ``start`` is the ``no_unlearn(cfg)`` of a classification run when it was
+    def __init__(self, cfg: RunConfig, task):
+        self.cfg = cfg
+        self.counters = _Counters()
+        self.params = task.initial_params
+        self.lr_state = LrState(cfg.lr.eta)
+        self.rows: list[StepRow] = []
+        self.acc = (math.nan, math.nan)  # the latest evaluation's retain and forget accuracy
+        self.npo = NpoLoss(task.graph, cfg.method.beta, self.params) if cfg.method.kind == NPO else None
+        self.outcome = None  # the exception that ended the run, else its record
+        self._task = task
+        self._needs_losses = cfg.method.kind == combiners.LOSSNORM
+
+    def probe_loss(self, params) -> float:
+        self.counters.probe_forward += 1
+        return self._task.probe_loss(params)
+
+    def step(self, step: int, out, evaluated=None) -> None:
+        """Take step ``step`` from the task's results ``out`` and, on an
+        evaluation step, its evaluation of the current parameters.
+
+        Each may be the error the run met instead, raised in the loop's
+        order: the gradients, the combination and step size, the evaluation,
+        then the update.
+        """
+        if isinstance(out, Exception):
+            raise out
+        cfg = self.cfg
+        if self.npo is not None:
+            _, direction, loss_retain, loss_forget = out
+            coeff = gnorm_r = gnorm_f = cos_rf = math.nan
+        else:
+            (loss_retain, g_r), (loss_forget, g_f) = out
+            if not (math.isfinite(loss_retain) and math.isfinite(loss_forget)):
+                raise NumericError("task loss is non-finite")
+            # cross-entropy on a saturated minibatch can round to exactly 0;
+            # the loss-normalization weights need a strictly positive floor
+            losses = (
+                (max(loss_retain, 1e-12), max(loss_forget, 1e-12)) if self._needs_losses else None
+            )
+            out = combine(cfg.method, g_r, g_f, losses, step, cfg.seeds.method)
+            direction = out.direction
+            coeff = out.coefficient
+            gnorm_r, gnorm_f = g_r.norm, g_f.norm
+            cos_rf = (
+                float(g_r.data.dot(g_f.data)) / (gnorm_r * gnorm_f)
+                if gnorm_r > 0 and gnorm_f > 0
+                else math.nan
+            )
+        guard_before = self.lr_state.guard_trips
+        if cfg.lr.mode == "auto":
+            self.lr_state = maybe_update(
+                self.lr_state, step, cfg.lr, self.probe_loss, self.params, direction, loss_retain
+            )
+        eta = step_size(self.lr_state, cfg.lr)
+        if evaluated is not None:
+            if isinstance(evaluated, Exception):
+                raise evaluated
+            self.acc = evaluated.acc_retain, evaluated.acc_forget
+        self.rows.append(
+            StepRow(
+                step, loss_retain, loss_forget, *self.acc, eta, coeff,
+                gnorm_r, gnorm_f, cos_rf, self.lr_state.guard_trips - guard_before,
+            )
+        )
+        self.params = axpy_update(self.params, direction, eta)
+
+    def finish(self, step: int, final) -> None:
+        if isinstance(final, Exception):
+            raise final
+        params = self.params
+        self.outcome = RunRecord(
+            config=config_to_dict(self.cfg),
+            rows=tuple(self.rows),
+            forward_passes=self.counters.forward,
+            backward_passes=self.counters.backward,
+            probe_forward_passes=self.counters.probe_forward,
+            guard_trips=self.lr_state.guard_trips,
+            final=final,
+            params_digest=hashlib.sha256(params.data.tobytes()).hexdigest(),
+            final_params=params,
+        )
+
+
+def _each(runs: list, step: int, act, *values) -> list:
+    """``act(run, step, *value)`` for each run and its values; an exception ends
+    that run (a numeric one as a ``NumericAbort`` at ``step``).  The runs still going."""
+    for run, *value in zip(runs, *values):
+        try:
+            act(run, step, *value)
+        except NumericError as exc:
+            run.outcome = NumericAbort(step, str(exc), run.params)
+        except Exception as exc:  # one run's failure must not end the others
+            run.outcome = exc
+    return [run for run in runs if run.outcome is None]
+
+
+def run_unlearning(cfg, start: NoUnlearn | None = None):
+    """Execute unlearning runs and return their complete records.
+
+    ``cfg`` is one config, whose record is returned and whose abort raises
+    its ``NumericAbort``; or a sequence of configs with one
+    ``lockstep_key``, which step in lockstep, each step one kernel pass for
+    every run still going, with one outcome returned per config, in order:
+    its record, or the exception that ended it (a ``NumericAbort`` on a
+    numeric abort).  Every run's record is bit for bit its lone run's.
+    ``start`` is the ``no_unlearn`` of a classification run when it was
     made elsewhere (a sweep shares one across its values); by default it is
     made here, deterministically in the config seeds.  Quad runs start from
     their configured point and ignore it.
     """
-    counters = _Counters()
-    if cfg.problem.kind == QUAD_PAIR:
-        task = _QuadTask(cfg, counters)
+    lone = isinstance(cfg, RunConfig)
+    cfgs = [cfg] if lone else list(cfg)
+    keys = {lockstep_key(c) for c in cfgs}
+    if len(cfgs) != 1 and (len(keys) != 1 or None in keys):
+        raise ValueError("runs in lockstep need one lockstep_key, and at least one run")
+    first = cfgs[0]
+    if first.problem.kind == QUAD_PAIR:
+        task = _QuadTask(first)
     else:
-        task = _ClassificationTask(cfg, counters, start if start is not None else no_unlearn(cfg))
-    params = task.initial_params
-    is_npo = cfg.method.kind == NPO
-    needs_losses = cfg.method.kind == combiners.LOSSNORM
-    auto = cfg.lr.mode == "auto"
-    lr_state = LrState(cfg.lr.eta)
-    rows: list[StepRow] = []
-    acc_retain = acc_forget = math.nan
+        task = _ClassificationTask(cfgs, start if start is not None else no_unlearn(first))
+    runs = [_Run(c, task) for c in cfgs]
+    live = runs
 
     # every value the loop keeps is checked for finiteness, so numpy's own
     # overflow warnings on the way to a non-finite one are noise
     with np.errstate(all="ignore"):
-        try:
-            for step in range(cfg.steps):
-                if is_npo:
-                    _, direction, loss_retain, loss_forget = task.npo_loss_grad(params)
-                    coeff = gnorm_r = gnorm_f = cos_rf = math.nan
-                else:
-                    (loss_retain, g_r), (loss_forget, g_f) = task.loss_grads(params)
-                    if not (math.isfinite(loss_retain) and math.isfinite(loss_forget)):
-                        raise NumericError("task loss is non-finite")
-                    # cross-entropy on a saturated minibatch can round to exactly 0;
-                    # the loss-normalization weights need a strictly positive floor
-                    losses = (
-                        (max(loss_retain, 1e-12), max(loss_forget, 1e-12)) if needs_losses else None
-                    )
-                    out = combine(cfg.method, g_r, g_f, losses, step, cfg.seeds.method)
-                    direction = out.direction
-                    coeff = out.coefficient
-                    gnorm_r, gnorm_f = g_r.norm, g_f.norm
-                    cos_rf = (
-                        float(g_r.data.dot(g_f.data)) / (gnorm_r * gnorm_f)
-                        if gnorm_r > 0 and gnorm_f > 0
-                        else math.nan
-                    )
+        for step in range(first.steps):
+            if not live:
+                break
+            try:
+                outs = task.step(live)
+            except Exception as exc:  # a shared failure ends every run still going
+                outs = [exc] * len(live)
+            if task.has_accuracy and step % first.eval_every == 0:
+                live = _each(live, step, _Run.step, outs, task.evaluate(live))
+            else:
+                live = _each(live, step, _Run.step, outs)
+        if live:  # the final evaluation fails after the last step
+            _each(live, first.steps, _Run.finish, task.evaluate(live))
 
-                guard_before = lr_state.guard_trips
-                if auto:
-                    lr_state = maybe_update(
-                        lr_state, step, cfg.lr, task.probe_loss, params, direction, loss_retain
-                    )
-                eta = step_size(lr_state, cfg.lr)
-
-                if task.has_accuracy and step % cfg.eval_every == 0:
-                    _, _, acc_retain, acc_forget = task.evaluate(params)
-
-                rows.append(
-                    StepRow(
-                        step, loss_retain, loss_forget, acc_retain, acc_forget, eta, coeff,
-                        gnorm_r, gnorm_f, cos_rf, lr_state.guard_trips - guard_before,
-                    )
-                )
-                params = axpy_update(params, direction, eta)
-            step = cfg.steps  # the final evaluation fails after the last step
-            final = task.evaluate(params)
-        except NumericError as exc:
-            raise NumericAbort(step, str(exc), params) from None
-
-    digest = hashlib.sha256(params.data.tobytes()).hexdigest()
-    return RunRecord(
-        config=config_to_dict(cfg),
-        rows=tuple(rows),
-        forward_passes=counters.forward,
-        backward_passes=counters.backward,
-        probe_forward_passes=counters.probe_forward,
-        guard_trips=lr_state.guard_trips,
-        final=final,
-        params_digest=digest,
-        final_params=params,
-    )
+    if lone and isinstance(runs[0].outcome, Exception):
+        raise runs[0].outcome
+    return runs[0].outcome if lone else [run.outcome for run in runs]

@@ -23,7 +23,6 @@ from .autodiff import (
     ParameterVector,
     Segment,
     forward,
-    stack,
 )
 
 UNBOUNDED_QUADRATIC = "unbounded_quadratic"
@@ -47,9 +46,11 @@ class NpoLoss:
 
     The reference side is treated as a constant: no gradient flows into it.
     The loss is a function of the kernel's true-label log-probabilities, so
-    its gradient is the kernel's backward pass given ``dL/dlp``.  The pass
-    that ``loss`` runs on ``model`` keeps ``cross_entropy``: the batch's mean
-    cross-entropy, then a same-size ``retain`` batch's (stacked in, no gradient).
+    its gradient is the kernel's backward pass given ``dL/dlp``: ``score``
+    takes the log-probabilities of a kernel pass, such as one the loop runs
+    for a lockstep group of runs, and ``upstream`` gives ``dL/dlp``.  The
+    pass that ``loss`` runs on ``model`` keeps the batch's mean cross-entropy
+    as ``cross_entropy``.
 
     ``beta`` is the inverse temperature and ``reference_params`` the frozen
     pre-unlearning snapshot.  ``clamp_warnings`` counts batches in which a
@@ -66,7 +67,7 @@ class NpoLoss:
         self.clamp_warnings = 0
         self._graph = model
         self._z: np.ndarray | None = None
-        self.cross_entropy: tuple[float, ...] | None = None
+        self.cross_entropy: float | None = None
 
     def reference_logprobs(self, batch) -> np.ndarray:
         """True-label log-probabilities under the frozen reference, clamped below."""
@@ -77,13 +78,12 @@ class NpoLoss:
             lp = np.maximum(lp, LOG_PROB_FLOOR)
         return lp
 
-    def loss(
-        self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None, retain=None
-    ) -> float:
-        if ref_logprobs is None:
-            ref_logprobs = self.reference_logprobs(batch)
-        cross_entropy = self._graph.run(params, stack((batch,) if retain is None else (batch, retain)))
-        lp = self._graph.lp[: batch.n]
+    def score(self, lp: np.ndarray, ref_logprobs) -> float:
+        """The loss of the live model's true-label log-probabilities ``lp``.
+
+        ``ref_logprobs`` are the reference's for the same rows.  Keeps what
+        ``upstream`` needs.
+        """
         ref = np.asarray(ref_logprobs, dtype=np.float64)
         if ref.shape != lp.shape:
             raise DimensionError(f"reference log-probs shape {ref.shape} does not match {lp.shape}")
@@ -93,17 +93,25 @@ class NpoLoss:
         if not (np.isfinite(z).all() and math.isfinite(value)):
             raise NumericError("non-finite NPO loss")
         self._z = z
-        self.cross_entropy = cross_entropy
         return float(value)
 
-    def loss_and_grad(
-        self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None, retain=None
-    ) -> tuple[float, FlatGradient]:
-        value = self.loss(params, batch, ref_logprobs, retain)
+    def upstream(self) -> np.ndarray:
+        """``dL/dlp`` of the last ``score``: the upstream gradient ``Graph.backward`` takes."""
         # d loss / d lp = (-beta) * sigmoid(-z) * (-(2 / beta) / n)
         per_row = float(-2.0 / self.beta) / self._z.shape[0]
-        dlp = float(-self.beta) * (np.exp(-np.logaddexp(0.0, self._z)) * per_row)
-        return value, self._graph.backward(dlp, groups=1)[0]
+        return float(-self.beta) * (np.exp(-np.logaddexp(0.0, self._z)) * per_row)
+
+    def loss(self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None) -> float:
+        if ref_logprobs is None:
+            ref_logprobs = self.reference_logprobs(batch)
+        self.cross_entropy = forward(self._graph, params, batch)
+        return self.score(self._graph.lp, ref_logprobs)
+
+    def loss_and_grad(
+        self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None
+    ) -> tuple[float, FlatGradient]:
+        value = self.loss(params, batch, ref_logprobs)
+        return value, self._graph.backward(self.upstream())[0]
 
 
 def theta_layout(dim: int) -> ParameterLayout:

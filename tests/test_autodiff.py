@@ -356,6 +356,59 @@ class TestStackedPass:
                 graph.backward(groups=groups)
 
 
+class TestRunAxis:
+    """A pass over several parameter vectors is, run by run and group by group, their lone passes bit for bit."""
+
+    @pytest.mark.parametrize("classes", [2, 3, 9])
+    @pytest.mark.parametrize("hidden", [[], [1], [16], [16, 8]], ids=str)
+    @pytest.mark.parametrize("rows", [1, 32, _FAST_ROWS, 200])
+    @pytest.mark.parametrize("runs", [2, 7])
+    def test_runs_equal_lone_passes(self, classes, hidden, rows, runs):
+        widths = [5, *hidden, classes]
+        graph, params = mlp_factory(rows, widths)
+        rng = np.random.default_rng([rows, classes, len(hidden), runs])
+        vectors = [
+            ParameterVector(params.data + 0.3 * rng.standard_normal(params.size), params.layout)
+            for _ in range(runs)
+        ]
+        batches = [
+            batch_of(2.0 * rng.standard_normal((rows, 5)), rng.integers(0, classes, rows), classes)
+            for _ in range(2)
+        ]
+        dlps = rng.standard_normal((runs, 2 * rows))
+        bound = graph.bind(stack(batches))
+        lone = []
+        for vector, dlp in zip(vectors, dlps):
+            losses = graph.run(vector, bound)
+            lone.append((losses, graph.lp.copy(), graph.logits.copy(), graph.backward(), graph.backward(dlp),
+                         graph.backward(dlp[:rows], groups=1)))
+
+        losses = graph.run(vectors, bound)
+        lp, logits = graph.lp, graph.logits
+        grads, dlp_grads = graph.backward(), graph.backward(dlps)
+        firsts = graph.backward(dlps[:, :rows], groups=1)
+        assert losses == tuple(one[0] for one in lone)
+        assert lp.shape == (runs, 2 * rows) and logits.shape == (runs, 2 * rows, classes)
+        for r, (_, one_lp, one_logits, one_grads, one_dlp_grads, one_first) in enumerate(lone):
+            assert same_bits(lp[r], one_lp) and same_bits(logits[r], one_logits)
+            for got, want in zip((grads[r], dlp_grads[r], firsts[r]), (one_grads, one_dlp_grads, one_first)):
+                assert len(got) == len(want) and all(map(same_gradient, got, want))
+
+    def test_a_run_that_overflows_fails_the_pass(self):
+        graph, params = mlp_factory(0, [4, 3])
+        batch = batch_of(np.ones((2, 4)), [0, 1], 3)
+        huge = ParameterVector(np.full(params.size, 1e308), params.layout)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="^non-finite pre-activation in layer 1$"):
+            graph.run([params, huge], stack((batch,)))
+
+    def test_dlp_of_the_wrong_shape_is_rejected(self):
+        graph, params = mlp_factory(0, [4, 3])
+        batch = batch_of(np.zeros((2, 4)), [0, 1], 3)
+        graph.run([params, params], stack((batch,)))
+        with pytest.raises(DimensionError, match=r"^dlp shape \(2,\) does not match \(2, 2\)$"):
+            graph.backward(np.ones(2))
+
+
 class TestAxpyUpdate:
     layout = theta_layout(2)
 

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism, dominance."""
 
+import builtins
+import errno
 import gc
 import json
 import math
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ngdiff.autodiff
 import ngdiff.cli
 import ngdiff.engine
 import ngdiff.scheduler
@@ -67,6 +70,21 @@ def src_env():
 
 def run_dirs(root):
     return sorted(p for p in root.iterdir() if p.is_dir())
+
+
+# every method kind `sweep --param method` can set up on its own
+SWEEP_METHODS = ("gd", "ga", "lossnorm", "rlw", "pcgrad", "imtlg", "ngdiff")
+
+
+def assert_children_match_lone_runs(tmp_path, out):
+    """Every finished child under ``out`` writes the artifacts a lone ``run`` of its config.json writes."""
+    for child in run_dirs(out):
+        if not (child / "record.json").exists():
+            continue
+        alone = tmp_path / "alone"
+        assert main(["run", "--config", str(child / "config.json"), "--out", str(alone)]) == 0
+        for artifact in ("config.json", "record.json", "trace.csv"):
+            assert (child / artifact).read_bytes() == (alone / child.name / artifact).read_bytes()
 
 
 def find_one(root, name):
@@ -500,33 +518,43 @@ class TestSweep:
         ) == 2
         assert "lr: must be an object" in capsys.readouterr().err
 
-    def test_unexpected_child_error_is_a_failed_value(self, tmp_path, capsys, monkeypatch):
-        import ngdiff.cli
+    @pytest.mark.parametrize(
+        "doc, param, values, failing",
+        [(quad_doc({"kind": "gdiff", "c": 0.5}, steps=20), "c", "0.6,0.75,0.9", "0.75"),
+         # one lockstep group: the failing value leaves it and the others step on
+         (small_gauss_doc({"kind": "ngdiff"}), "method", "gd,rlw,ngdiff", "rlw")],
+        ids=["quad", "gaussian-lockstep"],
+    )
+    def test_unexpected_child_error_is_a_failed_value(
+        self, tmp_path, capsys, monkeypatch, doc, param, values, failing
+    ):
+        real = ngdiff.engine.combine
 
-        real = ngdiff.cli.run_unlearning
-
-        def flaky(cfg, *args, **kwargs):
-            if cfg.method.c == 0.75:
+        def flaky(spec, *args, **kwargs):
+            if failing in (spec.kind, str(spec.c)):
                 raise RuntimeError("disk on fire")
-            return real(cfg, *args, **kwargs)
+            return real(spec, *args, **kwargs)
 
-        monkeypatch.setattr(ngdiff.cli, "run_unlearning", flaky)
-        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=20))
+        monkeypatch.setattr(ngdiff.engine, "combine", flaky)
+        cfg = write_config(tmp_path / "cfg.json", doc)
         out = tmp_path / "sweep"
         code = main(
-            ["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6,0.75,0.9", "--jobs", "1"]
+            ["sweep", "--config", cfg, "--out", str(out), "--param", param, "--values", values, "--jobs", "1"]
         )
-        assert code != 0
+        assert code == 1
         err = capsys.readouterr().err
-        assert "value 0.75" in err and "disk on fire" in err
-        assert "Traceback" not in err
+        assert err.startswith(f"error: value {failing}: RuntimeError: disk on fire (at test_cli.py:")
+        assert len(err.splitlines()) == 1
         listed = [line.split(",")[0] for line in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
-        assert listed == ["0.6", "0.9"]
+        assert listed == [v for v in values.split(",") if v != failing]
+        monkeypatch.setattr(ngdiff.engine, "combine", real)
+        assert_children_match_lone_runs(tmp_path, out)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
         "param, values, method",
-        [("method", "ngdiff,gd,rlw", {"kind": "ngdiff"}), ("beta", "0.5,1.0", {"kind": "npo", "beta": 1.0})],
+        [("method", ",".join(SWEEP_METHODS), {"kind": "ngdiff"}),
+         ("beta", "0.5,1.0", {"kind": "npo", "beta": 1.0})],
     )
     def test_children_match_standalone_runs(self, tmp_path, capsys, param, values, method, jobs):
         cfg = write_config(tmp_path / "cfg.json", small_gauss_doc(method))
@@ -535,13 +563,73 @@ class TestSweep:
             ["sweep", "--config", cfg, "--out", str(out), "--param", param, "--values", values,
              "--jobs", jobs]
         ) == 0
-        children = run_dirs(out)
-        assert len(children) == len(values.split(","))
-        for child in children:
-            alone = tmp_path / "alone"
-            assert main(["run", "--config", str(child / "config.json"), "--out", str(alone)]) == 0
-            for artifact in ("config.json", "record.json", "trace.csv"):
-                assert (child / artifact).read_bytes() == (alone / child.name / artifact).read_bytes()
+        assert len(run_dirs(out)) == len(values.split(","))
+        assert_children_match_lone_runs(tmp_path, out)
+
+    @pytest.mark.parametrize(
+        "param, values, method",
+        [("method", "gd,ngdiff,rlw", {"kind": "ngdiff"}), ("beta", "0.5,1.0", {"kind": "npo", "beta": 1.0})],
+    )
+    def test_unequal_minibatches_in_lockstep_match_standalone_runs(self, tmp_path, capsys, param, values, method):
+        # 60 retain and 30 forget rows: a 40-row minibatch is cut to 30 on the forget side
+        doc = small_gauss_doc(method)
+        doc["batch_size"] = 40
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        out = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", param, "--values", values, "--jobs", "1"]
+        ) == 0
+        assert len(run_dirs(out)) == len(values.split(","))
+        assert_children_match_lone_runs(tmp_path, out)
+
+    def test_aborting_child_leaves_its_lockstep_group_alone(self, tmp_path, capsys):
+        # eta 1e308 overflows the first layer at step 1; eta 0.01 runs its 20 steps
+        cfg = write_config(tmp_path / "cfg.json", small_gauss_doc({"kind": "ngdiff"}))
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", cfg, "--out", str(out), "--param", "eta", "--values", "1e308,0.01",
+                "--jobs", "1"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        aborted, finished = sorted(run_dirs(out), key=lambda d: (d / "record.json").exists())
+        assert [p.name for p in aborted.iterdir()] == ["config.json"]
+        lone_out = tmp_path / "lone"
+        assert main(["run", "--config", str(aborted / "config.json"), "--out", str(lone_out)]) == 3
+        lone_err = capsys.readouterr().err
+        assert lone_err == "error: non-finite value at step 1: non-finite pre-activation in layer 1\n"
+        assert err == lone_err.replace("error: ", "error: value 1e308: ", 1)
+        assert [line.split(",")[0] for line in (out / "sweep_summary.csv").read_text().splitlines()] == [
+            "eta", "0.01",
+        ]
+        assert_children_match_lone_runs(tmp_path, out)
+
+    def test_a_lockstep_group_makes_one_step_pass_per_step(self, tmp_path, capsys, monkeypatch):
+        runs_per_pass = []
+        real = ngdiff.autodiff.Graph.run
+
+        def spy(graph, params, bindings):
+            if bindings.get("groups") == 2:  # a step's stacked retain and forget minibatches
+                runs_per_pass.append(1 if isinstance(params, ngdiff.autodiff.ParameterVector) else len(params))
+            return real(graph, params, bindings)
+
+        monkeypatch.setattr(ngdiff.autodiff.Graph, "run", spy)
+        argv = ["sweep", "--config", str(CONFIGS / "ngdiff_gaussian.json"), "--out", str(tmp_path / "s"),
+                "--param", "method", "--values", ",".join(SWEEP_METHODS), "--jobs", "1"]
+        assert main(argv) == 0
+        assert runs_per_pass == [7] * 300
+
+    @pytest.mark.parametrize(
+        "values, jobs, sizes",
+        [("gd,ga,lossnorm,rlw,pcgrad,imtlg,ngdiff", 2, [4, 3]), ("gd,ga,lossnorm", 2, [2, 1]),
+         ("gd,ga", 8, [1, 1]), ("gd,ga,npo,ngdiff", 1, [3, 1]), ("gd,npo,ga,ngdiff,lossnorm", 2, [2, 2, 1])],
+    )
+    def test_chunks_split_each_lockstep_group(self, values, jobs, sizes):
+        docs = [small_gauss_doc({"kind": v, **({"beta": 1.0} if v == "npo" else {})}) for v in values.split(",")]
+        runs = [(i, v, ngdiff.engine.config_from_dict(d), None) for i, (v, d) in enumerate(zip(values.split(","), docs))]
+        chunks = ngdiff.cli._chunks(runs, jobs)
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert sorted(i for chunk in chunks for i, *_ in chunk) == list(range(len(runs)))
+        for chunk in chunks:
+            assert len({ngdiff.engine.lockstep_key(cfg) for _, _, cfg, _ in chunk}) == 1
 
     @pytest.mark.parametrize(
         "param, values, method",
@@ -936,6 +1024,53 @@ class TestOutPath:
             f"error: --out {out}: cannot write {out}/sweep_summary.csv: Is a directory\n"
         )
         assert captured.out == "" and [p.name for p in out.iterdir()] == ["sweep_summary.csv"]
+
+    @pytest.mark.parametrize(
+        "artifact", ["config.json", "trace.csv", "record.json", "sweep_summary.csv", "pareto.csv"]
+    )
+    def test_a_write_that_fails_midway_leaves_the_old_file_whole(self, tmp_path, capsys, monkeypatch, artifact):
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.75}, steps=5))
+        out = tmp_path / "out"
+        argv = ["run", "--config", cfg, "--out", str(out)]
+        if artifact == "sweep_summary.csv":
+            argv = ["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6,0.8"]
+        elif artifact == "pareto.csv":
+            record = str(one_record(tmp_path, quad_doc({"kind": "gd"}, steps=5)))
+            argv = ["pareto", record, "--out", str(out)]
+        assert main(argv) == 0
+        (path,) = out.rglob(artifact)
+        whole = path.read_bytes()
+        real_open = builtins.open
+
+        class Torn:
+            """A file that takes half of the first text written to it, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return Torn(fh) if "w" in mode and artifact in Path(file).name else fh
+
+        capsys.readouterr()
+        monkeypatch.setattr(builtins, "open", torn_open)
+        code = main(argv)
+        monkeypatch.setattr(builtins, "open", real_open)
+        assert code == 2
+        assert capsys.readouterr().err.endswith(f"--out {out}: cannot write {path}: No space left on device\n")
+        assert path.read_bytes() == whole
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
 
     def test_directory_as_child_artifact_fails_that_value_alone(self, tmp_path, capsys):
         doc = quad_doc({"kind": "gdiff", "c": 0.5}, steps=5)

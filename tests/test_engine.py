@@ -41,8 +41,8 @@ from ngdiff.engine import (
     TRACE_HEADER,
     NoUnlearn,
     _ClassificationTask,
-    _Counters,
     _QuadTask,
+    _Run,
     no_unlearn,
     run_name,
     write_trace_csv,
@@ -165,7 +165,7 @@ class TestQuadRuns:
     @pytest.mark.parametrize("forget_kind", ["unbounded_quadratic", "bounded_exp"])
     def test_task_gradients_are_frozen_and_own_their_memory(self, forget_kind):
         cfg = quad_config({"kind": "gd"}, steps=1, theta0=(0.5, 1.0), forget_kind=forget_kind)
-        task = _QuadTask(cfg, _Counters())
+        task = _QuadTask(cfg)
         params = task.initial_params
         for _, grad in task.loss_grads(params):
             assert not grad.data.flags.writeable
@@ -301,7 +301,7 @@ MESSAGES = {
 
 
 def one_row_task(retain: str, forget: str, method: dict, deep: bool = False):
-    """The task of a start whose splits are one row each, and its batches."""
+    """The task of a start whose splits are one row each, a run of it, and its batches."""
     widths, values, rows = ([1, 1, 1, 2], DEEP_PARAMS, DEEP_ROWS) if deep else ([1, 1, 2], CHAIN_PARAMS, CHAIN_ROWS)
     graph, params = mlp_factory(0, widths)
     params = ParameterVector(values, params.layout)
@@ -309,7 +309,8 @@ def one_row_task(retain: str, forget: str, method: dict, deep: bool = False):
     forget_batch = LabeledBatch([[rows[forget] if deep else -rows[forget]]], [0], 2)
     split = ForgetRetainSplit(retain=retain_batch, forget=forget_batch, forget_class=0)
     cfg = gaussian_config(method, steps=1, batch_size=1, problem={"kind": "gaussian", "classes": 2, "dim": 2})
-    return _ClassificationTask(cfg, _Counters(), NoUnlearn(split, graph, params)), params, split
+    task = _ClassificationTask([cfg], NoUnlearn(split, graph, params))
+    return task, _Run(cfg, task), split
 
 
 PAIRS = [
@@ -319,32 +320,51 @@ PAIRS = [
 
 
 class TestStackedStepErrors:
-    """A step whose stacked pass meets a non-finite value raises what its lone passes raise first."""
+    """A step whose stacked pass meets a non-finite value gives what its lone passes raise first."""
 
     @pytest.mark.parametrize("deep, retain, forget", PAIRS)
     def test_retain_pass_then_forget_pass(self, deep, retain, forget):
-        task, params, split = one_row_task(retain, forget, {"kind": "ngdiff"}, deep)
+        task, run, split = one_row_task(retain, forget, {"kind": "ngdiff"}, deep)
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError) as lone:
                 for batch in (split.retain, split.forget):
-                    forward(task.graph, params, batch)
+                    forward(task.graph, run.params, batch)
                     task.graph.backward()
-            with pytest.raises(NumericError) as stacked:
-                task.loss_grads(params)
-        assert str(stacked.value) == str(lone.value) == MESSAGES[retain if retain != "ok" else forget]
+            (stacked,) = task.step([run])
+        assert isinstance(stacked, NumericError)
+        assert str(stacked) == str(lone.value) == MESSAGES[retain if retain != "ok" else forget]
 
     @pytest.mark.parametrize(
         "retain, forget", [("layer 1", "gradient"), ("layer 1", "ok"), ("ok", "gradient"), ("cross-entropy", "ok")]
     )
     def test_npo_forget_pass_then_retain_pass(self, retain, forget):
-        task, params, split = one_row_task(retain, forget, {"kind": "npo", "beta": 1.0})
+        task, run, split = one_row_task(retain, forget, {"kind": "npo", "beta": 1.0})
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError) as lone:
-                task.npo.loss_and_grad(params, split.forget, task._npo_ref)
-                forward(task.graph, params, split.retain)
-            with pytest.raises(NumericError) as stacked:
-                task.npo_loss_grad(params)
-        assert str(stacked.value) == str(lone.value) == MESSAGES[forget if forget != "ok" else retain]
+                run.npo.loss_and_grad(run.params, split.forget, task._npo_ref)
+                forward(task.graph, run.params, split.retain)
+            (stacked,) = task.step([run])
+        assert isinstance(stacked, NumericError)
+        assert str(stacked) == str(lone.value) == MESSAGES[forget if forget != "ok" else retain]
+
+    @pytest.mark.parametrize("retain, forget", [("layer 1", "ok"), ("cross-entropy", "ok"), ("layer 1", "gradient")])
+    @pytest.mark.parametrize("method", [{"kind": "ngdiff"}, {"kind": "npo", "beta": 1.0}], ids=["ngdiff", "npo"])
+    def test_one_run_of_a_lockstep_pass_fails_and_the_other_steps_on(self, retain, forget, method):
+        # w1 = 0.5 and w2 = (1, -1) keep every value of these rows finite
+        task, bad, split = one_row_task(retain, forget, method)
+        good = _Run(bad.cfg, task)
+        good.params = ParameterVector([0.5, 0.0, 1.0, -1.0, 0.0, 0.0], bad.params.layout)
+        with np.errstate(all="ignore"):
+            (alone,) = task.step([good])
+            (lone_error,) = task.step([bad])
+            failed, stepped = task.step([bad, good])
+        assert isinstance(failed, NumericError) and str(failed) == str(lone_error)
+        assert not isinstance(alone, Exception)
+        if method["kind"] == "npo":
+            assert stepped[::2] == alone[::2] and stepped[1].data.tobytes() == alone[1].data.tobytes()
+        else:
+            for (loss, grad), (lone_loss, lone_grad) in zip(stepped, alone):
+                assert loss == lone_loss and grad.data.tobytes() == lone_grad.data.tobytes()
 
 
 class TestPassOverhead:

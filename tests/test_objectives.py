@@ -12,6 +12,7 @@ from ngdiff import (
     UnboundedProblemError,
     forward,
 )
+from ngdiff.autodiff import stack
 from ngdiff.bench import mlp_factory
 from ngdiff.objectives import BOUNDED_EXP, QuadPairProblem, lsp_minimizer
 
@@ -78,7 +79,7 @@ class TestNpoLoss:
         npo = NpoLoss(graph, 0.7, params)
         moved = ParameterVector(params.data + 0.1, params.layout)
         npo.loss_and_grad(moved, batch)
-        assert npo.cross_entropy == (forward(graph, moved, batch),)
+        assert npo.cross_entropy == forward(graph, moved, batch)
 
     def test_a_stacked_retain_batch_rides_along_undifferentiated(self):
         graph, params, batch = small_model()
@@ -88,10 +89,13 @@ class TestNpoLoss:
         npo = NpoLoss(graph, 0.7, params)
         ref = npo.reference_logprobs(batch)
         lone_value, lone_grad = npo.loss_and_grad(moved, batch, ref)
-        value, grad = npo.loss_and_grad(moved, batch, ref, retain)
+        # the loop's pass: the retain batch stacked in, scored and differentiated on the forget rows only
+        cross_entropy = graph.run(moved, stack((batch, retain)))
+        value = npo.score(graph.lp[: batch.n], ref)
+        (grad,) = graph.backward(npo.upstream(), groups=1)
         assert value == lone_value
         assert grad.data.tobytes() == lone_grad.data.tobytes() and grad.norm == lone_grad.norm
-        assert npo.cross_entropy == (forward(graph, moved, batch), forward(graph, moved, retain))
+        assert cross_entropy == (forward(graph, moved, batch), forward(graph, moved, retain))
 
     def test_reference_logprob_clamp_flags_warning(self):
         graph, params, batch = small_model()

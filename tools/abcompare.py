@@ -19,7 +19,10 @@ of the shipped Gaussian config, three small Gaussian runs whose shapes
 take the kernel's plain-``sum`` branches (9 classes, a hidden layer of
 width 1, minibatches of 1 row), two runs of the shipped Gaussian config at
 other minibatch sizes (``BATCH_CONFIGS``), an ``eta`` sweep of it whose
-loop aborts at its first update (``loop_abort``) and the config-echo
+loop aborts at its first update (``loop_abort``), two ``--jobs 1`` sweeps
+of it whose children step in lockstep in one process (``lockstep_method``,
+every method the sweep can set up, and ``lockstep_abort``, whose ``1e308``
+child aborts and leaves the ``0.01`` child stepping on) and the config-echo
 corpus: 1-step runs that cover every valid way to write a config field
 (``ECHO_CONFIGS``).
 The argument lists of the benchmark workloads come from
@@ -138,6 +141,11 @@ BATCH_CONFIGS = {f"gauss_batch{n}": {**_GAUSS, "batch_size": n} for n in (200, 4
 
 # eta 1e308 overflows the first layer at step 1, so the sweep's one child exits 3
 LOOP_ABORT_VALUES = "1e308"
+# --jobs 1 sweeps of the shipped Gaussian config whose children form one
+# lockstep group in the parent process: every method the sweep can set up,
+# and two eta values of which 1e308 leaves the group at step 1
+LOCKSTEP_METHODS = ",".join(workloads.SWEEP_METHODS)
+LOCKSTEP_ABORT_VALUES = "1e308,0.01"
 
 # The config-echo corpus: the valid surface of the config parser, one 1-step
 # run each.  Every combiner kind on the quad pair with its optional fields
@@ -230,6 +238,14 @@ def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
     calls.append(("loop_abort", (
         "sweep", "--config", workloads.GAUSS_CONFIG, "--out", str(out / "loop_abort"),
         "--param", "eta", "--values", LOOP_ABORT_VALUES,
+    )))
+    calls.append(("lockstep_method", (
+        "sweep", "--config", workloads.GAUSS_CONFIG, "--out", str(out / "lockstep_method"),
+        "--param", "method", "--values", LOCKSTEP_METHODS, "--jobs", "1",
+    )))
+    calls.append(("lockstep_abort", (
+        "sweep", "--config", workloads.GAUSS_CONFIG, "--out", str(out / "lockstep_abort"),
+        "--param", "eta", "--values", LOCKSTEP_ABORT_VALUES, "--jobs", "1",
     )))
     for name in (*FALLBACK_CONFIGS, *BATCH_CONFIGS, *ECHO_CONFIGS):
         calls.append((name, ("run", "--config", str(out / f"{name}.json"), "--out", str(out / name))))
