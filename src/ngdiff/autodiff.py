@@ -356,13 +356,14 @@ class Graph:
                 acts[-1] = logits
                 lp = logits.take(bindings["at_label"])
                 lp -= lse[:, 0]
+                # -np.mean(lp) of each group, without its wrapper
+                losses = [float(-(lp[i : i + n].sum() / n)) for i in range(0, lp.size, n)]
             else:  # each run's logits and lp, laid out as its lone pass lays them out
                 acts[-1] = logits.reshape(*runs, -1, logits.shape[1])
                 lp = logits.reshape(*runs, -1).take(bindings["at_label"], axis=1)
                 lp -= lse.reshape(lp.shape)
-            # -np.mean(lp) of each group of each run, without its wrapper
-            losses = [float(-(row[i : i + n].sum() / n)) for row in ((lp,) if lone else lp)
-                      for i in range(0, row.size, n)]
+                # one reduction sums each n-row group of every run pairwise, as a lone pass sums it
+                losses = (-(lp.reshape(-1, n).sum(axis=1) / n)).tolist()
         if not all(map(math.isfinite, losses)):
             raise NumericError("non-finite cross-entropy")
         self._cache = _Cache(weights, acts, bindings["at_label"], numer, denom, lp, runs)

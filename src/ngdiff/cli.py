@@ -135,38 +135,36 @@ def _execute_run(cfgs: list, out_dir: str, start=None) -> list:
     ``start`` is the runs' no-unlearn start when it was made elsewhere (see
     ``run_unlearning``).
     """
-    outcomes = [None] * len(cfgs)
-    paths = {}
+    outcomes, paths = {}, {}
     for i, cfg in enumerate(cfgs):
         try:
             run_dir = _make_dir(Path(out_dir) / run_name(cfg), out_dir)
-            paths[i] = run_dir, *(_out_file(run_dir, name, out_dir) for name in ARTIFACTS)
+            run_paths = run_dir, *(_out_file(run_dir, name, out_dir) for name in ARTIFACTS)
             text = json.dumps(engine.config_to_dict(cfg), sort_keys=True, indent=2)
-            _write(paths[i][1], text + "\n", out_dir)
+            _write(run_paths[1], text + "\n", out_dir)
+            paths[i] = run_paths
         except OutError as exc:
             outcomes[i] = exc
-    todo = [i for i in range(len(cfgs)) if outcomes[i] is None]
-    if todo:
-        for i, result in zip(todo, run_unlearning([cfgs[i] for i in todo], start)):
-            outcomes[i] = result
-            if not isinstance(result, RunRecord):
-                continue
-            run_dir, _, trace_path, record_path = paths[i]
-            try:
-                with _writing(trace_path, out_dir):
-                    write_trace_csv(result, trace_path)
-                _write(record_path, record_to_json(result) + "\n", out_dir)
-            except OutError as exc:
-                outcomes[i] = exc
-                continue
-            # one write per line: sweep children share stdout, and print's separate
-            # newline write would let another child's line in between when unbuffered
-            sys.stdout.write(
-                f"{run_dir.name}: {_summary(result.final)} "
-                f"overhead={pass_overhead(result):.4f} guard_trips={result.guard_trips}\n"
-            )
-            sys.stdout.flush()
-    return outcomes
+    results = run_unlearning([cfgs[i] for i in paths], start) if paths else []
+    for (i, (run_dir, _, trace_path, record_path)), result in zip(paths.items(), results):
+        outcomes[i] = result
+        if not isinstance(result, RunRecord):
+            continue
+        try:
+            with _writing(trace_path, out_dir):
+                write_trace_csv(result, trace_path)
+            _write(record_path, record_to_json(result) + "\n", out_dir)
+        except OutError as exc:
+            outcomes[i] = exc
+            continue
+        # one write per line: sweep children share stdout, and print's separate
+        # newline write would let another child's line in between when unbuffered
+        sys.stdout.write(
+            f"{run_dir.name}: {_summary(result.final)} "
+            f"overhead={pass_overhead(result):.4f} guard_trips={result.guard_trips}\n"
+        )
+        sys.stdout.flush()
+    return [outcomes[i] for i in range(len(cfgs))]
 
 
 def cmd_run(args) -> int:
@@ -248,25 +246,21 @@ def _sweep_child(chunk: list, out_dir: str, start) -> list:
     return [_child_result(value, outcome) for (value, _), outcome in zip(chunk, outcomes)]
 
 
-def _chunks(runs: list, jobs: int) -> list:
-    """The sweep's tasks: each lockstep group of ``runs``, split into at most ``jobs`` chunks.
+def _chunks(cfgs: list, jobs: int) -> list:
+    """The sweep's tasks, as positions in ``cfgs``: each lockstep group split into at most ``jobs`` chunks.
 
-    ``runs`` holds ``(index, value, config, start)``; groups come in the order
-    of their first value and keep the values' order, and a group's chunks
-    differ in size by one at most, larger first.
+    Groups come in the order of their first config and keep the configs'
+    order; a group's chunks differ in size by one at most, larger first.
     """
     groups = {}
-    for i, run in enumerate(runs):
-        key = engine.lockstep_key(run[2])
-        groups.setdefault(i if key is None else key, []).append(run)
+    for k, cfg in enumerate(cfgs):
+        key = engine.lockstep_key(cfg)
+        groups.setdefault(k if key is None else key, []).append(k)
     chunks = []
     for group in groups.values():
         count = min(jobs, len(group))
-        size, extra = divmod(len(group), count)
-        at = 0
-        for k in range(count):
-            chunks.append(group[at : at + size + (k < extra)])
-            at += size + (k < extra)
+        edges = [-(-len(group) * c // count) for c in range(count + 1)]
+        chunks += [group[a:b] for a, b in zip(edges, edges[1:])]
     return chunks
 
 
@@ -325,28 +319,26 @@ def cmd_sweep(args) -> int:
     out_root = _make_dir(Path(args.out), args.out)
     summary_path = _out_file(out_root, "sweep_summary.csv", args.out)
     starts = _shared_starts([cfg for _, _, cfg in runs])
-    # one task per chunk: (value, config) pairs, their result indices and their start
-    tasks = [
-        ([(value, cfg) for _, value, cfg, _ in chunk], [i for i, *_ in chunk], chunk[0][3])
-        for chunk in _chunks([(*run, start) for run, start in zip(runs, starts)], args.jobs)
-    ]
+    chunks = _chunks([cfg for _, _, cfg in runs], args.jobs)
+    # one task per chunk: its (value, config) pairs and their start, which the group shares
+    tasks = [([runs[k][1:] for k in chunk], str(out_root), starts[chunk[0]]) for chunk in chunks]
     workers = min(args.jobs, len(tasks))
     if workers > 1:
         import concurrent.futures  # only a pool needs it: spares every other command the import
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_child, pairs, str(out_root), start) for pairs, _, start in tasks]
-            for (pairs, indices, _), future in zip(tasks, futures):
+            futures = [pool.submit(_sweep_child, *task) for task in tasks]
+            chunk_results = []
+            for (pairs, *_), future in zip(tasks, futures):
                 try:
-                    chunk_results = future.result()
+                    chunk_results.append(future.result())
                 except Exception as exc:  # the worker process itself died
-                    chunk_results = [(value, 1, None, _describe(exc)) for value, _ in pairs]
-                for i, result in zip(indices, chunk_results):
-                    results[i] = result
+                    chunk_results.append([(value, 1, None, _describe(exc)) for value, _ in pairs])
     else:
-        for pairs, indices, start in tasks:
-            for i, result in zip(indices, _sweep_child(pairs, str(out_root), start)):
-                results[i] = result
+        chunk_results = [_sweep_child(*task) for task in tasks]
+    for chunk, chunk_result in zip(chunks, chunk_results):
+        for k, result in zip(chunk, chunk_result):
+            results[runs[k][0]] = result
 
     worst = 0
     lines = [",".join((args.param, *EvalResult._fields))]

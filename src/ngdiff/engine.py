@@ -566,15 +566,6 @@ def pass_overhead(record: RunRecord) -> float:
 # Tasks
 
 
-class _Counters:
-    __slots__ = ("forward", "backward", "probe_forward")
-
-    def __init__(self):
-        self.forward = 0
-        self.backward = 0
-        self.probe_forward = 0
-
-
 class _BatchStream:
     """Deterministic shuffled minibatch index stream over n samples."""
 
@@ -669,8 +660,7 @@ class _QuadTask:
 
     def step(self, runs):
         (run,) = runs
-        run.counters.forward += 2
-        run.counters.backward += 2
+        run.passes += 2
         return [self.loss_grads(run.params)]
 
     def probe_loss(self, params) -> float:
@@ -715,11 +705,7 @@ class _ClassificationTask:
         """The bound passes over ``batches``: one stacked pass when they have one size."""
         if batches[0].n == batches[1].n:
             return [self.graph.bind(stack(batches))]
-        passes = [self.graph.bind(_rows(b)) for b in batches]
-        for batch, bindings in zip(batches, passes):
-            if batch is self._retain_batch:
-                self._probe_rows = bindings
-        return passes
+        return [self.graph.bind(_rows(b)) for b in batches]
 
     def step(self, runs) -> list:
         """Each run's step results, from one kernel pass over every run.
@@ -733,8 +719,7 @@ class _ClassificationTask:
         self._probe_rows = None
         per_run = 1 if self._npo_ref is not None else 2
         for run in runs:
-            run.counters.forward += per_run
-            run.counters.backward += per_run
+            run.passes += per_run
         if self._npo_ref is not None:
             idx = self._forget_stream.next()
             forget = self.split.forget.take(idx)
@@ -880,7 +865,8 @@ class _Run:
 
     def __init__(self, cfg: RunConfig, task):
         self.cfg = cfg
-        self.counters = _Counters()
+        self.passes = 0  # forward passes, each with its backward pass
+        self.probes = 0  # gradient-free probe passes
         self.params = task.initial_params
         self.lr_state = LrState(cfg.lr.eta)
         self.rows: list[StepRow] = []
@@ -891,7 +877,7 @@ class _Run:
         self._needs_losses = cfg.method.kind == combiners.LOSSNORM
 
     def probe_loss(self, params) -> float:
-        self.counters.probe_forward += 1
+        self.probes += 1
         return self._task.probe_loss(params)
 
     def step(self, step: int, out, evaluated=None) -> None:
@@ -951,9 +937,9 @@ class _Run:
         self.outcome = RunRecord(
             config=config_to_dict(self.cfg),
             rows=tuple(self.rows),
-            forward_passes=self.counters.forward,
-            backward_passes=self.counters.backward,
-            probe_forward_passes=self.counters.probe_forward,
+            forward_passes=self.passes,
+            backward_passes=self.passes,
+            probe_forward_passes=self.probes,
             guard_trips=self.lr_state.guard_trips,
             final=final,
             params_digest=hashlib.sha256(params.data.tobytes()).hexdigest(),

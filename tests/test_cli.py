@@ -623,13 +623,16 @@ class TestSweep:
          ("gd,ga", 8, [1, 1]), ("gd,ga,npo,ngdiff", 1, [3, 1]), ("gd,npo,ga,ngdiff,lossnorm", 2, [2, 2, 1])],
     )
     def test_chunks_split_each_lockstep_group(self, values, jobs, sizes):
-        docs = [small_gauss_doc({"kind": v, **({"beta": 1.0} if v == "npo" else {})}) for v in values.split(",")]
-        runs = [(i, v, ngdiff.engine.config_from_dict(d), None) for i, (v, d) in enumerate(zip(values.split(","), docs))]
-        chunks = ngdiff.cli._chunks(runs, jobs)
+        cfgs = [
+            ngdiff.engine.config_from_dict(small_gauss_doc({"kind": v, **({"beta": 1.0} if v == "npo" else {})}))
+            for v in values.split(",")
+        ]
+        chunks = ngdiff.cli._chunks(cfgs, jobs)
         assert [len(chunk) for chunk in chunks] == sizes
-        assert sorted(i for chunk in chunks for i, *_ in chunk) == list(range(len(runs)))
+        assert sorted(k for chunk in chunks for k in chunk) == list(range(len(cfgs)))
         for chunk in chunks:
-            assert len({ngdiff.engine.lockstep_key(cfg) for _, _, cfg, _ in chunk}) == 1
+            assert chunk == sorted(chunk)
+            assert len({ngdiff.engine.lockstep_key(cfgs[k]) for k in chunk}) == 1
 
     @pytest.mark.parametrize(
         "param, values, method",
