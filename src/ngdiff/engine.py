@@ -509,13 +509,14 @@ def write_file(path, text: str) -> None:
     partial file.  A symlink at ``path`` is written through, as
     ``open(path, "w")`` would.
     """
-    target = os.path.realpath(path)
-    head, name = os.path.split(target)
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
             fh.write(text)
-        os.replace(tmp, target)
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -863,6 +864,9 @@ def no_unlearn(cfg: RunConfig) -> NoUnlearn:
 class _Run:
     """One config in the unlearning loop: its parameters, step size, trace and outcome."""
 
+    __slots__ = ("cfg", "passes", "probes", "params", "lr_state", "rows", "acc", "evaluated", "npo",
+                 "outcome", "_task", "_auto", "_needs_losses")
+
     def __init__(self, cfg: RunConfig, task):
         self.cfg = cfg
         self.passes = 0  # forward passes, each with its backward pass
@@ -871,18 +875,21 @@ class _Run:
         self.lr_state = LrState(cfg.lr.eta)
         self.rows: list[StepRow] = []
         self.acc = (math.nan, math.nan)  # the latest evaluation's retain and forget accuracy
+        self.evaluated = None  # this step's evaluation, on an evaluation step
         self.npo = NpoLoss(task.graph, cfg.method.beta, self.params) if cfg.method.kind == NPO else None
         self.outcome = None  # the exception that ended the run, else its record
         self._task = task
+        self._auto = cfg.lr.mode == "auto"
         self._needs_losses = cfg.method.kind == combiners.LOSSNORM
 
     def probe_loss(self, params) -> float:
         self.probes += 1
         return self._task.probe_loss(params)
 
-    def step(self, step: int, out, evaluated=None) -> None:
+    def step(self, step: int, out) -> None:
         """Take step ``step`` from the task's results ``out`` and, on an
-        evaluation step, its evaluation of the current parameters.
+        evaluation step, ``evaluated``, the task's evaluation of the current
+        parameters.
 
         Each may be the error the run met instead, raised in the loop's
         order: the gradients, the combination and step size, the evaluation,
@@ -912,20 +919,23 @@ class _Run:
                 if gnorm_r > 0 and gnorm_f > 0
                 else math.nan
             )
-        guard_before = self.lr_state.guard_trips
-        if cfg.lr.mode == "auto":
-            self.lr_state = maybe_update(
-                self.lr_state, step, cfg.lr, self.probe_loss, self.params, direction, loss_retain
+        lr_state = self.lr_state
+        guard_before = lr_state.guard_trips
+        if self._auto:
+            lr_state = self.lr_state = maybe_update(
+                lr_state, step, cfg.lr, self.probe_loss, self.params, direction, loss_retain
             )
-        eta = step_size(self.lr_state, cfg.lr)
+        eta = step_size(lr_state, cfg.lr)
+        evaluated, self.evaluated = self.evaluated, None
         if evaluated is not None:
             if isinstance(evaluated, Exception):
                 raise evaluated
             self.acc = evaluated.acc_retain, evaluated.acc_forget
+        acc_retain, acc_forget = self.acc
         self.rows.append(
             StepRow(
-                step, loss_retain, loss_forget, *self.acc, eta, coeff,
-                gnorm_r, gnorm_f, cos_rf, self.lr_state.guard_trips - guard_before,
+                step, loss_retain, loss_forget, acc_retain, acc_forget, eta, coeff,
+                gnorm_r, gnorm_f, cos_rf, lr_state.guard_trips - guard_before,
             )
         )
         self.params = axpy_update(self.params, direction, eta)
@@ -947,17 +957,18 @@ class _Run:
         )
 
 
-def _each(runs: list, step: int, act, *values) -> list:
-    """``act(run, step, *value)`` for each run and its values; an exception ends
+def _each(runs: list, step: int, act, values) -> list:
+    """``act(run, step, value)`` for each run and its value; an exception ends
     that run (a numeric one as a ``NumericAbort`` at ``step``).  The runs still going."""
-    for run, *value in zip(runs, *values):
+    ended = False
+    for run, value in zip(runs, values):
         try:
-            act(run, step, *value)
+            act(run, step, value)
         except NumericError as exc:
-            run.outcome = NumericAbort(step, str(exc), run.params)
+            run.outcome, ended = NumericAbort(step, str(exc), run.params), True
         except Exception as exc:  # one run's failure must not end the others
-            run.outcome = exc
-    return [run for run in runs if run.outcome is None]
+            run.outcome, ended = exc, True
+    return [run for run in runs if run.outcome is None] if ended else runs
 
 
 def run_unlearning(cfg, start: NoUnlearn | None = None):
@@ -998,9 +1009,9 @@ def run_unlearning(cfg, start: NoUnlearn | None = None):
             except Exception as exc:  # a shared failure ends every run still going
                 outs = [exc] * len(live)
             if task.has_accuracy and step % first.eval_every == 0:
-                live = _each(live, step, _Run.step, outs, task.evaluate(live))
-            else:
-                live = _each(live, step, _Run.step, outs)
+                for run, result in zip(live, task.evaluate(live)):
+                    run.evaluated = result
+            live = _each(live, step, _Run.step, outs)
         if live:  # the final evaluation fails after the last step
             _each(live, first.steps, _Run.finish, task.evaluate(live))
 
