@@ -46,7 +46,6 @@ from .engine import (
     dominated_by,
     evaluate,
     finetune,
-    lockstep_key,
     non_dominated_set,
     pass_overhead,
     record_from_json,

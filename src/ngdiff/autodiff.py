@@ -16,12 +16,12 @@ gradients, probes and evaluation.
 A pass may stack equal-size batches as groups of rows (``stack``); each
 group's loss, ``lp``, logits and gradient are bit for bit those of a lone
 pass over its batch (a pass of one group), since every product is one GEMM
-per group and every reduction keeps its per-group order.  A pass may also
-take several parameter vectors, a run axis in front of the groups:
-``(1, groups, n, d) @ (runs, 1, d, k)`` is one GEMM per run and group, and
-each run's losses, ``lp``, logits and gradients are bit for bit those of
-its lone pass.  One vector takes the pass without a run axis, which costs
-less.
+per group and every reduction keeps its per-group order.  Every pass has a
+run axis in front of the groups: ``(1, groups, n, d) @ (runs, 1, d, k)`` is
+one GEMM per run and group, so a pass over several parameter vectors gives
+each run the losses, ``lp``, logits and gradients of its lone pass, bit for
+bit.  A lone pass, over one vector, is a pass over one run that hands back
+that run's values alone.
 
 Finiteness is checked once per layer pre-activation and once on the loss.
 Every parameter or gradient vector is checked once, by its sum of squares
@@ -243,16 +243,27 @@ def _col_sum(g: np.ndarray) -> np.ndarray:
     return np.einsum("...ij->...j", g)
 
 
+def _every_run(at_label: np.ndarray, runs: int, span: int) -> np.ndarray:
+    """The flat index ``at_label`` into one run's ``span`` logits, repeated
+    into each of ``runs`` runs' logits laid one after another.
+
+    A flat index is cheaper to take and to set through than one along an axis.
+    """
+    if runs == 1:
+        return at_label
+    return np.add.outer(np.arange(0, runs * span, span), at_label).reshape(-1)
+
+
 class _Cache(NamedTuple):
     """What ``Graph.run`` leaves for ``backward`` and for readers of the logits."""
 
     weights: list  # w_i views into the parameter vector(s)
-    acts: list  # ([runs,] groups, n, width): acts[0] the input, acts[i] layer i's output; logits last
+    acts: list  # (runs, groups, n, width): acts[0] the input, acts[i] layer i's output; logits last
     at_label: np.ndarray  # flat index of each row's true label in one run's logits
     numer: np.ndarray  # exp(logits - rowmax), one row per row of every run
     denom: np.ndarray  # row sums of ``numer``, shape (rows, 1)
-    lp: np.ndarray  # true-label log-probabilities, one row per run on a run axis
-    runs: tuple  # () for a lone pass, (runs,) for a pass with a run axis
+    lp: np.ndarray  # true-label log-probabilities, one row per run
+    lone: bool  # whether the pass took one vector, not a sequence
 
 
 class Graph:
@@ -318,27 +329,27 @@ class Graph:
         losses, bit for bit those of its lone pass.
         """
         lone = isinstance(params, ParameterVector)
-        for p in (params,) if lone else params:
+        if lone:
+            params = (params,)
+        for p in params:
             _same_layout(p.layout, self.layout, "forward")
         if bindings.get("widths") is not self.widths:
             bindings = self.bind(bindings)
         groups = bindings["groups"]
-        h = bindings["features"].reshape(groups, -1, self.widths[0])
-        n = h.shape[1]
-        if lone:
-            data, runs, lead = params.data, (), ()
-        else:  # a run axis in front: (1, groups, n, d) @ (runs, 1, d, k) is one GEMM per run and group
-            data, runs = np.stack([p.data for p in params]), (len(params),)
-            lead = (*runs, 1)
-            h = h[None]
+        runs = len(params)
+        # a run axis in front: (1, groups, n, d) @ (runs, 1, d, k) is one GEMM per run and group
+        h = bindings["features"].reshape(1, groups, -1, self.widths[0])
+        n = h.shape[2]
+        # one vector is viewed as a run axis of one, where np.stack would copy it
+        data = params[0].data[None] if runs == 1 else np.stack([p.data for p in params])
         weights, acts = [], [h]
         last = len(self._layers)
         # finiteness is checked once per layer, so numpy's own warnings are noise
         with np.errstate(all="ignore"):
             for i, (w_at, w_shape, b_at) in enumerate(self._layers, start=1):
-                w = data[..., w_at].reshape(*lead, *w_shape)
-                h = h @ w  # one GEMM per group
-                h += data[b_at] if lone else data[:, None, None, b_at]
+                w = data[:, w_at].reshape(runs, 1, *w_shape)
+                h = h @ w
+                h += data[:, None, None, b_at]
                 if np.count_nonzero(np.isfinite(h)) != h.size:
                     raise NumericError(f"non-finite pre-activation in layer {i}")
                 if i < last:
@@ -352,21 +363,15 @@ class Graph:
             denom = _row_sum(numer)
             lse = np.log(denom)
             lse += m
-            if lone:
-                acts[-1] = logits
-                lp = logits.take(bindings["at_label"])
-                lp -= lse[:, 0]
-                # -np.mean(lp) of each group, without its wrapper
-                losses = [float(-(lp[i : i + n].sum() / n)) for i in range(0, lp.size, n)]
-            else:  # each run's logits and lp, laid out as its lone pass lays them out
-                acts[-1] = logits.reshape(*runs, -1, logits.shape[1])
-                lp = logits.reshape(*runs, -1).take(bindings["at_label"], axis=1)
-                lp -= lse.reshape(lp.shape)
-                # one reduction sums each n-row group of every run pairwise, as a lone pass sums it
-                losses = (-(lp.reshape(-1, n).sum(axis=1) / n)).tolist()
+            # each run's logits and lp, laid out as its lone pass lays them out
+            acts[-1] = logits.reshape(runs, -1, logits.shape[1])
+            lp = logits.take(_every_run(bindings["at_label"], runs, logits.size // runs)).reshape(runs, -1)
+            lp -= lse.reshape(lp.shape)
+            # one reduction sums each n-row group of every run pairwise, as -np.mean(lp) sums it
+            losses = (-(lp.reshape(-1, n).sum(axis=1) / n)).tolist()
         if not all(map(math.isfinite, losses)):
             raise NumericError("non-finite cross-entropy")
-        self._cache = _Cache(weights, acts, bindings["at_label"], numer, denom, lp, runs)
+        self._cache = _Cache(weights, acts, bindings["at_label"], numer, denom, lp, lone)
         if lone:
             return tuple(losses)
         return tuple([tuple(losses[i : i + groups]) for i in range(0, len(losses), groups)])
@@ -378,13 +383,17 @@ class Graph:
 
     @property
     def logits(self) -> np.ndarray:
-        """Logits of the most recent ``run``, one row per row of its features."""
-        return self._cached().acts[-1]
+        """Logits of the most recent ``run``, one row per row of its features
+        (of each run's features, after a pass over several runs)."""
+        cache = self._cached()
+        return cache.acts[-1][0] if cache.lone else cache.acts[-1]
 
     @property
     def lp(self) -> np.ndarray:
-        """True-label log-probabilities of the most recent ``run``, one per row."""
-        return self._cached().lp
+        """True-label log-probabilities of the most recent ``run``, one per row
+        (one row per run, after a pass over several runs)."""
+        cache = self._cached()
+        return cache.lp[0] if cache.lone else cache.lp
 
     def backward(self, dlp: np.ndarray | None = None, groups: int | None = None) -> tuple:
         """Gradients w.r.t. the flat parameter vector, after a ``run``: one per group.
@@ -396,51 +405,48 @@ class Graph:
         differentiated.  After a pass over several runs it returns each
         run's tuple of group gradients.
         """
-        weights, acts, at_label, numer, denom, _, runs = self._cached()
-        stacked, n = acts[0].shape[-3:-1]
+        weights, acts, at_label, numer, denom, lp, lone = self._cached()
+        runs, rows = lp.shape
+        stacked, n = acts[0].shape[1:3]
         groups = stacked if groups is None else groups
         if groups != stacked:
             if not 0 < groups < stacked:
                 raise DimensionError(f"cannot differentiate {groups} of {stacked} groups")
-            acts = [a[..., :groups, :, :] for a in acts[:-1]]
+            acts = [a[:, :groups] for a in acts[:-1]]
             rows = groups * n
             at_label = at_label[:rows]
-            numer, denom = (a.reshape(*runs, stacked * n, -1)[..., :rows, :] for a in (numer, denom))
+            numer, denom = (a.reshape(runs, stacked * n, -1)[:, :rows] for a in (numer, denom))
         # every product below is written in place; IEEE products commute,
         # so the operand order of the plain formulas does not matter
         g = numer / denom  # probs
+        at_label = _every_run(at_label, runs, g.size // runs)
         if dlp is None:
-            if runs:
-                g.reshape(*runs, -1)[:, at_label] -= 1.0  # probs - onehot
-            else:
-                g.reshape(-1)[at_label] -= 1.0
+            g.reshape(-1)[at_label] -= 1.0  # probs - onehot
             g *= 1.0 / n
         else:
             dlp = _as_f64(dlp)
-            if dlp.shape != (*runs, at_label.size):
-                raise DimensionError(f"dlp shape {dlp.shape} does not match {(*runs, at_label.size)}")
+            shape = (rows,) if lone else (runs, rows)
+            if dlp.shape != shape:
+                raise DimensionError(f"dlp shape {dlp.shape} does not match {shape}")
             # onehot - probs, spelled so that zero probabilities give +0.0
             np.subtract(0.0, g, out=g)
-            if runs:
-                g.reshape(*runs, -1)[:, at_label] += 1.0
-            else:
-                g.reshape(-1)[at_label] += 1.0
+            g.reshape(-1)[at_label] += 1.0
             g *= dlp.reshape(*g.shape[:-1], 1)
-        g = g.reshape(*runs, groups, n, -1)
-        flat = np.empty((*runs, groups, self.layout.total_size))
+        g = g.reshape(runs, groups, n, -1)
+        flat = np.empty((runs, groups, self.layout.total_size))
         for i in range(len(self._layers) - 1, -1, -1):
             w_at, _, b_at = self._layers[i]
             y = acts[i]
             flat[..., b_at] = _col_sum(g)
-            flat[..., w_at] = (y.swapaxes(-1, -2) @ g).reshape(*runs, groups, -1)  # one GEMM per group
+            flat[..., w_at] = (y.swapaxes(-1, -2) @ g).reshape(runs, groups, -1)  # one GEMM per group
             if i > 0:
                 dy = np.square(y)  # the bits of y * y, in numpy's faster loop
                 np.subtract(1.0, dy, out=dy)
                 g = g @ weights[i].swapaxes(-1, -2)
                 g *= dy  # (1 - y^2) * (g W^T)
-        if runs:
-            return tuple([self._gradients(run) for run in flat])
-        return self._gradients(flat)
+        if lone:
+            return self._gradients(flat[0])
+        return tuple([self._gradients(run) for run in flat])
 
     def _gradients(self, flat: np.ndarray) -> tuple:
         return tuple([_adopt_vector(FlatGradient, data, self.layout, "gradient") for data in flat])

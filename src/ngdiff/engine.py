@@ -28,6 +28,7 @@ Artifacts are written whole or not at all (:func:`write_file`).
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -505,12 +506,17 @@ def write_file(path, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all.
 
     It goes to a temporary name in the same directory, which is then renamed
-    over ``path``, so a reader, or a process killed midway, never sees a
-    partial file.  A symlink at ``path`` is written through, as
-    ``open(path, "w")`` would.
+    over ``path``, so a reader, or a write that fails midway, never sees a
+    partial file; a process killed while writing leaves the temporary file
+    behind.  A symlink at ``path`` is written through, as ``open(path, "w")``
+    would, and an existing file this process may not write is refused as
+    ``open`` would refuse it.  The new file has the default mode, and a hard
+    link to the old one keeps the old text.
     """
     if os.path.islink(path):
         path = os.path.realpath(path)
+    if not os.access(path, os.W_OK) and os.path.exists(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
@@ -602,20 +608,6 @@ def lockstep_key(cfg: RunConfig):
     s = cfg.seeds
     return (s.data, s.init, cfg.problem, s.method, cfg.batch_size, cfg.eval_every, cfg.steps,
             cfg.method.kind == NPO)
-
-
-def _pass(graph: Graph, params: list, bindings) -> list:
-    """Each run's group losses from one kernel pass; one run takes the lone pass, which costs less."""
-    if len(params) == 1:
-        return [graph.run(params[0], bindings)]
-    return list(graph.run(params, bindings))
-
-
-def _backward(graph: Graph, runs: int, dlp=None, groups=None) -> list:
-    """Each run's group gradients after ``_pass``; ``dlp`` holds one row per run."""
-    if runs == 1:
-        return [graph.backward(None if dlp is None else dlp[0], groups)]
-    return list(graph.backward(dlp, groups))
 
 
 def _rows(batch: LabeledBatch) -> dict:
@@ -740,8 +732,8 @@ class _ClassificationTask:
         params = [run.params for run in runs]
         pairs = [[] for _ in runs]
         for bindings in self._passes(batches):
-            losses = _pass(self.graph, params, bindings)
-            for out, run_losses, grads in zip(pairs, losses, _backward(self.graph, len(runs))):
+            losses = self.graph.run(params, bindings)
+            for out, run_losses, grads in zip(pairs, losses, self.graph.backward()):
                 out += zip(run_losses, grads)
         return pairs
 
@@ -752,13 +744,12 @@ class _ClassificationTask:
     def _npo_step(self, runs, forget, retain, ref) -> list:
         params = [run.params for run in runs]
         passes = self._passes((forget, retain))
-        cross = _pass(self.graph, params, passes[0])
-        lps = self.graph.lp.reshape(len(runs), -1)[:, : forget.n]
-        values = [run.npo.score(lp, ref) for run, lp in zip(runs, lps)]
+        cross = self.graph.run(params, passes[0])
+        values = [run.npo.score(lp[: forget.n], ref) for run, lp in zip(runs, self.graph.lp)]
         dlp = np.array([run.npo.upstream() for run in runs])
-        grads = _backward(self.graph, len(runs), dlp, 1)
+        grads = self.graph.backward(dlp, 1)
         if len(passes) > 1:
-            cross = [f + r for f, r in zip(cross, _pass(self.graph, params, passes[1]))]
+            cross = [f + r for f, r in zip(cross, self.graph.run(params, passes[1]))]
         return [(v, g, c[1], c[0]) for v, (g,), c in zip(values, grads, cross)]
 
     def _npo_lone(self, run, forget, retain, ref):
@@ -782,27 +773,28 @@ class _ClassificationTask:
         try:
             return evaluate(self.graph, params, self.split, self._bound_split)
         except NumericError:
-            return [_caught(evaluate, self.graph, p, self.split, self._bound_split) for p in params]
+            return [_caught(_evaluate_one, self.graph, p, self.split, self._bound_split) for p in params]
 
 
-def evaluate(graph: Graph, params, split: ForgetRetainSplit, bound=None):
+def evaluate(graph: Graph, params, split: ForgetRetainSplit, bound=None) -> list:
     """Mean losses and argmax accuracies on both sides of a split.
 
-    ``params`` is one vector, or a sequence of them, evaluated in one pass
-    per side and given one result each.  ``bound`` is ``bind_split(graph,
-    split)`` when the split is bound once for many evaluations.
+    ``params`` is a sequence of vectors, evaluated in one pass per side and
+    given one result each.  ``bound`` is ``bind_split(graph, split)`` when
+    the split is bound once for many evaluations.
     """
-    runs = [params] if isinstance(params, ParameterVector) else list(params)
     sides = []
     for batch, bindings in zip((split.retain, split.forget), bound or bind_split(graph, split)):
-        losses = _pass(graph, runs, bindings)
-        logits = graph.logits.reshape(len(runs), batch.n, -1)
+        losses = graph.run(params, bindings)
         sides.append([
-            (loss, float(np.mean(np.argmax(run_logits, axis=1) == batch.labels)))
-            for (loss,), run_logits in zip(losses, logits)
+            (loss, float(np.mean(np.argmax(logits, axis=1) == batch.labels)))
+            for (loss,), logits in zip(losses, graph.logits)
         ])
-    results = [EvalResult(loss_r, loss_f, acc_r, acc_f) for (loss_r, acc_r), (loss_f, acc_f) in zip(*sides)]
-    return results[0] if isinstance(params, ParameterVector) else results
+    return [EvalResult(loss_r, loss_f, acc_r, acc_f) for (loss_r, acc_r), (loss_f, acc_f) in zip(*sides)]
+
+
+def _evaluate_one(graph: Graph, params: ParameterVector, split: ForgetRetainSplit, bound) -> EvalResult:
+    return evaluate(graph, [params], split, bound)[0]
 
 
 def finetune(
@@ -864,8 +856,8 @@ def no_unlearn(cfg: RunConfig) -> NoUnlearn:
 class _Run:
     """One config in the unlearning loop: its parameters, step size, trace and outcome."""
 
-    __slots__ = ("cfg", "passes", "probes", "params", "lr_state", "rows", "acc", "evaluated", "npo",
-                 "outcome", "_task", "_auto", "_needs_losses")
+    __slots__ = ("cfg", "passes", "probes", "params", "lr_state", "rows", "acc", "npo", "outcome",
+                 "_task", "_auto", "_needs_losses")
 
     def __init__(self, cfg: RunConfig, task):
         self.cfg = cfg
@@ -875,7 +867,6 @@ class _Run:
         self.lr_state = LrState(cfg.lr.eta)
         self.rows: list[StepRow] = []
         self.acc = (math.nan, math.nan)  # the latest evaluation's retain and forget accuracy
-        self.evaluated = None  # this step's evaluation, on an evaluation step
         self.npo = NpoLoss(task.graph, cfg.method.beta, self.params) if cfg.method.kind == NPO else None
         self.outcome = None  # the exception that ended the run, else its record
         self._task = task
@@ -886,10 +877,10 @@ class _Run:
         self.probes += 1
         return self._task.probe_loss(params)
 
-    def step(self, step: int, out) -> None:
-        """Take step ``step`` from the task's results ``out`` and, on an
-        evaluation step, ``evaluated``, the task's evaluation of the current
-        parameters.
+    def step(self, step: int, out, evaluated) -> None:
+        """Take step ``step`` from the task's results ``out`` and ``evaluated``,
+        the task's evaluation of the current parameters on an evaluation step
+        (else None).
 
         Each may be the error the run met instead, raised in the loop's
         order: the gradients, the combination and step size, the evaluation,
@@ -926,7 +917,6 @@ class _Run:
                 lr_state, step, cfg.lr, self.probe_loss, self.params, direction, loss_retain
             )
         eta = step_size(lr_state, cfg.lr)
-        evaluated, self.evaluated = self.evaluated, None
         if evaluated is not None:
             if isinstance(evaluated, Exception):
                 raise evaluated
@@ -940,7 +930,11 @@ class _Run:
         )
         self.params = axpy_update(self.params, direction, eta)
 
-    def finish(self, step: int, final) -> None:
+    def end(self, step: int, exc: Exception) -> None:
+        """End the run with ``exc``, met at ``step``: a numeric error as a ``NumericAbort``."""
+        self.outcome = NumericAbort(step, str(exc), self.params) if isinstance(exc, NumericError) else exc
+
+    def finish(self, final) -> None:
         if isinstance(final, Exception):
             raise final
         params = self.params
@@ -955,20 +949,6 @@ class _Run:
             params_digest=hashlib.sha256(params.data.tobytes()).hexdigest(),
             final_params=params,
         )
-
-
-def _each(runs: list, step: int, act, values) -> list:
-    """``act(run, step, value)`` for each run and its value; an exception ends
-    that run (a numeric one as a ``NumericAbort`` at ``step``).  The runs still going."""
-    ended = False
-    for run, value in zip(runs, values):
-        try:
-            act(run, step, value)
-        except NumericError as exc:
-            run.outcome, ended = NumericAbort(step, str(exc), run.params), True
-        except Exception as exc:  # one run's failure must not end the others
-            run.outcome, ended = exc, True
-    return [run for run in runs if run.outcome is None] if ended else runs
 
 
 def run_unlearning(cfg, start: NoUnlearn | None = None):
@@ -997,23 +977,36 @@ def run_unlearning(cfg, start: NoUnlearn | None = None):
         task = _ClassificationTask(cfgs, start if start is not None else no_unlearn(first))
     runs = [_Run(c, task) for c in cfgs]
     live = runs
+    unevaluated = [None] * len(runs)  # a step's evaluations when it has none
 
     # every value the loop keeps is checked for finiteness, so numpy's own
     # overflow warnings on the way to a non-finite one are noise
     with np.errstate(all="ignore"):
         for step in range(first.steps):
-            if not live:
-                break
             try:
                 outs = task.step(live)
             except Exception as exc:  # a shared failure ends every run still going
                 outs = [exc] * len(live)
+            evals = unevaluated
             if task.has_accuracy and step % first.eval_every == 0:
-                for run, result in zip(live, task.evaluate(live)):
-                    run.evaluated = result
-            live = _each(live, step, _Run.step, outs)
-        if live:  # the final evaluation fails after the last step
-            _each(live, first.steps, _Run.finish, task.evaluate(live))
+                evals = task.evaluate(live)
+            ended = False
+            for run, out, evaluated in zip(live, outs, evals):
+                try:
+                    run.step(step, out, evaluated)
+                except Exception as exc:  # one run's failure must not end the others
+                    run.end(step, exc)
+                    ended = True
+            if ended:
+                live = [run for run in live if run.outcome is None]
+                if not live:
+                    break
+        else:  # the final evaluation fails after the last step
+            for run, final in zip(live, task.evaluate(live)):
+                try:
+                    run.finish(final)
+                except Exception as exc:
+                    run.end(first.steps, exc)
 
     if lone and isinstance(runs[0].outcome, Exception):
         raise runs[0].outcome

@@ -1075,6 +1075,22 @@ class TestOutPath:
         assert path.read_bytes() == whole
         assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
 
+    @pytest.mark.parametrize("artifact", ["config.json", "record.json"])
+    def test_read_only_artifact_exits_2_and_is_kept(self, tmp_path, capsys, monkeypatch, artifact):
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gd"}, steps=5))
+        out = tmp_path / "out"
+        argv = ["run", "--config", cfg, "--out", str(out)]
+        assert main(argv) == 0
+        (path,) = out.rglob(artifact)
+        whole = path.read_bytes()
+        path.chmod(0o444)
+        if os.geteuid() == 0:  # root may write any file: answer as the file's mode answers others
+            monkeypatch.setattr(os, "access", lambda p, mode: os.stat(p).st_mode & 0o222 != 0)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: cannot write {path}: Permission denied\n"
+        assert path.read_bytes() == whole
+
     def test_directory_as_child_artifact_fails_that_value_alone(self, tmp_path, capsys):
         doc = quad_doc({"kind": "gdiff", "c": 0.5}, steps=5)
         cfg = write_config(tmp_path / "cfg.json", doc)

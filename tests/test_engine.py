@@ -398,7 +398,7 @@ class TestFinetuneAndEvaluate:
         split = split_forget_retain(data, 0)
         graph, params0 = mlp_factory(1000, [8, 16, 3])
         params = finetune(graph, params0, data, 400, 0.5)
-        ev = evaluate(graph, params, split)
+        (ev,) = evaluate(graph, [params], split)
         assert ev.acc_retain >= 0.99
         assert ev.acc_forget >= 0.99
 
@@ -423,7 +423,7 @@ class TestFinetuneAndEvaluate:
         accs_r, accs_f = [], []
         for seed in range(100):
             graph, params = mlp_factory(seed, [8, 16, 3])
-            ev = evaluate(graph, params, split)
+            (ev,) = evaluate(graph, [params], split)
             accs_r.append(ev.acc_retain)
             accs_f.append(ev.acc_forget)
         assert abs(float(np.mean(accs_r)) - 1 / 3) <= 0.05
