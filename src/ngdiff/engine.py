@@ -647,13 +647,16 @@ class _QuadTask:
         self.initial_params = ParameterVector(theta0, self.problem.layout)
 
     def loss_grads(self, params):
-        pairs = self.problem.retain_loss_grad(params), self.problem.forget_loss_grad(params)
         layout = params.layout
-        return [(loss, _adopt_vector(FlatGradient, g, layout, "gradient", sq)) for loss, g, sq in pairs]
+        loss_r, g_r, sq_r = self.problem.retain_loss_grad(params)
+        loss_f, g_f, sq_f = self.problem.forget_loss_grad(params)
+        return [
+            (loss_r, _adopt_vector(FlatGradient, g_r, layout, "gradient", sq_r)),
+            (loss_f, _adopt_vector(FlatGradient, g_f, layout, "gradient", sq_f)),
+        ]
 
     def step(self, runs):
         (run,) = runs
-        run.passes += 2
         return [self.loss_grads(run.params)]
 
     def probe_loss(self, params) -> float:
@@ -710,9 +713,6 @@ class _ClassificationTask:
         back in the run's place.
         """
         self._probe_rows = None
-        per_run = 1 if self._npo_ref is not None else 2
-        for run in runs:
-            run.passes += per_run
         if self._npo_ref is not None:
             idx = self._forget_stream.next()
             forget = self.split.forget.take(idx)
@@ -856,12 +856,11 @@ def no_unlearn(cfg: RunConfig) -> NoUnlearn:
 class _Run:
     """One config in the unlearning loop: its parameters, step size, trace and outcome."""
 
-    __slots__ = ("cfg", "passes", "probes", "params", "lr_state", "rows", "acc", "npo", "outcome",
-                 "_task", "_auto", "_needs_losses")
+    __slots__ = ("cfg", "probes", "params", "lr_state", "rows", "acc", "npo", "outcome", "_task",
+                 "_auto", "_needs_losses")
 
     def __init__(self, cfg: RunConfig, task):
         self.cfg = cfg
-        self.passes = 0  # forward passes, each with its backward pass
         self.probes = 0  # gradient-free probe passes
         self.params = task.initial_params
         self.lr_state = LrState(cfg.lr.eta)
@@ -938,11 +937,14 @@ class _Run:
         if isinstance(final, Exception):
             raise final
         params = self.params
+        # each step makes a forward and a backward pass per task: retain and
+        # forget, or the NPO loss's forget side alone
+        passes = len(self.rows) * (1 if self.npo is not None else 2)
         self.outcome = RunRecord(
             config=config_to_dict(self.cfg),
             rows=tuple(self.rows),
-            forward_passes=self.passes,
-            backward_passes=self.passes,
+            forward_passes=passes,
+            backward_passes=passes,
             probe_forward_passes=self.probes,
             guard_trips=self.lr_state.guard_trips,
             final=final,
@@ -978,6 +980,7 @@ def run_unlearning(cfg, start: NoUnlearn | None = None):
     runs = [_Run(c, task) for c in cfgs]
     live = runs
     unevaluated = [None] * len(runs)  # a step's evaluations when it has none
+    every = first.eval_every if task.has_accuracy else 0
 
     # every value the loop keeps is checked for finiteness, so numpy's own
     # overflow warnings on the way to a non-finite one are noise
@@ -988,7 +991,7 @@ def run_unlearning(cfg, start: NoUnlearn | None = None):
             except Exception as exc:  # a shared failure ends every run still going
                 outs = [exc] * len(live)
             evals = unevaluated
-            if task.has_accuracy and step % first.eval_every == 0:
+            if every and step % every == 0:
                 evals = task.evaluate(live)
             ended = False
             for run, out, evaluated in zip(live, outs, evals):

@@ -96,7 +96,7 @@ def test_every_value_type_is_covered():
 
 @pytest.mark.parametrize("name", [*VALUES, "_Cache"])
 def test_rebinding_a_field_raises(name):
-    value = VALUES[name] if name != "_Cache" else _Cache([], [], None, None, None, None, ())
+    value = VALUES[name] if name != "_Cache" else _Cache([], [], None, None, None, None, False)
     for field in type(value)._fields:
         with pytest.raises(AttributeError):
             setattr(value, field, None)
