@@ -18,6 +18,8 @@ import contextlib
 import gc
 import json
 import math
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -238,6 +240,7 @@ def _sweep_child(chunk: list, out_dir: str, start) -> list:
 
     Returns each value's ``(value, code, final, message)``; every failure
     comes back this way, one that ends the whole chunk for each of its values.
+    Lanes call it by its module name, so a wrapper set there runs in children too.
     """
     try:
         outcomes = _execute_run([cfg for _, cfg in chunk], out_dir, start)
@@ -250,7 +253,8 @@ def _chunks(cfgs: list, jobs: int) -> list:
     """The sweep's tasks, as positions in ``cfgs``: each lockstep group split into at most ``jobs`` chunks.
 
     Groups come in the order of their first config and keep the configs'
-    order; a group's chunks differ in size by one at most, larger first.
+    order; a group's chunks differ in size by one at most, larger first, so
+    the sweep process (lane 0 of ``_run_lanes``) takes the larger one.
     """
     groups = {}
     for k, cfg in enumerate(cfgs):
@@ -262,6 +266,81 @@ def _chunks(cfgs: list, jobs: int) -> list:
         edges = [-(-len(group) * c // count) for c in range(count + 1)]
         chunks += [group[a:b] for a, b in zip(edges, edges[1:])]
     return chunks
+
+
+def _lane_child(tasks: list, pipe: int) -> None:
+    """Run a forked lane's ``tasks``, send their pickled results down ``pipe`` and exit, whatever is raised."""
+    code = 1
+    try:
+        with open(pipe, "wb") as fh:
+            pickle.dump([_sweep_child(*task) for task in tasks], fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _lane_results(pid: int, pipe: int, tasks: list) -> list:
+    """What the forked lane ``pid`` sent down ``pipe`` for ``tasks``; reaps it.
+
+    A lane that died or sent an unreadable pickle fails each of its values with exit 1.
+    """
+    data = bytearray()
+    while part := os.read(pipe, 1 << 16):
+        data += part
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        return pickle.loads(data)
+    except Exception as exc:  # a truncated pickle raises one of several types
+        ended = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        why = f"sweep child process {pid} ({ended}) sent no readable results: {type(exc).__name__}: {exc}"
+        return [[(value, 1, None, why) for value, _ in pairs] for pairs, *_ in tasks]
+
+
+def _run_lanes(tasks: list, lanes: int) -> list:
+    """Each task's ``_sweep_child`` results, the tasks dealt in order to ``lanes`` lanes.
+
+    Lane 0 is this process, which runs it once it has forked one child per
+    other lane (or, without a working ``os.fork``, runs every lane itself),
+    then reads and reaps the children.  Any child left is killed and reaped.
+    """
+    dealt = [list(range(lane, len(tasks), lanes)) for lane in range(lanes)]
+    results = [None] * len(tasks)
+    forked = {}  # lane -> (pid, read end)
+    try:
+        if lanes > 1 and hasattr(os, "fork"):
+            sys.stdout.flush()  # else a child prints again what the buffers hold
+            sys.stderr.flush()
+            for lane in range(1, lanes):
+                lane_tasks = [tasks[k] for k in dealt[lane]]
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: this process runs the lane
+                    os.close(read)
+                    os.close(write)
+                    break
+                if pid == 0:
+                    _lane_child(lane_tasks, write)
+                os.close(write)
+                forked[lane] = pid, read
+        for lane, indices in enumerate(dealt):
+            if lane not in forked:
+                for k in indices:
+                    results[k] = _sweep_child(*tasks[k])
+        for lane, (pid, read) in forked.items():
+            lane_results = _lane_results(pid, read, [tasks[k] for k in dealt[lane]])
+            for k, result in zip(dealt[lane], lane_results):
+                results[k] = result
+    finally:
+        for pid, read in forked.values():
+            os.close(read)
+            with contextlib.suppress(ChildProcessError):  # already reaped
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running: the sweep was cut short
+                    import signal
+
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    return results
 
 
 def _shared_starts(cfgs: list[RunConfig]) -> list:
@@ -322,20 +401,7 @@ def cmd_sweep(args) -> int:
     chunks = _chunks([cfg for _, _, cfg in runs], args.jobs)
     # one task per chunk: its (value, config) pairs and their start, which the group shares
     tasks = [([runs[k][1:] for k in chunk], str(out_root), starts[chunk[0]]) for chunk in chunks]
-    workers = min(args.jobs, len(tasks))
-    if workers > 1:
-        import concurrent.futures  # only a pool needs it: spares every other command the import
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_child, *task) for task in tasks]
-            chunk_results = []
-            for (pairs, *_), future in zip(tasks, futures):
-                try:
-                    chunk_results.append(future.result())
-                except Exception as exc:  # the worker process itself died
-                    chunk_results.append([(value, 1, None, _describe(exc)) for value, _ in pairs])
-    else:
-        chunk_results = [_sweep_child(*task) for task in tasks]
+    chunk_results = _run_lanes(tasks, min(args.jobs, len(tasks)))
     for chunk, chunk_result in zip(chunks, chunk_results):
         for k, result in zip(chunk, chunk_result):
             results[runs[k][0]] = result
@@ -442,7 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--param", required=True, choices=SWEEPABLE, help="the field to sweep")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="concurrent child runs")
+    p_sweep.add_argument(
+        "--jobs", type=int, default=1, help="processes that run the sweep's chunks, this one included"
+    )
     add_seed_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -485,8 +553,8 @@ def entry() -> None:
     """The process entry point, of ``python -m ngdiff.cli`` and the ``ngdiff`` script.
 
     Freezing the objects the imports made takes them out of every later
-    collection, interpreter shutdown included, and pool workers forked by
-    ``sweep --jobs`` inherit them frozen.  ``main`` does not freeze: it also
+    collection, interpreter shutdown included, and the children that
+    ``sweep --jobs`` forks inherit them frozen.  ``main`` does not freeze: it also
     runs inside other processes, such as the tests.
     """
     gc.freeze()

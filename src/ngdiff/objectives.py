@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -120,9 +121,11 @@ def theta_layout(dim: int) -> ParameterLayout:
 
 
 class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
-    """Two-task objective with retain anchor ``a`` and forget anchor ``b``."""
+    """Two-task objective with retain anchor ``a`` and forget anchor ``b``.
 
-    __slots__ = ()
+    Its ``layout`` is made once per problem (kept in the instance's
+    ``__dict__``, not a field), so a vector built on it needs no shape check.
+    """
 
     def __new__(cls, a, b, forget_kind=UNBOUNDED_QUADRATIC):
         a = np.asarray(a, dtype=np.float64)
@@ -141,11 +144,13 @@ class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
     def dim(self) -> int:
         return self.a.shape[0]
 
-    @property
+    @cached_property
     def layout(self) -> ParameterLayout:
         return theta_layout(self.dim)
 
     def _theta(self, theta) -> np.ndarray:
+        if isinstance(theta, ParameterVector) and theta.layout is self.layout:
+            return theta.data  # its constructor matched the data to this problem's layout
         arr = theta.data if isinstance(theta, ParameterVector) else np.asarray(theta, dtype=np.float64)
         if arr.shape != self.a.shape:
             raise ValueError(f"theta must have shape ({self.dim},)")

@@ -455,7 +455,7 @@ class TestSweep:
         assert row == f"1.0,{f.loss_retain!r},{f.loss_forget!r},{f.acc_retain!r},{f.acc_forget!r}"
 
     def test_run_line_is_written_whole(self, tmp_path, monkeypatch):
-        # pool children share one stdout; unbuffered, a line written in two
+        # forked sweep children share one stdout; unbuffered, a line written in two
         # pieces lets another child's line in between
         writes = []
 
@@ -730,39 +730,105 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "jobs, values, pools", [("8", "0.6,0.7,0.8", [3]), ("2", "0.6,0.7,0.8", [2]),
-                                ("8", "0.6", []), ("8", "0.6,2.0", [])],
+        "jobs, values, forks", [("8", "0.6,0.7,0.8", 2), ("2", "0.6,0.7,0.8", 1),
+                                ("8", "0.6", 0), ("8", "0.6,2.0", 0)],
     )
-    def test_pool_has_at_most_one_worker_per_child(self, tmp_path, monkeypatch, jobs, values, pools):
-        import concurrent.futures
-
+    def test_sweep_forks_one_child_per_lane_but_its_own(self, tmp_path, monkeypatch, jobs, values, forks):
         made = []
-
-        class InlinePool:
-            """Records its size and runs each task at once, in this process."""
-
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: made.append(1) or real())
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))
         main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--param", "c", "--values", values,
               "--jobs", jobs])
-        # c=2.0 fails its config check, which leaves one child to run
-        assert made == pools
+        # c=2.0 fails its config check, which leaves one child to run; this process runs the first chunk
+        assert len(made) == forks
         ok = (tmp_path / "s" / "sweep_summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in ok] == [v for v in values.split(",") if v != "2.0"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fork", ["missing", "failing"])
+    def test_without_fork_this_process_runs_every_lane(self, tmp_path, monkeypatch, fork):
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=100))
+        argv = ["sweep", "--config", cfg, "--param", "c", "--values", "0.6,0.7,0.9", "--jobs", "3"]
+        assert main([*argv, "--out", str(tmp_path / "forked")]) == 0
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def no_process_to_spare():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_process_to_spare)
+        assert main([*argv, "--out", str(tmp_path / "alone")]) == 0
+        assert (tmp_path / "forked" / "sweep_summary.csv").read_bytes() == (
+            tmp_path / "alone" / "sweep_summary.csv").read_bytes()
+        assert_children_match_lone_runs(tmp_path, tmp_path / "alone")
+
+    def test_a_killed_child_fails_its_values_alone(self, tmp_path, capsys, monkeypatch):
+        import signal
+
+        sweep_pid = os.getpid()
+        real = ngdiff.engine.combine
+
+        def combine(*args):
+            if os.getpid() != sweep_pid:  # mid-chunk, in the forked child
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(ngdiff.engine, "combine", combine)
+        cfg = write_config(tmp_path / "cfg.json", small_gauss_doc({"kind": "ngdiff"}))
+        out = tmp_path / "sweep"
+        # chunks gd,ga (this process) and rlw (the child)
+        assert main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", "method", "--values", "gd,ga,rlw",
+             "--jobs", "2"]
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: value rlw: sweep child process ")
+        assert "(killed by signal 9)" in err[0]
+        listed = [line.split(",")[0] for line in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+        assert listed == ["gd", "ga"]
+        monkeypatch.setattr(ngdiff.engine, "combine", real)
+        finished = [p.name.split("_")[0] for p in run_dirs(out) if (p / "record.json").exists()]
+        assert sorted(finished) == ["ga", "gd"]
+        assert_children_match_lone_runs(tmp_path, out)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupted_sweep_kills_and_reaps_its_children(self, tmp_path, monkeypatch):
+        import time
+
+        sweep_pid = os.getpid()
+
+        def sweep_child(*task):
+            if os.getpid() != sweep_pid:
+                time.sleep(60)  # a child still running when the sweep process is interrupted
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ngdiff.cli, "_sweep_child", sweep_child)
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--param", "c",
+                  "--values", "0.6,0.7,0.8", "--jobs", "3"])
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_unreadable_result_fails_the_lanes_values(self, tmp_path, capsys, monkeypatch):
+        def short_pickle(results, fh):
+            fh.write(ngdiff.cli.pickle.dumps(results)[:-3])
+
+        monkeypatch.setattr(ngdiff.cli.pickle, "dump", short_pickle)
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=5))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6,0.7,0.8",
+                     "--jobs", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": sweep child process ")[0] for line in err] == ["error: value 0.7"]
+        assert "(exit code 0) sent no readable results: UnpicklingError" in err[0]
+        listed = [line.split(",")[0] for line in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+        assert listed == ["0.6", "0.8"]
 
     def test_equal_problems_share_one_start(self, monkeypatch):
         made = []
@@ -1128,10 +1194,32 @@ class TestProcessEntry:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
         assert proc.stdout == capsys.readouterr().out
 
+    def test_forked_sweep_prints_each_line_once_and_loads_no_pool(self, tmp_path):
+        # stdout is a pipe, so block-buffered: a child must not print the parent's buffer again
+        code = (
+            "import atexit, runpy, sys\n"
+            "pool = ('concurrent', 'multiprocessing')\n"
+            "loaded = lambda: [m for m in sys.modules if m.split('.')[0] in pool]\n"
+            "atexit.register(lambda: sys.stderr.write(repr(loaded())))\n"
+            "sys.argv = ['ngdiff', *sys.argv[1:]]\n"
+            "print('start')\n"
+            "runpy.run_module('ngdiff.cli', run_name='__main__')\n"
+        )
+        methods = ["gd", "ga", "lossnorm", "ngdiff"]
+        cfg = write_config(tmp_path / "cfg.json", small_gauss_doc({"kind": "ngdiff"}))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+             "--param", "method", "--values", ",".join(methods), "--jobs", "2"],
+            env={k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "[]")
+        assert sorted(line.split("_")[0] for line in proc.stdout.splitlines()) == sorted(["start", *methods])
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "method", "--values", "gd,ngdiff", "--jobs", "2"]])
     def test_overflowing_finetune_prints_no_numpy_warning(self, tmp_path, command):
         # a finetune step of 1e200 leaves finite weights whose sums of squares
-        # overflow; the pool children unpickle them
+        # overflow; at --jobs 2 a forked child steps from them
         doc = json.loads((CONFIGS / "ngdiff_gaussian.json").read_text())
         doc["problem"]["finetune_eta"] = 1e200
         doc["steps"] = 3
@@ -1152,7 +1240,7 @@ class TestProcessEntry:
             "import numpy, json, argparse, hashlib\n"
             "before = set(sys.modules)\n"
             "import ngdiff.cli\n"
-            "lazy = {'dataclasses', 'traceback', 'glob', 'concurrent.futures'}\n"
+            "lazy = {'dataclasses', 'traceback', 'glob', 'signal', 'concurrent.futures', 'multiprocessing'}\n"
             "print(sorted(lazy & (set(sys.modules) - before)))\n"
         )
         proc = subprocess.run(

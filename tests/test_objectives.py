@@ -171,6 +171,21 @@ class TestQuadPair:
         with pytest.raises(ValueError):
             QuadPairProblem(np.zeros(2), np.zeros(2))
 
+    def test_theta_of_another_shape_is_refused(self):
+        p = quad()
+        assert p.layout is p.layout  # made once, so the problem's own vectors skip the shape check
+        longer = ParameterVector(np.zeros(3), quad(a=(0, 0, 0), b=(1, 0, 0)).layout)
+        for theta in (np.zeros(3), np.zeros((1, 2)), longer):
+            for loss_grad in (p.retain_loss_grad, p.forget_loss_grad):
+                with pytest.raises(ValueError, match=r"theta must have shape \(2,\)"):
+                    loss_grad(theta)
+        theta = np.array([0.25, -0.5])
+        # its own layout, an equal one and a raw array give the same bits
+        for loss_grad in (p.retain_loss_grad, p.forget_loss_grad):
+            vectors = (ParameterVector(theta, p.layout), ParameterVector(theta, quad().layout), theta)
+            own, other, raw = (loss_grad(t) for t in vectors)
+            assert repr(own) == repr(other) == repr(raw)
+
 
 class TestScalarization:
     def test_extremes(self):

@@ -30,8 +30,8 @@ The argument lists of the benchmark workloads come from
 
 Every file either side writes is printed as ``identical``, ``differing`` or
 ``missing in <side>``; every invocation whose exit code, standard output or
-error output differs is printed too.  Pool children print in the order they
-finish, so the output lines of an invocation with ``--jobs`` above 1 are
+error output differs is printed too.  A sweep's children print in the order
+they finish, so the output lines of an invocation with ``--jobs`` above 1 are
 compared sorted.  The exit status is 0 when all artifacts are identical and
 all exit codes and outputs equal, 1 otherwise, and 2 when ``<rev>`` cannot
 be extracted or ``--work`` is not empty.  With ``--work`` the extracted tree
@@ -267,7 +267,7 @@ def run_side(tree: Path, out: Path) -> dict[str, tuple[int, str, str]]:
     for name, doc in docs.items():
         (out / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
     # buffered stdout: older trees print a run's line in two writes, which
-    # pool children sharing an unbuffered stdout can interleave
+    # sweep children sharing an unbuffered stdout can interleave
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(tree / "src")
     results = {}
