@@ -12,11 +12,10 @@ from .autodiff import (
     Graph,
     GraphStateError,
     NumericError,
-    ParameterLayout,
-    ParameterVector,
-    Segment,
     axpy_update,
+    flat_gradient,
     forward,
+    parameter_vector,
 )
 from .bench import (
     ForgetRetainSplit,

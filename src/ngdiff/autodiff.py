@@ -6,8 +6,8 @@ the last pre-activation is the logits of a softmax head.  ``run`` evaluates
 the per-sample log-probability of the true label, ``lp``, and returns the
 mean cross-entropy ``-mean(lp)``; it caches the layer activations and the
 softmax numerator and denominator.  ``backward`` is the matching
-vector-Jacobian product, written straight into one flat gradient aligned
-with the graph's ``ParameterLayout``: of the cross-entropy by default, or of
+vector-Jacobian product, written straight into one flat gradient laid out
+as the flat parameter vector: of the cross-entropy by default, or of
 any loss built on ``lp`` when given its upstream gradient ``dL/dlp`` (the
 preference loss in ``objectives`` uses that).  Every production loss is a
 function of ``lp``, so this one kernel serves finetuning, both task
@@ -23,8 +23,10 @@ each run the losses, ``lp``, logits and gradients of its lone pass, bit for
 bit.  A lone pass, over one vector, is a pass over one run that hands back
 that run's values alone.
 
-Finiteness is checked once per layer pre-activation and once on the loss.
-Every parameter or gradient vector is checked once, by its sum of squares
+A parameter vector is a read-only 1-D float64 array (``parameter_vector``
+makes one), a gradient a ``FlatGradient`` around one.  Finiteness is
+checked once per layer pre-activation and once on the loss.  Every
+parameter or gradient vector is checked once, by its sum of squares
 ``data.dot(data)``: a finite sum proves every entry finite, since a nan
 entry makes it nan and an infinite one inf.  Only a non-finite sum, which
 huge finite entries also give when their squares overflow, is followed by
@@ -39,23 +41,18 @@ reductions ``_row_sum`` and ``_col_sum``.
 Everything is 64-bit.  Graphs are single-owner: a run/backward pair must
 not be interleaved with runs of the same graph from another thread.  A
 copied or pickled graph leaves its forward cache behind.
-``ParameterVector`` and ``FlatGradient`` are immutable values and safe to
-share, across processes too: they are named tuples whose ``__new__`` checks
-and freezes, and a pickled copy is rebuilt through that ``__new__``, so it
-arrives frozen and validated.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
 
 class DimensionError(ValueError):
-    """Shapes or layouts do not line up."""
+    """Shapes or sizes do not line up, such as a vector of the wrong length."""
 
 
 class NumericError(ArithmeticError):
@@ -76,69 +73,16 @@ def _frozen_f64(value) -> np.ndarray:
     return arr
 
 
-class Segment(NamedTuple):
-    """One named slice of the flat parameter vector."""
+def _adopt_vector(data: np.ndarray, what: str, sq=None):
+    """Freeze a fresh flat array in place once it is proved finite.
 
-    name: str
-    shape: tuple[int, ...]
-    offset: int
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-
-class ParameterLayout(namedtuple("ParameterLayout", "segments total_size")):
-    """Ordered, contiguous, non-overlapping segments covering a flat vector.
-
-    Built, and pickled, from ``segments`` alone; ``total_size`` is derived.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, segments):
-        offset = 0
-        names = set()
-        for seg in segments:
-            if seg.offset != offset:
-                raise DimensionError(
-                    f"segment {seg.name!r} offset {seg.offset}, expected {offset}"
-                )
-            if seg.name in names:
-                raise DimensionError(f"duplicate segment name {seg.name!r}")
-            names.add(seg.name)
-            offset += seg.size
-        return super().__new__(cls, segments, offset)
-
-    def __getnewargs__(self):
-        return (self.segments,)
-
-
-def _check_vector(cls, data, layout: ParameterLayout, what: str):
-    """Build a ``cls`` value around a frozen copy of ``data``, checked against ``layout``.
-
-    The public constructors, and so unpickling, come this way.  Unlike the
-    adopt path, which runs inside the loops' own errstate, they silence
-    numpy's warning about a sum of squares that overflows themselves.
-    """
-    data = _frozen_f64(data).reshape(-1)
-    if data.size != layout.total_size:
-        raise DimensionError(
-            f"{what} length {data.size} does not match layout size {layout.total_size}"
-        )
-    with np.errstate(over="ignore"):
-        return _adopt_vector(cls, data, layout, what)
-
-
-def _adopt_vector(cls, data: np.ndarray, layout: ParameterLayout, what: str, sq=None):
-    """Build a ``cls`` value around a fresh flat array of the layout's size.
-
-    Only the finiteness check remains: the array is owned by nobody else,
-    so it is frozen in place instead of copied.  A finite sum of squares
-    proves every entry finite (a nan entry makes it nan, an infinite one
-    inf); only a non-finite sum, which huge finite entries can also give,
-    is followed by the entry-wise test.  A gradient keeps the sum's root
-    as its norm.  ``sq`` is ``data.dot(data)`` when the caller has taken it.
+    The array is owned by nobody else, so it is frozen in place instead of
+    copied.  A finite sum of squares proves every entry finite (a nan entry
+    makes it nan, an infinite one inf); only a non-finite sum, which huge
+    finite entries can also give, is followed by the entry-wise test.
+    ``sq`` is ``data.dot(data)`` when the caller has taken it.  Returns the
+    parameter vector ``data``, or for ``what="gradient"`` a ``FlatGradient``
+    that keeps the sum's root as its norm.
     """
     if sq is None:
         sq = data.dot(data)
@@ -146,54 +90,46 @@ def _adopt_vector(cls, data: np.ndarray, layout: ParameterLayout, what: str, sq=
     if not math.isfinite(sq) and np.count_nonzero(np.isfinite(data)) != data.size:
         raise NumericError(f"{what} entries must be finite")
     data.setflags(write=False)
-    if cls is FlatGradient:
-        return tuple.__new__(cls, (data, layout, math.sqrt(sq)))
-    return tuple.__new__(cls, (data, layout))
+    if what == "gradient":
+        return tuple.__new__(FlatGradient, (data, math.sqrt(sq)))
+    return data
 
 
-class ParameterVector(namedtuple("ParameterVector", "data layout")):
-    """Flat model parameters plus the layout mapping segments to weights."""
-
-    __slots__ = ()
-
-    def __new__(cls, data, layout):
-        return _check_vector(cls, data, layout, "parameter")
-
-    @property
-    def size(self) -> int:
-        return self.data.size
+def parameter_vector(values) -> np.ndarray:
+    """A parameter vector: a read-only flat float64 copy of ``values``, proved finite."""
+    # the loops adopt inside their own errstate; a lone call silences the
+    # warning about a sum of squares that overflows itself
+    with np.errstate(over="ignore"):
+        return _adopt_vector(np.array(np.ravel(values), dtype=np.float64), "parameter")
 
 
-class FlatGradient(namedtuple("FlatGradient", "data layout norm")):
-    """Flat gradient in the same layout as the parameter vector it differentiates.
+class FlatGradient(NamedTuple):
+    """A gradient: a read-only flat float64 array and its norm.
 
-    Built, and pickled, from ``data`` and ``layout`` alone; ``norm`` is
-    derived: ``math.sqrt(data.dot(data))``, the root of the sum of squares
-    that proved the entries finite (``inf`` when that sum overflows).
+    ``norm`` is ``math.sqrt(data.dot(data))``, the root of the sum of
+    squares that proved the entries finite (``inf`` when that sum
+    overflows).  ``flat_gradient`` builds one from any values.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, data, layout):
-        return _check_vector(cls, data, layout, "gradient")
-
-    def __getnewargs__(self):
-        return (self.data, self.layout)
+    data: np.ndarray
+    norm: float
 
 
-def _same_layout(a: ParameterLayout, b: ParameterLayout, what: str) -> None:
-    if a is not b and a != b:
-        raise DimensionError(f"{what}: parameter layouts differ")
+def flat_gradient(values) -> FlatGradient:
+    """A ``FlatGradient`` around a read-only flat float64 copy of ``values``, proved finite."""
+    with np.errstate(over="ignore"):
+        return _adopt_vector(np.array(np.ravel(values), dtype=np.float64), "gradient")
 
 
-def axpy_update(params: ParameterVector, direction: FlatGradient, eta: float) -> ParameterVector:
-    """Return ``params - eta * direction`` as a new vector; inputs unchanged."""
-    _same_layout(params.layout, direction.layout, "axpy_update")
+def axpy_update(params: np.ndarray, direction: FlatGradient, eta: float) -> np.ndarray:
+    """Return ``params - eta * direction`` as a new parameter vector; inputs unchanged."""
+    data = direction.data
+    if data.shape != params.shape:  # broadcasting would take a size-1 operand
+        raise DimensionError(f"axpy_update: direction of shape {data.shape}, parameters of shape {params.shape}")
     eta = float(eta)
     if not math.isfinite(eta):
         raise NumericError("step size must be finite")
-    updated = params.data - eta * direction.data
-    return _adopt_vector(ParameterVector, updated, params.layout, "parameter")
+    return _adopt_vector(params - eta * data, "parameter")
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -270,8 +206,9 @@ class Graph:
     """A tanh MLP with a true-label log-prob head, over a flat parameter vector.
 
     ``widths`` runs from the input width through the hidden widths to the
-    class count.  Segments ``w1, b1, w2, b2, ...`` lay out each layer's
-    ``(fan_in, fan_out)`` weight and ``(fan_out,)`` bias in that order.
+    class count.  A parameter vector of ``size`` entries holds, layer after
+    layer, the ``(fan_in, fan_out)`` weight in row-major order and then the
+    ``(fan_out,)`` bias.
     """
 
     def __init__(self, widths):
@@ -280,15 +217,13 @@ class Graph:
             raise DimensionError("need at least input and output widths")
         if any(w < 1 for w in widths):
             raise DimensionError(f"layer widths must be >= 1, got {widths}")
-        segments, layers, offset = [], [], 0
-        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), start=1):
-            w = Segment(f"w{i}", (fan_in, fan_out), offset)
-            b = Segment(f"b{i}", (fan_out,), w.offset + w.size)
-            segments += [w, b]
-            layers.append((slice(w.offset, b.offset), w.shape, slice(b.offset, b.offset + fan_out)))
-            offset = b.offset + fan_out
+        layers, offset = [], 0
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            bias = offset + fan_in * fan_out
+            layers.append((slice(offset, bias), (fan_in, fan_out), slice(bias, bias + fan_out)))
+            offset = bias + fan_out
         self.widths = widths
-        self.layout = ParameterLayout(tuple(segments))
+        self.size = offset
         self._layers = tuple(layers)
         self._cache: _Cache | None = None
 
@@ -324,15 +259,16 @@ class Graph:
 
         Returns each group's mean cross-entropy and caches what ``backward``
         needs.  Bindings that ``bind`` returned are not checked again.
-        ``params`` is one ``ParameterVector``, or a sequence of them: a pass
-        over several runs at once, which returns each run's tuple of group
-        losses, bit for bit those of its lone pass.
+        ``params`` is one parameter vector, an array of ``size`` entries, or
+        a sequence of them: a pass over several runs at once, which returns
+        each run's tuple of group losses, bit for bit those of its lone pass.
         """
-        lone = isinstance(params, ParameterVector)
+        lone = isinstance(params, np.ndarray)
         if lone:
             params = (params,)
         for p in params:
-            _same_layout(p.layout, self.layout, "forward")
+            if p.shape != (self.size,):  # slicing would take a longer vector
+                raise DimensionError(f"parameter vector of shape {p.shape}, the graph takes ({self.size},)")
         if bindings.get("widths") is not self.widths:
             bindings = self.bind(bindings)
         groups = bindings["groups"]
@@ -341,7 +277,7 @@ class Graph:
         h = bindings["features"].reshape(1, groups, -1, self.widths[0])
         n = h.shape[2]
         # one vector is viewed as a run axis of one, where np.stack would copy it
-        data = params[0].data[None] if runs == 1 else np.stack([p.data for p in params])
+        data = params[0][None] if runs == 1 else np.stack(params)
         weights, acts = [], [h]
         last = len(self._layers)
         # finiteness is checked once per layer, so numpy's own warnings are noise
@@ -433,7 +369,7 @@ class Graph:
             g.reshape(-1)[at_label] += 1.0
             g *= dlp.reshape(*g.shape[:-1], 1)
         g = g.reshape(runs, groups, n, -1)
-        flat = np.empty((runs, groups, self.layout.total_size))
+        flat = np.empty((runs, groups, self.size))
         for i in range(len(self._layers) - 1, -1, -1):
             w_at, _, b_at = self._layers[i]
             y = acts[i]
@@ -449,7 +385,7 @@ class Graph:
         return tuple([self._gradients(run) for run in flat])
 
     def _gradients(self, flat: np.ndarray) -> tuple:
-        return tuple([_adopt_vector(FlatGradient, data, self.layout, "gradient") for data in flat])
+        return tuple([_adopt_vector(data, "gradient") for data in flat])
 
 
 def stack(batches) -> dict:
@@ -461,7 +397,7 @@ def stack(batches) -> dict:
     return {"features": features, "labels": labels, "groups": len(batches)}
 
 
-def forward(graph: Graph, params: ParameterVector, batch) -> float:
+def forward(graph: Graph, params: np.ndarray, batch) -> float:
     """Run the graph on one labeled batch; its mean cross-entropy."""
     return graph.run(params, {"features": batch.features, "labels": batch.labels})[0]
 

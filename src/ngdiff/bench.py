@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .autodiff import Graph, NumericError, ParameterVector, _frozen_f64
+from .autodiff import Graph, NumericError, _frozen_f64, parameter_vector
 
 
 class LabeledBatch(namedtuple("LabeledBatch", "features labels class_count")):
@@ -104,7 +104,7 @@ def split_forget_retain(data: LabeledBatch, forget_class: int) -> ForgetRetainSp
     )
 
 
-def mlp_factory(seed: int, layer_widths) -> tuple[Graph, ParameterVector]:
+def mlp_factory(seed: int, layer_widths) -> tuple[Graph, np.ndarray]:
     """Tanh MLP with a softmax cross-entropy head.
 
     ``layer_widths`` runs input width through hidden widths to class count;
@@ -121,5 +121,5 @@ def mlp_factory(seed: int, layer_widths) -> tuple[Graph, ParameterVector]:
         init = np.concatenate(
             [init, rng.uniform(-s, s, size=fan_in * fan_out), np.zeros(fan_out)]
         )
-    return graph, ParameterVector(init, graph.layout)
+    return graph, parameter_vector(init)
 

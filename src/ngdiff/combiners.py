@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import FlatGradient, _adopt_vector, _same_layout
+from .autodiff import FlatGradient, _adopt_vector
 
 GD = "gd"
 GA = "ga"
@@ -76,7 +76,6 @@ def combine(
     coefficient; all randomness is keyed by ``(seed, step)`` so runs are
     reproducible and concurrent runs share no state.
     """
-    _same_layout(g_r.layout, g_f.layout, "combine")
     nr = g_r.norm
     nf = g_f.norm
     degenerate = False
@@ -138,7 +137,7 @@ def combine(
         direction = c * g_r.data - (1.0 - c) * g_f.data
 
     return CombinerOutput(
-        direction=_adopt_vector(FlatGradient, direction, g_r.layout, "gradient"),
+        direction=_adopt_vector(direction, "gradient"),
         coefficient=coefficient,
         degenerate=degenerate,
         clamped=clamped,

@@ -42,13 +42,12 @@ import numpy as np
 
 from . import combiners
 from .autodiff import (
-    FlatGradient,
     Graph,
     NumericError,
-    ParameterVector,
     _adopt_vector,
     axpy_update,
     forward,
+    parameter_vector,
     stack,
 )
 from .bench import (
@@ -76,7 +75,7 @@ class ConfigError(ValueError):
 class NumericAbort(RuntimeError):
     """A loss or update became non-finite; carries the failing step index."""
 
-    def __init__(self, step: int, message: str, last_params: ParameterVector | None = None):
+    def __init__(self, step: int, message: str, last_params: np.ndarray | None = None):
         self.step = step
         self.last_params = last_params
         super().__init__(f"non-finite value at step {step}: {message}")
@@ -633,7 +632,8 @@ class _QuadTask:
 
     The problem returns each gradient as a fresh array with its sum of
     squares, so it is adopted into a ``FlatGradient`` without a copy or a
-    second pass.  Its runs step alone (``lockstep_key``).
+    second pass.  Its vectors have the problem's ``dim`` entries, which the
+    problem checks.  Its runs step alone (``lockstep_key``).
     """
 
     has_accuracy = False
@@ -644,15 +644,14 @@ class _QuadTask:
             np.array(prob.a), np.array(prob.b), prob.forget_kind
         )
         theta0 = np.array(prob.theta0 if prob.theta0 is not None else prob.b, dtype=float)
-        self.initial_params = ParameterVector(theta0, self.problem.layout)
+        self.initial_params = parameter_vector(theta0)
 
     def loss_grads(self, params):
-        layout = params.layout
         loss_r, g_r, sq_r = self.problem.retain_loss_grad(params)
         loss_f, g_f, sq_f = self.problem.forget_loss_grad(params)
         return [
-            (loss_r, _adopt_vector(FlatGradient, g_r, layout, "gradient", sq_r)),
-            (loss_f, _adopt_vector(FlatGradient, g_f, layout, "gradient", sq_f)),
+            (loss_r, _adopt_vector(g_r, "gradient", sq_r)),
+            (loss_f, _adopt_vector(g_f, "gradient", sq_f)),
         ]
 
     def step(self, runs):
@@ -793,13 +792,13 @@ def evaluate(graph: Graph, params, split: ForgetRetainSplit, bound=None) -> list
     return [EvalResult(loss_r, loss_f, acc_r, acc_f) for (loss_r, acc_r), (loss_f, acc_f) in zip(*sides)]
 
 
-def _evaluate_one(graph: Graph, params: ParameterVector, split: ForgetRetainSplit, bound) -> EvalResult:
+def _evaluate_one(graph: Graph, params: np.ndarray, split: ForgetRetainSplit, bound) -> EvalResult:
     return evaluate(graph, [params], split, bound)[0]
 
 
 def finetune(
-    graph: Graph, params: ParameterVector, data: LabeledBatch, steps: int, eta: float
-) -> ParameterVector:
+    graph: Graph, params: np.ndarray, data: LabeledBatch, steps: int, eta: float
+) -> np.ndarray:
     """Plain full-batch descent on the pooled cross-entropy.
 
     Produces the "no-unlearn" weights every classification run starts from
@@ -821,15 +820,11 @@ def finetune(
 
 
 class NoUnlearn(NamedTuple):
-    """The start of a classification run: its split, its MLP and the finetuned weights.
-
-    ``params.layout`` is ``graph.layout``, which keeps every layout check an
-    identity test; a start pickled in one piece keeps that on the other side.
-    """
+    """The start of a classification run: its split, its MLP and the finetuned weights."""
 
     split: ForgetRetainSplit
     graph: Graph
-    params: ParameterVector
+    params: np.ndarray
 
 
 def no_unlearn(cfg: RunConfig) -> NoUnlearn:
@@ -948,7 +943,7 @@ class _Run:
             probe_forward_passes=self.probes,
             guard_trips=self.lr_state.guard_trips,
             final=final,
-            params_digest=hashlib.sha256(params.data.tobytes()).hexdigest(),
+            params_digest=hashlib.sha256(params.tobytes()).hexdigest(),
             final_params=params,
         )
 

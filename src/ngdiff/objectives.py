@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 
 import numpy as np
 
@@ -20,9 +19,6 @@ from .autodiff import (
     FlatGradient,
     Graph,
     NumericError,
-    ParameterLayout,
-    ParameterVector,
-    Segment,
     forward,
 )
 
@@ -58,11 +54,13 @@ class NpoLoss:
     reference log-probability had to be clamped at log(1e-12).
     """
 
-    def __init__(self, model: Graph, beta: float, reference_params: ParameterVector):
+    def __init__(self, model: Graph, beta: float, reference_params: np.ndarray):
         if not beta > 0:
             raise ValueError("beta must be positive")
-        if reference_params.layout != model.layout:
-            raise ValueError("reference snapshot layout does not match the model")
+        if reference_params.shape != (model.size,):
+            raise DimensionError(
+                f"reference snapshot of shape {reference_params.shape}, the model takes ({model.size},)"
+            )
         self.beta = beta
         self.reference_params = reference_params
         self.clamp_warnings = 0
@@ -102,30 +100,27 @@ class NpoLoss:
         per_row = float(-2.0 / self.beta) / self._z.shape[0]
         return float(-self.beta) * (np.exp(-np.logaddexp(0.0, self._z)) * per_row)
 
-    def loss(self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None) -> float:
+    def loss(self, params: np.ndarray, batch, ref_logprobs: np.ndarray | None = None) -> float:
         if ref_logprobs is None:
             ref_logprobs = self.reference_logprobs(batch)
         self.cross_entropy = forward(self._graph, params, batch)
         return self.score(self._graph.lp, ref_logprobs)
 
     def loss_and_grad(
-        self, params: ParameterVector, batch, ref_logprobs: np.ndarray | None = None
+        self, params: np.ndarray, batch, ref_logprobs: np.ndarray | None = None
     ) -> tuple[float, FlatGradient]:
         value = self.loss(params, batch, ref_logprobs)
         return value, self._graph.backward(self.upstream())[0]
 
 
-def theta_layout(dim: int) -> ParameterLayout:
-    """Single-segment layout for analytic problems over a bare vector."""
-    return ParameterLayout((Segment("theta", (dim,), 0),))
-
-
 class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
     """Two-task objective with retain anchor ``a`` and forget anchor ``b``.
 
-    Its ``layout`` is made once per problem (kept in the instance's
-    ``__dict__``, not a field), so a vector built on it needs no shape check.
+    Its losses and gradients take a ``theta`` of ``dim`` entries and refuse
+    any other shape.
     """
+
+    __slots__ = ()
 
     def __new__(cls, a, b, forget_kind=UNBOUNDED_QUADRATIC):
         a = np.asarray(a, dtype=np.float64)
@@ -144,14 +139,8 @@ class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
     def dim(self) -> int:
         return self.a.shape[0]
 
-    @cached_property
-    def layout(self) -> ParameterLayout:
-        return theta_layout(self.dim)
-
     def _theta(self, theta) -> np.ndarray:
-        if isinstance(theta, ParameterVector) and theta.layout is self.layout:
-            return theta.data  # its constructor matched the data to this problem's layout
-        arr = theta.data if isinstance(theta, ParameterVector) else np.asarray(theta, dtype=np.float64)
+        arr = np.asarray(theta, dtype=np.float64)
         if arr.shape != self.a.shape:
             raise ValueError(f"theta must have shape ({self.dim},)")
         return arr

@@ -26,7 +26,9 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .autodiff import FlatGradient, ParameterVector, axpy_update
+import numpy as np
+
+from .autodiff import FlatGradient, axpy_update
 
 CURVATURE_FLOOR = 1e-12
 # the most one update may multiply a fitted step size by; an exact line
@@ -68,8 +70,8 @@ def step_size(state: LrState, lr) -> float:
 
 
 def probe_losses(
-    retain_loss: Callable[[ParameterVector], float],
-    params: ParameterVector,
+    retain_loss: Callable[[np.ndarray], float],
+    params: np.ndarray,
     direction: FlatGradient,
     probe: float,
     loss_zero: float,
@@ -130,8 +132,8 @@ def maybe_update(
     state: LrState,
     step: int,
     lr,
-    retain_loss: Callable[[ParameterVector], float],
-    params: ParameterVector,
+    retain_loss: Callable[[np.ndarray], float],
+    params: np.ndarray,
     direction: FlatGradient,
     loss_zero: float,
 ) -> LrState:

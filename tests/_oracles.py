@@ -16,26 +16,39 @@ import math
 
 import numpy as np
 
-from ngdiff import EvalResult, FlatGradient, LabeledBatch, MethodSpec, ParameterVector, forward
+from ngdiff import EvalResult, FlatGradient, LabeledBatch, MethodSpec, forward, parameter_vector
 from ngdiff.bench import mlp_factory
 from ngdiff.engine import RUN_COUNTERS, TRACE_COLUMNS
 
 
-def segment(layout, data: np.ndarray, name: str) -> np.ndarray:
-    """The ``name`` segment of the flat ``data`` laid out by ``layout``, as a shaped view."""
-    seg = next(s for s in layout.segments if s.name == name)
-    return data[seg.offset : seg.offset + seg.size].reshape(seg.shape)
+def segments(widths) -> list:
+    """``(name, shape)`` of each weight ``w<i>`` and bias ``b<i>`` of a tanh MLP of ``widths``,
+    in the order of its flat parameter vector."""
+    out = []
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), start=1):
+        out += [(f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))]
+    return out
 
 
-def fd_gradient(graph, params: ParameterVector, batch, eps: float = 1e-5) -> np.ndarray:
+def segment(widths, data: np.ndarray, name: str) -> np.ndarray:
+    """The ``name`` weight or bias of a tanh MLP of ``widths`` in its flat ``data``, as a shaped view."""
+    offset = 0
+    for seg, shape in segments(widths):
+        size = math.prod(shape)
+        if seg == name:
+            return data[offset : offset + size].reshape(shape)
+        offset += size
+    raise KeyError(name)
+
+
+def fd_gradient(graph, params: np.ndarray, batch, eps: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the graph loss, forward passes only."""
     out = np.zeros(params.size)
-    base = params.data
     for i in range(params.size):
         bump = np.zeros(params.size)
         bump[i] = eps
-        lp = forward(graph, ParameterVector(base + bump, params.layout), batch)
-        lm = forward(graph, ParameterVector(base - bump, params.layout), batch)
+        lp = forward(graph, parameter_vector(params + bump), batch)
+        lm = forward(graph, parameter_vector(params - bump), batch)
         out[i] = (lp - lm) / (2.0 * eps)
     return out
 
@@ -48,13 +61,13 @@ def assert_matches_fd(graph, params, batch, grad: FlatGradient, rel: float = 1e-
     assert np.all(err <= tol), f"gradient mismatch beyond tolerance by {worst:g}"
 
 
-def straight_line_mlp_loss(widths, params: ParameterVector, features: np.ndarray, labels: np.ndarray) -> float:
+def straight_line_mlp_loss(widths, params: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
     """Independent re-derivation of the tanh-MLP cross-entropy forward pass."""
     h = features
     n_layers = len(widths) - 1
     for i in range(1, n_layers + 1):
-        w = segment(params.layout, params.data, f"w{i}")
-        b = segment(params.layout, params.data, f"b{i}")
+        w = segment(widths, params, f"w{i}")
+        b = segment(widths, params, f"b{i}")
         h = h @ w + b
         if i < n_layers:
             h = np.tanh(h)
@@ -64,7 +77,7 @@ def straight_line_mlp_loss(widths, params: ParameterVector, features: np.ndarray
     return float(-np.mean(logprob))
 
 
-def straight_line_mlp_grad(widths, params: ParameterVector, features, labels, dlp=None) -> np.ndarray:
+def straight_line_mlp_grad(widths, params: np.ndarray, features, labels, dlp=None) -> np.ndarray:
     """Independent reverse pass of the tanh MLP, in the order of a plain tape.
 
     Its reductions are numpy's plain ``sum`` calls, so it is the reference
@@ -74,8 +87,8 @@ def straight_line_mlp_grad(widths, params: ParameterVector, features, labels, dl
     n_layers = len(widths) - 1
     hs = [features]
     for i in range(1, n_layers + 1):
-        w = segment(params.layout, params.data, f"w{i}")
-        h = hs[-1] @ w + segment(params.layout, params.data, f"b{i}")
+        w = segment(widths, params, f"w{i}")
+        h = hs[-1] @ w + segment(widths, params, f"b{i}")
         hs.append(np.tanh(h) if i < n_layers else h)
     logits = hs[-1]
     m = logits.max(axis=1, keepdims=True)
@@ -92,8 +105,8 @@ def straight_line_mlp_grad(widths, params: ParameterVector, features, labels, dl
         grads[f"b{i}"] = g.sum(axis=0)
         grads[f"w{i}"] = hs[i - 1].T @ g
         if i > 1:
-            g = (1.0 - hs[i - 1] * hs[i - 1]) * (g @ segment(params.layout, params.data, f"w{i}").T)
-    return np.concatenate([grads[seg.name].ravel() for seg in params.layout.segments])
+            g = (1.0 - hs[i - 1] * hs[i - 1]) * (g @ segment(widths, params, f"w{i}").T)
+    return np.concatenate([grads[name].ravel() for name, _ in segments(widths)])
 
 
 def random_mlp_case(seed: int):
@@ -107,7 +120,7 @@ def random_mlp_case(seed: int):
     labels = rng.integers(0, widths[-1], size=n)
     batch = LabeledBatch(features, labels, widths[-1])
     # move off the zero-bias init so every layer sees generic values
-    params = ParameterVector(params.data + 0.1 * rng.standard_normal(params.size), params.layout)
+    params = parameter_vector(params + 0.1 * rng.standard_normal(params.size))
     return graph, params, batch
 
 

@@ -14,22 +14,22 @@ import numpy as np
 import pytest
 
 from ngdiff import (
-    FlatGradient,
     LrState,
-    ParameterVector,
     combine,
     config_from_dict,
     fit_quadratic,
+    flat_gradient,
     forward,
     maybe_update,
     non_dominated_set,
     optimal_lr,
+    parameter_vector,
     pass_overhead,
     probe_losses,
     run_unlearning,
 )
 from ngdiff.engine import LrConfig
-from ngdiff.objectives import QuadPairProblem, lsp_minimizer, theta_layout
+from ngdiff.objectives import QuadPairProblem, lsp_minimizer
 
 from _oracles import fd_gradient, lsp_gradient, method_spec, random_mlp_case
 
@@ -99,11 +99,10 @@ def test_criterion_2_sign_correct_direction():
         rng = np.random.default_rng(2024)
         spec = method_spec("ngdiff")
         for dim, count in ((2, 5000), (10, 4000), (10_000, 1000)):
-            layout = theta_layout(dim)
             for _ in range(count):
                 g_r = rng.standard_normal(dim)
                 g_f = rng.standard_normal(dim)
-                d = combine(spec, FlatGradient(g_r, layout), FlatGradient(g_f, layout)).direction.data
+                d = combine(spec, flat_gradient(g_r), flat_gradient(g_f)).direction.data
                 assert g_r.dot(d) >= -1e-9 * np.linalg.norm(g_r)
                 assert g_f.dot(d) <= 1e-9 * np.linalg.norm(g_f)
 
@@ -117,19 +116,18 @@ def test_criterion_3_probe_fit_exactness():
             A = rng.standard_normal((dim, dim))
             H = A @ A.T / dim + np.eye(dim)  # O(1) spectrum
             center = rng.standard_normal(dim)
-            layout = theta_layout(dim)
 
             def loss(p):
-                d = p.data - center
+                d = p - center
                 return 0.5 * float(d @ H @ d)
 
-            theta = ParameterVector(rng.standard_normal(dim), layout)
-            g = H @ (theta.data - center)
+            theta = parameter_vector(rng.standard_normal(dim))
+            g = H @ (theta - center)
             d_vec = g + 0.1 * rng.standard_normal(dim)
             expected = float(g @ d_vec) / float(d_vec @ H @ d_vec)
             if expected <= 0:
                 continue
-            direction = FlatGradient(d_vec, layout)
+            direction = flat_gradient(d_vec)
             probe = float(rng.uniform(1e-3, 1.0))
             lm, l0, lp, used = probe_losses(loss, theta, direction, probe, loss(theta))
             eta = optimal_lr(fit_quadratic(used, lm, l0, lp))
@@ -141,7 +139,7 @@ def test_criterion_3_probe_fit_exactness():
                 LrState(eta=float(rng.uniform(0.25, 1.0))), 0, LrConfig("auto", None, 10, 1e-3),
                 loss, theta, direction, loss(theta),
             )
-            stepped = theta.data - state.eta * d_vec
+            stepped = theta - state.eta * d_vec
             residual = abs(float((H @ (stepped - center)) @ d_vec)) / np.linalg.norm(d_vec)
             assert residual <= 1e-10
             checked += 1
@@ -172,7 +170,7 @@ def test_criterion_5_static_family_hits_closed_forms():
             assert np.linalg.norm(lsp_gradient(prob, closed, c)) <= 1e-12
             cfg = quad_config({"kind": "gdiff", "c": c}, steps=900, lr={"mode": "fixed", "eta": 0.1})
             record = run_unlearning(cfg)
-            assert np.linalg.norm(record.final_params.data - closed) <= 1e-4
+            assert np.linalg.norm(record.final_params - closed) <= 1e-4
             points.append(record.pareto_point(tag=f"c={c}"))
         assert non_dominated_set(points) == points
 
@@ -185,7 +183,7 @@ def test_criterion_6_converging_coefficients_reach_limit_points():
             lr={"mode": "fixed", "eta": 0.1},
         )
         record = run_unlearning(cfg)
-        assert np.linalg.norm(record.final_params.data - [-0.5, 0.0]) <= 1e-3
+        assert np.linalg.norm(record.final_params - [-0.5, 0.0]) <= 1e-3
 
         bounded = quad_config(
             {"kind": "ngdiff"},
@@ -201,7 +199,7 @@ def test_criterion_6_converging_coefficients_reach_limit_points():
 
         # no point of a 401x401 grid around the final iterate dominates it
         prob = QuadPairProblem(np.array([0.0, 0.0]), np.array([1.0, 0.0]), "bounded_exp")
-        theta = rec.final_params.data
+        theta = rec.final_params
         offsets = np.linspace(-0.1, 0.1, 401)
         gx, gy = np.meshgrid(theta[0] + offsets, theta[1] + offsets)
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)

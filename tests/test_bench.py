@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ngdiff import LabeledBatch, NumericError, ParameterVector, forward
+from ngdiff import LabeledBatch, NumericError, forward, parameter_vector
 from ngdiff.bench import gen_gaussian_clusters, mlp_factory, split_forget_retain
 from ngdiff.engine import finetune
 
@@ -130,20 +130,20 @@ class TestMlpFactory:
     def test_same_seed_identical(self):
         _, a = mlp_factory(9, [4, 8, 3])
         _, b = mlp_factory(9, [4, 8, 3])
-        assert a.data.tobytes() == b.data.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_init_bounds_match_fan_sizes(self):
         _, params = mlp_factory(3, [4, 16, 3])
-        w1 = segment(params.layout, params.data, "w1")
+        w1 = segment([4, 16, 3], params, "w1")
         assert np.abs(w1).max() <= np.sqrt(6.0 / (4 + 16))
-        assert np.all(segment(params.layout, params.data, "b1") == 0.0)
+        assert np.all(segment([4, 16, 3], params, "b1") == 0.0)
 
     def test_gradient_check(self):
         graph, params = mlp_factory(13, [4, 16, 3])
         rng = np.random.default_rng(14)
         batch = LabeledBatch(rng.standard_normal((5, 4)), rng.integers(0, 3, 5), 3)
         # off the zero-bias init
-        params = ParameterVector(params.data + 0.05 * rng.standard_normal(params.size), params.layout)
+        params = parameter_vector(params + 0.05 * rng.standard_normal(params.size))
         forward(graph, params, batch)
         assert_matches_fd(graph, params, batch, graph.backward()[0])
 

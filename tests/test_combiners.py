@@ -5,18 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ngdiff import FlatGradient, combine
+from ngdiff import combine
+from ngdiff import flat_gradient as fg
 from ngdiff.combiners import GA, GD, GDIFF, IMTLG, LOSSNORM, NGDIFF, PCGRAD, RLW, SCHEDULED_GDIFF
-from ngdiff.objectives import theta_layout
 
 from _oracles import coefficient_trace, method_spec, tail_variation
-
-L2 = theta_layout(2)
-
-
-def fg(values, layout=L2):
-    return FlatGradient(np.asarray(values, dtype=float), layout)
-
 
 def run(kind, g_r, g_f, losses=None, step=0, **kw):
     return combine(method_spec(kind, **kw), fg(g_r), fg(g_f), losses, step=step)
@@ -104,11 +97,10 @@ class TestInvariants:
         # suite runs the full 10k sweep)
         rng = np.random.default_rng(0)
         for dim in (2, 10, 1000):
-            layout = theta_layout(dim)
             for _ in range(200):
                 g_r = rng.standard_normal(dim)
                 g_f = rng.standard_normal(dim)
-                d = combine(method_spec(NGDIFF), fg(g_r, layout), fg(g_f, layout)).direction.data
+                d = combine(method_spec(NGDIFF), fg(g_r), fg(g_f)).direction.data
                 assert g_r.dot(d) >= -1e-9 * np.linalg.norm(g_r)
                 assert g_f.dot(d) <= 1e-9 * np.linalg.norm(g_f)
 
@@ -131,14 +123,13 @@ class TestInvariants:
         rng = np.random.default_rng(1)
         g_r = rng.standard_normal(6)
         g_f = rng.standard_normal(6)
-        layout = theta_layout(6)
-        base = combine(method_spec(NGDIFF), fg(g_r, layout), fg(g_f, layout))
+        base = combine(method_spec(NGDIFF), fg(g_r), fg(g_f))
         # bit-exact under power-of-two scalings
-        out = combine(method_spec(NGDIFF), fg(4.0 * g_r, layout), fg(0.25 * g_f, layout))
+        out = combine(method_spec(NGDIFF), fg(4.0 * g_r), fg(0.25 * g_f))
         assert out.direction.data.tobytes() == base.direction.data.tobytes()
         # within float rounding for arbitrary positive scalings
         for alpha, beta_ in ((3.7, 0.013), (1e6, 1e-6), (math.pi, math.e)):
-            out = combine(method_spec(NGDIFF), fg(alpha * g_r, layout), fg(beta_ * g_f, layout))
+            out = combine(method_spec(NGDIFF), fg(alpha * g_r), fg(beta_ * g_f))
             np.testing.assert_allclose(out.direction.data, base.direction.data, rtol=1e-12)
 
     def test_coefficient_always_in_unit_interval(self):

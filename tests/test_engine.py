@@ -28,7 +28,7 @@ from ngdiff import (
     record_to_json,
     run_unlearning,
 )
-from ngdiff.autodiff import Graph, NumericError, ParameterVector, forward
+from ngdiff.autodiff import Graph, NumericError, forward, parameter_vector
 from ngdiff.bench import (
     ForgetRetainSplit,
     LabeledBatch,
@@ -97,11 +97,11 @@ def gaussian_config(method, steps=300, lr=None, seeds=(0, 1000, 2000), **extra):
 class TestQuadRuns:
     def test_gd_converges_to_retain_anchor(self):
         rec = run_unlearning(quad_config({"kind": "gd"}, steps=200))
-        assert np.linalg.norm(rec.final_params.data - [0.0, 0.0]) <= 1e-6
+        assert np.linalg.norm(rec.final_params - [0.0, 0.0]) <= 1e-6
 
     def test_static_gdiff_converges_to_closed_form(self):
         rec = run_unlearning(quad_config({"kind": "gdiff", "c": 0.75}, steps=500))
-        assert np.linalg.norm(rec.final_params.data - [-0.5, 0.0]) <= 1e-4
+        assert np.linalg.norm(rec.final_params - [-0.5, 0.0]) <= 1e-4
 
     def test_scheduled_coefficient_converges_to_limit_point(self):
         cfg = quad_config(
@@ -109,7 +109,7 @@ class TestQuadRuns:
             steps=1500,
         )
         rec = run_unlearning(cfg)
-        assert np.linalg.norm(rec.final_params.data - [-0.5, 0.0]) <= 1e-3
+        assert np.linalg.norm(rec.final_params - [-0.5, 0.0]) <= 1e-3
         cs = [r.coeff_c for r in rec.rows]
         assert tail_variation(cs) < 1e-3
 
@@ -149,7 +149,7 @@ class TestQuadRuns:
             target = lsp_minimizer(
                 QuadPairProblem(np.array([0.0, 0.0]), np.array([1.0, 0.0])), c
             )
-            assert np.linalg.norm(rec.final_params.data - target) <= 1e-4
+            assert np.linalg.norm(rec.final_params - target) <= 1e-4
             points.append(rec.pareto_point(tag=f"c={c}"))
         assert non_dominated_set(points) == points
 
@@ -160,17 +160,18 @@ class TestQuadRuns:
             rec = run_unlearning(quad_config({"kind": "gdiff", "c": c}, steps=800))
             assert tail_variation([r.coeff_c for r in rec.rows]) < 1e-3
             prob = QuadPairProblem(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-            assert np.linalg.norm(rec.final_params.data - lsp_minimizer(prob, c)) <= 1e-3
+            assert np.linalg.norm(rec.final_params - lsp_minimizer(prob, c)) <= 1e-3
 
     @pytest.mark.parametrize("forget_kind", ["unbounded_quadratic", "bounded_exp"])
     def test_task_gradients_are_frozen_and_own_their_memory(self, forget_kind):
         cfg = quad_config({"kind": "gd"}, steps=1, theta0=(0.5, 1.0), forget_kind=forget_kind)
         task = _QuadTask(cfg)
         params = task.initial_params
+        assert not params.flags.writeable
         for _, grad in task.loss_grads(params):
             assert not grad.data.flags.writeable
             assert repr(grad.norm) == repr(math.sqrt(grad.data.dot(grad.data)))
-            for other in (params.data, task.problem.a, task.problem.b):
+            for other in (params, task.problem.a, task.problem.b):
                 assert not np.shares_memory(grad.data, other)
 
     def test_trace_norms_are_the_task_gradients_norms(self, monkeypatch):
@@ -202,7 +203,7 @@ class TestQuadRuns:
             run_unlearning(cfg)
         assert 0 < exc.value.step < 2000
         assert exc.value.last_params is not None
-        assert np.all(np.isfinite(exc.value.last_params.data))
+        assert np.all(np.isfinite(exc.value.last_params))
 
 
 class TestCounters:
@@ -304,7 +305,7 @@ def one_row_task(retain: str, forget: str, method: dict, deep: bool = False):
     """The task of a start whose splits are one row each, a run of it, and its batches."""
     widths, values, rows = ([1, 1, 1, 2], DEEP_PARAMS, DEEP_ROWS) if deep else ([1, 1, 2], CHAIN_PARAMS, CHAIN_ROWS)
     graph, params = mlp_factory(0, widths)
-    params = ParameterVector(values, params.layout)
+    params = parameter_vector(values)
     retain_batch = LabeledBatch([[rows[retain]]], [1], 2)
     forget_batch = LabeledBatch([[rows[forget] if deep else -rows[forget]]], [0], 2)
     split = ForgetRetainSplit(retain=retain_batch, forget=forget_batch, forget_class=0)
@@ -353,7 +354,7 @@ class TestStackedStepErrors:
         # w1 = 0.5 and w2 = (1, -1) keep every value of these rows finite
         task, bad, split = one_row_task(retain, forget, method)
         good = _Run(bad.cfg, task)
-        good.params = ParameterVector([0.5, 0.0, 1.0, -1.0, 0.0, 0.0], bad.params.layout)
+        good.params = parameter_vector([0.5, 0.0, 1.0, -1.0, 0.0, 0.0])
         with np.errstate(all="ignore"):
             (alone,) = task.step([good])
             (lone_error,) = task.step([bad])
@@ -406,14 +407,14 @@ class TestFinetuneAndEvaluate:
         data = gen_gaussian_clusters(0, 3, 10, 4, 4.0)
         graph, params0 = mlp_factory(5, [4, 3])
         out = finetune(graph, params0, data, 0, 0.5)
-        assert out.data.tobytes() == params0.data.tobytes()
+        assert out.tobytes() == params0.tobytes()
 
     def test_finetune_deterministic(self):
         data = gen_gaussian_clusters(2, 3, 50, 4, 4.0)
         graph, params0 = mlp_factory(5, [4, 8, 3])
         a = finetune(graph, params0, data, 50, 0.5)
         b = finetune(graph, params0, data, 50, 0.5)
-        assert a.data.tobytes() == b.data.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_untrained_models_sit_at_chance_level(self):
         # expected accuracy of a random-init classifier is 1/class_count by
@@ -435,12 +436,10 @@ class TestClassificationRuns:
     def test_pickled_start_runs_like_a_lone_run(self, method):
         cfg = gaussian_config(method, steps=20, eval_every=5)
         copy = pickle.loads(pickle.dumps(no_unlearn(cfg)))
-        assert copy.params.layout is copy.graph.layout
         assert copy.graph._cache is None
         for batch in (copy.split.retain, copy.split.forget):
             assert not batch.features.flags.writeable
             assert not batch.labels.flags.writeable
-        assert not copy.params.data.flags.writeable
         assert record_to_json(run_unlearning(cfg, copy)) == record_to_json(run_unlearning(cfg))
 
     def test_ngdiff_autolr_unlearns_and_retains(self):

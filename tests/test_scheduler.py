@@ -6,32 +6,22 @@ import numpy as np
 import pytest
 
 from ngdiff import (
-    FlatGradient,
     LrState,
-    ParameterVector,
     ProbeError,
     fit_quadratic,
+    flat_gradient,
     forward,
     maybe_update,
     optimal_lr,
+    parameter_vector,
     probe_losses,
     step_size,
 )
 from ngdiff.bench import mlp_factory, LabeledBatch
 from ngdiff.engine import LrConfig
 from ngdiff.scheduler import ETA_GROWTH_CAP
-from ngdiff.objectives import theta_layout
 
 from _oracles import straight_line_mlp_loss
-
-
-def vec(values):
-    arr = np.asarray(values, dtype=float)
-    return ParameterVector(arr, theta_layout(arr.size))
-
-
-def grad_like(params, values):
-    return FlatGradient(np.asarray(values, dtype=float), params.layout)
 
 
 def auto_lr(update_period=10, probe_epsilon=1e-3):
@@ -43,7 +33,7 @@ def quadratic_loss(H, center=None):
     center = np.zeros(len(H)) if center is None else np.asarray(center, dtype=float)
 
     def loss(p):
-        d = p.data - center
+        d = p - center
         return 0.5 * float(d @ H @ d)
 
     return loss
@@ -52,14 +42,14 @@ def quadratic_loss(H, center=None):
 class TestProbeLosses:
     def test_scalar_quadratic_probe_values(self):
         loss = quadratic_loss([[1.0]])
-        lm, l0, lp, probe = probe_losses(loss, vec([3.0]), grad_like(vec([3.0]), [3.0]), 0.1, 4.5)
+        lm, l0, lp, probe = probe_losses(loss, parameter_vector([3.0]), flat_gradient([3.0]), 0.1, 4.5)
         assert (lm, l0, lp) == (3.6450000000000005, 4.5, 5.444999999999999)
         assert probe == 0.1
 
     def test_zero_direction_gives_equal_losses(self):
         loss = quadratic_loss(np.eye(2))
-        p = vec([1.0, 2.0])
-        lm, l0, lp, _ = probe_losses(loss, p, grad_like(p, [0.0, 0.0]), 0.5, loss(p))
+        p = parameter_vector([1.0, 2.0])
+        lm, l0, lp, _ = probe_losses(loss, p, flat_gradient([0.0, 0.0]), 0.5, loss(p))
         assert lm == l0 == lp
 
     def test_matches_independent_forward_reimplementation(self):
@@ -67,45 +57,45 @@ class TestProbeLosses:
         graph, params = mlp_factory(5, widths)
         rng = np.random.default_rng(8)
         batch = LabeledBatch(rng.standard_normal((7, 4)), rng.integers(0, 3, 7), 3)
-        direction = FlatGradient(rng.standard_normal(params.size), params.layout)
+        direction = flat_gradient(rng.standard_normal(params.size))
 
         def loss(p):
             return forward(graph, p, batch)
 
         lm, l0, lp, probe = probe_losses(loss, params, direction, 0.05, loss(params))
         feats, labels = batch.features, batch.labels
-        minus = ParameterVector(params.data - probe * direction.data, params.layout)
-        plus = ParameterVector(params.data + probe * direction.data, params.layout)
+        minus = parameter_vector(params - probe * direction.data)
+        plus = parameter_vector(params + probe * direction.data)
         np.testing.assert_allclose(lm, straight_line_mlp_loss(widths, minus, feats, labels), rtol=1e-12)
         np.testing.assert_allclose(lp, straight_line_mlp_loss(widths, plus, feats, labels), rtol=1e-12)
 
     def test_parameters_bit_identical_after_probing(self):
         loss = quadratic_loss(np.diag([1.0, 4.0]))
-        p = vec([1.0, 1.0])
-        before = p.data.tobytes()
-        probe_losses(loss, p, grad_like(p, [1.0, 4.0]), 0.3, loss(p))
-        assert p.data.tobytes() == before
+        p = parameter_vector([1.0, 1.0])
+        before = p.tobytes()
+        probe_losses(loss, p, flat_gradient([1.0, 4.0]), 0.3, loss(p))
+        assert p.tobytes() == before
 
     def test_shrinks_probe_on_nonfinite_loss(self):
         calls = []
 
         def loss(p):
-            calls.append(float(p.data[0]))
-            x = float(p.data[0])
+            calls.append(float(p[0]))
+            x = float(p[0])
             return math.inf if abs(x - 1.0) > 0.05 else (x - 1.0) ** 2
 
-        p = vec([1.0])
-        lm, l0, lp, probe = probe_losses(loss, p, grad_like(p, [1.0]), 1.0, loss(p))
+        p = parameter_vector([1.0])
+        lm, l0, lp, probe = probe_losses(loss, p, flat_gradient([1.0]), 1.0, loss(p))
         assert probe == pytest.approx(0.01)
         assert math.isfinite(lm) and math.isfinite(lp)
 
     def test_gives_up_after_three_retries(self):
         def loss(p):
-            return math.inf if p.data[0] != 1.0 else 0.0
+            return math.inf if p[0] != 1.0 else 0.0
 
-        p = vec([1.0])
+        p = parameter_vector([1.0])
         with pytest.raises(ProbeError):
-            probe_losses(loss, p, grad_like(p, [1.0]), 1.0, loss(p))
+            probe_losses(loss, p, flat_gradient([1.0]), 1.0, loss(p))
 
 
 class TestFitQuadratic:
@@ -148,9 +138,9 @@ class TestOptimalLr:
     def test_rayleigh_quotient_on_bowl(self):
         H = np.diag([1.0, 4.0])
         loss = quadratic_loss(H)
-        theta = vec([1.0, 1.0])
-        g = H @ theta.data
-        d = grad_like(theta, g)
+        theta = parameter_vector([1.0, 1.0])
+        g = H @ theta
+        d = flat_gradient(g)
         lm, l0, lp, probe = probe_losses(loss, theta, d, 0.37, loss(theta))
         eta = optimal_lr(fit_quadratic(probe, lm, l0, lp))
         assert eta == pytest.approx(17.0 / 65.0, rel=1e-12)
@@ -163,10 +153,10 @@ class TestOptimalLr:
             H = A @ A.T + dim * np.eye(dim)  # positive definite
             center = rng.standard_normal(dim)
             loss = quadratic_loss(H, center)
-            theta = vec(rng.standard_normal(dim))
+            theta = parameter_vector(rng.standard_normal(dim))
             d_vec = rng.standard_normal(dim)
-            d = grad_like(theta, d_vec)
-            g = H @ (theta.data - center)
+            d = flat_gradient(d_vec)
+            g = H @ (theta - center)
             expected = float(g @ d_vec) / float(d_vec @ H @ d_vec)
             if expected <= 0:
                 continue
@@ -180,12 +170,12 @@ class TestOptimalLr:
         # lowers a quadratic retain loss, so the strict-descent window holds
         H = np.diag([2.0, 3.0, 0.5])
         loss = quadratic_loss(H)
-        theta = vec([1.0, -2.0, 0.5])
+        theta = parameter_vector([1.0, -2.0, 0.5])
         d_vec = np.array([0.3, -1.0, 0.2])
-        d = grad_like(theta, d_vec)
+        d = flat_gradient(d_vec)
         lm, l0, lp, probe = probe_losses(loss, theta, d, 0.05, loss(theta))
         eta = optimal_lr(fit_quadratic(probe, lm, l0, lp))
-        g = H @ theta.data
+        g = H @ theta
         bound = 2.0 * float(g @ d_vec) / float(d_vec @ H @ d_vec)
         assert eta == pytest.approx(bound / 2.0, rel=1e-10)
         assert 0.0 < eta < bound
@@ -200,31 +190,31 @@ class TestMaybeUpdate:
             calls.append(1)
             return 0.0
 
-        p = vec([1.0])
-        out = maybe_update(state, 3, auto_lr(), loss, p, grad_like(p, [1.0]), 0.0)
+        p = parameter_vector([1.0])
+        out = maybe_update(state, 3, auto_lr(), loss, p, flat_gradient([1.0]), 0.0)
         assert out is state
         assert calls == []
 
     def test_single_update_reaches_line_minimum(self):
         H = np.diag([1.0, 4.0])
         loss = quadratic_loss(H)
-        theta = vec([1.0, 1.0])
-        g = H @ theta.data
-        d = grad_like(theta, g)
+        theta = parameter_vector([1.0, 1.0])
+        g = H @ theta
+        d = flat_gradient(g)
         state = maybe_update(LrState(None), 0, auto_lr(), loss, theta, d, loss(theta))
         assert state.eta is not None
-        stepped = ParameterVector(theta.data - state.eta * d.data, theta.layout)
-        residual = float((H @ stepped.data) @ d.data) / np.linalg.norm(d.data)
+        stepped = parameter_vector(theta - state.eta * d.data)
+        residual = float((H @ stepped) @ d.data) / np.linalg.norm(d.data)
         assert abs(residual) <= 1e-10
 
     def test_guard_on_concave_region_keeps_eta(self):
         # quartic theta^4/4 - theta^2 has negative curvature at theta=0.5
         def loss(p):
-            x = float(p.data[0])
+            x = float(p[0])
             return x**4 / 4.0 - x**2
 
-        theta = vec([0.5])
-        d = grad_like(theta, [1.0])
+        theta = parameter_vector([0.5])
+        d = flat_gradient([1.0])
         state = LrState(eta=0.25)
         out = maybe_update(state, 0, auto_lr(), loss, theta, d, loss(theta))
         assert out.eta == 0.25
@@ -232,10 +222,10 @@ class TestMaybeUpdate:
 
     def test_probe_failure_counts_as_guard(self):
         def loss(p):
-            return math.inf if p.data[0] != 1.0 else 0.5
+            return math.inf if p[0] != 1.0 else 0.5
 
-        theta = vec([1.0])
-        state = maybe_update(LrState(eta=0.1), 0, auto_lr(), loss, theta, grad_like(theta, [1.0]), 0.5)
+        theta = parameter_vector([1.0])
+        state = maybe_update(LrState(eta=0.1), 0, auto_lr(), loss, theta, flat_gradient([1.0]), 0.5)
         assert state.eta == 0.1
         assert state.guard_trips == 1
 
@@ -243,10 +233,10 @@ class TestMaybeUpdate:
     def test_growth_past_the_cap_is_a_capped_guard_trip(self, fitted):
         # the line minimum of x^2/2 from x=1 along d=1 is eta=1, ten times the
         # current step size; only a step size that came from a fit is capped
-        theta = vec([1.0])
+        theta = parameter_vector([1.0])
         fit = fit_quadratic(0.1, 0.405, 0.5, 0.605) if fitted else None
         state = LrState(eta=0.1, fitted=fit)
-        out = maybe_update(state, 0, auto_lr(), quadratic_loss([[1.0]]), theta, grad_like(theta, [1.0]), 0.5)
+        out = maybe_update(state, 0, auto_lr(), quadratic_loss([[1.0]]), theta, flat_gradient([1.0]), 0.5)
         if fitted:
             assert out.eta == ETA_GROWTH_CAP * 0.1
             assert out.guard_trips == 1
@@ -260,11 +250,11 @@ class TestMaybeUpdate:
     def test_probe_too_small_to_fit_is_a_guard_trip(self, probe, fitted):
         # 2*probe*probe rounds to 0: no curvature is measurable, so the step
         # size stays what it was, as on a flat or concave fit
-        theta = vec([1.0])
+        theta = parameter_vector([1.0])
         fit = fit_quadratic(0.1, 0.405, 0.5, 0.605) if fitted else None
         lr = auto_lr(probe_epsilon=probe)
         state = LrState(eta=probe if fitted else None, fitted=fit)
-        out = maybe_update(state, 0, lr, quadratic_loss([[1.0]]), theta, grad_like(theta, [1.0]), 0.5)
+        out = maybe_update(state, 0, lr, quadratic_loss([[1.0]]), theta, flat_gradient([1.0]), 0.5)
         assert out.eta == state.eta and step_size(out, lr) == probe
         assert out.guard_trips == 1
         assert out.fitted.probe == probe and math.isnan(out.fitted.a2)
@@ -276,13 +266,13 @@ class TestMaybeUpdate:
 
         def loss(p):
             loss_calls.append(1)
-            return 0.5 * float(p.data @ H @ p.data)
+            return 0.5 * float(p @ H @ p)
 
         lr = auto_lr(update_period=period, probe_epsilon=1e-2)
         state = LrState(None)
-        theta = vec([2.0, 1.0])
+        theta = parameter_vector([2.0, 1.0])
         for step in range(25):
-            d = grad_like(theta, H @ theta.data)
+            d = flat_gradient(H @ theta)
             # current loss supplied by the caller, as in the run loop
             state = maybe_update(state, step, lr, loss, theta, d, loss(theta))
         # events at 0, period, 2*period, ... below 25; two probe passes each
@@ -293,11 +283,11 @@ class TestMaybeUpdate:
         seen = []
 
         def loss(p):
-            seen.append(float(p.data[0]))
-            return 0.5 * float(p.data[0]) ** 2
+            seen.append(float(p[0]))
+            return 0.5 * float(p[0]) ** 2
 
-        theta = vec([1.0])
-        maybe_update(LrState(None), 0, auto_lr(), loss, theta, grad_like(theta, [1.0]), 0.5)
+        theta = parameter_vector([1.0])
+        maybe_update(LrState(None), 0, auto_lr(), loss, theta, flat_gradient([1.0]), 0.5)
         np.testing.assert_allclose(sorted(seen), [1.0 - 1e-3, 1.0 + 1e-3])
 
     def test_step_size_falls_back_to_probe_epsilon(self):
