@@ -13,7 +13,6 @@ from .autodiff import (
     GraphStateError,
     NumericError,
     axpy_update,
-    flat_gradient,
     forward,
     parameter_vector,
 )

@@ -46,6 +46,7 @@ copied or pickled graph leaves its forward cache behind.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -73,16 +74,15 @@ def _frozen_f64(value) -> np.ndarray:
     return arr
 
 
-def _adopt_vector(data: np.ndarray, what: str, sq=None):
-    """Freeze a fresh flat array in place once it is proved finite.
+def _adopt_vector(data: np.ndarray, what: str, sq=None) -> np.ndarray:
+    """Freeze a fresh flat array in place once it is proved finite, and return it.
 
     The array is owned by nobody else, so it is frozen in place instead of
     copied.  A finite sum of squares proves every entry finite (a nan entry
     makes it nan, an infinite one inf); only a non-finite sum, which huge
     finite entries can also give, is followed by the entry-wise test.
-    ``sq`` is ``data.dot(data)`` when the caller has taken it.  Returns the
-    parameter vector ``data``, or for ``what="gradient"`` a ``FlatGradient``
-    that keeps the sum's root as its norm.
+    ``sq`` is ``data.dot(data)`` when the caller has taken it; a gradient's
+    maker takes it, as it keeps the sum's root as the ``FlatGradient``'s norm.
     """
     if sq is None:
         sq = data.dot(data)
@@ -90,8 +90,6 @@ def _adopt_vector(data: np.ndarray, what: str, sq=None):
     if not math.isfinite(sq) and np.count_nonzero(np.isfinite(data)) != data.size:
         raise NumericError(f"{what} entries must be finite")
     data.setflags(write=False)
-    if what == "gradient":
-        return tuple.__new__(FlatGradient, (data, math.sqrt(sq)))
     return data
 
 
@@ -103,22 +101,26 @@ def parameter_vector(values) -> np.ndarray:
         return _adopt_vector(np.array(np.ravel(values), dtype=np.float64), "parameter")
 
 
-class FlatGradient(NamedTuple):
+class FlatGradient(namedtuple("FlatGradient", "data norm")):
     """A gradient: a read-only flat float64 array and its norm.
 
-    ``norm`` is ``math.sqrt(data.dot(data))``, the root of the sum of
-    squares that proved the entries finite (``inf`` when that sum
-    overflows).  ``flat_gradient`` builds one from any values.
+    ``FlatGradient(values)`` makes a read-only flat float64 copy of
+    ``values``, proves it finite and derives ``norm``: the root of the sum
+    of squares ``data.dot(data)`` that proved it (``inf`` when that sum
+    overflows).  The loops build theirs around fresh arrays through
+    ``tuple.__new__``, after ``_adopt_vector``, without the copy.
     """
 
-    data: np.ndarray
-    norm: float
+    __slots__ = ()
 
+    def __new__(cls, values):
+        data = np.array(np.ravel(values), dtype=np.float64)
+        with np.errstate(over="ignore"):
+            sq = data.dot(data)
+        return tuple.__new__(cls, (_adopt_vector(data, "gradient", sq), math.sqrt(sq)))
 
-def flat_gradient(values) -> FlatGradient:
-    """A ``FlatGradient`` around a read-only flat float64 copy of ``values``, proved finite."""
-    with np.errstate(over="ignore"):
-        return _adopt_vector(np.array(np.ravel(values), dtype=np.float64), "gradient")
+    def __getnewargs__(self):
+        return (self.data,)
 
 
 def axpy_update(params: np.ndarray, direction: FlatGradient, eta: float) -> np.ndarray:
@@ -385,7 +387,11 @@ class Graph:
         return tuple([self._gradients(run) for run in flat])
 
     def _gradients(self, flat: np.ndarray) -> tuple:
-        return tuple([_adopt_vector(data, "gradient") for data in flat])
+        grads = []
+        for data in flat:
+            sq = data.dot(data)
+            grads.append(tuple.__new__(FlatGradient, (_adopt_vector(data, "gradient", sq), math.sqrt(sq))))
+        return tuple(grads)
 
 
 def stack(batches) -> dict:

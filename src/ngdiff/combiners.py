@@ -136,8 +136,9 @@ def combine(
         coefficient = c
         direction = c * g_r.data - (1.0 - c) * g_f.data
 
+    sq = direction.dot(direction)
     return CombinerOutput(
-        direction=_adopt_vector(direction, "gradient"),
+        direction=tuple.__new__(FlatGradient, (_adopt_vector(direction, "gradient", sq), math.sqrt(sq))),
         coefficient=coefficient,
         degenerate=degenerate,
         clamped=clamped,

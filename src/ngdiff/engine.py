@@ -42,6 +42,7 @@ import numpy as np
 
 from . import combiners
 from .autodiff import (
+    FlatGradient,
     Graph,
     NumericError,
     _adopt_vector,
@@ -650,8 +651,8 @@ class _QuadTask:
         loss_r, g_r, sq_r = self.problem.retain_loss_grad(params)
         loss_f, g_f, sq_f = self.problem.forget_loss_grad(params)
         return [
-            (loss_r, _adopt_vector(g_r, "gradient", sq_r)),
-            (loss_f, _adopt_vector(g_f, "gradient", sq_f)),
+            (loss_r, tuple.__new__(FlatGradient, (_adopt_vector(g_r, "gradient", sq_r), math.sqrt(sq_r)))),
+            (loss_f, tuple.__new__(FlatGradient, (_adopt_vector(g_f, "gradient", sq_f), math.sqrt(sq_f)))),
         ]
 
     def step(self, runs):

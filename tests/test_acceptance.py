@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from ngdiff import (
+    FlatGradient,
     LrState,
     combine,
     config_from_dict,
     fit_quadratic,
-    flat_gradient,
     forward,
     maybe_update,
     non_dominated_set,
@@ -102,7 +102,7 @@ def test_criterion_2_sign_correct_direction():
             for _ in range(count):
                 g_r = rng.standard_normal(dim)
                 g_f = rng.standard_normal(dim)
-                d = combine(spec, flat_gradient(g_r), flat_gradient(g_f)).direction.data
+                d = combine(spec, FlatGradient(g_r), FlatGradient(g_f)).direction.data
                 assert g_r.dot(d) >= -1e-9 * np.linalg.norm(g_r)
                 assert g_f.dot(d) <= 1e-9 * np.linalg.norm(g_f)
 
@@ -127,7 +127,7 @@ def test_criterion_3_probe_fit_exactness():
             expected = float(g @ d_vec) / float(d_vec @ H @ d_vec)
             if expected <= 0:
                 continue
-            direction = flat_gradient(d_vec)
+            direction = FlatGradient(d_vec)
             probe = float(rng.uniform(1e-3, 1.0))
             lm, l0, lp, used = probe_losses(loss, theta, direction, probe, loss(theta))
             eta = optimal_lr(fit_quadratic(used, lm, l0, lp))

@@ -12,7 +12,6 @@ from ngdiff import (
     LabeledBatch,
     NumericError,
     axpy_update,
-    flat_gradient,
     forward,
     parameter_vector,
 )
@@ -422,18 +421,18 @@ class TestRunAxis:
 class TestAxpyUpdate:
     def test_basic(self):
         p = parameter_vector([1.0, 1.0])
-        d = flat_gradient([1.0, 0.0])
+        d = FlatGradient([1.0, 0.0])
         out = axpy_update(p, d, 0.5)
         np.testing.assert_array_equal(out, [0.5, 1.0])
         np.testing.assert_array_equal(p, [1.0, 1.0])  # input untouched
 
     def test_zero_step(self):
         p = parameter_vector([1.0, 1.0])
-        d = flat_gradient([2.0, 3.0])
+        d = FlatGradient([2.0, 3.0])
         np.testing.assert_array_equal(axpy_update(p, d, 0.0), p)
 
     def test_exact_line_minimum(self):
-        assert axpy_update(parameter_vector([3.0]), flat_gradient([3.0]), 1.0)[0] == 0.0
+        assert axpy_update(parameter_vector([3.0]), FlatGradient([3.0]), 1.0)[0] == 0.0
 
     @pytest.mark.parametrize(
         "params, direction", [([1.0, 1.0], [0.0, 0.0, 0.0]), ([1.0, 1.0], [1.0]), ([1.0], [1.0, 1.0])]
@@ -441,7 +440,7 @@ class TestAxpyUpdate:
     def test_size_mismatch(self, params, direction):
         # numpy would broadcast a size-1 operand against the other
         with pytest.raises(DimensionError, match="^axpy_update: direction of shape"):
-            axpy_update(parameter_vector(params), flat_gradient(direction), 0.1)
+            axpy_update(parameter_vector(params), FlatGradient(direction), 0.1)
 
 
 class TestValueTypes:
@@ -458,7 +457,16 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             p[0] = 5.0
 
-    @pytest.mark.parametrize("source", ["mlp_factory", "axpy_update", "backward", "combine", "flat_gradient"])
+    def test_flat_gradient_is_a_flat_frozen_copy_with_a_derived_norm(self):
+        values = np.array([[3.0], [4.0]])
+        g = FlatGradient(values)
+        assert g.data.shape == (2,) and g.data.base is None and g.norm == 5.0
+        values[0, 0] = 0.0
+        assert g.data[0] == 3.0
+        with pytest.raises(TypeError):  # the norm is derived, never given
+            FlatGradient(g.data, 5.0)
+
+    @pytest.mark.parametrize("source", ["mlp_factory", "axpy_update", "backward", "combine", "FlatGradient"])
     def test_every_made_vector_is_read_only(self, source):
         graph, params = mlp_factory(6, [4, 5, 3])
         forward(graph, params, batch_of(np.eye(4)[:3], [0, 1, 2], 3))
@@ -468,7 +476,7 @@ class TestValueTypes:
             "axpy_update": lambda: axpy_update(params, g_r, 0.1),
             "backward": lambda: g_r.data,
             "combine": lambda: combine(method_spec("ngdiff"), g_r, g_f).direction.data,
-            "flat_gradient": lambda: flat_gradient([1.0, 2.0]).data,
+            "FlatGradient": lambda: FlatGradient([1.0, 2.0]).data,
         }[source]()
         assert vector.dtype == np.float64 and vector.ndim == 1
         with pytest.raises(ValueError, match="read-only"):
@@ -492,7 +500,7 @@ class TestFinitenessRule:
 
     @pytest.mark.filterwarnings("error")  # the constructors never warn
     @pytest.mark.parametrize("values", HUGE)
-    @pytest.mark.parametrize("make", [parameter_vector, flat_gradient])
+    @pytest.mark.parametrize("make", [parameter_vector, FlatGradient])
     def test_huge_finite_entries_are_accepted(self, make, values):
         value = make(values)
         assert getattr(value, "data", value).tolist() == values
@@ -500,7 +508,7 @@ class TestFinitenessRule:
     @pytest.mark.parametrize("values", HUGE)
     def test_huge_finite_update_is_accepted(self, values):
         params = parameter_vector(values)
-        step = flat_gradient([1.0, -1.0])
+        step = FlatGradient([1.0, -1.0])
         with np.errstate(over="ignore"):  # as in the loops, which check instead
             updated = axpy_update(params, step, 1.0)
         assert updated.tolist() == (np.array(values) - [1.0, -1.0]).tolist()
@@ -515,7 +523,7 @@ class TestFinitenessRule:
         assert grad.norm == math.inf
 
     @pytest.mark.parametrize("values", NON_FINITE)
-    @pytest.mark.parametrize("make, what", [(parameter_vector, "parameter"), (flat_gradient, "gradient")])
+    @pytest.mark.parametrize("make, what", [(parameter_vector, "parameter"), (FlatGradient, "gradient")])
     def test_non_finite_entries_are_rejected(self, make, what, values):
         with pytest.raises(NumericError, match=f"^{what} entries must be finite$"):
             make(values)
@@ -530,7 +538,7 @@ class TestFinitenessRule:
     )
     def test_overflowing_update_is_rejected(self, params, step):
         params = parameter_vector(params)
-        step = flat_gradient(step)
+        step = FlatGradient(step)
         with np.errstate(over="ignore"), pytest.raises(
             NumericError, match="^parameter entries must be finite$"
         ):
@@ -538,12 +546,9 @@ class TestFinitenessRule:
 
     @pytest.mark.parametrize("values", [*HUGE, [0.0, 0.0], [3.0, -4.0], [1e-200, 1e-200]])
     def test_norm_is_the_root_of_the_sum_of_squares(self, values):
-        built = flat_gradient(values)
-        with np.errstate(over="ignore"):
-            adopted = _adopt_vector(np.array(values), "gradient")
-        for grad in (built, adopted):
-            assert type(grad.norm) is float
-            assert repr(grad.norm) == root_of_squares(grad.data)
+        grad = FlatGradient(values)
+        assert type(grad.norm) is float
+        assert repr(grad.norm) == root_of_squares(grad.data)
 
     def test_kernel_and_combined_norms_are_the_root_of_the_sum_of_squares(self):
         graph, params, batch = random_mlp_case(4)

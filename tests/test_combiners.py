@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ngdiff import combine
-from ngdiff import flat_gradient as fg
+from ngdiff import FlatGradient as fg
 from ngdiff.combiners import GA, GD, GDIFF, IMTLG, LOSSNORM, NGDIFF, PCGRAD, RLW, SCHEDULED_GDIFF
 
 from _oracles import coefficient_trace, method_spec, tail_variation

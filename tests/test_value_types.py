@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from ngdiff import (
+    FlatGradient,
     LabeledBatch,
     LrState,
     ParetoPoint,
     QuadPairProblem,
     config_from_dict,
     fit_quadratic,
-    flat_gradient,
     run_unlearning,
     split_forget_retain,
 )
@@ -44,7 +44,7 @@ def _values():
     quad, gauss = config_from_dict(QUAD_DOC), config_from_dict(GAUSS_DOC)
     fit = fit_quadratic(0.1, 1.0, 0.5, 0.7)
     return {
-        "FlatGradient": flat_gradient([0.5, -0.5]),
+        "FlatGradient": FlatGradient([0.5, -0.5]),
         "LabeledBatch": _batch(),
         "ForgetRetainSplit": split_forget_retain(_batch(), 1),
         "MethodSpec": quad.method,
@@ -92,7 +92,7 @@ def test_rebinding_a_field_raises(name):
             setattr(value, field, None)
 
 
-@pytest.mark.parametrize("name", [name for name in VALUES if name != "FlatGradient"])
+@pytest.mark.parametrize("name", list(VALUES))
 def test_pickled_copy_is_equal_and_frozen(name):
     # a record's final parameters are a plain array, which unpickles writable
     frozen = name != "RunRecord"

@@ -1,17 +1,17 @@
-"""Count the bytecode ops and Python calls per step of an unlearning loop.
+"""Count the bytecode ops and Python calls per step of the shipped quad config's loop.
 
 Run from anywhere inside the repository:
 
-    python3 tools/opcount.py [--config configs/gdiff_quad.json] [--steps 100]
+    python3 tools/opcount.py
 
-The config's loop runs in this process, with this checkout's ``src/`` first
-on the import path, once for ``steps`` and once for twice as many steps,
-under a ``sys.settrace`` tracer that counts every opcode executed and every
-Python frame entered.  The difference of the two counts, divided by
-``steps``, is the cost of one step with the run's setup and its record
-cancelled out; it prints as ``ops_per_step <n>`` and ``calls_per_step <n>``.
-Calls into C (numpy, builtins) are not frames and count only as the ops
-that make them.
+The loop of ``configs/gdiff_quad.json`` runs in this process, with this
+checkout's ``src/`` first on the import path, once for ``STEPS`` steps and
+once for twice as many, under a ``sys.settrace`` tracer that counts every
+opcode executed and every Python frame entered.  The difference of the two
+counts, divided by ``STEPS``, is the cost of one step with the run's setup
+and its record cancelled out; it prints as ``ops_per_step <n>`` and
+``calls_per_step <n>``.  Calls into C (numpy, builtins) are not frames and
+count only as the ops that make them.
 
 The counts are exact and the same on every run, unlike a time, so they show
 per-step Python creeping into a loop whose step takes microseconds, such as
@@ -21,7 +21,6 @@ on one Python version only.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -32,6 +31,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from ngdiff.engine import config_from_dict, run_unlearning  # noqa: E402
 
 DEFAULT_CONFIG = ROOT / "configs" / "gdiff_quad.json"
+STEPS = 100
 
 
 def traced_counts(doc: dict, steps: int) -> tuple[int, int]:
@@ -67,14 +67,8 @@ def per_step(doc: dict, steps: int) -> tuple[float, float]:
     return (ops_2 - ops_1) / steps, (calls_2 - calls_1) / steps
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--config", type=Path, default=DEFAULT_CONFIG)
-    parser.add_argument("--steps", type=int, default=100)
-    args = parser.parse_args(argv)
-    if args.steps < 1:
-        parser.error("--steps must be >= 1")
-    ops, calls = per_step(json.loads(args.config.read_text()), args.steps)
+def main() -> int:
+    ops, calls = per_step(json.loads(DEFAULT_CONFIG.read_text()), STEPS)
     print(f"ops_per_step {ops:.1f}")
     print(f"calls_per_step {calls:.1f}")
     return 0

@@ -7,10 +7,11 @@ import pytest
 
 import opcount
 
-# ops and calls per step of configs/gdiff_quad.json before the plain-array
-# parameter vectors; CPython 3.11 is the version CI runs
-OPS_BUDGET = 624
-CALLS_BUDGET = 18.1
+# ops and calls per step of configs/gdiff_quad.json as measured once the
+# parameter vectors became plain arrays (565 and 16), with a margin of two ops;
+# CPython 3.11 is the version CI runs
+OPS_BUDGET = 567
+CALLS_BUDGET = 16
 
 
 def test_steps_cancel_the_setup():
@@ -20,7 +21,7 @@ def test_steps_cancel_the_setup():
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="bytecode counts are those of CPython 3.11")
 def test_quad_step_stays_within_its_budget(capsys):
-    assert opcount.main([]) == 0
+    assert opcount.main() == 0
     out = dict(line.split() for line in capsys.readouterr().out.splitlines())
     assert float(out["ops_per_step"]) <= OPS_BUDGET
     assert float(out["calls_per_step"]) <= CALLS_BUDGET
