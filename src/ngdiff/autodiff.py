@@ -31,7 +31,7 @@ parameter or gradient vector is checked once, by its sum of squares
 entry makes it nan and an infinite one inf.  Only a non-finite sum, which
 huge finite entries also give when their squares overflow, is followed by
 the entry-wise test.  A ``FlatGradient`` keeps the sum's root as its
-``norm``, which ``combiners.combine`` and the trace's ``gnorm_*`` columns read.
+``norm``, which the combination rules and the trace's ``gnorm_*`` columns read.
 The floating-point operations and their order are fixed, so a run is
 reproducible bit for bit.  They are those of the plain numpy formulas
 (``tests/_oracles.py`` keeps them as the reference); the kernel only picks
@@ -91,6 +91,15 @@ def _adopt_vector(data: np.ndarray, what: str, sq=None) -> np.ndarray:
         raise NumericError(f"{what} entries must be finite")
     data.setflags(write=False)
     return data
+
+
+def _column(values):
+    """Per-row scalars ``values`` as an operand that broadcasts over the rows of a matrix.
+
+    It is a column, or for one row the scalar itself, which numpy
+    broadcasts at less cost; each entry's product is the same either way.
+    """
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
 def parameter_vector(values) -> np.ndarray:
@@ -262,24 +271,28 @@ class Graph:
         Returns each group's mean cross-entropy and caches what ``backward``
         needs.  Bindings that ``bind`` returned are not checked again.
         ``params`` is one parameter vector, an array of ``size`` entries, or
-        a sequence of them: a pass over several runs at once, which returns
-        each run's tuple of group losses, bit for bit those of its lone pass.
+        a sequence of them, such as the rows of a matrix: a pass over several
+        runs at once, which returns each run's tuple of group losses, bit for
+        bit those of its lone pass.
         """
-        lone = isinstance(params, np.ndarray)
-        if lone:
-            params = (params,)
-        for p in params:
-            if p.shape != (self.size,):  # slicing would take a longer vector
-                raise DimensionError(f"parameter vector of shape {p.shape}, the graph takes ({self.size},)")
+        lone = isinstance(params, np.ndarray) and params.ndim == 1
+        if isinstance(params, np.ndarray):
+            data = params[None] if lone else params
+        else:
+            for p in params:
+                if p.shape != (self.size,):
+                    raise DimensionError(f"parameter vector of shape {p.shape}, the graph takes ({self.size},)")
+            # one vector is viewed as a run axis of one, where np.array would copy it
+            data = params[0][None] if len(params) == 1 else np.array(params)
+        if data.ndim != 2 or data.shape[1] != self.size:  # slicing would take a longer vector
+            raise DimensionError(f"parameter vector of shape {data.shape[1:]}, the graph takes ({self.size},)")
         if bindings.get("widths") is not self.widths:
             bindings = self.bind(bindings)
         groups = bindings["groups"]
-        runs = len(params)
+        runs = len(data)
         # a run axis in front: (1, groups, n, d) @ (runs, 1, d, k) is one GEMM per run and group
         h = bindings["features"].reshape(1, groups, -1, self.widths[0])
         n = h.shape[2]
-        # one vector is viewed as a run axis of one, where np.stack would copy it
-        data = params[0][None] if runs == 1 else np.stack(params)
         weights, acts = [], [h]
         last = len(self._layers)
         # finiteness is checked once per layer, so numpy's own warnings are noise

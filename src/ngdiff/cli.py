@@ -258,8 +258,7 @@ def _chunks(cfgs: list, jobs: int) -> list:
     """
     groups = {}
     for k, cfg in enumerate(cfgs):
-        key = engine.lockstep_key(cfg)
-        groups.setdefault(k if key is None else key, []).append(k)
+        groups.setdefault(engine.lockstep_key(cfg), []).append(k)
     chunks = []
     for group in groups.values():
         count = min(jobs, len(group))

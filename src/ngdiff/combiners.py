@@ -9,6 +9,13 @@ unit gradients ``g_retain/|g_retain| - g_forget/|g_forget|``.  That vector
 is a positive multiple (factor ``1/|g_retain| + 1/|g_forget|``) of the
 coefficient form with ``c_t = (1/|g_retain|) / (1/|g_retain| + 1/|g_forget|)``,
 so the scale difference is absorbed by the learning rate.
+
+A rule (``coefficient``) is taken per run, from that run's gradients, and
+the two direction formulas (``directions``) are broadcast operations over
+the gradient matrices of a lockstep group, one row per run.  Every entry of
+a row is one elementwise operation on the same operands as a lone run's, so
+each row is bit for bit the direction of its lone run.  ``combine`` applies
+both to one pair of gradients.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import FlatGradient, _adopt_vector
+from .autodiff import FlatGradient, _adopt_vector, _column
 
 GD = "gd"
 GA = "ga"
@@ -38,10 +45,7 @@ NORM_FLOOR = 1e-12
 
 
 class CombinerOutput(NamedTuple):
-    """Combined direction plus the diagnostics the loop records.
-
-    A named tuple, because the loop builds one per step.
-    """
+    """Combined direction plus the diagnostics the loop records."""
 
     direction: FlatGradient
     coefficient: float
@@ -49,12 +53,100 @@ class CombinerOutput(NamedTuple):
     clamped: bool = False
 
 
-def _clamp01(c: float) -> tuple[float, bool]:
+def _clamp01(c: float) -> tuple[float, bool, bool]:
+    """``(c clipped to [0, 1], not degenerate, whether it was clipped)``."""
     if c < 0.0:
-        return 0.0, True
+        return 0.0, False, True
     if c > 1.0:
-        return 1.0, True
-    return c, False
+        return 1.0, False, True
+    return c, False, False
+
+
+def coefficient(spec, g_r, g_f, norm_r: float, norm_f: float, losses=None, step: int = 0, seed: int = 0):
+    """The rule ``spec.kind`` at one step: ``(coefficient, degenerate, clamped)``.
+
+    ``g_r`` and ``g_f`` are the two task gradients as flat arrays, and
+    ``norm_r`` and ``norm_f`` their norms.  ``spec`` is a config's
+    ``engine.MethodSpec``, whose field table checks the knobs: ``c`` is the
+    static weight for ``gdiff`` and the asymptotic weight for
+    ``scheduled_gdiff``, where ``c_t = c + amplitude * decay**t``, clipped to
+    [0, 1].  ``losses`` is the (retain, forget) pair of current loss values
+    that ``lossnorm`` requires, both finite and strictly positive.  ``step``
+    indexes the RLW draw stream and the scheduled coefficient; all
+    randomness is keyed by ``(seed, step)`` so runs are reproducible and
+    concurrent runs share no state.  NGDiff's coefficient is that of its
+    coefficient form, nan when a gradient is degenerate; its direction is
+    the unit form (``directions``).
+    """
+    kind = spec.kind
+    if kind == GDIFF:
+        return spec.c, False, False
+    if kind == NGDIFF:
+        if norm_r < NORM_FLOOR or norm_f < NORM_FLOOR:
+            return math.nan, True, False
+        inv_r, inv_f = 1.0 / norm_r, 1.0 / norm_f
+        return inv_r / (inv_r + inv_f), False, False
+    if kind == GD:
+        return 1.0, False, False
+    if kind == GA:
+        return 0.0, False, False
+    if kind == SCHEDULED_GDIFF:
+        return _clamp01(spec.c + spec.amplitude * spec.decay**step)
+    if kind == LOSSNORM:
+        if losses is None:
+            raise ValueError("lossnorm requires current loss values")
+        loss_r, loss_f = losses
+        if not (0.0 < loss_r < math.inf and 0.0 < loss_f < math.inf):
+            raise ValueError("lossnorm requires finite, strictly positive losses")
+        return loss_f / (loss_f + loss_r), False, False
+    if kind == RLW:
+        lam = np.random.default_rng([seed, step]).standard_normal(2)
+        return 1.0 / (1.0 + math.exp(lam[1] - lam[0])), False, False
+    if kind == PCGRAD:
+        # ratio c/(1-c) = 1 + g_f.g_r / |g_r|^2
+        if norm_r < NORM_FLOOR:
+            return 0.5, True, False
+        ratio = 1.0 + float(g_f @ g_r) / (norm_r * norm_r)
+        return _clamp01(ratio / (1.0 + ratio)) if ratio != -1.0 else (1.0, False, True)
+    if kind == IMTLG:
+        if norm_r < NORM_FLOOR or norm_f < NORM_FLOOR:
+            return 0.5, True, False
+        u = g_f / norm_f - g_r / norm_r
+        denom = float((g_f - g_r) @ u)
+        if abs(denom) < NORM_FLOOR:
+            return 0.5, True, False
+        return _clamp01(float(g_f @ u) / denom)
+    raise ValueError(f"unknown combiner kind {kind!r}")
+
+
+def directions(coefficients, g_r: np.ndarray, g_f: np.ndarray, norms_r, norms_f, normalized=None) -> np.ndarray:
+    """The combined direction of each row of the gradient matrices ``g_r`` and ``g_f``.
+
+    A row takes the coefficient form ``c*g_r - (1-c)*g_f`` with its entry of
+    ``coefficients``, or, where ``normalized`` (a bool per row, None for
+    none) is true, NGDiff's ``g_r/|g_r| - g_f/|g_f|`` with its entries of
+    ``norms_r`` and ``norms_f``, a term whose norm is below ``NORM_FLOOR``
+    being zero.  The result is a fresh matrix; a row of non-finite entries
+    is the caller's to refuse.
+    """
+    if normalized is None:
+        c = _column(coefficients)
+        return c * g_r - (1.0 - c) * g_f
+    unit = _units(g_r, norms_r) - _units(g_f, norms_f)
+    if all(normalized):
+        return unit
+    c = _column(coefficients)
+    return np.where(np.array(normalized)[:, None], unit, c * g_r - (1.0 - c) * g_f)
+
+
+def _units(g: np.ndarray, norms) -> np.ndarray:
+    """Each row of ``g`` over its norm; a row whose norm is below ``NORM_FLOOR`` is zero."""
+    if min(norms) >= NORM_FLOOR:
+        return g / _column(norms)
+    small = [norm < NORM_FLOOR for norm in norms]
+    unit = g / np.array([1.0 if s else norm for s, norm in zip(small, norms)])[:, None]
+    unit[small] = 0.0
+    return unit
 
 
 def combine(
@@ -65,81 +157,14 @@ def combine(
     step: int = 0,
     seed: int = 0,
 ) -> CombinerOutput:
-    """Apply the rule ``spec.kind`` to one pair of per-task gradients.
-
-    ``spec`` is a config's ``engine.MethodSpec``, whose field table checks the
-    knobs: ``c`` is the static weight for ``gdiff`` and the asymptotic weight
-    for ``scheduled_gdiff``, where ``c_t = c + amplitude * decay**t``,
-    clipped to [0, 1].  ``losses`` is the (retain, forget) pair of current
-    loss values that ``lossnorm`` requires, both finite and strictly
-    positive.  ``step`` indexes the RLW draw stream and the scheduled
-    coefficient; all randomness is keyed by ``(seed, step)`` so runs are
-    reproducible and concurrent runs share no state.
-    """
-    nr = g_r.norm
-    nf = g_f.norm
-    degenerate = False
-    clamped = False
-    kind = spec.kind
-
-    if kind == NGDIFF:
-        unit_r = g_r.data / nr if nr >= NORM_FLOOR else np.zeros_like(g_r.data)
-        unit_f = g_f.data / nf if nf >= NORM_FLOOR else np.zeros_like(g_f.data)
-        degenerate = nr < NORM_FLOOR or nf < NORM_FLOOR
-        direction = unit_r - unit_f
-        if degenerate:
-            coefficient = math.nan
-        else:
-            inv_r, inv_f = 1.0 / nr, 1.0 / nf
-            coefficient = inv_r / (inv_r + inv_f)
-    else:
-        if kind == GD:
-            c = 1.0
-        elif kind == GA:
-            c = 0.0
-        elif kind == GDIFF:
-            c = spec.c
-        elif kind == SCHEDULED_GDIFF:
-            c, clamped = _clamp01(spec.c + spec.amplitude * spec.decay**step)
-        elif kind == LOSSNORM:
-            if losses is None:
-                raise ValueError("lossnorm requires current loss values")
-            loss_r, loss_f = losses
-            if not (0.0 < loss_r < math.inf and 0.0 < loss_f < math.inf):
-                raise ValueError("lossnorm requires finite, strictly positive losses")
-            c = loss_f / (loss_f + loss_r)
-        elif kind == RLW:
-            lam = np.random.default_rng([seed, step]).standard_normal(2)
-            c = 1.0 / (1.0 + math.exp(lam[1] - lam[0]))
-        elif kind == PCGRAD:
-            # ratio c/(1-c) = 1 + g_f.g_r / |g_r|^2
-            if nr < NORM_FLOOR:
-                degenerate = True
-                c = 0.5
-            else:
-                ratio = 1.0 + float(g_f.data @ g_r.data) / (nr * nr)
-                c, clamped = _clamp01(ratio / (1.0 + ratio)) if ratio != -1.0 else (1.0, True)
-        elif kind == IMTLG:
-            if nr < NORM_FLOOR or nf < NORM_FLOOR:
-                degenerate = True
-                c = 0.5
-            else:
-                u = g_f.data / nf - g_r.data / nr
-                denom = float((g_f.data - g_r.data) @ u)
-                if abs(denom) < NORM_FLOOR:
-                    degenerate = True
-                    c = 0.5
-                else:
-                    c, clamped = _clamp01(float(g_f.data @ u) / denom)
-        else:
-            raise ValueError(f"unknown combiner kind {kind!r}")
-        coefficient = c
-        direction = c * g_r.data - (1.0 - c) * g_f.data
-
+    """Apply the rule ``spec.kind`` to one pair of per-task gradients (see ``coefficient``)."""
+    c, degenerate, clamped = coefficient(spec, g_r.data, g_f.data, g_r.norm, g_f.norm, losses, step, seed)
+    normalized = [True] if spec.kind == NGDIFF else None
+    (direction,) = directions([c], g_r.data[None], g_f.data[None], [g_r.norm], [g_f.norm], normalized)
     sq = direction.dot(direction)
     return CombinerOutput(
         direction=tuple.__new__(FlatGradient, (_adopt_vector(direction, "gradient", sq), math.sqrt(sq))),
-        coefficient=coefficient,
+        coefficient=c,
         degenerate=degenerate,
         clamped=clamped,
     )

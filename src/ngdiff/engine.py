@@ -12,16 +12,23 @@ step size from retain probes, and applies ``theta <- theta - eta * g``.  The
 result is a :class:`RunRecord` with one row per step, exact pass counters,
 and final metrics; identical configs reproduce records bit for bit.
 
-The loop advances a lockstep group of runs: classification runs that share
-a start, their minibatches, their evaluation cadence, their step count and
-whether they are NPO runs (:func:`lockstep_key`), as the values of a sweep
-do.  Each step draws the minibatches once and makes one kernel pass for
-every run still going, with a run axis in front of the parameters; each
-evaluation is one pass per side of the split.  The combination, the step
-size (whose probes are lone passes), the trace row and the update stay per
-run, so every run's record is bit for bit its lone run's.  A run that meets
-a non-finite value reruns that step as lone passes, aborts with the lone
-run's step and message, and leaves the group.  A lone run is a group of one.
+The loop advances a lockstep group of runs (:func:`lockstep_key`), as the
+values of a sweep do: classification runs that share a start, their
+minibatches, their evaluation cadence, their step count and whether they
+are NPO runs, or quad runs that share their pair and step count.  The
+runs' parameters are the rows of one read-only matrix.  Each step takes
+every run's gradients at once: one kernel pass over the step's minibatches
+with a run axis in front of the parameters, or one ``theta - a`` and one
+``theta - b`` over the matrix.  Each run then applies its own coefficient
+rule, to its own sums of squares and dot products; one broadcast direction
+formula serves the group's rows; each run picks its step size (whose
+probes are lone passes) and appends its trace row; and one update
+``theta - eta * d`` serves the whole matrix.  Each evaluation is one pass
+per side of the split.  Every elementwise operation has the operands of a
+lone run's, so every run's record is bit for bit its lone run's.  A run
+that meets a non-finite value (a classification run reruns that step as
+lone passes to find it) aborts with the lone run's step and message, and
+leaves the group while the others step on.  A lone run is a group of one.
 Artifacts are written whole or not at all (:func:`write_file`).
 """
 
@@ -46,6 +53,7 @@ from .autodiff import (
     Graph,
     NumericError,
     _adopt_vector,
+    _column,
     axpy_update,
     forward,
     parameter_vector,
@@ -58,7 +66,6 @@ from .bench import (
     mlp_factory,
     split_forget_retain,
 )
-from .combiners import combine
 from .objectives import FORGET_KINDS, UNBOUNDED_QUADRATIC, NpoLoss, QuadPairProblem
 from .scheduler import LrState, maybe_update, step_size
 
@@ -593,21 +600,42 @@ class _BatchStream:
 
 
 def lockstep_key(cfg: RunConfig):
-    """What the runs of one lockstep group share; None for a run that steps alone.
+    """What the runs of one lockstep group share.
 
     A classification group shares its start (``seeds.data``, ``seeds.init``
     and ``problem``), its minibatches (``seeds.method`` and ``batch_size``),
     its evaluation cadence, its step count and whether its runs are NPO
-    runs, whose step differentiates another loss.  A quad run has no kernel
-    pass to share, and batching its 2-vector products would change their
-    bits (BLAS ``ddot`` rounds one as ``fma(x1, y1, x0*y0)``), so it steps
-    alone.
+    runs, whose step differentiates another loss.  A quad group shares its
+    pair (``problem.a``, ``problem.b`` and ``problem.forget_kind``) and its
+    step count; its runs' starts (``problem.theta0``), methods and step
+    sizes may differ.
     """
-    if cfg.problem.kind == QUAD_PAIR:
-        return None
+    p = cfg.problem
+    if p.kind == QUAD_PAIR:
+        return (QUAD_PAIR, p.a, p.b, p.forget_kind, cfg.steps)
     s = cfg.seeds
-    return (s.data, s.init, cfg.problem, s.method, cfg.batch_size, cfg.eval_every, cfg.steps,
+    return (s.data, s.init, p, s.method, cfg.batch_size, cfg.eval_every, cfg.steps,
             cfg.method.kind == NPO)
+
+
+def _stacked(vectors) -> np.ndarray:
+    """The flat ``vectors`` as the rows of one read-only matrix; one vector is viewed, not copied."""
+    if len(vectors) == 1:
+        return vectors[0][None]
+    rows = np.array(vectors)  # a copy, as np.stack makes, without its Python-level checks
+    rows.flags.writeable = False
+    return rows
+
+
+def _nonfinite_rows(rows: np.ndarray):
+    """The indices of the rows of ``rows`` that hold a non-finite entry; empty when none does."""
+    # a finite sum of squares proves every entry finite (a nan entry makes it
+    # nan, an infinite one inf); only a non-finite one, which huge finite
+    # entries also give, is followed by the entry-wise test
+    flat = rows.ravel()
+    if math.isfinite(flat.dot(flat)):
+        return ()
+    return {i for i, row in enumerate(rows) if not np.isfinite(row).all()}
 
 
 def _rows(batch: LabeledBatch) -> dict:
@@ -631,10 +659,12 @@ def _caught(fn, *args):
 class _QuadTask:
     """Analytic quadratic-pair task: full-batch closed-form losses/gradients.
 
-    The problem returns each gradient as a fresh array with its sum of
-    squares, so it is adopted into a ``FlatGradient`` without a copy or a
-    second pass.  Its vectors have the problem's ``dim`` entries, which the
-    problem checks.  Its runs step alone (``lockstep_key``).
+    The runs of a group share the pair and step from their own starts.  One
+    step computes every run's ``theta - a`` and ``theta - b`` at once, as
+    matrices with one row per run, and each row's sum of squares (one
+    ``ddot`` per row), which proves the row finite as ``_adopt_vector`` does
+    and gives its norm.  The vectors have the problem's ``dim`` entries,
+    which the config checks.
     """
 
     has_accuracy = False
@@ -644,28 +674,37 @@ class _QuadTask:
         self.problem = QuadPairProblem(
             np.array(prob.a), np.array(prob.b), prob.forget_kind
         )
-        theta0 = np.array(prob.theta0 if prob.theta0 is not None else prob.b, dtype=float)
-        self.initial_params = parameter_vector(theta0)
 
-    def loss_grads(self, params):
-        loss_r, g_r, sq_r = self.problem.retain_loss_grad(params)
-        loss_f, g_f, sq_f = self.problem.forget_loss_grad(params)
-        return [
-            (loss_r, tuple.__new__(FlatGradient, (_adopt_vector(g_r, "gradient", sq_r), math.sqrt(sq_r)))),
-            (loss_f, tuple.__new__(FlatGradient, (_adopt_vector(g_f, "gradient", sq_f), math.sqrt(sq_f)))),
-        ]
+    def initial_params(self, cfg: RunConfig) -> np.ndarray:
+        theta0 = cfg.problem.theta0
+        return parameter_vector(theta0 if theta0 is not None else cfg.problem.b)
 
-    def step(self, runs):
-        (run,) = runs
-        return [self.loss_grads(run.params)]
+    def step(self, runs, theta) -> tuple:
+        """``(outs, g_r, g_f)``: each run's ``(loss_retain, loss_forget, norm_retain,
+        norm_forget)`` or the error it met, and the gradient matrices."""
+        loss_r, g_r, sq_r = self.problem.retain_loss_grads(theta)
+        loss_f, g_f, sq_f = self.problem.forget_loss_grads(theta)
+        outs = []
+        for i, (lr, sr, lf, sf) in enumerate(zip(loss_r, sq_r, loss_f, sq_f)):
+            try:
+                # both sums are >= 0, so finite when both are, and then so are both losses
+                if not math.isfinite(sr + sf):
+                    _adopt_vector(g_r[i], "gradient", sr)
+                    _adopt_vector(g_f[i], "gradient", sf)
+                    if not (math.isfinite(lr) and math.isfinite(lf)):
+                        raise NumericError("task loss is non-finite")
+                outs.append((lr, lf, math.sqrt(sr), math.sqrt(sf)))
+            except NumericError as exc:
+                outs.append(exc)
+        return outs, g_r, g_f
 
     def probe_loss(self, params) -> float:
         return self.problem.retain_loss(params)
 
-    def evaluate(self, runs) -> list:
+    def evaluate(self, theta) -> list:
         return [
             EvalResult(self.problem.retain_loss(p), self.problem.forget_loss(p), math.nan, math.nan)
-            for p in (run.params for run in runs)
+            for p in theta
         ]
 
 
@@ -680,7 +719,7 @@ class _ClassificationTask:
     has_accuracy = True
 
     def __init__(self, cfgs, start: NoUnlearn):
-        self.split, self.graph, self.initial_params = start
+        self.split, self.graph, self._start = start
         cfg = cfgs[0]
         self._retain_stream = _BatchStream(
             self.split.retain.n, cfg.batch_size, [cfg.seeds.method, 0]
@@ -694,8 +733,11 @@ class _ClassificationTask:
         self._npo_ref: np.ndarray | None = None
         if cfg.method.kind == NPO:
             # frozen model: reference log-probs precomputed once per sample, for every run
-            reference = NpoLoss(self.graph, cfg.method.beta, self.initial_params)
+            reference = NpoLoss(self.graph, cfg.method.beta, self._start)
             self._npo_ref = reference.reference_logprobs(self.split.forget)
+
+    def initial_params(self, cfg: RunConfig) -> np.ndarray:
+        return self._start
 
     def _passes(self, batches) -> list:
         """The bound passes over ``batches``: one stacked pass when they have one size."""
@@ -703,14 +745,17 @@ class _ClassificationTask:
             return [self.graph.bind(stack(batches))]
         return [self.graph.bind(_rows(b)) for b in batches]
 
-    def step(self, runs) -> list:
-        """Each run's step results, from one kernel pass over every run.
+    def step(self, runs, theta) -> tuple:
+        """``(outs, g_r, g_f)`` of one step, from one kernel pass over every run.
 
-        A combiner run gets its retain and forget (loss, gradient) pairs; an
-        NPO run its loss, its gradient and the retain and forget minibatches'
-        cross-entropy.  When a pass meets a non-finite value, each run reruns
-        the step as its lone passes, and the error those raise first comes
-        back in the run's place.
+        ``outs`` holds each run's ``(loss_retain, loss_forget, norm_retain,
+        norm_forget)``; ``g_r`` and ``g_f`` are the retain and forget
+        gradients, one row per run.  An NPO run's losses are the retain and
+        forget minibatches' cross-entropy, its norms nan, and its NPO gradient
+        is its row of ``g_r``, ``g_f`` being None.  When a pass meets a
+        non-finite value, each run reruns the step as its lone passes, and
+        the error those raise first comes back in the run's place (its
+        gradient rows are zero).
         """
         self._probe_rows = None
         if self._npo_ref is not None:
@@ -724,38 +769,52 @@ class _ClassificationTask:
             forget = self.split.forget.take(self._forget_stream.next())
             shared, lone, args = self._step, self._lone, ((retain, forget),)
         try:
-            return shared(runs, *args)
+            results = shared(runs, theta, *args)
         except NumericError:
-            return [_caught(lone, run, *args) for run in runs]
+            results = [_caught(lone, run, params, *args) for run, params in zip(runs, theta)]
+        outs, rows_r, rows_f = [], [], []
+        for result in results:
+            if isinstance(result, Exception):
+                outs.append(result)
+                rows_r.append(np.zeros(self.graph.size))
+                rows_f.append(rows_r[-1])
+            elif self._npo_ref is not None:
+                _, g, loss_retain, loss_forget = result
+                outs.append((loss_retain, loss_forget, math.nan, math.nan))
+                rows_r.append(g.data)
+            else:
+                (loss_retain, g_r), (loss_forget, g_f) = result
+                outs.append((loss_retain, loss_forget, g_r.norm, g_f.norm))
+                rows_r.append(g_r.data)
+                rows_f.append(g_f.data)
+        return outs, _stacked(rows_r), _stacked(rows_f) if self._npo_ref is None else None
 
-    def _step(self, runs, batches) -> list:
-        params = [run.params for run in runs]
+    def _step(self, runs, theta, batches) -> list:
         pairs = [[] for _ in runs]
         for bindings in self._passes(batches):
-            losses = self.graph.run(params, bindings)
+            losses = self.graph.run(theta, bindings)
             for out, run_losses, grads in zip(pairs, losses, self.graph.backward()):
                 out += zip(run_losses, grads)
         return pairs
 
-    def _lone(self, run, batches) -> list:
+    def _lone(self, run, params, batches) -> list:
         # retain first, so an error is the one the lone passes raise first
-        return [(forward(self.graph, run.params, b), self.graph.backward()[0]) for b in batches]
+        return [(forward(self.graph, params, b), self.graph.backward()[0]) for b in batches]
 
-    def _npo_step(self, runs, forget, retain, ref) -> list:
-        params = [run.params for run in runs]
+    def _npo_step(self, runs, theta, forget, retain, ref) -> list:
         passes = self._passes((forget, retain))
-        cross = self.graph.run(params, passes[0])
+        cross = self.graph.run(theta, passes[0])
         values = [run.npo.score(lp[: forget.n], ref) for run, lp in zip(runs, self.graph.lp)]
         dlp = np.array([run.npo.upstream() for run in runs])
         grads = self.graph.backward(dlp, 1)
         if len(passes) > 1:
-            cross = [f + r for f, r in zip(cross, self.graph.run(params, passes[1]))]
+            cross = [f + r for f, r in zip(cross, self.graph.run(theta, passes[1]))]
         return [(v, g, c[1], c[0]) for v, (g,), c in zip(values, grads, cross)]
 
-    def _npo_lone(self, run, forget, retain, ref):
+    def _npo_lone(self, run, params, forget, retain, ref):
         # the forget minibatch's loss and gradient first, then the retain pass
-        value, grad = run.npo.loss_and_grad(run.params, forget, ref)
-        return value, grad, forward(self.graph, run.params, retain), run.npo.cross_entropy
+        value, grad = run.npo.loss_and_grad(params, forget, ref)
+        return value, grad, forward(self.graph, params, retain), run.npo.cross_entropy
 
     def probe_loss(self, params) -> float:
         # probes reuse the retain minibatch of the step's gradients, bound once per step
@@ -763,24 +822,23 @@ class _ClassificationTask:
             self._probe_rows = self.graph.bind(_rows(self._retain_batch))
         return self.graph.run(params, self._probe_rows)[0]
 
-    def evaluate(self, runs) -> list:
-        """Each run's metrics, from one pass per side of the split over every run.
+    def evaluate(self, theta) -> list:
+        """Each run's metrics, from one pass per side of the split over every row of ``theta``.
 
         When a pass meets a non-finite value, each run is evaluated alone,
         and its error comes back in its place.
         """
-        params = [run.params for run in runs]
         try:
-            return evaluate(self.graph, params, self.split, self._bound_split)
+            return evaluate(self.graph, theta, self.split, self._bound_split)
         except NumericError:
-            return [_caught(_evaluate_one, self.graph, p, self.split, self._bound_split) for p in params]
+            return [_caught(_evaluate_one, self.graph, p, self.split, self._bound_split) for p in theta]
 
 
 def evaluate(graph: Graph, params, split: ForgetRetainSplit, bound=None) -> list:
     """Mean losses and argmax accuracies on both sides of a split.
 
-    ``params`` is a sequence of vectors, evaluated in one pass per side and
-    given one result each.  ``bound`` is ``bind_split(graph, split)`` when
+    ``params`` is a sequence of vectors, such as the rows of a matrix,
+    evaluated in one pass per side and given one result each.  ``bound`` is ``bind_split(graph, split)`` when
     the split is bound once for many evaluations.
     """
     sides = []
@@ -850,66 +908,72 @@ def no_unlearn(cfg: RunConfig) -> NoUnlearn:
 
 
 class _Run:
-    """One config in the unlearning loop: its parameters, step size, trace and outcome."""
+    """One config in the unlearning loop: its step size, trace and outcome.
 
-    __slots__ = ("cfg", "probes", "params", "lr_state", "rows", "acc", "npo", "outcome", "_task",
-                 "_auto", "_needs_losses")
+    Its parameters are its row of the loop's parameter matrix.
+    """
+
+    __slots__ = ("cfg", "probes", "lr_state", "rows", "acc", "npo", "outcome", "_task", "_auto",
+                 "_needs_losses", "_method", "_seed", "_head")
 
     def __init__(self, cfg: RunConfig, task):
         self.cfg = cfg
         self.probes = 0  # gradient-free probe passes
-        self.params = task.initial_params
         self.lr_state = LrState(cfg.lr.eta)
         self.rows: list[StepRow] = []
         self.acc = (math.nan, math.nan)  # the latest evaluation's retain and forget accuracy
-        self.npo = NpoLoss(task.graph, cfg.method.beta, self.params) if cfg.method.kind == NPO else None
+        self.npo = (
+            NpoLoss(task.graph, cfg.method.beta, task.initial_params(cfg)) if cfg.method.kind == NPO else None
+        )
         self.outcome = None  # the exception that ended the run, else its record
         self._task = task
         self._auto = cfg.lr.mode == "auto"
         self._needs_losses = cfg.method.kind == combiners.LOSSNORM
+        self._method, self._seed = cfg.method, cfg.seeds.method  # what the rule reads
+        self._head = None  # the step's trace row up to its step size, which advance completes
 
     def probe_loss(self, params) -> float:
         self.probes += 1
         return self._task.probe_loss(params)
 
-    def step(self, step: int, out, evaluated) -> None:
-        """Take step ``step`` from the task's results ``out`` and ``evaluated``,
-        the task's evaluation of the current parameters on an evaluation step
-        (else None).
+    def rule(self, step: int, out, g_r, g_f) -> float:
+        """The coefficient of the run's combination rule at ``step``.
 
-        Each may be the error the run met instead, raised in the loop's
-        order: the gradients, the combination and step size, the evaluation,
-        then the update.
+        ``out`` is the task's ``(loss_retain, loss_forget, norm_retain,
+        norm_forget)`` for the run, or the error the run met instead, and
+        ``g_r`` and ``g_f`` are its gradient rows.  An NPO run has no rule:
+        its coefficient, norms and cosine are nan.
         """
         if isinstance(out, Exception):
             raise out
-        cfg = self.cfg
+        loss_retain, loss_forget, gnorm_r, gnorm_f = out
         if self.npo is not None:
-            _, direction, loss_retain, loss_forget = out
-            coeff = gnorm_r = gnorm_f = cos_rf = math.nan
-        else:
-            (loss_retain, g_r), (loss_forget, g_f) = out
-            if not (math.isfinite(loss_retain) and math.isfinite(loss_forget)):
-                raise NumericError("task loss is non-finite")
-            # cross-entropy on a saturated minibatch can round to exactly 0;
-            # the loss-normalization weights need a strictly positive floor
-            losses = (
-                (max(loss_retain, 1e-12), max(loss_forget, 1e-12)) if self._needs_losses else None
-            )
-            out = combine(cfg.method, g_r, g_f, losses, step, cfg.seeds.method)
-            direction = out.direction
-            coeff = out.coefficient
-            gnorm_r, gnorm_f = g_r.norm, g_f.norm
-            cos_rf = (
-                float(g_r.data.dot(g_f.data)) / (gnorm_r * gnorm_f)
-                if gnorm_r > 0 and gnorm_f > 0
-                else math.nan
-            )
+            self._head = (loss_retain, loss_forget, math.nan, gnorm_r, gnorm_f, math.nan)
+            return math.nan
+        # cross-entropy on a saturated minibatch can round to exactly 0;
+        # the loss-normalization weights need a strictly positive floor
+        losses = (max(loss_retain, 1e-12), max(loss_forget, 1e-12)) if self._needs_losses else None
+        coeff = combiners.coefficient(self._method, g_r, g_f, gnorm_r, gnorm_f, losses, step, self._seed)[0]
+        cos_rf = float(g_r.dot(g_f)) / (gnorm_r * gnorm_f) if gnorm_r > 0 and gnorm_f > 0 else math.nan
+        self._head = (loss_retain, loss_forget, coeff, gnorm_r, gnorm_f, cos_rf)
+        return coeff
+
+    def advance(self, step: int, params, direction, evaluated) -> float:
+        """The step size of step ``step`` along the run's ``direction`` row from
+        ``params``, with the step's trace row.
+
+        ``evaluated`` is the task's evaluation of ``params`` on an evaluation
+        step (else None), or the error the run met instead, raised after the
+        step size, in the loop's order.
+        """
+        loss_retain, loss_forget, coeff, gnorm_r, gnorm_f, cos_rf = self._head
+        cfg = self.cfg
         lr_state = self.lr_state
         guard_before = lr_state.guard_trips
         if self._auto:
+            direction = tuple.__new__(FlatGradient, (direction, math.sqrt(direction.dot(direction))))
             lr_state = self.lr_state = maybe_update(
-                lr_state, step, cfg.lr, self.probe_loss, self.params, direction, loss_retain
+                lr_state, step, cfg.lr, self.probe_loss, params, direction, loss_retain
             )
         eta = step_size(lr_state, cfg.lr)
         if evaluated is not None:
@@ -923,16 +987,17 @@ class _Run:
                 gnorm_r, gnorm_f, cos_rf, lr_state.guard_trips - guard_before,
             )
         )
-        self.params = axpy_update(self.params, direction, eta)
+        if not math.isfinite(eta):
+            raise NumericError("step size must be finite")
+        return eta
 
-    def end(self, step: int, exc: Exception) -> None:
-        """End the run with ``exc``, met at ``step``: a numeric error as a ``NumericAbort``."""
-        self.outcome = NumericAbort(step, str(exc), self.params) if isinstance(exc, NumericError) else exc
+    def end(self, step: int, exc: Exception, params) -> None:
+        """End the run with ``exc``, met at ``step`` from ``params``: a numeric error as a ``NumericAbort``."""
+        self.outcome = NumericAbort(step, str(exc), params) if isinstance(exc, NumericError) else exc
 
-    def finish(self, final) -> None:
+    def finish(self, final, params) -> None:
         if isinstance(final, Exception):
             raise final
-        params = self.params
         # each step makes a forward and a backward pass per task: retain and
         # forget, or the NPO loss's forget side alone
         passes = len(self.rows) * (1 if self.npo is not None else 2)
@@ -949,24 +1014,39 @@ class _Run:
         )
 
 
+def _normalized(runs):
+    """Which rows take NGDiff's unit form, or None when none does."""
+    rows = [run.cfg.method.kind == combiners.NGDIFF for run in runs]
+    return rows if any(rows) else None
+
+
+def _norms(outs) -> tuple:
+    """The retain and forget gradient norms of each run's step result; a failed run's read 1."""
+    return tuple(zip(*[(1.0, 1.0) if isinstance(out, Exception) else out[2:] for out in outs]))
+
+
 def run_unlearning(cfg, start: NoUnlearn | None = None):
     """Execute unlearning runs and return their complete records.
 
     ``cfg`` is one config, whose record is returned and whose abort raises
     its ``NumericAbort``; or a sequence of configs with one
-    ``lockstep_key``, which step in lockstep, each step one kernel pass for
-    every run still going, with one outcome returned per config, in order:
-    its record, or the exception that ended it (a ``NumericAbort`` on a
-    numeric abort).  Every run's record is bit for bit its lone run's.
-    ``start`` is the ``no_unlearn`` of a classification run when it was
-    made elsewhere (a sweep shares one across its values); by default it is
-    made here, deterministically in the config seeds.  Quad runs start from
-    their configured point and ignore it.
+    ``lockstep_key``, which step in lockstep, with one outcome returned per
+    config, in order: its record, or the exception that ended it (a
+    ``NumericAbort`` on a numeric abort).  A lone run is a group of one.
+    The runs' parameters are the rows of one read-only matrix.  Each step
+    takes every run's gradients at once, each run's coefficient rule, one
+    broadcast direction formula over the group's gradient rows, each run's
+    step size and trace row, and one update of the whole matrix; a run that
+    fails leaves the group and the others step on.  Every run's record is
+    bit for bit its lone run's.  ``start`` is the ``no_unlearn`` of a
+    classification run when it was made elsewhere (a sweep shares one
+    across its values); by default it is made here, deterministically in
+    the config seeds.  Quad runs start from their configured point and
+    ignore it.
     """
     lone = isinstance(cfg, RunConfig)
     cfgs = [cfg] if lone else list(cfg)
-    keys = {lockstep_key(c) for c in cfgs}
-    if len(cfgs) != 1 and (len(keys) != 1 or None in keys):
+    if len({lockstep_key(c) for c in cfgs}) != 1:
         raise ValueError("runs in lockstep need one lockstep_key, and at least one run")
     first = cfgs[0]
     if first.problem.kind == QUAD_PAIR:
@@ -975,6 +1055,8 @@ def run_unlearning(cfg, start: NoUnlearn | None = None):
         task = _ClassificationTask(cfgs, start if start is not None else no_unlearn(first))
     runs = [_Run(c, task) for c in cfgs]
     live = runs
+    theta = _stacked([task.initial_params(c) for c in cfgs])  # one row of parameters per live run
+    normalized = _normalized(runs)
     unevaluated = [None] * len(runs)  # a step's evaluations when it has none
     every = first.eval_every if task.has_accuracy else 0
 
@@ -983,29 +1065,67 @@ def run_unlearning(cfg, start: NoUnlearn | None = None):
     with np.errstate(all="ignore"):
         for step in range(first.steps):
             try:
-                outs = task.step(live)
+                outs, g_r, g_f = task.step(live, theta)
             except Exception as exc:  # a shared failure ends every run still going
-                outs = [exc] * len(live)
+                for run, params in zip(live, theta):
+                    run.end(step, exc, params)
+                break
             evals = unevaluated
             if every and step % every == 0:
-                evals = task.evaluate(live)
+                evals = task.evaluate(theta)
             ended = False
-            for run, out, evaluated in zip(live, outs, evals):
+            # each run's rule, then one direction formula over the group's rows;
+            # an NPO step's one gradient is its direction
+            coeffs = []
+            for run, out, params, row_r, row_f in zip(live, outs, theta, g_r, g_r if g_f is None else g_f):
                 try:
-                    run.step(step, out, evaluated)
+                    coeffs.append(run.rule(step, out, row_r, row_f))
                 except Exception as exc:  # one run's failure must not end the others
-                    run.end(step, exc)
+                    run.end(step, exc, params)
+                    coeffs.append(0.0)
                     ended = True
+            if g_f is None:
+                directions = g_r
+            else:
+                norms = _norms(outs) if normalized else (None, None)
+                directions = combiners.directions(coeffs, g_r, g_f, *norms, normalized)
+                directions.flags.writeable = False
+                for i in _nonfinite_rows(directions):
+                    if live[i].outcome is None:
+                        live[i].end(step, NumericError("gradient entries must be finite"), theta[i])
+                        ended = True
+            etas = []  # each run's step size; a run that has ended takes none
+            for run, params, direction, evaluated in zip(live, theta, directions, evals):
+                if run.outcome is None:
+                    try:
+                        etas.append(run.advance(step, params, direction, evaluated))
+                        continue
+                    except Exception as exc:
+                        run.end(step, exc, params)
+                        ended = True
+                etas.append(0.0)
+            # the update of every row: theta - eta * direction
+            stepped = theta - _column(etas) * directions
+            for i in _nonfinite_rows(stepped):
+                if live[i].outcome is None:
+                    live[i].end(step, NumericError("parameter entries must be finite"), theta[i])
+                    ended = True
+            stepped.flags.writeable = False
+            theta = stepped
             if ended:
-                live = [run for run in live if run.outcome is None]
-                if not live:
+                keep = [i for i, run in enumerate(live) if run.outcome is None]
+                if not keep:
                     break
+                live = [live[i] for i in keep]
+                theta = theta[keep]
+                theta.flags.writeable = False
+                normalized = _normalized(live)
         else:  # the final evaluation fails after the last step
-            for run, final in zip(live, task.evaluate(live)):
+            for run, params, final in zip(live, theta, task.evaluate(theta)):
                 try:
-                    run.finish(final)
+                    run.finish(final, params)
                 except Exception as exc:
-                    run.end(first.steps, exc)
+                    run.end(first.steps, exc, params)
 
     if lone and isinstance(runs[0].outcome, Exception):
         raise runs[0].outcome

@@ -117,7 +117,11 @@ class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
     """Two-task objective with retain anchor ``a`` and forget anchor ``b``.
 
     Its losses and gradients take a ``theta`` of ``dim`` entries and refuse
-    any other shape.
+    any other shape.  The ``*_loss_grads`` forms take a matrix with one
+    ``theta`` per row, a run axis in front, as a lockstep group of runs holds
+    them: one subtraction serves every row, and every sum of squares is its
+    row's own ``ddot``, so each row's values are bit for bit those of a lone
+    ``theta``.
     """
 
     __slots__ = ()
@@ -145,27 +149,39 @@ class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
             raise ValueError(f"theta must have shape ({self.dim},)")
         return arr
 
-    def retain_loss_grad(self, theta) -> tuple[float, np.ndarray, float]:
-        """The retain loss, its gradient and the gradient's sum of squares.
+    def retain_loss_grads(self, thetas: np.ndarray) -> tuple[list, np.ndarray, list]:
+        """Each row's retain loss, the gradient matrix and each gradient row's sum of squares.
 
-        All three come from one ``theta - a``; the sum of squares is the
+        All three come from one ``thetas - a``; the sum of squares is the
         gradient's, so a caller that checks or normalizes it need not take
         it again.
         """
-        d = self._theta(theta) - self.a
-        # d.dot(d) gives the bits of d @ d (both are BLAS ddot) without the ufunc overhead
-        sq = d.dot(d)
-        return 0.5 * float(sq), d, sq
+        d = thetas - self.a[None]  # a row of a: a group of one needs no broadcast
+        # row.dot(row) gives the bits of row @ row (both are BLAS ddot) without the ufunc overhead
+        sq = list(map(np.ndarray.dot, d, d))
+        return [0.5 * float(s) for s in sq], d, sq
 
-    def forget_loss_grad(self, theta) -> tuple[float, np.ndarray, float]:
-        """The forget loss, its gradient and the gradient's sum of squares, from one ``theta - b``."""
-        d = self._theta(theta) - self.b
-        sq = d.dot(d)
-        q = 0.5 * float(sq)
+    def forget_loss_grads(self, thetas: np.ndarray) -> tuple[list, np.ndarray, list]:
+        """Each row's forget loss, the gradient matrix and each gradient row's sum of
+        squares, from one ``thetas - b``; the bounded form scales each row by its own
+        scalar ``math.exp``."""
+        d = thetas - self.b[None]
+        sq = list(map(np.ndarray.dot, d, d))
+        q = [0.5 * float(s) for s in sq]
         if self.forget_kind == UNBOUNDED_QUADRATIC:
             return q, d, sq
-        g = math.exp(-q) * d
-        return -math.expm1(-q), g, g.dot(g)
+        g = np.array([math.exp(-x) for x in q])[:, None] * d
+        return [-math.expm1(-x) for x in q], g, list(map(np.ndarray.dot, g, g))
+
+    def retain_loss_grad(self, theta) -> tuple[float, np.ndarray, float]:
+        """The retain loss, its gradient and the gradient's sum of squares at one ``theta``."""
+        (loss,), (g,), (sq,) = self.retain_loss_grads(self._theta(theta)[None])
+        return loss, g, sq
+
+    def forget_loss_grad(self, theta) -> tuple[float, np.ndarray, float]:
+        """The forget loss, its gradient and the gradient's sum of squares at one ``theta``."""
+        (loss,), (g,), (sq,) = self.forget_loss_grads(self._theta(theta)[None])
+        return loss, g, sq
 
     def retain_loss(self, theta) -> float:
         return self.retain_loss_grad(theta)[0]

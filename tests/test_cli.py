@@ -528,14 +528,14 @@ class TestSweep:
     def test_unexpected_child_error_is_a_failed_value(
         self, tmp_path, capsys, monkeypatch, doc, param, values, failing
     ):
-        real = ngdiff.engine.combine
+        real = ngdiff.combiners.coefficient
 
         def flaky(spec, *args, **kwargs):
             if failing in (spec.kind, str(spec.c)):
                 raise RuntimeError("disk on fire")
             return real(spec, *args, **kwargs)
 
-        monkeypatch.setattr(ngdiff.engine, "combine", flaky)
+        monkeypatch.setattr(ngdiff.combiners, "coefficient", flaky)
         cfg = write_config(tmp_path / "cfg.json", doc)
         out = tmp_path / "sweep"
         code = main(
@@ -547,7 +547,7 @@ class TestSweep:
         assert len(err.splitlines()) == 1
         listed = [line.split(",")[0] for line in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
         assert listed == [v for v in values.split(",") if v != failing]
-        monkeypatch.setattr(ngdiff.engine, "combine", real)
+        monkeypatch.setattr(ngdiff.combiners, "coefficient", real)
         assert_children_match_lone_runs(tmp_path, out)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -608,7 +608,7 @@ class TestSweep:
 
         def spy(graph, params, bindings):
             if bindings.get("groups") == 2:  # a step's stacked retain and forget minibatches
-                runs_per_pass.append(1 if isinstance(params, np.ndarray) else len(params))
+                runs_per_pass.append(1 if np.ndim(params) == 1 else len(params))
             return real(graph, params, bindings)
 
         monkeypatch.setattr(ngdiff.autodiff.Graph, "run", spy)
@@ -768,14 +768,14 @@ class TestSweep:
         import signal
 
         sweep_pid = os.getpid()
-        real = ngdiff.engine.combine
+        real = ngdiff.combiners.coefficient
 
-        def combine(*args):
+        def rule(*args):
             if os.getpid() != sweep_pid:  # mid-chunk, in the forked child
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(*args)
 
-        monkeypatch.setattr(ngdiff.engine, "combine", combine)
+        monkeypatch.setattr(ngdiff.combiners, "coefficient", rule)
         cfg = write_config(tmp_path / "cfg.json", small_gauss_doc({"kind": "ngdiff"}))
         out = tmp_path / "sweep"
         # chunks gd,ga (this process) and rlw (the child)
@@ -788,7 +788,7 @@ class TestSweep:
         assert "(killed by signal 9)" in err[0]
         listed = [line.split(",")[0] for line in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
         assert listed == ["gd", "ga"]
-        monkeypatch.setattr(ngdiff.engine, "combine", real)
+        monkeypatch.setattr(ngdiff.combiners, "coefficient", real)
         finished = [p.name.split("_")[0] for p in run_dirs(out) if (p / "record.json").exists()]
         assert sorted(finished) == ["ga", "gd"]
         assert_children_match_lone_runs(tmp_path, out)
@@ -825,10 +825,11 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6,0.7,0.8",
                      "--jobs", "2"]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert [line.split(": sweep child process ")[0] for line in err] == ["error: value 0.7"]
+        # one lockstep group in two chunks: 0.6,0.7 in this process and 0.8 in the child
+        assert [line.split(": sweep child process ")[0] for line in err] == ["error: value 0.8"]
         assert "(exit code 0) sent no readable results: UnpicklingError" in err[0]
         listed = [line.split(",")[0] for line in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
-        assert listed == ["0.6", "0.8"]
+        assert listed == ["0.6", "0.7"]
 
     def test_equal_problems_share_one_start(self, monkeypatch):
         made = []

@@ -163,26 +163,28 @@ class TestQuadRuns:
             assert np.linalg.norm(rec.final_params - lsp_minimizer(prob, c)) <= 1e-3
 
     @pytest.mark.parametrize("forget_kind", ["unbounded_quadratic", "bounded_exp"])
-    def test_task_gradients_are_frozen_and_own_their_memory(self, forget_kind):
+    def test_task_gradients_are_fresh_and_carry_their_norms(self, forget_kind):
         cfg = quad_config({"kind": "gd"}, steps=1, theta0=(0.5, 1.0), forget_kind=forget_kind)
         task = _QuadTask(cfg)
-        params = task.initial_params
+        params = task.initial_params(cfg)
         assert not params.flags.writeable
-        for _, grad in task.loss_grads(params):
-            assert not grad.data.flags.writeable
-            assert repr(grad.norm) == repr(math.sqrt(grad.data.dot(grad.data)))
+        theta = params[None]
+        ((_, _, norm_r, norm_f),), g_r, g_f = task.step([_Run(cfg, task)], theta)
+        for grad, norm in ((g_r[0], norm_r), (g_f[0], norm_f)):
+            assert repr(norm) == repr(math.sqrt(grad.dot(grad)))
             for other in (params, task.problem.a, task.problem.b):
-                assert not np.shares_memory(grad.data, other)
+                assert not np.shares_memory(grad, other)
 
     def test_trace_norms_are_the_task_gradients_norms(self, monkeypatch):
-        # the gnorm columns are the norms of the gradients the combiner was given
+        # the gnorm columns are the norms of the gradients the combiner rule was given
         seen = []
+        real = ngdiff.combiners.coefficient
 
-        def spy(spec, g_r, g_f, losses, step, seed):
-            seen.append((g_r.data, g_f.data))
-            return combine(spec, g_r, g_f, losses, step, seed)
+        def spy(spec, g_r, g_f, *args):
+            seen.append((np.array(g_r), np.array(g_f)))
+            return real(spec, g_r, g_f, *args)
 
-        monkeypatch.setattr(ngdiff.engine, "combine", spy)
+        monkeypatch.setattr(ngdiff.combiners, "coefficient", spy)
         for cfg in (
             quad_config({"kind": "ngdiff"}, steps=20, lr={"mode": "auto"}, theta0=(0.5, 1.0)),
             gaussian_config({"kind": "pcgrad"}, steps=5, problem={"kind": "gaussian", "per_class": 20}),
@@ -302,7 +304,7 @@ MESSAGES = {
 
 
 def one_row_task(retain: str, forget: str, method: dict, deep: bool = False):
-    """The task of a start whose splits are one row each, a run of it, and its batches."""
+    """The task of a start whose splits are one row each, a run of it, its batches and its parameters."""
     widths, values, rows = ([1, 1, 1, 2], DEEP_PARAMS, DEEP_ROWS) if deep else ([1, 1, 2], CHAIN_PARAMS, CHAIN_ROWS)
     graph, params = mlp_factory(0, widths)
     params = parameter_vector(values)
@@ -311,7 +313,7 @@ def one_row_task(retain: str, forget: str, method: dict, deep: bool = False):
     split = ForgetRetainSplit(retain=retain_batch, forget=forget_batch, forget_class=0)
     cfg = gaussian_config(method, steps=1, batch_size=1, problem={"kind": "gaussian", "classes": 2, "dim": 2})
     task = _ClassificationTask([cfg], NoUnlearn(split, graph, params))
-    return task, _Run(cfg, task), split
+    return task, _Run(cfg, task), split, params
 
 
 PAIRS = [
@@ -320,18 +322,24 @@ PAIRS = [
 ]
 
 
+def step_of(task, run, params):
+    """The task's step result for ``run`` alone at ``params``: its out and its gradient rows."""
+    (out,), g_r, g_f = task.step([run], parameter_vector(params)[None])
+    return out, g_r[0], None if g_f is None else g_f[0]
+
+
 class TestStackedStepErrors:
     """A step whose stacked pass meets a non-finite value gives what its lone passes raise first."""
 
     @pytest.mark.parametrize("deep, retain, forget", PAIRS)
     def test_retain_pass_then_forget_pass(self, deep, retain, forget):
-        task, run, split = one_row_task(retain, forget, {"kind": "ngdiff"}, deep)
+        task, run, split, params = one_row_task(retain, forget, {"kind": "ngdiff"}, deep)
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError) as lone:
                 for batch in (split.retain, split.forget):
-                    forward(task.graph, run.params, batch)
+                    forward(task.graph, params, batch)
                     task.graph.backward()
-            (stacked,) = task.step([run])
+            stacked, _, _ = step_of(task, run, params)
         assert isinstance(stacked, NumericError)
         assert str(stacked) == str(lone.value) == MESSAGES[retain if retain != "ok" else forget]
 
@@ -339,12 +347,12 @@ class TestStackedStepErrors:
         "retain, forget", [("layer 1", "gradient"), ("layer 1", "ok"), ("ok", "gradient"), ("cross-entropy", "ok")]
     )
     def test_npo_forget_pass_then_retain_pass(self, retain, forget):
-        task, run, split = one_row_task(retain, forget, {"kind": "npo", "beta": 1.0})
+        task, run, split, params = one_row_task(retain, forget, {"kind": "npo", "beta": 1.0})
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError) as lone:
-                run.npo.loss_and_grad(run.params, split.forget, task._npo_ref)
-                forward(task.graph, run.params, split.retain)
-            (stacked,) = task.step([run])
+                run.npo.loss_and_grad(params, split.forget, task._npo_ref)
+                forward(task.graph, params, split.retain)
+            stacked, _, _ = step_of(task, run, params)
         assert isinstance(stacked, NumericError)
         assert str(stacked) == str(lone.value) == MESSAGES[forget if forget != "ok" else retain]
 
@@ -352,20 +360,21 @@ class TestStackedStepErrors:
     @pytest.mark.parametrize("method", [{"kind": "ngdiff"}, {"kind": "npo", "beta": 1.0}], ids=["ngdiff", "npo"])
     def test_one_run_of_a_lockstep_pass_fails_and_the_other_steps_on(self, retain, forget, method):
         # w1 = 0.5 and w2 = (1, -1) keep every value of these rows finite
-        task, bad, split = one_row_task(retain, forget, method)
+        task, bad, split, params = one_row_task(retain, forget, method)
         good = _Run(bad.cfg, task)
-        good.params = parameter_vector([0.5, 0.0, 1.0, -1.0, 0.0, 0.0])
+        good_params = [0.5, 0.0, 1.0, -1.0, 0.0, 0.0]
         with np.errstate(all="ignore"):
-            (alone,) = task.step([good])
-            (lone_error,) = task.step([bad])
-            failed, stepped = task.step([bad, good])
+            alone = step_of(task, good, good_params)
+            lone_error, _, _ = step_of(task, bad, params)
+            (failed, stepped), g_r, g_f = task.step([bad, good], parameter_vector([params, good_params]).reshape(2, -1))
         assert isinstance(failed, NumericError) and str(failed) == str(lone_error)
-        assert not isinstance(alone, Exception)
+        assert not isinstance(alone[0], Exception)
+        assert repr(stepped) == repr(alone[0])
+        assert g_r[1].tobytes() == alone[1].tobytes()
         if method["kind"] == "npo":
-            assert stepped[::2] == alone[::2] and stepped[1].data.tobytes() == alone[1].data.tobytes()
+            assert g_f is None
         else:
-            for (loss, grad), (lone_loss, lone_grad) in zip(stepped, alone):
-                assert loss == lone_loss and grad.data.tobytes() == lone_grad.data.tobytes()
+            assert g_f[1].tobytes() == alone[2].tobytes()
 
 
 class TestPassOverhead:
