@@ -159,6 +159,9 @@ def _execute_run(cfgs: list, out_dir: str, start=None) -> list:
         except OutError as exc:
             outcomes[i] = exc
             continue
+        finally:
+            # the formatted lines served both writers; a group would otherwise keep every run's
+            vars(result).pop("trace_lines", None)
         # one write per line: sweep children share stdout, and print's separate
         # newline write would let another child's line in between when unbuffered
         sys.stdout.write(

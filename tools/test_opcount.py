@@ -12,6 +12,9 @@ import opcount
 # CPython 3.11 is the version CI runs
 OPS_BUDGET = 567
 CALLS_BUDGET = 16
+# ops per run and step of the 12-value c group of quad_sweep pass 0 once its
+# direction formula and update became group operations (299.9), plus two
+GROUP_OPS_BUDGET = 302
 
 
 def test_steps_cancel_the_setup():
@@ -25,3 +28,11 @@ def test_quad_step_stays_within_its_budget(capsys):
     out = dict(line.split() for line in capsys.readouterr().out.splitlines())
     assert float(out["ops_per_step"]) <= OPS_BUDGET
     assert float(out["calls_per_step"]) <= CALLS_BUDGET
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="bytecode counts are those of CPython 3.11")
+def test_quad_group_step_stays_within_its_budget(capsys):
+    assert len(opcount.sweep_group()) == 12
+    assert opcount.main() == 0
+    out = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(out["group_ops_per_run_step"]) <= GROUP_OPS_BUDGET
