@@ -477,12 +477,15 @@ def cmd_pareto(args) -> int:
 def cmd_report(args) -> int:
     records = _load_records(args.records)
     for path, record in records:
+        last = record.rows[-1]
+        res, rel = engine.stationarity_residual(last.gnorm_retain, last.gnorm_forget, last.cos_rf)
         print(
             f"{path}: method={record.config['method']['kind']} steps={record.steps} "
             f"{_summary(record.final)} "
             f"overhead={pass_overhead(record):.4f} guard_trips={record.guard_trips} "
             f"passes={record.forward_passes}f/{record.backward_passes}b/"
-            f"{record.probe_forward_passes}p"
+            f"{record.probe_forward_passes}p "
+            f"pareto_res={res:.6g} pareto_res_rel={rel:.6g}"
         )
     return 0
 

@@ -560,6 +560,35 @@ def non_dominated_set(points) -> list[ParetoPoint]:
     return [p for p in points if not any(dominated_by(p, q) for q in points if q is not p)]
 
 
+def stationarity_residual(gnorm_retain: float, gnorm_forget: float, cos_rf: float) -> tuple[float, float]:
+    """The Pareto-stationarity residual of a trace row, absolute and relative.
+
+    It is ``min over lambda in [0, 1] of |lambda g_r - (1 - lambda) g_f|``,
+    the min-norm point of the hull of ``{g_r, -g_f}`` (MGDA's closed form
+    for two tasks), taken from the row's gradient norms and their cosine;
+    the relative value divides it by ``min(|g_r|, |g_f|)``.  A zero gradient
+    makes it 0 (and the relative value nan); an NPO row, whose norms are
+    nan, gives nan.  ``cos_rf`` is rounded, so near stationarity the value
+    bottoms out at about 1e-8 relative, where the vectors' own residual
+    may be far smaller.
+    """
+    nr, nf, cos = gnorm_retain, gnorm_forget, cos_rf
+    if nr == 0 or nf == 0:
+        return 0.0, math.nan
+    if math.isnan(nr + nf + cos):
+        return math.nan, math.nan
+    # |g_r + g_f|^2, and the minimizer lambda* = g_f.(g_r + g_f) / |g_r + g_f|^2 before clipping
+    span = nr * nr + nf * nf + 2.0 * nr * nf * cos
+    lam = (nf * nf + nr * nf * cos) / span if span > 0 else 1.0
+    if lam <= 0:
+        res = nf
+    elif lam >= 1:
+        res = nr
+    else:  # |g_r| |g_f| sin(angle) / |g_r + g_f|
+        res = nr * nf * math.sqrt(max(0.0, (1.0 - cos) * (1.0 + cos))) / math.sqrt(span)
+    return res, res / min(nr, nf)
+
+
 def pass_overhead(record: RunRecord) -> float:
     """Forward-equivalent cost of the run relative to the fixed-rate baseline.
 

@@ -1263,3 +1263,49 @@ class TestProcessEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "frozen True"
+
+
+class TestStationarityResidual:
+    """``report`` prints the Pareto-stationarity residual of each record's last trace row."""
+
+    @staticmethod
+    def exact(g_r, g_f):
+        """min over lambda in [0, 1] of |lambda g_r - (1 - lambda) g_f|, from the vectors."""
+        u, w = np.asarray(g_r, dtype=float), -np.asarray(g_f, dtype=float)
+        lam = float(np.clip(w @ (w - u) / ((u - w) @ (u - w)), 0.0, 1.0))
+        return float(np.linalg.norm(w + lam * (u - w))), min(np.linalg.norm(u), np.linalg.norm(w))
+
+    @pytest.mark.parametrize("method", [{"kind": "ngdiff"}, {"kind": "gdiff", "c": 0.75}, {"kind": "ga"}])
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_the_residual_matches_the_vectors_at_the_last_row(self, tmp_path, capsys, method, steps):
+        doc = quad_doc(method, steps=steps, theta0=[0.5, 1.0])
+        record = one_record(tmp_path, doc)
+        # the last row is taken where the run stood before its last update
+        before = [0.5, 1.0] if steps == 1 else ngdiff.engine.run_unlearning(
+            ngdiff.engine.config_from_dict({**doc, "steps": steps - 1})).final_params
+        capsys.readouterr()
+        assert main(["report", str(record)]) == 0
+        fields = dict(item.split("=") for item in capsys.readouterr().out.split()[1:])
+        res, scale = self.exact(np.asarray(before), np.asarray(before) - [1.0, 0.0])
+        assert float(fields["pareto_res"]) == pytest.approx(res, rel=1e-3)
+        assert float(fields["pareto_res_rel"]) == pytest.approx(res / scale, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "norms, expected",
+        [((3.0, 4.0, -1.0), (3.0, 1.0)),  # g_f = -4/3 g_r: the hull's nearest point is g_r
+         ((2.0, 1.0, 1.0), (0.0, 0.0)),  # parallel: a stationary point
+         ((1.0, 1.0, 0.0), (math.sqrt(0.5), math.sqrt(0.5))),
+         ((0.0, 2.0, math.nan), (0.0, math.nan)),
+         ((math.nan, math.nan, math.nan), (math.nan, math.nan))],  # an NPO row
+    )
+    def test_closed_form_cases(self, norms, expected):
+        res, rel = ngdiff.engine.stationarity_residual(*norms)
+        assert res == pytest.approx(expected[0], nan_ok=True, abs=1e-15)
+        assert rel == pytest.approx(expected[1], nan_ok=True, abs=1e-15)
+
+    def test_an_npo_record_reports_nan(self, tmp_path, capsys):
+        record = one_record(tmp_path, small_gauss_doc({"kind": "npo", "beta": 1.0}))
+        capsys.readouterr()
+        assert main(["report", str(record)]) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith("pareto_res=nan pareto_res_rel=nan")
