@@ -210,7 +210,7 @@ class _Cache(NamedTuple):
     numer: np.ndarray  # exp(logits - rowmax), one row per row of every run
     denom: np.ndarray  # row sums of ``numer``, shape (rows, 1)
     lp: np.ndarray  # true-label log-probabilities, one row per run
-    lone: bool  # whether the pass took one vector, not a sequence
+    lone: bool  # whether the pass took one vector, not a matrix
 
 
 class Graph:
@@ -271,19 +271,12 @@ class Graph:
         Returns each group's mean cross-entropy and caches what ``backward``
         needs.  Bindings that ``bind`` returned are not checked again.
         ``params`` is one parameter vector, an array of ``size`` entries, or
-        a sequence of them, such as the rows of a matrix: a pass over several
-        runs at once, which returns each run's tuple of group losses, bit for
-        bit those of its lone pass.
+        a matrix whose rows are such vectors: a pass over several runs at
+        once, which returns each run's tuple of group losses, bit for bit
+        those of its lone pass.
         """
-        lone = isinstance(params, np.ndarray) and params.ndim == 1
-        if isinstance(params, np.ndarray):
-            data = params[None] if lone else params
-        else:
-            for p in params:
-                if p.shape != (self.size,):
-                    raise DimensionError(f"parameter vector of shape {p.shape}, the graph takes ({self.size},)")
-            # one vector is viewed as a run axis of one, where np.array would copy it
-            data = params[0][None] if len(params) == 1 else np.array(params)
+        lone = params.ndim == 1
+        data = params[None] if lone else params  # a lone vector viewed as a run axis of one
         if data.ndim != 2 or data.shape[1] != self.size:  # slicing would take a longer vector
             raise DimensionError(f"parameter vector of shape {data.shape[1:]}, the graph takes ({self.size},)")
         if bindings.get("widths") is not self.widths:
@@ -346,7 +339,7 @@ class Graph:
         cache = self._cached()
         return cache.lp[0] if cache.lone else cache.lp
 
-    def backward(self, dlp: np.ndarray | None = None, groups: int | None = None) -> tuple:
+    def backward(self, dlp: np.ndarray | None = None, groups: int | None = None, *, as_array: bool = False) -> tuple:
         """Gradients w.r.t. the flat parameter vector, after a ``run``: one per group.
 
         Without ``dlp`` this differentiates the cross-entropy of each group
@@ -354,7 +347,10 @@ class Graph:
         ``lp``) it differentiates any loss whose gradient w.r.t. ``lp`` is
         ``dlp``.  With ``groups`` only the first ``groups`` groups are
         differentiated.  After a pass over several runs it returns each
-        run's tuple of group gradients.
+        run's tuple of group gradients.  With ``as_array`` it returns
+        ``(flat, norms)`` instead, for a loop that reads a group's gradients
+        as matrices: the gradients as the rows of one read-only ``(runs,
+        groups, size)`` array, and each run's list of their norms.
         """
         weights, acts, at_label, numer, denom, lp, lone = self._cached()
         runs, rows = lp.shape
@@ -395,16 +391,19 @@ class Graph:
                 np.subtract(1.0, dy, out=dy)
                 g = g @ weights[i].swapaxes(-1, -2)
                 g *= dy  # (1 - y^2) * (g W^T)
-        if lone:
-            return self._gradients(flat[0])
-        return tuple([self._gradients(run) for run in flat])
-
-    def _gradients(self, flat: np.ndarray) -> tuple:
-        grads = []
-        for data in flat:
-            sq = data.dot(data)
-            grads.append(tuple.__new__(FlatGradient, (_adopt_vector(data, "gradient", sq), math.sqrt(sq))))
-        return tuple(grads)
+        flat.flags.writeable = False
+        # each row's sum of squares proves it finite and gives its norm; a
+        # non-finite sum, which huge finite entries also give, is followed
+        # by the entry-wise test of every row
+        norms = [list(map(math.sqrt, map(np.ndarray.dot, run, run))) for run in flat]
+        if not math.isfinite(sum(map(sum, norms))):
+            for data in flat.reshape(-1, self.size):
+                _adopt_vector(data, "gradient")
+        if as_array:
+            return flat, norms
+        grads = [tuple([tuple.__new__(FlatGradient, pair) for pair in zip(run, run_norms)])
+                 for run, run_norms in zip(flat, norms)]
+        return grads[0] if lone else tuple(grads)
 
 
 def stack(batches) -> dict:

@@ -427,7 +427,7 @@ def cmd_finetune(args) -> int:
         print("error: problem: finetune requires a classification problem", file=sys.stderr)
         return 2
     start = engine.no_unlearn(cfg)
-    (ev,) = engine.evaluate(start.graph, [start.params], start.split)
+    (ev,) = engine.evaluate(start.graph, start.params[None], start.split)
     print(
         f"no-unlearn: acc_retain={_fmt(ev.acc_retain)} acc_forget={_fmt(ev.acc_forget)} "
         f"loss_retain={_fmt(ev.loss_retain)} loss_forget={_fmt(ev.loss_forget)}"

@@ -568,24 +568,28 @@ def stationarity_residual(gnorm_retain: float, gnorm_forget: float, cos_rf: floa
     for two tasks), taken from the row's gradient norms and their cosine;
     the relative value divides it by ``min(|g_r|, |g_f|)``.  A zero gradient
     makes it 0 (and the relative value nan); an NPO row, whose norms are
-    nan, gives nan.  ``cos_rf`` is rounded, so near stationarity the value
-    bottoms out at about 1e-8 relative, where the vectors' own residual
-    may be far smaller.
+    nan, and a row with an infinite norm give nan.  ``cos_rf`` is rounded,
+    so near stationarity the value bottoms out at about 1e-8 relative,
+    where the vectors' own residual may be far smaller.
     """
     nr, nf, cos = gnorm_retain, gnorm_forget, cos_rf
     if nr == 0 or nf == 0:
         return 0.0, math.nan
-    if math.isnan(nr + nf + cos):
+    if not math.isfinite(nr + nf + cos):
         return math.nan, math.nan
-    # |g_r + g_f|^2, and the minimizer lambda* = g_f.(g_r + g_f) / |g_r + g_f|^2 before clipping
-    span = nr * nr + nf * nf + 2.0 * nr * nf * cos
-    lam = (nf * nf + nr * nf * cos) / span if span > 0 else 1.0
+    # over norms scaled by the larger one, so that their squares cannot
+    # overflow: |g_r + g_f|^2, and the minimizer lambda* = g_f.(g_r + g_f) /
+    # |g_r + g_f|^2 before clipping
+    top = max(nr, nf)
+    r, f = nr / top, nf / top
+    span = r * r + f * f + 2.0 * r * f * cos
+    lam = (f * f + r * f * cos) / span if span > 0 else 1.0
     if lam <= 0:
         res = nf
     elif lam >= 1:
         res = nr
     else:  # |g_r| |g_f| sin(angle) / |g_r + g_f|
-        res = nr * nf * math.sqrt(max(0.0, (1.0 - cos) * (1.0 + cos))) / math.sqrt(span)
+        res = r * nf * math.sqrt(max(0.0, (1.0 - cos) * (1.0 + cos))) / math.sqrt(span)
     return res, res / min(nr, nf)
 
 
@@ -779,12 +783,12 @@ class _ClassificationTask:
 
         ``outs`` holds each run's ``(loss_retain, loss_forget, norm_retain,
         norm_forget)``; ``g_r`` and ``g_f`` are the retain and forget
-        gradients, one row per run.  An NPO run's losses are the retain and
-        forget minibatches' cross-entropy, its norms nan, and its NPO gradient
-        is its row of ``g_r``, ``g_f`` being None.  When a pass meets a
-        non-finite value, each run reruns the step as its lone passes, and
-        the error those raise first comes back in the run's place (its
-        gradient rows are zero).
+        gradients, the rows of read-only matrices, one per run.  An NPO
+        run's losses are the retain and forget minibatches' cross-entropy,
+        its norms nan, and its NPO gradient is its row of ``g_r``, ``g_f``
+        being None.  When a pass meets a non-finite value, each run reruns
+        the step as its lone passes, and the error those raise first comes
+        back in the run's place (its gradient rows are zero).
         """
         self._probe_rows = None
         if self._npo_ref is not None:
@@ -798,15 +802,17 @@ class _ClassificationTask:
             forget = self.split.forget.take(self._forget_stream.next())
             shared, lone, args = self._step, self._lone, ((retain, forget),)
         try:
-            results = shared(runs, theta, *args)
+            return shared(runs, theta, *args)
         except NumericError:
             results = [_caught(lone, run, params, *args) for run, params in zip(runs, theta)]
         outs, rows_r, rows_f = [], [], []
+        zero = np.zeros(self.graph.size)
+        zero.flags.writeable = False
         for result in results:
             if isinstance(result, Exception):
                 outs.append(result)
-                rows_r.append(np.zeros(self.graph.size))
-                rows_f.append(rows_r[-1])
+                rows_r.append(zero)
+                rows_f.append(zero)
             elif self._npo_ref is not None:
                 _, g, loss_retain, loss_forget = result
                 outs.append((loss_retain, loss_forget, math.nan, math.nan))
@@ -818,27 +824,32 @@ class _ClassificationTask:
                 rows_f.append(g_f.data)
         return outs, _stacked(rows_r), _stacked(rows_f) if self._npo_ref is None else None
 
-    def _step(self, runs, theta, batches) -> list:
-        pairs = [[] for _ in runs]
+    def _step(self, runs, theta, batches) -> tuple:
+        # each pass gives every run's losses and one gradient matrix per group
+        losses, rows, norms = [], [], []
         for bindings in self._passes(batches):
-            losses = self.graph.run(theta, bindings)
-            for out, run_losses, grads in zip(pairs, losses, self.graph.backward()):
-                out += zip(run_losses, grads)
-        return pairs
+            losses += zip(*self.graph.run(theta, bindings))
+            flat, flat_norms = self.graph.backward(as_array=True)
+            rows.extend(flat.swapaxes(0, 1))
+            norms += zip(*flat_norms)
+        (loss_r, loss_f), (g_r, g_f), (norm_r, norm_f) = losses, rows, norms
+        return list(zip(loss_r, loss_f, norm_r, norm_f)), g_r, g_f
 
     def _lone(self, run, params, batches) -> list:
         # retain first, so an error is the one the lone passes raise first
         return [(forward(self.graph, params, b), self.graph.backward()[0]) for b in batches]
 
-    def _npo_step(self, runs, theta, forget, retain, ref) -> list:
+    def _npo_step(self, runs, theta, forget, retain, ref) -> tuple:
         passes = self._passes((forget, retain))
         cross = self.graph.run(theta, passes[0])
-        values = [run.npo.score(lp[: forget.n], ref) for run, lp in zip(runs, self.graph.lp)]
+        for run, lp in zip(runs, self.graph.lp):
+            run.npo.score(lp[: forget.n], ref)
         dlp = np.array([run.npo.upstream() for run in runs])
-        grads = self.graph.backward(dlp, 1)
+        flat, _ = self.graph.backward(dlp, 1, as_array=True)
         if len(passes) > 1:
             cross = [f + r for f, r in zip(cross, self.graph.run(theta, passes[1]))]
-        return [(v, g, c[1], c[0]) for v, (g,), c in zip(values, grads, cross)]
+        # each run's forget and retain cross-entropy, as the passes order them
+        return [(loss_r, loss_f, math.nan, math.nan) for loss_f, loss_r in cross], flat[:, 0], None
 
     def _npo_lone(self, run, params, forget, retain, ref):
         # the forget minibatch's loss and gradient first, then the retain pass
@@ -866,8 +877,8 @@ class _ClassificationTask:
 def evaluate(graph: Graph, params, split: ForgetRetainSplit, bound=None) -> list:
     """Mean losses and argmax accuracies on both sides of a split.
 
-    ``params`` is a sequence of vectors, such as the rows of a matrix,
-    evaluated in one pass per side and given one result each.  ``bound`` is ``bind_split(graph, split)`` when
+    ``params`` is a matrix whose rows are parameter vectors, evaluated in
+    one pass per side and given one result each.  ``bound`` is ``bind_split(graph, split)`` when
     the split is bound once for many evaluations.
     """
     sides = []
@@ -881,7 +892,7 @@ def evaluate(graph: Graph, params, split: ForgetRetainSplit, bound=None) -> list
 
 
 def _evaluate_one(graph: Graph, params: np.ndarray, split: ForgetRetainSplit, bound) -> EvalResult:
-    return evaluate(graph, [params], split, bound)[0]
+    return evaluate(graph, params[None], split, bound)[0]
 
 
 def finetune(
@@ -943,7 +954,7 @@ class _Run:
     """
 
     __slots__ = ("cfg", "probes", "lr_state", "rows", "acc", "npo", "outcome", "_task", "_auto",
-                 "_needs_losses", "_method", "_seed", "_head")
+                 "_needs_losses", "_head")
 
     def __init__(self, cfg: RunConfig, task):
         self.cfg = cfg
@@ -958,7 +969,6 @@ class _Run:
         self._task = task
         self._auto = cfg.lr.mode == "auto"
         self._needs_losses = cfg.method.kind == combiners.LOSSNORM
-        self._method, self._seed = cfg.method, cfg.seeds.method  # what the rule reads
         self._head = None  # the step's trace row up to its step size, which advance completes
 
     def probe_loss(self, params) -> float:
@@ -982,7 +992,8 @@ class _Run:
         # cross-entropy on a saturated minibatch can round to exactly 0;
         # the loss-normalization weights need a strictly positive floor
         losses = (max(loss_retain, 1e-12), max(loss_forget, 1e-12)) if self._needs_losses else None
-        coeff = combiners.coefficient(self._method, g_r, g_f, gnorm_r, gnorm_f, losses, step, self._seed)[0]
+        cfg = self.cfg
+        coeff = combiners.coefficient(cfg.method, g_r, g_f, gnorm_r, gnorm_f, losses, step, cfg.seeds.method)[0]
         cos_rf = float(g_r.dot(g_f)) / (gnorm_r * gnorm_f) if gnorm_r > 0 and gnorm_f > 0 else math.nan
         self._head = (loss_retain, loss_forget, coeff, gnorm_r, gnorm_f, cos_rf)
         return coeff
@@ -999,7 +1010,9 @@ class _Run:
         cfg = self.cfg
         lr_state = self.lr_state
         guard_before = lr_state.guard_trips
-        if self._auto:
+        # off its cadence maybe_update returns lr_state as it is, so the
+        # direction's norm is taken only for a step that probes
+        if self._auto and step % cfg.lr.update_period == 0:
             direction = tuple.__new__(FlatGradient, (direction, math.sqrt(direction.dot(direction))))
             lr_state = self.lr_state = maybe_update(
                 lr_state, step, cfg.lr, self.probe_loss, params, direction, loss_retain

@@ -113,6 +113,11 @@ class NpoLoss:
         return value, self._graph.backward(self.upstream())[0]
 
 
+# 0.5 * s as a Python float, for a sum of squares s (a numpy float64, which
+# subclasses float), mapped over a group's rows without a Python frame
+_half = (0.5).__mul__
+
+
 class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
     """Two-task objective with retain anchor ``a`` and forget anchor ``b``.
 
@@ -150,27 +155,30 @@ class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
         return arr
 
     def retain_loss_grads(self, thetas: np.ndarray) -> tuple[list, np.ndarray, list]:
-        """Each row's retain loss, the gradient matrix and each gradient row's sum of squares.
+        """Each row's retain loss, the read-only gradient matrix and each gradient row's sum of squares.
 
         All three come from one ``thetas - a``; the sum of squares is the
         gradient's, so a caller that checks or normalizes it need not take
         it again.
         """
         d = thetas - self.a[None]  # a row of a: a group of one needs no broadcast
+        d.flags.writeable = False
         # row.dot(row) gives the bits of row @ row (both are BLAS ddot) without the ufunc overhead
         sq = list(map(np.ndarray.dot, d, d))
-        return [0.5 * float(s) for s in sq], d, sq
+        return list(map(_half, sq)), d, sq
 
     def forget_loss_grads(self, thetas: np.ndarray) -> tuple[list, np.ndarray, list]:
-        """Each row's forget loss, the gradient matrix and each gradient row's sum of
-        squares, from one ``thetas - b``; the bounded form scales each row by its own
-        scalar ``math.exp``."""
+        """Each row's forget loss, the read-only gradient matrix and each gradient row's
+        sum of squares, from one ``thetas - b``; the bounded form scales each row by its
+        own scalar ``math.exp``."""
         d = thetas - self.b[None]
         sq = list(map(np.ndarray.dot, d, d))
-        q = [0.5 * float(s) for s in sq]
+        q = list(map(_half, sq))
         if self.forget_kind == UNBOUNDED_QUADRATIC:
+            d.flags.writeable = False
             return q, d, sq
         g = np.array([math.exp(-x) for x in q])[:, None] * d
+        g.flags.writeable = False
         return [-math.expm1(-x) for x in q], g, list(map(np.ndarray.dot, g, g))
 
     def retain_loss_grad(self, theta) -> tuple[float, np.ndarray, float]:

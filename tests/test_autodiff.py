@@ -74,7 +74,7 @@ class TestForward:
         bindings = graph.bind({"features": np.zeros((2, 4)), "labels": [0, 1]})
         message = rf"^parameter vector of shape \({params.size + extra},\), the graph takes \({params.size},\)$"
         with pytest.raises(DimensionError, match=message):
-            graph.run(wrong if lone else [params, wrong], bindings)
+            graph.run(wrong if lone else np.array([wrong, wrong]), bindings)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -392,7 +392,7 @@ class TestRunAxis:
             lone.append((losses, graph.lp.copy(), graph.logits.copy(), graph.backward(), graph.backward(dlp),
                          graph.backward(dlp[:rows], groups=1)))
 
-        losses = graph.run(vectors, bound)
+        losses = graph.run(np.array(vectors), bound)
         lp, logits = graph.lp, graph.logits
         grads, dlp_grads = graph.backward(), graph.backward(dlps)
         firsts = graph.backward(dlps[:, :rows], groups=1)
@@ -408,12 +408,12 @@ class TestRunAxis:
         batch = batch_of(np.ones((2, 4)), [0, 1], 3)
         huge = parameter_vector(np.full(params.size, 1e308))
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="^non-finite pre-activation in layer 1$"):
-            graph.run([params, huge], stack((batch,)))
+            graph.run(np.array([params, huge]), stack((batch,)))
 
     def test_dlp_of_the_wrong_shape_is_rejected(self):
         graph, params = mlp_factory(0, [4, 3])
         batch = batch_of(np.zeros((2, 4)), [0, 1], 3)
-        graph.run([params, params], stack((batch,)))
+        graph.run(np.array([params, params]), stack((batch,)))
         with pytest.raises(DimensionError, match=r"^dlp shape \(2,\) does not match \(2, 2\)$"):
             graph.backward(np.ones(2))
 

@@ -1295,6 +1295,10 @@ class TestStationarityResidual:
         [((3.0, 4.0, -1.0), (3.0, 1.0)),  # g_f = -4/3 g_r: the hull's nearest point is g_r
          ((2.0, 1.0, 1.0), (0.0, 0.0)),  # parallel: a stationary point
          ((1.0, 1.0, 0.0), (math.sqrt(0.5), math.sqrt(0.5))),
+         # norms whose squares overflow: the hull's nearest point is the mean of unit vectors 60 degrees apart
+         ((1e200, 1e200, -0.5), (math.sqrt(0.75) * 1e200, math.sqrt(0.75))),
+         ((3e200, 4e200, -1.0), (3e200, 1.0)),
+         ((math.inf, 1.0, 0.5), (math.nan, math.nan)),
          ((0.0, 2.0, math.nan), (0.0, math.nan)),
          ((math.nan, math.nan, math.nan), (math.nan, math.nan))],  # an NPO row
     )

@@ -163,14 +163,16 @@ class TestQuadRuns:
             assert np.linalg.norm(rec.final_params - lsp_minimizer(prob, c)) <= 1e-3
 
     @pytest.mark.parametrize("forget_kind", ["unbounded_quadratic", "bounded_exp"])
-    def test_task_gradients_are_fresh_and_carry_their_norms(self, forget_kind):
+    def test_task_gradients_are_frozen_and_own_their_memory(self, forget_kind):
         cfg = quad_config({"kind": "gd"}, steps=1, theta0=(0.5, 1.0), forget_kind=forget_kind)
         task = _QuadTask(cfg)
         params = task.initial_params(cfg)
         assert not params.flags.writeable
         theta = params[None]
         ((_, _, norm_r, norm_f),), g_r, g_f = task.step([_Run(cfg, task)], theta)
+        assert not g_r.flags.writeable and not g_f.flags.writeable
         for grad, norm in ((g_r[0], norm_r), (g_f[0], norm_f)):
+            assert not grad.flags.writeable
             assert repr(norm) == repr(math.sqrt(grad.dot(grad)))
             for other in (params, task.problem.a, task.problem.b):
                 assert not np.shares_memory(grad, other)
@@ -408,7 +410,7 @@ class TestFinetuneAndEvaluate:
         split = split_forget_retain(data, 0)
         graph, params0 = mlp_factory(1000, [8, 16, 3])
         params = finetune(graph, params0, data, 400, 0.5)
-        (ev,) = evaluate(graph, [params], split)
+        (ev,) = evaluate(graph, params[None], split)
         assert ev.acc_retain >= 0.99
         assert ev.acc_forget >= 0.99
 
@@ -433,7 +435,7 @@ class TestFinetuneAndEvaluate:
         accs_r, accs_f = [], []
         for seed in range(100):
             graph, params = mlp_factory(seed, [8, 16, 3])
-            (ev,) = evaluate(graph, [params], split)
+            (ev,) = evaluate(graph, params[None], split)
             accs_r.append(ev.acc_retain)
             accs_f.append(ev.acc_forget)
         assert abs(float(np.mean(accs_r)) - 1 / 3) <= 0.05
