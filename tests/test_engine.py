@@ -305,8 +305,17 @@ MESSAGES = {
 }
 
 
-def one_row_task(retain: str, forget: str, method: dict, deep: bool = False):
-    """The task of a start whose splits are one row each, a run of it, its batches and its parameters."""
+# parameters that keep every row of CHAIN_ROWS or DEEP_ROWS finite: w1 = 0.5
+# saturates tanh without overflow, and the later weights are of order 1
+SAFE_PARAMS = {False: [0.5, 0.0, 1.0, -1.0, 0.0, 0.0], True: [0.5, 0.0, 1.0, 0.0, 1.0, -1.0, 0.0, 0.0]}
+
+
+def one_row_task(retain: str, forget: str, method: dict, deep: bool = False, start=None):
+    """The task of a start whose splits are one row each, a run of it, its batches and its parameters.
+
+    The start, which is also an NPO run's reference, is at the failing
+    parameters unless ``start`` gives others.
+    """
     widths, values, rows = ([1, 1, 1, 2], DEEP_PARAMS, DEEP_ROWS) if deep else ([1, 1, 2], CHAIN_PARAMS, CHAIN_ROWS)
     graph, params = mlp_factory(0, widths)
     params = parameter_vector(values)
@@ -314,7 +323,8 @@ def one_row_task(retain: str, forget: str, method: dict, deep: bool = False):
     forget_batch = LabeledBatch([[rows[forget] if deep else -rows[forget]]], [0], 2)
     split = ForgetRetainSplit(retain=retain_batch, forget=forget_batch, forget_class=0)
     cfg = gaussian_config(method, steps=1, batch_size=1, problem={"kind": "gaussian", "classes": 2, "dim": 2})
-    task = _ClassificationTask([cfg], NoUnlearn(split, graph, params))
+    origin = params if start is None else parameter_vector(start)
+    task = _ClassificationTask([cfg], NoUnlearn(split, graph, origin))
     return task, _Run(cfg, task), split, params
 
 
@@ -358,18 +368,27 @@ class TestStackedStepErrors:
         assert isinstance(stacked, NumericError)
         assert str(stacked) == str(lone.value) == MESSAGES[forget if forget != "ok" else retain]
 
-    @pytest.mark.parametrize("retain, forget", [("layer 1", "ok"), ("cross-entropy", "ok"), ("layer 1", "gradient")])
+    @pytest.mark.parametrize(
+        "deep, retain, forget",
+        [(False, "layer 1", "ok"), (False, "cross-entropy", "ok"), (False, "layer 1", "gradient"),
+         (False, "ok", "layer 1"), (False, "ok", "cross-entropy"), (False, "ok", "gradient"),
+         (True, "layer 2", "layer 1")],
+    )
     @pytest.mark.parametrize("method", [{"kind": "ngdiff"}, {"kind": "npo", "beta": 1.0}], ids=["ngdiff", "npo"])
-    def test_one_run_of_a_lockstep_pass_fails_and_the_other_steps_on(self, retain, forget, method):
-        # w1 = 0.5 and w2 = (1, -1) keep every value of these rows finite
-        task, bad, split, params = one_row_task(retain, forget, method)
+    def test_one_run_of_a_lockstep_pass_fails_and_the_other_steps_on(self, deep, retain, forget, method):
+        good_params = SAFE_PARAMS[deep]
+        # an NPO run's reference is the start, whose pass over a failing forget row would fail
+        start = good_params if forget in ("layer 1", "cross-entropy") else None
+        task, bad, split, params = one_row_task(retain, forget, method, deep, start)
         good = _Run(bad.cfg, task)
-        good_params = [0.5, 0.0, 1.0, -1.0, 0.0, 0.0]
+        # the lone order: retain first for a combiner, the NPO loss's forget side first for NPO
+        first = (forget, retain) if method["kind"] == "npo" else (retain, forget)
         with np.errstate(all="ignore"):
             alone = step_of(task, good, good_params)
             lone_error, _, _ = step_of(task, bad, params)
             (failed, stepped), g_r, g_f = task.step([bad, good], parameter_vector([params, good_params]).reshape(2, -1))
         assert isinstance(failed, NumericError) and str(failed) == str(lone_error)
+        assert str(lone_error) == MESSAGES[first[0] if first[0] != "ok" else first[1]]
         assert not isinstance(alone[0], Exception)
         assert repr(stepped) == repr(alone[0])
         assert g_r[1].tobytes() == alone[1].tobytes()
@@ -377,6 +396,54 @@ class TestStackedStepErrors:
             assert g_f is None
         else:
             assert g_f[1].tobytes() == alone[2].tobytes()
+
+
+def eta_group(doc, lr=None):
+    """The configs of ``doc`` at eta 1e308, which aborts, and 0.01, which steps on; fixed eta unless ``lr``."""
+    return [
+        config_from_dict({**doc, "lr": {**(lr or {"mode": "fixed"}), "eta": eta}}) for eta in (1e308, 0.01)
+    ]
+
+
+def small_gaussian_doc(method, **top):
+    """The shipped Gaussian config over 60 retain and 30 forget rows, 20 finetune and 20 loop steps."""
+    doc = json.loads((CONFIGS / "ngdiff_gaussian.json").read_text())
+    doc["problem"].update(per_class=30, finetune_steps=20)
+    return {**doc, "method": method, "steps": 20, "eval_every": 5, **top}
+
+
+SHIPPED_NPO = {**json.loads((CONFIGS / "ngdiff_gaussian.json").read_text()), "method": {"kind": "npo", "beta": 1.0}}
+
+
+class TestLockstepAborts:
+    """A run that aborts in a lockstep group meets its lone run's abort, and the other run its lone record."""
+
+    @pytest.mark.parametrize(
+        "cfgs, failure",
+        [
+            # a 40-row minibatch is cut to 30 rows on the forget side: two passes per step
+            (eta_group(small_gaussian_doc({"kind": "ngdiff"}, batch_size=40)),
+             "step 1: non-finite pre-activation in layer 2"),
+            (eta_group(small_gaussian_doc({"kind": "npo", "beta": 1.0})), "step 1: non-finite cross-entropy"),
+            # the step-10 evaluation fails, while the minibatches of steps 0-10 stay finite
+            (eta_group({**SHIPPED_NPO, "steps": 12}, SHIPPED_NPO["lr"]), "step 10: non-finite cross-entropy"),
+            # the final evaluation fails
+            (eta_group(small_gaussian_doc({"kind": "ga"}, steps=1)), "step 1: non-finite cross-entropy"),
+        ],
+        ids=["unequal-minibatches", "npo-step", "npo-evaluation", "final-evaluation"],
+    )
+    def test_the_aborting_run_meets_its_lone_abort(self, cfgs, failure):
+        start = no_unlearn(cfgs[0])
+        aborted, finished = run_unlearning(cfgs, start)
+        with pytest.raises(NumericAbort) as lone:
+            run_unlearning(cfgs[0], start)
+        assert isinstance(aborted, NumericAbort)
+        assert str(aborted) == str(lone.value) == f"non-finite value at {failure}"
+        assert aborted.step == lone.value.step
+        assert aborted.last_params.tobytes() == lone.value.last_params.tobytes()
+        alone = run_unlearning(cfgs[1], start)
+        assert record_to_json(finished) == record_to_json(alone)
+        assert finished.final_params.tobytes() == alone.final_params.tobytes()
 
 
 class TestPassOverhead:

@@ -22,7 +22,11 @@ other minibatch sizes (``BATCH_CONFIGS``), an ``eta`` sweep of it whose
 loop aborts at its first update (``loop_abort``), two ``--jobs 1`` sweeps
 of it whose children step in lockstep in one process (``lockstep_method``,
 every method the sweep can set up, and ``lockstep_abort``, whose ``1e308``
-child aborts and leaves the ``0.01`` child stepping on) and the config-echo
+child aborts and leaves the ``0.01`` child stepping on), two more ``--jobs
+1`` ``eta`` sweeps whose ``1e308`` child aborts while ``1e3`` and ``0.01``
+finish (``ABORT_SWEEPS``: an NPO copy of the shipped config, which fails
+in its step-10 evaluation, and its ``batch_size`` 400 copy, which takes two
+passes per step and fails at step 1 in layer 1) and the config-echo
 corpus: 1-step runs that cover every valid way to write a config field
 (``ECHO_CONFIGS``).
 The argument lists of the benchmark workloads come from
@@ -146,6 +150,13 @@ LOOP_ABORT_VALUES = "1e308"
 # and two eta values of which 1e308 leaves the group at step 1
 LOCKSTEP_METHODS = ",".join(workloads.SWEEP_METHODS)
 LOCKSTEP_ABORT_VALUES = "1e308,0.01"
+# --jobs 1 eta sweeps of one lockstep group in which one run aborts and two
+# finish, each by the name of the config it sweeps: the NPO copy of the shipped
+# config aborts in its step-10 evaluation, and its batch_size 400 copy, whose
+# steps take two passes, at step 1 in layer 1
+ABORT_SWEEPS = {"npo_eta_abort": "npo_gauss", "batch400_eta_abort": "gauss_batch400"}
+ABORT_SWEEP_VALUES = "1e308,1e3,0.01"
+NPO_GAUSS_CONFIG = {**_GAUSS, "method": {"kind": "npo", "beta": 1}}
 
 # The config-echo corpus: the valid surface of the config parser, one 1-step
 # run each.  Every combiner kind on the quad pair with its optional fields
@@ -247,6 +258,11 @@ def invocations(out: Path) -> list[tuple[str, tuple[str, ...]]]:
         "sweep", "--config", workloads.GAUSS_CONFIG, "--out", str(out / "lockstep_abort"),
         "--param", "eta", "--values", LOCKSTEP_ABORT_VALUES, "--jobs", "1",
     )))
+    for name, doc in ABORT_SWEEPS.items():
+        calls.append((name, (
+            "sweep", "--config", str(out / f"{doc}.json"), "--out", str(out / name),
+            "--param", "eta", "--values", ABORT_SWEEP_VALUES, "--jobs", "1",
+        )))
     for name in (*FALLBACK_CONFIGS, *BATCH_CONFIGS, *ECHO_CONFIGS):
         calls.append((name, ("run", "--config", str(out / f"{name}.json"), "--out", str(out / name))))
     return calls
@@ -260,6 +276,7 @@ def run_side(tree: Path, out: Path) -> dict[str, tuple[int, str, str]]:
         "abort": ABORT_CONFIG,
         "finetune_abort": FINETUNE_ABORT_CONFIG,
         "npo_beta_sweep": NPO_SWEEP_CONFIG,
+        "npo_gauss": NPO_GAUSS_CONFIG,
         **FALLBACK_CONFIGS,
         **BATCH_CONFIGS,
         **ECHO_CONFIGS,

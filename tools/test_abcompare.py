@@ -25,6 +25,7 @@ def test_against_head_every_artifact_identical(head_work, capsys):
     expected = {
         "gauss_run-seed0", "gauss_sweep-seed7127", "quad_sweep-seed0", "criterion9", "finetune_abort",
         "npo_beta_sweep", "quad_method_pareto", "loop_abort", "lockstep_method", "lockstep_abort",
+        *abcompare.ABORT_SWEEPS,
         *abcompare.FALLBACK_CONFIGS,
         *abcompare.BATCH_CONFIGS, *abcompare.ECHO_CONFIGS,
     }
