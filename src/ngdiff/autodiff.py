@@ -21,7 +21,11 @@ run axis in front of the groups: ``(1, groups, n, d) @ (runs, 1, d, k)`` is
 one GEMM per run and group, so a pass over several parameter vectors gives
 each run the losses, ``lp``, logits and gradients of its lone pass, bit for
 bit.  A lone pass, over one vector, is a pass over one run that hands back
-that run's values alone.
+that run's values alone, and raises ``NumericError`` at a non-finite value.
+A pass over a matrix records instead each (run, group) slice's first error,
+the one its lone pass would raise, in ``Graph.failed``, and carries on: no
+slice's values reach another's, so the other slices stay those of their
+lone passes.
 
 A parameter vector is a read-only 1-D float64 array (``parameter_vector``
 makes one), a gradient a ``FlatGradient`` around one.  Finiteness is
@@ -220,6 +224,11 @@ class Graph:
     class count.  A parameter vector of ``size`` entries holds, layer after
     layer, the ``(fan_in, fan_out)`` weight in row-major order and then the
     ``(fan_out,)`` bias.
+
+    ``failed`` is None after a pass over a matrix whose checked values were
+    all finite, else one list per run of each group's first ``NumericError``
+    or None: the first stage that failed (a layer, the cross-entropy, then
+    ``backward``'s gradient), though later ones may be finite (``tanh(inf)``).
     """
 
     def __init__(self, widths):
@@ -237,10 +246,23 @@ class Graph:
         self.size = offset
         self._layers = tuple(layers)
         self._cache: _Cache | None = None
+        self.failed: list | None = None
 
     def __getstate__(self):
-        # a copy, pickled or shallow, starts without the forward cache
-        return {**self.__dict__, "_cache": None}
+        # a copy, pickled or shallow, starts without the forward cache and its errors
+        return {**self.__dict__, "_cache": None, "failed": None}
+
+    def _fail(self, lone: bool, finite: np.ndarray, message: str, groups: int) -> None:
+        """Raise ``message`` for a lone pass; else record it for each slice of
+        the ``(runs, <= groups)`` mask ``finite`` that is False and has no error yet."""
+        if lone:
+            raise NumericError(message)
+        if self.failed is None:
+            self.failed = [[None] * groups for _ in finite]
+        for errors, row in zip(self.failed, finite.tolist()):
+            for group, ok in enumerate(row):
+                if not ok and errors[group] is None:
+                    errors[group] = NumericError(message)
 
     def bind(self, bindings: dict) -> dict:
         """``bindings``, whose rows split into ``groups`` (default 1) equal groups, checked once."""
@@ -273,7 +295,7 @@ class Graph:
         ``params`` is one parameter vector, an array of ``size`` entries, or
         a matrix whose rows are such vectors: a pass over several runs at
         once, which returns each run's tuple of group losses, bit for bit
-        those of its lone pass.
+        those of its lone pass, with its errors in ``failed``.
         """
         lone = params.ndim == 1
         data = params[None] if lone else params  # a lone vector viewed as a run axis of one
@@ -283,6 +305,7 @@ class Graph:
             bindings = self.bind(bindings)
         groups = bindings["groups"]
         runs = len(data)
+        self.failed = None
         # a run axis in front: (1, groups, n, d) @ (runs, 1, d, k) is one GEMM per run and group
         h = bindings["features"].reshape(1, groups, -1, self.widths[0])
         n = h.shape[2]
@@ -295,7 +318,8 @@ class Graph:
                 h = h @ w
                 h += data[:, None, None, b_at]
                 if np.count_nonzero(np.isfinite(h)) != h.size:
-                    raise NumericError(f"non-finite pre-activation in layer {i}")
+                    finite = np.isfinite(h).all(axis=(2, 3))
+                    self._fail(lone, finite, f"non-finite pre-activation in layer {i}", groups)
                 if i < last:
                     np.tanh(h, out=h)
                 weights.append(w)
@@ -314,7 +338,7 @@ class Graph:
             # one reduction sums each n-row group of every run pairwise, as -np.mean(lp) sums it
             losses = (-(lp.reshape(-1, n).sum(axis=1) / n)).tolist()
         if not all(map(math.isfinite, losses)):
-            raise NumericError("non-finite cross-entropy")
+            self._fail(lone, np.isfinite(losses).reshape(runs, groups), "non-finite cross-entropy", groups)
         self._cache = _Cache(weights, acts, bindings["at_label"], numer, denom, lp, lone)
         if lone:
             return tuple(losses)
@@ -339,18 +363,18 @@ class Graph:
         cache = self._cached()
         return cache.lp[0] if cache.lone else cache.lp
 
-    def backward(self, dlp: np.ndarray | None = None, groups: int | None = None, *, as_array: bool = False) -> tuple:
+    def backward(self, dlp: np.ndarray | None = None, groups: int | None = None) -> tuple:
         """Gradients w.r.t. the flat parameter vector, after a ``run``: one per group.
 
         Without ``dlp`` this differentiates the cross-entropy of each group
         that ``run`` returned; with ``dlp`` (one entry per row, shaped as
         ``lp``) it differentiates any loss whose gradient w.r.t. ``lp`` is
         ``dlp``.  With ``groups`` only the first ``groups`` groups are
-        differentiated.  After a pass over several runs it returns each
-        run's tuple of group gradients.  With ``as_array`` it returns
-        ``(flat, norms)`` instead, for a loop that reads a group's gradients
-        as matrices: the gradients as the rows of one read-only ``(runs,
-        groups, size)`` array, and each run's list of their norms.
+        differentiated.  After a lone pass it returns a ``FlatGradient`` per
+        group; after a pass over several runs ``(flat, norms)``, the rows of
+        one read-only ``(runs, groups, size)`` array and each run's list of
+        their norms.  A gradient with a non-finite entry raises or goes in
+        ``failed``, as ``run``'s errors do; huge finite entries are finite.
         """
         weights, acts, at_label, numer, denom, lp, lone = self._cached()
         runs, rows = lp.shape
@@ -397,13 +421,12 @@ class Graph:
         # by the entry-wise test of every row
         norms = [list(map(math.sqrt, map(np.ndarray.dot, run, run))) for run in flat]
         if not math.isfinite(sum(map(sum, norms))):
-            for data in flat.reshape(-1, self.size):
-                _adopt_vector(data, "gradient")
-        if as_array:
+            finite = np.isfinite(flat).all(axis=2)
+            if not finite.all():
+                self._fail(lone, finite, "gradient entries must be finite", stacked)
+        if not lone:
             return flat, norms
-        grads = [tuple([tuple.__new__(FlatGradient, pair) for pair in zip(run, run_norms)])
-                 for run, run_norms in zip(flat, norms)]
-        return grads[0] if lone else tuple(grads)
+        return tuple([tuple.__new__(FlatGradient, pair) for pair in zip(flat[0], norms[0])])
 
 
 def stack(batches) -> dict:

@@ -26,9 +26,10 @@ probes are lone passes) and appends its trace row; and one update
 ``theta - eta * d`` serves the whole matrix.  Each evaluation is one pass
 per side of the split.  Every elementwise operation has the operands of a
 lone run's, so every run's record is bit for bit its lone run's.  A run
-that meets a non-finite value (a classification run reruns that step as
-lone passes to find it) aborts with the lone run's step and message, and
-leaves the group while the others step on.  A lone run is a group of one.
+that meets a non-finite value aborts with its lone run's step and message,
+and leaves the group while the others step on: a pass over the group
+records each run's first error instead of raising, so nothing is rerun.
+A lone run is a group of one.
 Artifacts are written whole or not at all (:func:`write_file`).
 """
 
@@ -55,7 +56,6 @@ from .autodiff import (
     _adopt_vector,
     _column,
     axpy_update,
-    forward,
     parameter_vector,
     stack,
 )
@@ -671,6 +671,16 @@ def _nonfinite_rows(rows: np.ndarray):
     return {i for i, row in enumerate(rows) if not np.isfinite(row).all()}
 
 
+def _first_errors(outs: list, *failures) -> list:
+    """``outs``, each run's entry replaced by the first error that ``failures``,
+    each a ``Graph.failed`` or like one, hold for it, in order."""
+    for failed in failures:
+        for i, errors in enumerate(failed or ()):
+            if not isinstance(outs[i], Exception):
+                outs[i] = next((error for error in errors if error is not None), outs[i])
+    return outs
+
+
 def _rows(batch: LabeledBatch) -> dict:
     """The bindings of a pass over ``batch`` alone."""
     return {"features": batch.features, "labels": batch.labels}
@@ -679,14 +689,6 @@ def _rows(batch: LabeledBatch) -> dict:
 def bind_split(graph: Graph, split: ForgetRetainSplit) -> tuple:
     """Both sides of ``split``, retain first, checked once by ``graph.bind`` for every evaluation."""
     return tuple(graph.bind(_rows(side)) for side in (split.retain, split.forget))
-
-
-def _caught(fn, *args):
-    """``fn(*args)``, or the ``NumericError`` it raised."""
-    try:
-        return fn(*args)
-    except NumericError as exc:
-        return exc
 
 
 class _QuadTask:
@@ -786,9 +788,11 @@ class _ClassificationTask:
         gradients, the rows of read-only matrices, one per run.  An NPO
         run's losses are the retain and forget minibatches' cross-entropy,
         its norms nan, and its NPO gradient is its row of ``g_r``, ``g_f``
-        being None.  When a pass meets a non-finite value, each run reruns
-        the step as its lone passes, and the error those raise first comes
-        back in the run's place (its gradient rows are zero).
+        being None.  A run that met a non-finite value gets in its place,
+        and in place of readable gradient rows, the error that its lone
+        passes would raise first: retain forward, retain gradient, forget
+        forward, forget gradient; for NPO forget forward, NPO loss, forget
+        gradient, retain forward.
         """
         self._probe_rows = None
         if self._npo_ref is not None:
@@ -796,65 +800,45 @@ class _ClassificationTask:
             forget = self.split.forget.take(idx)
             # gradient-free diagnostics, not counted: the retain minibatch's cross-entropy
             retain = self._retain_batch = self.split.retain.take(self._retain_stream.next())
-            shared, lone, args = self._npo_step, self._npo_lone, (forget, retain, self._npo_ref[idx])
-        else:
-            retain = self._retain_batch = self.split.retain.take(self._retain_stream.next())
-            forget = self.split.forget.take(self._forget_stream.next())
-            shared, lone, args = self._step, self._lone, ((retain, forget),)
-        try:
-            return shared(runs, theta, *args)
-        except NumericError:
-            results = [_caught(lone, run, params, *args) for run, params in zip(runs, theta)]
-        outs, rows_r, rows_f = [], [], []
-        zero = np.zeros(self.graph.size)
-        zero.flags.writeable = False
-        for result in results:
-            if isinstance(result, Exception):
-                outs.append(result)
-                rows_r.append(zero)
-                rows_f.append(zero)
-            elif self._npo_ref is not None:
-                _, g, loss_retain, loss_forget = result
-                outs.append((loss_retain, loss_forget, math.nan, math.nan))
-                rows_r.append(g.data)
-            else:
-                (loss_retain, g_r), (loss_forget, g_f) = result
-                outs.append((loss_retain, loss_forget, g_r.norm, g_f.norm))
-                rows_r.append(g_r.data)
-                rows_f.append(g_f.data)
-        return outs, _stacked(rows_r), _stacked(rows_f) if self._npo_ref is None else None
-
-    def _step(self, runs, theta, batches) -> tuple:
+            return self._npo_step(runs, theta, forget, retain, self._npo_ref[idx])
+        retain = self._retain_batch = self.split.retain.take(self._retain_stream.next())
+        forget = self.split.forget.take(self._forget_stream.next())
         # each pass gives every run's losses and one gradient matrix per group
-        losses, rows, norms = [], [], []
-        for bindings in self._passes(batches):
+        losses, rows, norms, failed = [], [], [], []
+        for bindings in self._passes((retain, forget)):
             losses += zip(*self.graph.run(theta, bindings))
-            flat, flat_norms = self.graph.backward(as_array=True)
+            flat, flat_norms = self.graph.backward()
             rows.extend(flat.swapaxes(0, 1))
             norms += zip(*flat_norms)
+            failed.append(self.graph.failed)
         (loss_r, loss_f), (g_r, g_f), (norm_r, norm_f) = losses, rows, norms
-        return list(zip(loss_r, loss_f, norm_r, norm_f)), g_r, g_f
-
-    def _lone(self, run, params, batches) -> list:
-        # retain first, so an error is the one the lone passes raise first
-        return [(forward(self.graph, params, b), self.graph.backward()[0]) for b in batches]
+        return _first_errors(list(zip(loss_r, loss_f, norm_r, norm_f)), *failed), g_r, g_f
 
     def _npo_step(self, runs, theta, forget, retain, ref) -> tuple:
         passes = self._passes((forget, retain))
         cross = self.graph.run(theta, passes[0])
-        for run, lp in zip(runs, self.graph.lp):
-            run.npo.score(lp[: forget.n], ref)
-        dlp = np.array([run.npo.upstream() for run in runs])
-        flat, _ = self.graph.backward(dlp, 1, as_array=True)
+        failed = self.graph.failed
+        npo_failed = None  # each run's NPO loss error, once one fails
+        dlp = np.zeros((len(runs), forget.n))  # a run whose forget forward failed keeps a zero row
+        for i, (run, lp) in enumerate(zip(runs, self.graph.lp)):
+            try:
+                if not (failed and failed[i][0]):
+                    run.npo.score(lp[: forget.n], ref)
+                    dlp[i] = run.npo.upstream()
+            except NumericError as exc:
+                npo_failed = npo_failed or [()] * len(runs)
+                npo_failed[i] = (exc,)
+        flat, _ = self.graph.backward(dlp, 1)
+        # an NPO loss error is read first, though a lone run meets it after its
+        # forget forward: that forward was finite, and the run's zero dlp row
+        # gives it a zero gradient, so its forget group records no error
+        failed = [npo_failed, self.graph.failed]
         if len(passes) > 1:
             cross = [f + r for f, r in zip(cross, self.graph.run(theta, passes[1]))]
+            failed.append(self.graph.failed)
         # each run's forget and retain cross-entropy, as the passes order them
-        return [(loss_r, loss_f, math.nan, math.nan) for loss_f, loss_r in cross], flat[:, 0], None
-
-    def _npo_lone(self, run, params, forget, retain, ref):
-        # the forget minibatch's loss and gradient first, then the retain pass
-        value, grad = run.npo.loss_and_grad(params, forget, ref)
-        return value, grad, forward(self.graph, params, retain), run.npo.cross_entropy
+        outs = [(loss_r, loss_f, math.nan, math.nan) for loss_f, loss_r in cross]
+        return _first_errors(outs, *failed), flat[:, 0], None
 
     def probe_loss(self, params) -> float:
         # probes reuse the retain minibatch of the step's gradients, bound once per step
@@ -863,36 +847,29 @@ class _ClassificationTask:
         return self.graph.run(params, self._probe_rows)[0]
 
     def evaluate(self, theta) -> list:
-        """Each run's metrics, from one pass per side of the split over every row of ``theta``.
-
-        When a pass meets a non-finite value, each run is evaluated alone,
-        and its error comes back in its place.
-        """
-        try:
-            return evaluate(self.graph, theta, self.split, self._bound_split)
-        except NumericError:
-            return [_caught(_evaluate_one, self.graph, p, self.split, self._bound_split) for p in theta]
+        """Each run's metrics, or its error, from one pass per side of the split over every row of ``theta``."""
+        return evaluate(self.graph, theta, self.split, self._bound_split)
 
 
 def evaluate(graph: Graph, params, split: ForgetRetainSplit, bound=None) -> list:
     """Mean losses and argmax accuracies on both sides of a split.
 
     ``params`` is a matrix whose rows are parameter vectors, evaluated in
-    one pass per side and given one result each.  ``bound`` is ``bind_split(graph, split)`` when
-    the split is bound once for many evaluations.
+    one pass per side and given one result each: its ``EvalResult``, or the
+    ``NumericError`` its lone evaluation would raise first, the retain
+    side's before the forget side's.  ``bound`` is ``bind_split(graph,
+    split)`` when the split is bound once for many evaluations.
     """
-    sides = []
+    sides, failed = [], []
     for batch, bindings in zip((split.retain, split.forget), bound or bind_split(graph, split)):
         losses = graph.run(params, bindings)
+        failed.append(graph.failed)
         sides.append([
             (loss, float(np.mean(np.argmax(logits, axis=1) == batch.labels)))
             for (loss,), logits in zip(losses, graph.logits)
         ])
-    return [EvalResult(loss_r, loss_f, acc_r, acc_f) for (loss_r, acc_r), (loss_f, acc_f) in zip(*sides)]
-
-
-def _evaluate_one(graph: Graph, params: np.ndarray, split: ForgetRetainSplit, bound) -> EvalResult:
-    return evaluate(graph, params[None], split, bound)[0]
+    results = [EvalResult(loss_r, loss_f, acc_r, acc_f) for (loss_r, acc_r), (loss_f, acc_f) in zip(*sides)]
+    return _first_errors(results, *failed)
 
 
 def finetune(

@@ -45,9 +45,7 @@ class NpoLoss:
     The loss is a function of the kernel's true-label log-probabilities, so
     its gradient is the kernel's backward pass given ``dL/dlp``: ``score``
     takes the log-probabilities of a kernel pass, such as one the loop runs
-    for a lockstep group of runs, and ``upstream`` gives ``dL/dlp``.  The
-    pass that ``loss`` runs on ``model`` keeps the batch's mean cross-entropy
-    as ``cross_entropy``.
+    for a lockstep group of runs, and ``upstream`` gives ``dL/dlp``.
 
     ``beta`` is the inverse temperature and ``reference_params`` the frozen
     pre-unlearning snapshot.  ``clamp_warnings`` counts batches in which a
@@ -66,7 +64,6 @@ class NpoLoss:
         self.clamp_warnings = 0
         self._graph = model
         self._z: np.ndarray | None = None
-        self.cross_entropy: float | None = None
 
     def reference_logprobs(self, batch) -> np.ndarray:
         """True-label log-probabilities under the frozen reference, clamped below."""
@@ -103,7 +100,7 @@ class NpoLoss:
     def loss(self, params: np.ndarray, batch, ref_logprobs: np.ndarray | None = None) -> float:
         if ref_logprobs is None:
             ref_logprobs = self.reference_logprobs(batch)
-        self.cross_entropy = forward(self._graph, params, batch)
+        forward(self._graph, params, batch)
         return self.score(self._graph.lp, ref_logprobs)
 
     def loss_and_grad(

@@ -365,6 +365,19 @@ class TestStackedPass:
                 graph.backward(groups=groups)
 
 
+# [1, 1, 2] MLPs: w1, b1, w2 (1x2), b2.  SAFE keeps rows up to 1e308 finite
+# (tanh saturates at w1 = 0.5), OVERFLOWS overflows layer 1 at a row of
+# 1e308, and CHAIN also overflows the logits once tanh saturates
+SAFE = [0.5, 0.0, 1.0, -1.0, 0.0, 0.0]
+OVERFLOWS = [2.0, 0.0, 1.0, -1.0, 0.0, 0.0]
+CHAIN = [2.0, 0.0, 1e308, -1e308, 0.0, 0.0]
+
+
+def messages(failed):
+    """The messages of a ``Graph.failed``, None where a group met no error."""
+    return [[None if error is None else str(error) for error in errors] for errors in failed]
+
+
 class TestRunAxis:
     """A pass over several parameter vectors is, run by run and group by group, their lone passes bit for bit."""
 
@@ -394,21 +407,63 @@ class TestRunAxis:
 
         losses = graph.run(np.array(vectors), bound)
         lp, logits = graph.lp, graph.logits
-        grads, dlp_grads = graph.backward(), graph.backward(dlps)
-        firsts = graph.backward(dlps[:, :rows], groups=1)
+        passes = graph.backward(), graph.backward(dlps), graph.backward(dlps[:, :rows], groups=1)
+        assert graph.failed is None
         assert losses == tuple(one[0] for one in lone)
         assert lp.shape == (runs, 2 * rows) and logits.shape == (runs, 2 * rows, classes)
-        for r, (_, one_lp, one_logits, one_grads, one_dlp_grads, one_first) in enumerate(lone):
+        for flat, _ in passes:
+            assert not flat.flags.writeable and flat.shape[:1] == (runs,)
+        for r, (_, one_lp, one_logits, *one_grads) in enumerate(lone):
             assert same_bits(lp[r], one_lp) and same_bits(logits[r], one_logits)
-            for got, want in zip((grads[r], dlp_grads[r], firsts[r]), (one_grads, one_dlp_grads, one_first)):
-                assert len(got) == len(want) and all(map(same_gradient, got, want))
+            for (flat, norms), want in zip(passes, one_grads):
+                assert len(flat[r]) == len(norms[r]) == len(want)
+                for data, norm, grad in zip(flat[r], norms[r], want):
+                    assert same_bits(data, grad.data) and repr(norm) == repr(grad.norm)
 
-    def test_a_run_that_overflows_fails_the_pass(self):
-        graph, params = mlp_factory(0, [4, 3])
-        batch = batch_of(np.ones((2, 4)), [0, 1], 3)
-        huge = parameter_vector(np.full(params.size, 1e308))
-        with np.errstate(all="ignore"), pytest.raises(NumericError, match="^non-finite pre-activation in layer 1$"):
-            graph.run(np.array([params, huge]), stack((batch,)))
+    def test_a_run_that_overflows_fails_its_own_slices(self):
+        graph, _ = mlp_factory(0, [1, 1, 2])
+        batches = [batch_of([[1e308]], [1], 2), batch_of([[4.0]], [1], 2)]
+        theta = np.array([SAFE, OVERFLOWS, CHAIN])
+        losses = graph.run(theta, stack(batches))
+        # tanh(inf) is 1, so the second run's first group ends with a finite
+        # loss; it failed in layer 1 all the same
+        assert math.isfinite(losses[1][0])
+        layer1, cross_entropy = "non-finite pre-activation in layer 1", "non-finite cross-entropy"
+        expected = [[None, None], [layer1, None], [layer1, cross_entropy]]
+        assert messages(graph.failed) == expected
+        with np.errstate(all="ignore"):  # as in the loops, which check instead
+            flat, _ = graph.backward()  # a failed slice's gradient is not to be read
+        assert messages(graph.failed) == expected
+        for params, run_losses, run_flat, errors in zip(theta, losses, flat, expected):
+            for batch, loss, data, error in zip(batches, run_losses, run_flat, errors):
+                if error is None:  # its lone pass gives the same values
+                    assert forward(graph, parameter_vector(params), batch) == loss
+                    assert same_bits(graph.backward()[0].data, data)
+                else:  # its lone pass raises the recorded error
+                    with pytest.raises(NumericError, match=f"^{error}$"):
+                        forward(graph, parameter_vector(params), batch)
+
+    def test_backward_records_a_gradient_row_with_a_non_finite_entry(self):
+        graph, _ = mlp_factory(0, [1, 1, 2])
+        batches = [batch_of([[1e-308]], [1], 2), batch_of([[0.0]], [1], 2)]
+        graph.run(np.array([SAFE, CHAIN]), stack(batches))
+        assert graph.failed is None
+        with np.errstate(all="ignore"):
+            graph.backward()
+            assert messages(graph.failed) == [[None, None], ["gradient entries must be finite", None]]
+            forward(graph, parameter_vector(CHAIN), batches[0])
+            with pytest.raises(NumericError, match="^gradient entries must be finite$"):
+                graph.backward()
+
+    def test_a_huge_finite_gradient_row_is_accepted(self):
+        graph, params = mlp_factory(0, [1, 2])
+        params = [1.0, -1.0, 0.0, 0.0]
+        graph.run(np.array([params, params]), stack((batch_of([[1e200]], [1], 2),)))
+        with np.errstate(over="ignore"):
+            flat, norms = graph.backward()
+        assert graph.failed is None
+        assert flat[:, 0].tolist() == [[1e200, -1e200, 1.0, -1.0]] * 2
+        assert norms == [[math.inf]] * 2
 
     def test_dlp_of_the_wrong_shape_is_rejected(self):
         graph, params = mlp_factory(0, [4, 3])

@@ -445,6 +445,23 @@ class TestLockstepAborts:
         assert record_to_json(finished) == record_to_json(alone)
         assert finished.final_params.tobytes() == alone.final_params.tobytes()
 
+    @pytest.mark.parametrize("batch_size, passes", [(20, 1), (40, 2)], ids=["stacked", "unequal-minibatches"])
+    @pytest.mark.parametrize("method", [{"kind": "ngdiff"}, {"kind": "npo", "beta": 1.0}], ids=["ngdiff", "npo"])
+    def test_an_abort_step_reruns_nothing(self, monkeypatch, method, batch_size, passes):
+        cfg = config_from_dict(small_gaussian_doc(method, batch_size=batch_size))
+        start = no_unlearn(cfg)
+        task = _ClassificationTask([cfg, cfg], start)
+        # the second run's parameters overflow the first layer
+        theta = parameter_vector([start.params, np.full(start.params.size, 1e308)]).reshape(2, -1)
+        calls = TestOneKernelPassPerStep.spy_on_run(monkeypatch)
+        with np.errstate(all="ignore"):
+            (stepped, failed), _, _ = task.step([_Run(cfg, task), _Run(cfg, task)], theta)
+            evaluated, failed_evaluation = task.evaluate(theta)
+        assert len(calls) == passes + 2  # the step's passes and one per side of the split
+        assert isinstance(evaluated, EvalResult) and not isinstance(stepped, Exception)
+        for error in (failed, failed_evaluation):
+            assert isinstance(error, NumericError) and str(error) == "non-finite pre-activation in layer 1"
+
 
 class TestPassOverhead:
     def test_fixed_lr_is_exactly_one(self):

@@ -75,13 +75,6 @@ class TestNpoLoss:
         weights = (2.0 / batch.n) / (1.0 + np.exp(-beta * (graph.lp - ref)))
         np.testing.assert_allclose(grad.data, graph.backward(weights)[0].data, rtol=1e-12, atol=1e-300)
 
-    def test_keeps_the_cross_entropy_of_its_forward(self):
-        graph, params, batch = small_model()
-        npo = NpoLoss(graph, 0.7, params)
-        moved = parameter_vector(params + 0.1)
-        npo.loss_and_grad(moved, batch)
-        assert npo.cross_entropy == forward(graph, moved, batch)
-
     def test_a_stacked_retain_batch_rides_along_undifferentiated(self):
         graph, params, batch = small_model()
         rng = np.random.default_rng(9)
