@@ -428,6 +428,8 @@ def cmd_finetune(args) -> int:
         return 2
     start = engine.no_unlearn(cfg)
     (ev,) = engine.evaluate(start.graph, start.params[None], start.split)
+    if isinstance(ev, Exception):  # as a loop's final evaluation fails, after the last step
+        raise NumericAbort(cfg.problem.finetune_steps, str(ev), start.params)
     print(
         f"no-unlearn: acc_retain={_fmt(ev.acc_retain)} acc_forget={_fmt(ev.acc_forget)} "
         f"loss_retain={_fmt(ev.loss_retain)} loss_forget={_fmt(ev.loss_forget)}"

@@ -925,6 +925,16 @@ class TestFinetuneAndReport:
         assert out.startswith("no-unlearn: acc_retain=") and "loss_forget=" in out
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    def test_a_finetuned_model_whose_evaluation_overflows_exits_3(self, tmp_path, capsys):
+        # one finetune step of eta 1e307 stays finite, and the evaluation of its model does not
+        doc = json.loads((CONFIGS / "ngdiff_gaussian.json").read_text())
+        doc["problem"].update(finetune_steps=1, finetune_eta=1e307)
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["finetune", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite value at step 1: non-finite cross-entropy\n"
+
     @pytest.mark.parametrize("command", ["report", "pareto"])
     @pytest.mark.parametrize(
         "key, value",

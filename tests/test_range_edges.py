@@ -5,9 +5,11 @@ kind that reads it, to the smallest subnormal, 1e-300, 1e300 and the
 largest float, and to their negatives where the field's rule allows them.
 Every integer field (a list field by its one entry) is set to its lower
 bound, one below it and 10**400.  Each case runs three steps through
-``cli.main``.  The contract: exit 0, 2 or 3, never a traceback, an exit 2
-that names the case's own field, a record that re-parses on exit 0, and at
-least one accepted float value per field in each base.
+``cli.main``, and each case of a Gaussian base also ``ngdiff finetune``.
+The contract: exit 0, 2 or 3, never a traceback, an exit 2 that names the
+case's own field, a record that re-parses (or, for ``finetune``, an
+evaluation line) on exit 0, and at least one accepted float value per field
+in each base.
 """
 
 import json
@@ -122,6 +124,8 @@ def int_cases():
 
 CASES = float_cases()
 INT_CASES = int_cases()
+GAUSSIAN_BASES = ("gaussian", "npo", "gaussian_fixed", "gaussian_auto")
+FINETUNE_CASES = [case for case in CASES + INT_CASES if case[0].split("-", 1)[1] in GAUSSIAN_BASES]
 
 
 def test_every_float_field_is_covered():
@@ -136,19 +140,22 @@ def test_every_int_field_is_covered():
     assert len(fields) == 13
 
 
-def run_cleanly(tmp_path, capsys, case_id, docs) -> int:
-    """Run each document through ``cli.main``; the number of runs not rejected as a config error."""
+def run_cleanly(tmp_path, capsys, case_id, docs, command="run") -> int:
+    """Run each document through ``cli.main``'s ``command``; the number of runs
+    not rejected as a config error."""
     leaf = case_id.split("-")[0]
     accepted = 0
     for i, (value, doc) in enumerate(docs):
         cfg = tmp_path / f"cfg{i}.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / f"out{i}"
-        code = main(["run", "--config", str(cfg), "--out", str(out)])
-        err = capsys.readouterr().err
+        code = main([command, "--config", str(cfg), *(["--out", str(out)] if command == "run" else [])])
+        printed, err = capsys.readouterr()
         assert code in (0, 2, 3), (value, code, err)
         assert "Traceback" not in err, (value, err)
-        if code == 0:
+        if code == 0 and command == "finetune":
+            assert printed.startswith("no-unlearn: acc_retain="), (value, printed)
+        elif code == 0:
             (record,) = out.glob("*/record.json")
             assert record_from_json(record.read_text()).steps == doc["steps"]
         if code == 2:
@@ -165,3 +172,8 @@ def test_range_edges_exit_cleanly(tmp_path, capsys, case_id, docs):
 @pytest.mark.parametrize("case_id, docs", INT_CASES, ids=[i for i, _ in INT_CASES])
 def test_int_range_edges_exit_cleanly(tmp_path, capsys, case_id, docs):
     run_cleanly(tmp_path, capsys, case_id, docs)
+
+
+@pytest.mark.parametrize("case_id, docs", FINETUNE_CASES, ids=[i for i, _ in FINETUNE_CASES])
+def test_gaussian_range_edges_finetune_cleanly(tmp_path, capsys, case_id, docs):
+    run_cleanly(tmp_path, capsys, case_id, docs, "finetune")
