@@ -318,8 +318,7 @@ class Graph:
                 h = h @ w
                 h += data[:, None, None, b_at]
                 if np.count_nonzero(np.isfinite(h)) != h.size:
-                    finite = np.isfinite(h).all(axis=(2, 3))
-                    self._fail(lone, finite, f"non-finite pre-activation in layer {i}", groups)
+                    self._fail(lone, np.isfinite(h).all(axis=(2, 3)), f"non-finite pre-activation in layer {i}", groups)
                 if i < last:
                     np.tanh(h, out=h)
                 weights.append(w)

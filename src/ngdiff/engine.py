@@ -788,11 +788,11 @@ class _ClassificationTask:
         gradients, the rows of read-only matrices, one per run.  An NPO
         run's losses are the retain and forget minibatches' cross-entropy,
         its norms nan, and its NPO gradient is its row of ``g_r``, ``g_f``
-        being None.  A run that met a non-finite value gets in its place,
-        and in place of readable gradient rows, the error that its lone
-        passes would raise first: retain forward, retain gradient, forget
-        forward, forget gradient; for NPO forget forward, NPO loss, forget
-        gradient, retain forward.
+        being None.  A run that met a non-finite value gets in its place the
+        error its lone passes would raise first, and its gradient rows are
+        not to be read.  The lone order is retain forward, retain gradient,
+        forget forward, forget gradient; for NPO it is forget forward, NPO
+        loss, forget gradient, retain forward.
         """
         self._probe_rows = None
         if self._npo_ref is not None:
@@ -817,12 +817,12 @@ class _ClassificationTask:
     def _npo_step(self, runs, theta, forget, retain, ref) -> tuple:
         passes = self._passes((forget, retain))
         cross = self.graph.run(theta, passes[0])
-        failed = self.graph.failed
+        forward_failed = self.graph.failed
         npo_failed = None  # each run's NPO loss error, once one fails
         dlp = np.zeros((len(runs), forget.n))  # a run whose forget forward failed keeps a zero row
         for i, (run, lp) in enumerate(zip(runs, self.graph.lp)):
             try:
-                if not (failed and failed[i][0]):
+                if not (forward_failed and forward_failed[i][0]):
                     run.npo.score(lp[: forget.n], ref)
                     dlp[i] = run.npo.upstream()
             except NumericError as exc:
