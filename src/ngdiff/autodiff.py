@@ -373,7 +373,7 @@ class Graph:
         group; after a pass over several runs ``(flat, norms)``, the rows of
         one read-only ``(runs, groups, size)`` array and each run's list of
         their norms.  A gradient with a non-finite entry raises or goes in
-        ``failed``, as ``run``'s errors do; huge finite entries are finite.
+        ``failed``, as ``run``'s errors do; huge finite entries pass.
         """
         weights, acts, at_label, numer, denom, lp, lone = self._cached()
         runs, rows = lp.shape
