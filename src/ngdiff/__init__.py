@@ -13,7 +13,6 @@ from .autodiff import (
     GraphStateError,
     NumericError,
     axpy_update,
-    forward,
     parameter_vector,
 )
 from .bench import (

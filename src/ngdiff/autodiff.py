@@ -13,15 +13,17 @@ preference loss in ``objectives`` uses that).  Every production loss is a
 function of ``lp``, so this one kernel serves finetuning, both task
 gradients, probes and evaluation.
 
-A pass may stack equal-size batches as groups of rows (``stack``); each
-group's loss, ``lp``, logits and gradient are bit for bit those of a lone
-pass over its batch (a pass of one group), since every product is one GEMM
-per group and every reduction keeps its per-group order.  Every pass has a
-run axis in front of the groups: ``(1, groups, n, d) @ (runs, 1, d, k)`` is
-one GEMM per run and group, so a pass over several parameter vectors gives
-each run the losses, ``lp``, logits and gradients of its lone pass, bit for
-bit.  A lone pass, over one vector, is a pass over one run that hands back
-that run's values alone, and raises ``NumericError`` at a non-finite value.
+Rows enter a pass as ``LabeledBatch``es: ``Graph.bind`` stacks equal-size
+batches as groups of rows and checks them once, and ``Graph.run`` takes
+only what ``bind`` returned.  Each group's loss, ``lp``, logits and
+gradient are bit for bit those of a lone pass over its batch (a pass of
+one group), since every product is one GEMM per group and every
+reduction keeps its per-group order.  Every pass has a run axis in front
+of the groups: ``(1, groups, n, d) @ (runs, 1, d, k)`` is one GEMM per
+run and group, so a pass over several parameter vectors gives each run
+the losses, ``lp``, logits and gradients of its lone pass, bit for bit.
+A lone pass, over one vector, is a pass over one run that hands back that
+run's values alone, and raises ``NumericError`` at a non-finite value.
 A pass over a matrix records instead each (run, group) slice's first error,
 the one its lone pass would raise, in ``Graph.failed``, and carries on: no
 slice's values reach another's, so the other slices stay those of their
@@ -264,48 +266,48 @@ class Graph:
                 if not ok and errors[group] is None:
                     errors[group] = NumericError(message)
 
-    def bind(self, bindings: dict) -> dict:
-        """``bindings``, whose rows split into ``groups`` (default 1) equal groups, checked once."""
-        for name in ("features", "labels"):
-            if name not in bindings:
-                raise DimensionError(f"missing binding for {name!r}")
-        x = _as_f64(bindings["features"])
-        if x.ndim != 2 or x.shape[1] != self.widths[0]:
+    def bind(self, *batches) -> dict:
+        """The rows of one pass over equal-size ``LabeledBatch``es, one group each, checked once.
+
+        A ``LabeledBatch`` has already checked its own shapes and labels, so
+        only what it cannot know about this graph is checked here: the
+        batches' common size, the feature width and the class count.  The
+        bound rows stay a dict, since the tracer in ``perfbench/tracing.py``
+        reads ``run``'s ``bindings["features"]`` to count rows.
+        """
+        if len({b.n for b in batches}) != 1:
+            raise DimensionError("the batches of one pass must have one size")
+        x = np.concatenate([b.features for b in batches])
+        labels = np.concatenate([b.labels for b in batches])
+        if x.shape[1] != self.widths[0]:
             raise DimensionError(f"features expect shape (n, {self.widths[0]}), got {x.shape}")
-        if x.shape[0] == 0:
-            raise DimensionError("features must be non-empty")
-        groups = bindings.get("groups", 1)
-        if type(groups) is not int or groups < 1 or x.shape[0] % groups:
-            raise DimensionError(f"features do not split into {groups!r} groups of equal size")
-        labels = np.asarray(bindings["labels"], dtype=np.int64)
-        if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
-            raise DimensionError("labels must be a 1-D integer array with one entry per row")
-        if labels.min() < 0 or labels.max() >= self.widths[-1]:
-            raise DimensionError("labels out of class range")
         k = self.widths[-1]
+        if labels.max() >= k:
+            raise DimensionError("labels out of class range")
         at_label = np.arange(0, x.shape[0] * k, k) + labels  # flat (row, true label) index
-        checked = {"features": x, "labels": labels, "groups": groups, "at_label": at_label}
+        checked = {"features": x, "labels": labels, "groups": len(batches), "at_label": at_label}
         return {**checked, "widths": self.widths}  # the graph's own widths mark them checked
 
     def run(self, params, bindings: dict) -> tuple:
         """Forward pass over ``bindings["features"]`` and ``bindings["labels"]``.
 
         Returns each group's mean cross-entropy and caches what ``backward``
-        needs.  Bindings that ``bind`` returned are not checked again.
+        needs.  ``bindings`` must be what this graph's ``bind`` returned, and
+        is not checked again; any other value raises ``DimensionError``.
         ``params`` is one parameter vector, an array of ``size`` entries, or
         a matrix whose rows are such vectors: a pass over several runs at
         once, which returns each run's tuple of group losses, bit for bit
         those of its lone pass, with its errors in ``failed``.
         """
+        self._cache = self.failed = None  # a pass that raises leaves nothing to read
         lone = params.ndim == 1
         data = params[None] if lone else params  # a lone vector viewed as a run axis of one
         if data.ndim != 2 or data.shape[1] != self.size:  # slicing would take a longer vector
             raise DimensionError(f"parameter vector of shape {data.shape[1:]}, the graph takes ({self.size},)")
-        if bindings.get("widths") is not self.widths:
-            bindings = self.bind(bindings)
+        if not (isinstance(bindings, dict) and bindings.get("widths") is self.widths):
+            raise DimensionError("bindings must be what this graph's bind returned")
         groups = bindings["groups"]
         runs = len(data)
-        self.failed = None
         # a run axis in front: (1, groups, n, d) @ (runs, 1, d, k) is one GEMM per run and group
         h = bindings["features"].reshape(1, groups, -1, self.widths[0])
         n = h.shape[2]
@@ -426,18 +428,4 @@ class Graph:
         if not lone:
             return flat, norms
         return tuple([tuple.__new__(FlatGradient, pair) for pair in zip(flat[0], norms[0])])
-
-
-def stack(batches) -> dict:
-    """The bindings of one pass over equal-size labeled ``batches``, one group each."""
-    if len({b.n for b in batches}) != 1:
-        raise DimensionError("stacked batches must have one size")
-    features = np.concatenate([b.features for b in batches])
-    labels = np.concatenate([b.labels for b in batches])
-    return {"features": features, "labels": labels, "groups": len(batches)}
-
-
-def forward(graph: Graph, params: np.ndarray, batch) -> float:
-    """Run the graph on one labeled batch; its mean cross-entropy."""
-    return graph.run(params, {"features": batch.features, "labels": batch.labels})[0]
 

@@ -57,7 +57,6 @@ from .autodiff import (
     _column,
     axpy_update,
     parameter_vector,
-    stack,
 )
 from .bench import (
     ForgetRetainSplit,
@@ -681,14 +680,9 @@ def _first_errors(outs: list, *failures) -> list:
     return outs
 
 
-def _rows(batch: LabeledBatch) -> dict:
-    """The bindings of a pass over ``batch`` alone."""
-    return {"features": batch.features, "labels": batch.labels}
-
-
 def bind_split(graph: Graph, split: ForgetRetainSplit) -> tuple:
     """Both sides of ``split``, retain first, checked once by ``graph.bind`` for every evaluation."""
-    return tuple(graph.bind(_rows(side)) for side in (split.retain, split.forget))
+    return tuple(graph.bind(side) for side in (split.retain, split.forget))
 
 
 class _QuadTask:
@@ -777,8 +771,8 @@ class _ClassificationTask:
     def _passes(self, batches) -> list:
         """The bound passes over ``batches``: one stacked pass when they have one size."""
         if batches[0].n == batches[1].n:
-            return [self.graph.bind(stack(batches))]
-        return [self.graph.bind(_rows(b)) for b in batches]
+            return [self.graph.bind(*batches)]
+        return [self.graph.bind(b) for b in batches]
 
     def step(self, runs, theta) -> tuple:
         """``(outs, g_r, g_f)`` of one step, from one kernel pass over every run.
@@ -843,7 +837,7 @@ class _ClassificationTask:
     def probe_loss(self, params) -> float:
         # probes reuse the retain minibatch of the step's gradients, bound once per step
         if self._probe_rows is None:
-            self._probe_rows = self.graph.bind(_rows(self._retain_batch))
+            self._probe_rows = self.graph.bind(self._retain_batch)
         return self.graph.run(params, self._probe_rows)[0]
 
     def evaluate(self, theta) -> list:
@@ -883,7 +877,7 @@ def finetune(
     # every value kept is checked for finiteness, so numpy's own overflow
     # warnings on the way to a non-finite one are noise; one errstate for
     # the whole loop, since entering one costs about as much as a check
-    bindings = graph.bind({"features": data.features, "labels": data.labels})
+    bindings = graph.bind(data)
     with np.errstate(all="ignore"):
         for step in range(steps):
             try:

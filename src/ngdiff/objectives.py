@@ -19,7 +19,6 @@ from .autodiff import (
     FlatGradient,
     Graph,
     NumericError,
-    forward,
 )
 
 UNBOUNDED_QUADRATIC = "unbounded_quadratic"
@@ -67,7 +66,7 @@ class NpoLoss:
 
     def reference_logprobs(self, batch) -> np.ndarray:
         """True-label log-probabilities under the frozen reference, clamped below."""
-        forward(self._graph, self.reference_params, batch)
+        self._graph.run(self.reference_params, self._graph.bind(batch))
         lp = np.array(self._graph.lp)
         if np.any(lp < LOG_PROB_FLOOR):
             self.clamp_warnings += 1
@@ -100,7 +99,7 @@ class NpoLoss:
     def loss(self, params: np.ndarray, batch, ref_logprobs: np.ndarray | None = None) -> float:
         if ref_logprobs is None:
             ref_logprobs = self.reference_logprobs(batch)
-        forward(self._graph, params, batch)
+        self._graph.run(params, self._graph.bind(batch))
         return self.score(self._graph.lp, ref_logprobs)
 
     def loss_and_grad(

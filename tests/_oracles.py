@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ngdiff import EvalResult, FlatGradient, LabeledBatch, MethodSpec, forward, parameter_vector
+from ngdiff import EvalResult, FlatGradient, LabeledBatch, MethodSpec, parameter_vector
 from ngdiff.bench import mlp_factory
 from ngdiff.engine import RUN_COUNTERS, TRACE_COLUMNS
 
@@ -39,6 +39,11 @@ def segment(widths, data: np.ndarray, name: str) -> np.ndarray:
             return data[offset : offset + size].reshape(shape)
         offset += size
     raise KeyError(name)
+
+
+def forward(graph, params: np.ndarray, batch) -> float:
+    """The mean cross-entropy of a lone pass of ``graph`` over one labeled batch."""
+    return graph.run(params, graph.bind(batch))[0]
 
 
 def fd_gradient(graph, params: np.ndarray, batch, eps: float = 1e-5) -> np.ndarray:

@@ -19,7 +19,6 @@ from ngdiff import (
     combine,
     config_from_dict,
     fit_quadratic,
-    forward,
     maybe_update,
     non_dominated_set,
     optimal_lr,
@@ -31,7 +30,7 @@ from ngdiff import (
 from ngdiff.engine import LrConfig
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer
 
-from _oracles import fd_gradient, lsp_gradient, method_spec, random_mlp_case
+from _oracles import fd_gradient, forward, lsp_gradient, method_spec, random_mlp_case
 
 
 @contextmanager

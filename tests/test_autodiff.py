@@ -12,15 +12,15 @@ from ngdiff import (
     LabeledBatch,
     NumericError,
     axpy_update,
-    forward,
     parameter_vector,
 )
-from ngdiff.autodiff import _FAST_ROWS, _adopt_vector, _col_sum, _row_sum, stack
+from ngdiff.autodiff import _FAST_ROWS, _adopt_vector, _col_sum, _row_sum
 from ngdiff.bench import mlp_factory
 from ngdiff.combiners import combine
 
 from _oracles import (
     assert_matches_fd,
+    forward,
     method_spec,
     random_mlp_case,
     segment,
@@ -71,7 +71,7 @@ class TestForward:
         # slicing would take a longer vector, and a shorter one fail further in
         graph, params = mlp_factory(0, [4, 3])
         wrong = parameter_vector(np.zeros(params.size + extra))
-        bindings = graph.bind({"features": np.zeros((2, 4)), "labels": [0, 1]})
+        bindings = graph.bind(batch_of(np.zeros((2, 4)), [0, 1], 3))
         message = rf"^parameter vector of shape \({params.size + extra},\), the graph takes \({params.size},\)$"
         with pytest.raises(DimensionError, match=message):
             graph.run(wrong if lone else np.array([wrong, wrong]), bindings)
@@ -103,11 +103,31 @@ class TestForward:
             forward(graph, bad, batch_of(features, [0, 1], 3))
 
     def test_labels_out_of_range_is_dimension_error(self):
+        # the batch takes a fourth class that the graph lacks
+        graph, _ = mlp_factory(0, [4, 3])
+        with pytest.raises(DimensionError, match="^labels out of class range$"):
+            graph.bind(batch_of(np.zeros((2, 4)), [0, 3], 4))
+
+    def test_only_rows_this_graph_bound_are_run(self):
         graph, params = mlp_factory(0, [4, 3])
-        with pytest.raises(DimensionError):
-            graph.run(params, {"features": np.zeros((2, 4)), "labels": np.array([0, 3])})
-        with pytest.raises(DimensionError):
-            graph.run(params, {"features": np.zeros((2, 4)), "labels": np.array([-1, 0])})
+        other, _ = mlp_factory(0, [4, 3])
+        batch = batch_of(np.zeros((2, 4)), [0, 1], 3)
+        raw = {"features": batch.features, "labels": batch.labels}
+        for bindings in (raw, other.bind(batch)):
+            with pytest.raises(DimensionError, match="^bindings must be what this graph's bind returned$"):
+                graph.run(params, bindings)
+
+    def test_a_pass_that_raises_leaves_no_cache(self):
+        # the first pass's values must not pass for the failed one's
+        graph, _ = mlp_factory(0, [1, 1, 2])
+        bindings = graph.bind(batch_of([[10.0]], [1], 2))
+        graph.run(parameter_vector([0.5, 0.0, 1.0, -1.0, 0.0, 0.0]), bindings)
+        graph.backward()
+        with pytest.raises(NumericError, match="^non-finite pre-activation in layer 1$"):
+            graph.run(parameter_vector([1e308, 0.0, 1.0, -1.0, 0.0, 0.0]), bindings)
+        for read in (graph.backward, lambda: graph.lp, lambda: graph.logits):
+            with pytest.raises(GraphStateError):
+                read()
 
     def test_cached_values_need_a_run(self):
         graph, params = mlp_factory(0, [4, 3])
@@ -318,7 +338,7 @@ class TestStackedPass:
         dlps = [rng.standard_normal(rows) for _ in batches]
         lone = lone_passes(graph, params, batches, dlps)
 
-        losses = graph.run(params, stack(batches))
+        losses = graph.run(params, graph.bind(*batches))
         assert losses == tuple(loss for loss, *_ in lone)
         assert same_bits(graph.lp, np.concatenate([lp for _, lp, *_ in lone]))
         assert same_bits(graph.logits, np.concatenate([logits for _, _, logits, *_ in lone]))
@@ -339,27 +359,22 @@ class TestStackedPass:
         rng = np.random.default_rng(5)
         batches = [batch_of(rng.standard_normal((40, 4)), rng.integers(0, 3, 40), 3) for _ in range(3)]
         lone = lone_passes(graph, params, batches, [np.ones(40)] * 3)
-        bound = graph.bind(stack(batches))
+        bound = graph.bind(*batches)
         for _ in range(2):  # bindings checked once serve every run
             assert graph.run(params, bound) == tuple(loss for loss, *_ in lone)
             assert all(same_gradient(g, one[3]) for g, one in zip(graph.backward(), lone))
 
     def test_batches_of_unequal_size_do_not_stack(self):
+        graph, _ = mlp_factory(0, [4, 3])
         short, long = (batch_of(np.zeros((n, 4)), np.zeros(n, dtype=np.int64), 3) for n in (5, 6))
-        with pytest.raises(DimensionError, match="^stacked batches must have one size$"):
-            stack((short, long))
-
-    @pytest.mark.parametrize("rows, groups", [(5, 2), (5, 4), (6, 0), (6, 2.0), (6, -2)])
-    def test_rows_that_do_not_split_into_the_groups_are_rejected(self, rows, groups):
-        graph, params = mlp_factory(0, [4, 3])
-        bindings = {"features": np.zeros((rows, 4)), "labels": np.zeros(rows, dtype=np.int64), "groups": groups}
-        with pytest.raises(DimensionError, match=f"^features do not split into {groups!r} groups of equal size$"):
-            graph.run(params, bindings)
+        for batches in ((short, long), ()):
+            with pytest.raises(DimensionError, match="^the batches of one pass must have one size$"):
+                graph.bind(*batches)
 
     def test_backward_of_groups_the_pass_lacks_is_rejected(self):
         graph, params = mlp_factory(0, [4, 3])
         batch = batch_of(np.zeros((2, 4)), [0, 1], 3)
-        graph.run(params, stack((batch, batch)))
+        graph.run(params, graph.bind(batch, batch))
         for groups in (0, 3):
             with pytest.raises(DimensionError, match=f"^cannot differentiate {groups} of 2 groups$"):
                 graph.backward(groups=groups)
@@ -398,7 +413,7 @@ class TestRunAxis:
             for _ in range(2)
         ]
         dlps = rng.standard_normal((runs, 2 * rows))
-        bound = graph.bind(stack(batches))
+        bound = graph.bind(*batches)
         lone = []
         for vector, dlp in zip(vectors, dlps):
             losses = graph.run(vector, bound)
@@ -424,7 +439,7 @@ class TestRunAxis:
         graph, _ = mlp_factory(0, [1, 1, 2])
         batches = [batch_of([[1e308]], [1], 2), batch_of([[4.0]], [1], 2)]
         theta = np.array([SAFE, OVERFLOWS, CHAIN])
-        losses = graph.run(theta, stack(batches))
+        losses = graph.run(theta, graph.bind(*batches))
         # tanh(inf) is 1, so the second run's first group ends with a finite
         # loss; it failed in layer 1 all the same
         assert math.isfinite(losses[1][0])
@@ -446,7 +461,7 @@ class TestRunAxis:
     def test_backward_records_a_gradient_row_with_a_non_finite_entry(self):
         graph, _ = mlp_factory(0, [1, 1, 2])
         batches = [batch_of([[1e-308]], [1], 2), batch_of([[0.0]], [1], 2)]
-        graph.run(np.array([SAFE, CHAIN]), stack(batches))
+        graph.run(np.array([SAFE, CHAIN]), graph.bind(*batches))
         assert graph.failed is None
         with np.errstate(all="ignore"):
             graph.backward()
@@ -458,7 +473,7 @@ class TestRunAxis:
     def test_a_huge_finite_gradient_row_is_accepted(self):
         graph, params = mlp_factory(0, [1, 2])
         params = [1.0, -1.0, 0.0, 0.0]
-        graph.run(np.array([params, params]), stack((batch_of([[1e200]], [1], 2),)))
+        graph.run(np.array([params, params]), graph.bind(batch_of([[1e200]], [1], 2)))
         with np.errstate(over="ignore"):
             flat, norms = graph.backward()
         assert graph.failed is None
@@ -468,7 +483,7 @@ class TestRunAxis:
     def test_dlp_of_the_wrong_shape_is_rejected(self):
         graph, params = mlp_factory(0, [4, 3])
         batch = batch_of(np.zeros((2, 4)), [0, 1], 3)
-        graph.run(np.array([params, params]), stack((batch,)))
+        graph.run(np.array([params, params]), graph.bind(batch))
         with pytest.raises(DimensionError, match=r"^dlp shape \(2,\) does not match \(2, 2\)$"):
             graph.backward(np.ones(2))
 

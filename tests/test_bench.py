@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from ngdiff import LabeledBatch, NumericError, forward, parameter_vector
+from ngdiff import LabeledBatch, NumericError, parameter_vector
 from ngdiff.bench import gen_gaussian_clusters, mlp_factory, split_forget_retain
 from ngdiff.engine import finetune
 
-from _oracles import assert_matches_fd, segment
+from _oracles import assert_matches_fd, forward, segment
 
 
 class TestLabeledBatch:

@@ -28,7 +28,7 @@ from ngdiff import (
     record_to_json,
     run_unlearning,
 )
-from ngdiff.autodiff import Graph, NumericError, forward, parameter_vector
+from ngdiff.autodiff import Graph, NumericError, parameter_vector
 from ngdiff.bench import (
     ForgetRetainSplit,
     LabeledBatch,
@@ -51,6 +51,7 @@ from ngdiff.objectives import QuadPairProblem, lsp_minimizer
 
 from _oracles import (
     brute_force_front,
+    forward,
     record_to_dict,
     record_to_json_two_pass,
     tail_variation,
@@ -248,7 +249,7 @@ class TestOneKernelPassPerStep:
         run = Graph.run
 
         def spy(graph, params, bindings):
-            calls.append((len(bindings["features"]), bindings.get("groups", 1)))
+            calls.append((len(bindings["features"]), bindings["groups"]))
             return run(graph, params, bindings)
 
         monkeypatch.setattr(Graph, "run", spy)

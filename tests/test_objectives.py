@@ -10,14 +10,12 @@ from ngdiff import (
     LabeledBatch,
     NpoLoss,
     UnboundedProblemError,
-    forward,
     parameter_vector,
 )
-from ngdiff.autodiff import stack
 from ngdiff.bench import mlp_factory
 from ngdiff.objectives import BOUNDED_EXP, QuadPairProblem, lsp_minimizer
 
-from _oracles import lsp_gradient, lsp_value
+from _oracles import forward, lsp_gradient, lsp_value
 
 
 def small_model(seed=3):
@@ -84,7 +82,7 @@ class TestNpoLoss:
         ref = npo.reference_logprobs(batch)
         lone_value, lone_grad = npo.loss_and_grad(moved, batch, ref)
         # the loop's pass: the retain batch stacked in, scored and differentiated on the forget rows only
-        cross_entropy = graph.run(moved, stack((batch, retain)))
+        cross_entropy = graph.run(moved, graph.bind(batch, retain))
         value = npo.score(graph.lp[: batch.n], ref)
         (grad,) = graph.backward(npo.upstream(), groups=1)
         assert value == lone_value

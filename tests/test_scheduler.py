@@ -10,7 +10,6 @@ from ngdiff import (
     LrState,
     ProbeError,
     fit_quadratic,
-    forward,
     maybe_update,
     optimal_lr,
     parameter_vector,
@@ -21,7 +20,7 @@ from ngdiff.bench import mlp_factory, LabeledBatch
 from ngdiff.engine import LrConfig
 from ngdiff.scheduler import ETA_GROWTH_CAP
 
-from _oracles import straight_line_mlp_loss
+from _oracles import forward, straight_line_mlp_loss
 
 
 def auto_lr(update_period=10, probe_epsilon=1e-3):
