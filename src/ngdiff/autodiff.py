@@ -271,12 +271,12 @@ class Graph:
 
         A ``LabeledBatch`` has already checked its own shapes and labels, so
         only what it cannot know about this graph is checked here: the
-        batches' common size, the feature width and the class count.  The
+        batches' common shape, the feature width and the class count.  The
         bound rows stay a dict, since the tracer in ``perfbench/tracing.py``
         reads ``run``'s ``bindings["features"]`` to count rows.
         """
-        if len({b.n for b in batches}) != 1:
-            raise DimensionError("the batches of one pass must have one size")
+        if len({b.features.shape for b in batches}) != 1:
+            raise DimensionError("the batches of one pass must have one shape")
         x = np.concatenate([b.features for b in batches])
         labels = np.concatenate([b.labels for b in batches])
         if x.shape[1] != self.widths[0]:

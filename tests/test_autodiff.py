@@ -366,9 +366,11 @@ class TestStackedPass:
 
     def test_batches_of_unequal_size_do_not_stack(self):
         graph, _ = mlp_factory(0, [4, 3])
-        short, long = (batch_of(np.zeros((n, 4)), np.zeros(n, dtype=np.int64), 3) for n in (5, 6))
-        for batches in ((short, long), ()):
-            with pytest.raises(DimensionError, match="^the batches of one pass must have one size$"):
+        short, long, wide = (
+            batch_of(np.zeros((n, d)), np.zeros(n, dtype=np.int64), 3) for n, d in ((5, 4), (6, 4), (5, 5))
+        )
+        for batches in ((short, long), (short, wide), ()):
+            with pytest.raises(DimensionError, match="^the batches of one pass must have one shape$"):
                 graph.bind(*batches)
 
     def test_backward_of_groups_the_pass_lacks_is_rejected(self):
