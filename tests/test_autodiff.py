@@ -129,6 +129,27 @@ class TestForward:
             with pytest.raises(GraphStateError):
                 read()
 
+    @pytest.mark.parametrize("refused", ["wrong-size", "raw-dict", "foreign"])
+    def test_a_refused_run_leaves_no_cache(self, refused):
+        # a run refused by its checks must not leave the previous pass readable
+        graph, params = mlp_factory(0, [4, 3])
+        batch = batch_of(np.eye(4)[:2], [0, 1], 3)
+        bindings = graph.bind(batch)
+        graph.run(params, bindings)
+        graph.backward()
+        if refused == "wrong-size":
+            params = parameter_vector(np.zeros(params.size + 1))
+        elif refused == "raw-dict":
+            bindings = {"features": batch.features, "labels": batch.labels}
+        else:
+            bindings = mlp_factory(0, [4, 3])[0].bind(batch)
+        with pytest.raises(DimensionError):
+            graph.run(params, bindings)
+        assert graph.failed is None
+        for read in (graph.backward, lambda: graph.lp, lambda: graph.logits):
+            with pytest.raises(GraphStateError):
+                read()
+
     def test_cached_values_need_a_run(self):
         graph, params = mlp_factory(0, [4, 3])
         with pytest.raises(GraphStateError):
@@ -363,6 +384,25 @@ class TestStackedPass:
         for _ in range(2):  # bindings checked once serve every run
             assert graph.run(params, bound) == tuple(loss for loss, *_ in lone)
             assert all(same_gradient(g, one[3]) for g, one in zip(graph.backward(), lone))
+
+    def test_bind_concatenates_the_batches_in_order(self):
+        graph, _ = mlp_factory(0, [4, 3])
+        rng = np.random.default_rng(3)
+        batches = [batch_of(rng.standard_normal((5, 4)), rng.integers(0, 3, 5), 3) for _ in range(3)]
+        bound = graph.bind(*batches)
+        assert same_bits(bound["features"], np.concatenate([b.features for b in batches]))
+        assert np.array_equal(bound["labels"], np.concatenate([b.labels for b in batches]))
+        assert bound["groups"] == 3 and bound["widths"] is graph.widths
+        # at_label picks each row's true-class entry out of the flat logits
+        assert np.array_equal(bound["at_label"], np.arange(15) * 3 + bound["labels"])
+
+    def test_labels_are_checked_against_the_graph_not_the_class_count(self):
+        # a batch declaring more classes binds while its labels fit the graph
+        graph, params = mlp_factory(0, [4, 3])
+        rng = np.random.default_rng(4)
+        features, labels = rng.standard_normal((6, 4)), rng.integers(0, 3, 6)
+        wide = graph.run(params, graph.bind(batch_of(features, labels, 5)))
+        assert wide == graph.run(params, graph.bind(batch_of(features, labels, 3)))
 
     def test_batches_of_unequal_size_do_not_stack(self):
         graph, _ = mlp_factory(0, [4, 3])
