@@ -420,7 +420,7 @@ class Graph:
         # each row's sum of squares proves it finite and gives its norm; a
         # non-finite sum, which huge finite entries also give, is followed
         # by the entry-wise test of every row
-        norms = [list(map(math.sqrt, map(np.ndarray.dot, run, run))) for run in flat]
+        norms = [list(map(math.sqrt, run)) for run in np.vecdot(flat, flat).tolist()]
         if not math.isfinite(sum(map(sum, norms))):
             finite = np.isfinite(flat).all(axis=2)
             if not finite.all():

@@ -10,17 +10,22 @@ is a positive multiple (factor ``1/|g_retain| + 1/|g_forget|``) of the
 coefficient form with ``c_t = (1/|g_retain|) / (1/|g_retain| + 1/|g_forget|)``,
 so the scale difference is absorbed by the learning rate.
 
-A rule (``coefficient``) is taken per run, from that run's gradients, and
-the two direction formulas (``directions``) are broadcast operations over
-the gradient matrices of a lockstep group, one row per run.  Every entry of
-a row is one elementwise operation on the same operands as a lone run's, so
-each row is bit for bit the direction of its lone run.  ``combine`` applies
-both to one pair of gradients.
+A rule (``coefficient``) is taken from one run's gradients, and
+``coefficients`` takes it over the rows of a lockstep group that share a
+kind, one list entry per row; ``group_coefficients`` takes every kind of
+a group, and ``cosines`` each row pair's cosine.  The two direction
+formulas (``directions``) are broadcast operations over the group's
+gradient matrices, one row per run.  Every entry is one operation on the
+same operands as a lone run's, so each value and each direction row is
+bit for bit its lone run's.  ``combine`` applies a rule and a formula to
+one pair of gradients.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, attrgetter, mul, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +43,7 @@ NGDIFF = "ngdiff"
 SCHEDULED_GDIFF = "scheduled_gdiff"
 
 KINDS = (GD, GA, GDIFF, LOSSNORM, RLW, PCGRAD, IMTLG, NGDIFF, SCHEDULED_GDIFF)
+CONSTANT = (GD, GA, GDIFF)  # the rules whose coefficient is the same at every step
 
 # Below this norm a gradient is treated as zero: its normalized term becomes
 # the zero vector and the output is flagged degenerate.
@@ -117,6 +123,81 @@ def coefficient(spec, g_r, g_f, norm_r: float, norm_f: float, losses=None, step:
             return 0.5, True, False
         return _clamp01(float(g_f @ u) / denom)
     raise ValueError(f"unknown combiner kind {kind!r}")
+
+
+_INVERSE = (1.0).__truediv__
+
+
+def coefficients(kind, specs, g_r, g_f, norms_r, norms_f, losses, step, seeds) -> tuple:
+    """The rule ``kind`` over the rows of a lockstep group that take it:
+    ``(coefficients, degenerate, clamped)``, one list each.
+
+    Each row's arguments are ``coefficient``'s, one entry per row of each of
+    ``specs``, the gradient rows ``g_r`` and ``g_f``, their norms,
+    ``losses`` and the method ``seeds``; ``step`` is the group's.  NGDiff
+    away from a degenerate gradient and the scheduled coefficient inside
+    [0, 1] are C-level maps of ``coefficient``'s scalar formulas; every
+    other row is ``coefficient``'s own.  Each entry is bit for bit the one
+    ``coefficient`` gives.
+    """
+    flags = [False] * len(specs)
+    if kind == NGDIFF and min(norms_r) >= NORM_FLOOR and min(norms_f) >= NORM_FLOOR:
+        inv_r, inv_f = list(map(_INVERSE, norms_r)), list(map(_INVERSE, norms_f))
+        return list(map(truediv, inv_r, map(add, inv_r, inv_f))), flags, flags.copy()
+    if kind == SCHEDULED_GDIFF:
+        decayed = map(pow, map(attrgetter("decay"), specs), repeat(step))
+        c = list(map(add, map(attrgetter("c"), specs), map(mul, map(attrgetter("amplitude"), specs), decayed)))
+        if 0.0 <= min(c) and max(c) <= 1.0:
+            return c, flags, flags.copy()
+    rows = map(coefficient, specs, g_r, g_f, norms_r, norms_f, losses, repeat(step), seeds)
+    return tuple(map(list, zip(*rows)))
+
+
+def group_coefficients(rules, coeffs, step, columns, failed) -> list:
+    """``coeffs``, a lockstep group's coefficient column, with each of ``rules`` taken by ``coefficients``.
+
+    A rule is ``(kind, rows, specs, seeds)``: the group's rows that take
+    ``kind`` (None for all of them) and their specs and method seeds.
+    ``columns`` are the group's gradient rows ``g_r`` and ``g_f``, their
+    norms and the retain and forget losses.  A kind whose rule raises is
+    taken again row by row, so that only a row that raises gets its error in
+    ``failed``, by row, as its lone run would.
+    """
+    coeffs = list(coeffs)
+    for kind, rows, specs, seeds in rules:
+        *args, loss_r, loss_f = columns if rows is None else [[c[i] for i in rows] for c in columns]
+        # cross-entropy on a saturated minibatch can round to exactly 0;
+        # the loss-normalization weights need a strictly positive floor
+        floored = zip(map(max, loss_r, repeat(1e-12)), map(max, loss_f, repeat(1e-12)))
+        args.append(list(floored) if kind == LOSSNORM else [None] * len(specs))
+        try:
+            column = coefficients(kind, specs, *args, step, seeds)[0]
+        except Exception:
+            column = []
+            for j, row in enumerate(zip(specs, *args)):
+                try:
+                    column.append(coefficient(*row, step, seeds[j])[0])
+                except Exception as exc:
+                    failed.setdefault(j if rows is None else rows[j], exc)
+                    column.append(0.0)
+        if rows is None:
+            return column
+        for i, c in zip(rows, column):
+            coeffs[i] = c
+    return coeffs
+
+
+def cosines(g_r, g_f, norms_r, norms_f) -> list:
+    """The cosine of each row pair of the gradient matrices, nan where a norm is 0 or nan.
+
+    Each dot is the pair's ddot, the bits of ``row_r.dot(row_f)``; the
+    product of two positive norms, each the root of a sum of squares, is positive.
+    """
+    products = list(map(mul, norms_r, norms_f))
+    dots = np.vecdot(g_r, g_f).tolist()
+    if min(products) > 0:
+        return list(map(truediv, dots, products))
+    return [dot / product if product > 0 else math.nan for dot, product in zip(dots, products)]
 
 
 def directions(coefficients, g_r: np.ndarray, g_f: np.ndarray, norms_r, norms_f, normalized=None) -> np.ndarray:

@@ -13,23 +13,19 @@ result is a :class:`RunRecord` with one row per step, exact pass counters,
 and final metrics; identical configs reproduce records bit for bit.
 
 The loop advances a lockstep group of runs (:func:`lockstep_key`), as the
-values of a sweep do: classification runs that share a start, their
-minibatches, their evaluation cadence, their step count and whether they
-are NPO runs, or quad runs that share their pair and step count.  The
-runs' parameters are the rows of one read-only matrix.  Each step takes
-every run's gradients at once: one kernel pass over the step's minibatches
-with a run axis in front of the parameters, or one ``theta - a`` and one
-``theta - b`` over the matrix.  Each run then applies its own coefficient
-rule, to its own sums of squares and dot products; one broadcast direction
-formula serves the group's rows; each run picks its step size (whose
-probes are lone passes) and appends its trace row; and one update
-``theta - eta * d`` serves the whole matrix.  Each evaluation is one pass
-per side of the split.  Every elementwise operation has the operands of a
-lone run's, so every run's record is bit for bit its lone run's.  A run
-that meets a non-finite value aborts with its lone run's step and message,
-and leaves the group while the others step on: a pass over the group
-records each run's first error instead of raising, so nothing is rerun.
-A lone run is a group of one.
+values of a sweep do; a lone run is a group of one.  The runs' parameters
+are the rows of one read-only matrix, and a step's per-run values are
+columns, one entry per run: one kernel pass with a run axis in front (or
+one ``theta - a`` and one ``theta - b``) gives the losses and gradients,
+one ``ddot`` per row the norms and cosines, ``combiners.coefficients``
+each combiner kind's coefficients, and one broadcast direction formula and
+one update ``theta - eta * d`` serve the whole matrix.  Each step appends
+one row of columns to the group's trace, from which each run cuts its
+``StepRow``s.  A run acts alone only on events: a step-size update on its
+cadence (its probes are lone passes), an evaluation's result and a
+failure.  Every operation has the operands of a lone run's, so every
+record is bit for bit its lone run's, and a run that meets a non-finite
+value aborts with its lone run's step and message while the others step on.
 Artifacts are written whole or not at all (:func:`write_file`).
 """
 
@@ -43,28 +39,14 @@ import math
 import os
 import sys
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from . import combiners
-from .autodiff import (
-    FlatGradient,
-    Graph,
-    NumericError,
-    _adopt_vector,
-    _column,
-    axpy_update,
-    parameter_vector,
-)
-from .bench import (
-    ForgetRetainSplit,
-    LabeledBatch,
-    gen_gaussian_clusters,
-    mlp_factory,
-    split_forget_retain,
-)
+from .autodiff import FlatGradient, Graph, NumericError, _column, axpy_update, parameter_vector
+from .bench import ForgetRetainSplit, LabeledBatch, gen_gaussian_clusters, mlp_factory, split_forget_retain
 from .objectives import FORGET_KINDS, UNBOUNDED_QUADRATIC, NpoLoss, QuadPairProblem
 from .scheduler import LrState, maybe_update, step_size
 
@@ -650,15 +632,6 @@ def lockstep_key(cfg: RunConfig):
             cfg.method.kind == NPO)
 
 
-def _stacked(vectors) -> np.ndarray:
-    """The flat ``vectors`` as the rows of one read-only matrix; one vector is viewed, not copied."""
-    if len(vectors) == 1:
-        return vectors[0][None]
-    rows = np.array(vectors)  # a copy, as np.stack makes, without its Python-level checks
-    rows.flags.writeable = False
-    return rows
-
-
 def _nonfinite_rows(rows: np.ndarray):
     """The indices of the rows of ``rows`` that hold a non-finite entry; empty when none does."""
     # a finite sum of squares proves every entry finite (a nan entry makes it
@@ -670,14 +643,16 @@ def _nonfinite_rows(rows: np.ndarray):
     return {i for i, row in enumerate(rows) if not np.isfinite(row).all()}
 
 
-def _first_errors(outs: list, *failures) -> list:
-    """``outs``, each run's entry replaced by the first error that ``failures``,
-    each a ``Graph.failed`` or like one, hold for it, in order."""
+def _first_errors(*failures) -> dict:
+    """The first error, by row, of each run that ``failures``, each a
+    ``Graph.failed`` or like one, hold errors for, in order."""
+    first = {}
     for failed in failures:
         for i, errors in enumerate(failed or ()):
-            if not isinstance(outs[i], Exception):
-                outs[i] = next((error for error in errors if error is not None), outs[i])
-    return outs
+            error = next((error for error in errors if error is not None), None)
+            if error is not None:
+                first.setdefault(i, error)
+    return first
 
 
 def bind_split(graph: Graph, split: ForgetRetainSplit) -> tuple:
@@ -691,8 +666,8 @@ class _QuadTask:
     The runs of a group share the pair and step from their own starts.  One
     step computes every run's ``theta - a`` and ``theta - b`` at once, as
     matrices with one row per run, and each row's sum of squares (one
-    ``ddot`` per row), which proves the row finite as ``_adopt_vector`` does
-    and gives its norm.  The vectors have the problem's ``dim`` entries,
+    ``ddot`` per row), which proves the row finite when it is finite and
+    gives its norm.  The vectors have the problem's ``dim`` entries,
     which the config checks.
     """
 
@@ -709,23 +684,22 @@ class _QuadTask:
         return parameter_vector(theta0 if theta0 is not None else cfg.problem.b)
 
     def step(self, runs, theta) -> tuple:
-        """``(outs, g_r, g_f)``: each run's ``(loss_retain, loss_forget, norm_retain,
-        norm_forget)`` or the error it met, and the gradient matrices."""
+        """``(loss_r, loss_f, norm_r, norm_f, failed, g_r, g_f)``: each run's losses
+        and gradient norms as columns, the error of each run that met one by
+        row, and the gradient matrices."""
         loss_r, g_r, sq_r = self.problem.retain_loss_grads(theta)
         loss_f, g_f, sq_f = self.problem.forget_loss_grads(theta)
-        outs = []
-        for i, (lr, sr, lf, sf) in enumerate(zip(loss_r, sq_r, loss_f, sq_f)):
-            try:
-                # both sums are >= 0, so finite when both are, and then so are both losses
-                if not math.isfinite(sr + sf):
-                    _adopt_vector(g_r[i], "gradient", sr)
-                    _adopt_vector(g_f[i], "gradient", sf)
-                    if not (math.isfinite(lr) and math.isfinite(lf)):
-                        raise NumericError("task loss is non-finite")
-                outs.append((lr, lf, math.sqrt(sr), math.sqrt(sf)))
-            except NumericError as exc:
-                outs.append(exc)
-        return outs, g_r, g_f
+        norm_r, norm_f = list(map(math.sqrt, sq_r)), list(map(math.sqrt, sq_f))
+        failed = {}
+        # every sum is >= 0, so the norms' sums are finite when every sum is,
+        # and then so is every loss, each >= 0 too
+        if not math.isfinite(sum(norm_r) + sum(norm_f)):
+            for i, (lr, lf) in enumerate(zip(loss_r, loss_f)):
+                if not (np.isfinite(g_r[i]).all() and np.isfinite(g_f[i]).all()):
+                    failed[i] = NumericError("gradient entries must be finite")
+                elif not math.isfinite(lr + lf):
+                    failed[i] = NumericError("task loss is non-finite")
+        return loss_r, loss_f, norm_r, norm_f, failed, g_r, g_f
 
     def probe_loss(self, params) -> float:
         return self.problem.retain_loss(params)
@@ -775,18 +749,18 @@ class _ClassificationTask:
         return [self.graph.bind(b) for b in batches]
 
     def step(self, runs, theta) -> tuple:
-        """``(outs, g_r, g_f)`` of one step, from one kernel pass over every run.
+        """``(loss_r, loss_f, norm_r, norm_f, failed, g_r, g_f)`` of one step, from one kernel pass over every run.
 
-        ``outs`` holds each run's ``(loss_retain, loss_forget, norm_retain,
-        norm_forget)``; ``g_r`` and ``g_f`` are the retain and forget
-        gradients, the rows of read-only matrices, one per run.  An NPO
-        run's losses are the retain and forget minibatches' cross-entropy,
-        its norms nan, and its NPO gradient is its row of ``g_r``, ``g_f``
-        being None.  A run that met a non-finite value gets in its place the
-        error its lone passes would raise first, and its gradient rows are
-        not to be read.  The lone order is retain forward, retain gradient,
-        forget forward, forget gradient; for NPO it is forget forward, NPO
-        loss, forget gradient, retain forward.
+        The losses and gradient norms are columns, one entry per run; ``g_r``
+        and ``g_f`` are the retain and forget gradients, the rows of
+        read-only matrices.  An NPO run's losses are the retain and forget
+        minibatches' cross-entropy, its norms nan, and its NPO gradient is
+        its row of ``g_r``, ``g_f`` being None.  ``failed`` holds, by row,
+        the error each run that met a non-finite value would raise first in
+        its lone passes; its entries of the rest are not to be read.  The
+        lone order is retain forward, retain gradient, forget forward,
+        forget gradient; for NPO it is forget forward, NPO loss, forget
+        gradient, retain forward.
         """
         self._probe_rows = None
         if self._npo_ref is not None:
@@ -806,7 +780,7 @@ class _ClassificationTask:
             norms += zip(*flat_norms)
             failed.append(self.graph.failed)
         (loss_r, loss_f), (g_r, g_f), (norm_r, norm_f) = losses, rows, norms
-        return _first_errors(list(zip(loss_r, loss_f, norm_r, norm_f)), *failed), g_r, g_f
+        return loss_r, loss_f, norm_r, norm_f, _first_errors(*failed), g_r, g_f
 
     def _npo_step(self, runs, theta, forget, retain, ref) -> tuple:
         passes = self._passes((forget, retain))
@@ -831,8 +805,9 @@ class _ClassificationTask:
             cross = [f + r for f, r in zip(cross, self.graph.run(theta, passes[1]))]
             failed.append(self.graph.failed)
         # each run's forget and retain cross-entropy, as the passes order them
-        outs = [(loss_r, loss_f, math.nan, math.nan) for loss_f, loss_r in cross]
-        return _first_errors(outs, *failed), flat[:, 0], None
+        loss_f, loss_r = zip(*cross)
+        nans = [math.nan] * len(runs)
+        return loss_r, loss_f, nans, nans, _first_errors(*failed), flat[:, 0], None
 
     def probe_loss(self, params) -> float:
         # probes reuse the retain minibatch of the step's gradients, bound once per step
@@ -863,7 +838,9 @@ def evaluate(graph: Graph, params, split: ForgetRetainSplit, bound=None) -> list
             for (loss,), logits in zip(losses, graph.logits)
         ])
     results = [EvalResult(loss_r, loss_f, acc_r, acc_f) for (loss_r, acc_r), (loss_f, acc_f) in zip(*sides)]
-    return _first_errors(results, *failed)
+    for i, error in _first_errors(*failed).items():
+        results[i] = error
+    return results
 
 
 def finetune(
@@ -919,13 +896,14 @@ def no_unlearn(cfg: RunConfig) -> NoUnlearn:
 
 
 class _Run:
-    """One config in the unlearning loop: its step size, trace and outcome.
+    """One config in the unlearning loop: its state between events, its trace and its outcome.
 
-    Its parameters are its row of the loop's parameter matrix.
+    Its parameters are its row of the group's parameter matrix, and its
+    trace rows are cut from the group's trace columns (``_regroup``).  A
+    constant rule's coefficient is taken here, once.
     """
 
-    __slots__ = ("cfg", "probes", "lr_state", "rows", "acc", "npo", "outcome", "_task", "_auto",
-                 "_needs_losses", "_head")
+    __slots__ = ("cfg", "probes", "lr_state", "rows", "acc", "coeff", "npo", "outcome", "_task")
 
     def __init__(self, cfg: RunConfig, task):
         self.cfg = cfg
@@ -933,76 +911,21 @@ class _Run:
         self.lr_state = LrState(cfg.lr.eta)
         self.rows: list[StepRow] = []
         self.acc = (math.nan, math.nan)  # the latest evaluation's retain and forget accuracy
+        self.coeff = math.nan  # a constant rule's coefficient; an NPO run has none
         self.npo = (
             NpoLoss(task.graph, cfg.method.beta, task.initial_params(cfg)) if cfg.method.kind == NPO else None
         )
         self.outcome = None  # the exception that ended the run, else its record
         self._task = task
-        self._auto = cfg.lr.mode == "auto"
-        self._needs_losses = cfg.method.kind == combiners.LOSSNORM
-        self._head = None  # the step's trace row up to its step size, which advance completes
+        if cfg.method.kind in combiners.CONSTANT:
+            try:
+                self.coeff = combiners.coefficient(cfg.method, None, None, math.nan, math.nan)[0]
+            except Exception as exc:  # a rule that fails ends its run alone
+                self.end(0, exc, task.initial_params(cfg))
 
     def probe_loss(self, params) -> float:
         self.probes += 1
         return self._task.probe_loss(params)
-
-    def rule(self, step: int, out, g_r, g_f) -> float:
-        """The coefficient of the run's combination rule at ``step``.
-
-        ``out`` is the task's ``(loss_retain, loss_forget, norm_retain,
-        norm_forget)`` for the run, or the error the run met instead, and
-        ``g_r`` and ``g_f`` are its gradient rows.  An NPO run has no rule:
-        its coefficient, norms and cosine are nan.
-        """
-        if isinstance(out, Exception):
-            raise out
-        loss_retain, loss_forget, gnorm_r, gnorm_f = out
-        if self.npo is not None:
-            self._head = (loss_retain, loss_forget, math.nan, gnorm_r, gnorm_f, math.nan)
-            return math.nan
-        # cross-entropy on a saturated minibatch can round to exactly 0;
-        # the loss-normalization weights need a strictly positive floor
-        losses = (max(loss_retain, 1e-12), max(loss_forget, 1e-12)) if self._needs_losses else None
-        cfg = self.cfg
-        coeff = combiners.coefficient(cfg.method, g_r, g_f, gnorm_r, gnorm_f, losses, step, cfg.seeds.method)[0]
-        cos_rf = float(g_r.dot(g_f)) / (gnorm_r * gnorm_f) if gnorm_r > 0 and gnorm_f > 0 else math.nan
-        self._head = (loss_retain, loss_forget, coeff, gnorm_r, gnorm_f, cos_rf)
-        return coeff
-
-    def advance(self, step: int, params, direction, evaluated) -> float:
-        """The step size of step ``step`` along the run's ``direction`` row from
-        ``params``, with the step's trace row.
-
-        ``evaluated`` is the task's evaluation of ``params`` on an evaluation
-        step (else None), or the error the run met instead, raised after the
-        step size, in the loop's order.
-        """
-        loss_retain, loss_forget, coeff, gnorm_r, gnorm_f, cos_rf = self._head
-        cfg = self.cfg
-        lr_state = self.lr_state
-        guard_before = lr_state.guard_trips
-        # off its cadence maybe_update returns lr_state as it is, so the
-        # direction's norm is taken only for a step that probes
-        if self._auto and step % cfg.lr.update_period == 0:
-            direction = tuple.__new__(FlatGradient, (direction, math.sqrt(direction.dot(direction))))
-            lr_state = self.lr_state = maybe_update(
-                lr_state, step, cfg.lr, self.probe_loss, params, direction, loss_retain
-            )
-        eta = step_size(lr_state, cfg.lr)
-        if evaluated is not None:
-            if isinstance(evaluated, Exception):
-                raise evaluated
-            self.acc = evaluated.acc_retain, evaluated.acc_forget
-        acc_retain, acc_forget = self.acc
-        self.rows.append(
-            StepRow(
-                step, loss_retain, loss_forget, acc_retain, acc_forget, eta, coeff,
-                gnorm_r, gnorm_f, cos_rf, lr_state.guard_trips - guard_before,
-            )
-        )
-        if not math.isfinite(eta):
-            raise NumericError("step size must be finite")
-        return eta
 
     def end(self, step: int, exc: Exception, params) -> None:
         """End the run with ``exc``, met at ``step`` from ``params``: a numeric error as a ``NumericAbort``."""
@@ -1027,15 +950,65 @@ class _Run:
         )
 
 
-def _normalized(runs):
-    """Which rows take NGDiff's unit form, or None when none does."""
-    rows = [run.cfg.method.kind == combiners.NGDIFF for run in runs]
-    return rows if any(rows) else None
+_ROW = partial(tuple.__new__, StepRow)  # a StepRow from a tuple of its cells, made in C
 
 
-def _norms(outs) -> tuple:
-    """The retain and forget gradient norms of each run's step result; a failed run's read 1."""
-    return tuple(zip(*[(1.0, 1.0) if isinstance(out, Exception) else out[2:] for out in outs]))
+def _regroup(live, theta, trace) -> tuple:
+    """The runs of ``live`` still going and their rows of ``theta``, once each has
+    cut its rows from ``trace``, one tuple per step: the step, then a column per field."""
+    keep = [i for i, run in enumerate(live) if run.outcome is None]
+    if trace:
+        steps, *columns = zip(*trace)
+        # each column transposed: one tuple of every step's cell per run
+        for run, *cells in zip(live, *[zip(*column) for column in columns]):
+            if run.outcome is None:
+                run.rows += map(_ROW, zip(steps, *cells))
+    if len(keep) < len(live):
+        theta = theta[keep]
+        theta.flags.writeable = False
+    return [live[i] for i in keep], theta
+
+
+def _plan(live) -> tuple:
+    """What the steps of the group ``live`` read until it changes, a column being one entry per run.
+
+    The constant rules' coefficient column (nan elsewhere); the rules of
+    ``combiners.group_coefficients``, one per other combiner kind;
+    which rows take NGDiff's unit form, or None; the step-size column and
+    its broadcast form; the automatic runs' ``(update period, rows)``; the
+    accuracy columns; and a column of zeros and one of nans.
+    """
+    kinds, periods = {}, {}
+    for i, run in enumerate(live):
+        if run.npo is None and run.cfg.method.kind not in combiners.CONSTANT:
+            kinds.setdefault(run.cfg.method.kind, []).append(i)
+        if run.cfg.lr.mode == "auto":
+            periods.setdefault(run.cfg.lr.update_period, []).append(i)
+    rules = [(kind, None if len(rows) == len(live) else rows, [live[i].cfg.method for i in rows],
+              [live[i].cfg.seeds.method for i in rows]) for kind, rows in kinds.items()]
+    normalized = [run.cfg.method.kind == combiners.NGDIFF for run in live]
+    etas = [step_size(run.lr_state, run.cfg.lr) for run in live]
+    return ([run.coeff for run in live], rules, normalized if any(normalized) else None, etas, _column(etas),
+            list(periods.items()), *zip(*[run.acc for run in live]), [0] * len(live), [math.nan] * len(live))
+
+
+def _updated(step, live, rows, theta, directions, loss_r, guards, etas, failed) -> tuple:
+    """The guard and step-size columns once each automatic run at ``rows`` that
+    has not failed has probed along its direction row on its cadence step ``step``."""
+    guards, etas = list(guards), list(etas)
+    for i in rows:
+        run, direction = live[i], directions[i]
+        if i not in failed:
+            before = run.lr_state.guard_trips
+            direction = tuple.__new__(FlatGradient, (direction, math.sqrt(direction.dot(direction))))
+            try:
+                run.lr_state = maybe_update(run.lr_state, step, run.cfg.lr, run.probe_loss, theta[i], direction, loss_r[i])
+            except Exception as exc:
+                failed[i] = exc
+                continue
+            guards[i] = run.lr_state.guard_trips - before
+            etas[i] = step_size(run.lr_state, run.cfg.lr)
+    return guards, etas
 
 
 def run_unlearning(cfg, start: NoUnlearn | None = None):
@@ -1046,16 +1019,14 @@ def run_unlearning(cfg, start: NoUnlearn | None = None):
     ``lockstep_key``, which step in lockstep, with one outcome returned per
     config, in order: its record, or the exception that ended it (a
     ``NumericAbort`` on a numeric abort).  A lone run is a group of one.
-    The runs' parameters are the rows of one read-only matrix.  Each step
-    takes every run's gradients at once, each run's coefficient rule, one
-    broadcast direction formula over the group's gradient rows, each run's
-    step size and trace row, and one update of the whole matrix; a run that
-    fails leaves the group and the others step on.  Every run's record is
-    bit for bit its lone run's.  ``start`` is the ``no_unlearn`` of a
-    classification run when it was made elsewhere (a sweep shares one
-    across its values); by default it is made here, deterministically in
-    the config seeds.  Quad runs start from their configured point and
-    ignore it.
+    A step's per-run values are columns, one entry per run (see the module
+    docstring), and a run acts alone only on its events: a step-size update
+    on its cadence, an evaluation's result and a failure, which ends it
+    while the others step on.  Every run's record is bit for bit its lone
+    run's.  ``start`` is the ``no_unlearn`` of a classification run
+    when it was made elsewhere (a sweep shares one across its values); by
+    default it is made here, deterministically in the config seeds.  Quad
+    runs start from their configured point and ignore it.
     """
     lone = isinstance(cfg, RunConfig)
     cfgs = [cfg] if lone else list(cfg)
@@ -1066,75 +1037,70 @@ def run_unlearning(cfg, start: NoUnlearn | None = None):
         task = _QuadTask(first)
     else:
         task = _ClassificationTask(cfgs, start if start is not None else no_unlearn(first))
-    runs = [_Run(c, task) for c in cfgs]
-    live = runs
-    theta = _stacked([task.initial_params(c) for c in cfgs])  # one row of parameters per live run
-    normalized = _normalized(runs)
-    unevaluated = [None] * len(runs)  # a step's evaluations when it has none
+    runs = live = [_Run(c, task) for c in cfgs]
+    theta = np.array([task.initial_params(c) for c in cfgs])  # one row of parameters per live run
+    theta.flags.writeable = False
     every = first.eval_every if task.has_accuracy else 0
+    trace, regroup = [], True
 
     # every value the loop keeps is checked for finiteness, so numpy's own
     # overflow warnings on the way to a non-finite one are noise
     with np.errstate(all="ignore"):
         for step in range(first.steps):
+            if regroup:  # the group starts, or a run has left it
+                live, theta = _regroup(live, theta, trace)
+                if not live:
+                    break
+                trace, regroup = [], False
+                base, rules, normalized, etas, eta_col, periods, acc_r, acc_f, zeros, nans = _plan(live)
             try:
-                outs, g_r, g_f = task.step(live, theta)
+                loss_r, loss_f, norm_r, norm_f, failed, g_r, g_f = task.step(live, theta)
             except Exception as exc:  # a shared failure ends every run still going
                 for run, params in zip(live, theta):
                     run.end(step, exc, params)
                 break
-            evals = unevaluated
+            evaluated = ()  # a run meets its evaluation's error after its step size
             if every and step % every == 0:
-                evals = task.evaluate(theta)
-            ended = False
-            # each run's rule, then one direction formula over the group's rows;
-            # an NPO step's one gradient is its direction
-            coeffs = []
-            for run, out, params, row_r, row_f in zip(live, outs, theta, g_r, g_r if g_f is None else g_f):
-                try:
-                    coeffs.append(run.rule(step, out, row_r, row_f))
-                except Exception as exc:  # one run's failure must not end the others
-                    run.end(step, exc, params)
-                    coeffs.append(0.0)
-                    ended = True
-            if g_f is None:
-                directions = g_r
+                evaluated = task.evaluate(theta)
+                for run, result in zip(live, evaluated):
+                    if not isinstance(result, Exception):
+                        run.acc = result.acc_retain, result.acc_forget
+                acc_r, acc_f = zip(*[run.acc for run in live])
+            columns = g_r, g_f, norm_r, norm_f, loss_r, loss_f
+            coeffs = combiners.group_coefficients(rules, base, step, columns, failed) if rules else base
+            if g_f is None:  # an NPO step's one gradient is its direction
+                directions, cos = g_r, nans
             else:
-                norms = _norms(outs) if normalized else (None, None)
-                directions = combiners.directions(coeffs, g_r, g_f, *norms, normalized)
+                cos = combiners.cosines(g_r, g_f, norm_r, norm_f)
+                directions = combiners.directions(coeffs, g_r, g_f, norm_r, norm_f, normalized)
                 directions.flags.writeable = False
                 for i in _nonfinite_rows(directions):
-                    if live[i].outcome is None:
-                        live[i].end(step, NumericError("gradient entries must be finite"), theta[i])
-                        ended = True
-            etas = []  # each run's step size; a run that has ended takes none
-            for run, params, direction, evaluated in zip(live, theta, directions, evals):
-                if run.outcome is None:
-                    try:
-                        etas.append(run.advance(step, params, direction, evaluated))
-                        continue
-                    except Exception as exc:
-                        run.end(step, exc, params)
-                        ended = True
-                etas.append(0.0)
+                    failed.setdefault(i, NumericError("gradient entries must be finite"))
+            guards, updated = zeros, []
+            for period, rows in periods:
+                if step % period == 0:
+                    guards, etas = _updated(step, live, rows, theta, directions, loss_r, guards, etas, failed)
+                    eta_col = _column(etas)
+                    updated += rows
+            for i, result in enumerate(evaluated):
+                if isinstance(result, Exception):
+                    failed.setdefault(i, result)
+            for i in updated:
+                if not math.isfinite(etas[i]):
+                    failed.setdefault(i, NumericError("step size must be finite"))
             # the update of every row: theta - eta * direction
-            stepped = theta - _column(etas) * directions
+            stepped = theta - eta_col * directions
             for i in _nonfinite_rows(stepped):
-                if live[i].outcome is None:
-                    live[i].end(step, NumericError("parameter entries must be finite"), theta[i])
-                    ended = True
+                failed.setdefault(i, NumericError("parameter entries must be finite"))
             stepped.flags.writeable = False
+            trace.append((step, loss_r, loss_f, acc_r, acc_f, etas, coeffs, norm_r, norm_f, cos, guards))
+            for i, exc in failed.items():
+                live[i].end(step, exc, theta[i])
+                regroup = True
             theta = stepped
-            if ended:
-                keep = [i for i, run in enumerate(live) if run.outcome is None]
-                if not keep:
-                    break
-                live = [live[i] for i in keep]
-                theta = theta[keep]
-                theta.flags.writeable = False
-                normalized = _normalized(live)
         else:  # the final evaluation fails after the last step
-            for run, params, final in zip(live, theta, task.evaluate(theta)):
+            live, theta = _regroup(live, theta, trace)
+            for run, params, final in zip(live, theta, task.evaluate(theta) if live else ()):
                 try:
                     run.finish(final, params)
                 except Exception as exc:

@@ -109,8 +109,7 @@ class NpoLoss:
         return value, self._graph.backward(self.upstream())[0]
 
 
-# 0.5 * s as a Python float, for a sum of squares s (a numpy float64, which
-# subclasses float), mapped over a group's rows without a Python frame
+# 0.5 * s for a sum of squares s, mapped over a group's rows without a Python frame
 _half = (0.5).__mul__
 
 
@@ -159,8 +158,8 @@ class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
         """
         d = thetas - self.a[None]  # a row of a: a group of one needs no broadcast
         d.flags.writeable = False
-        # row.dot(row) gives the bits of row @ row (both are BLAS ddot) without the ufunc overhead
-        sq = list(map(np.ndarray.dot, d, d))
+        # vecdot takes each row's ddot, the bits of row.dot(row), in one call
+        sq = np.vecdot(d, d).tolist()
         return list(map(_half, sq)), d, sq
 
     def forget_loss_grads(self, thetas: np.ndarray) -> tuple[list, np.ndarray, list]:
@@ -168,14 +167,14 @@ class QuadPairProblem(namedtuple("QuadPairProblem", "a b forget_kind")):
         sum of squares, from one ``thetas - b``; the bounded form scales each row by its
         own scalar ``math.exp``."""
         d = thetas - self.b[None]
-        sq = list(map(np.ndarray.dot, d, d))
+        sq = np.vecdot(d, d).tolist()
         q = list(map(_half, sq))
         if self.forget_kind == UNBOUNDED_QUADRATIC:
             d.flags.writeable = False
             return q, d, sq
         g = np.array([math.exp(-x) for x in q])[:, None] * d
         g.flags.writeable = False
-        return [-math.expm1(-x) for x in q], g, list(map(np.ndarray.dot, g, g))
+        return [-math.expm1(-x) for x in q], g, np.vecdot(g, g).tolist()
 
     def retain_loss_grad(self, theta) -> tuple[float, np.ndarray, float]:
         """The retain loss, its gradient and the gradient's sum of squares at one ``theta``."""

@@ -7,7 +7,9 @@ import pytest
 
 from ngdiff import combine
 from ngdiff import FlatGradient as fg
-from ngdiff.combiners import GA, GD, GDIFF, IMTLG, LOSSNORM, NGDIFF, PCGRAD, RLW, SCHEDULED_GDIFF
+from ngdiff.combiners import (
+    GA, GD, GDIFF, IMTLG, LOSSNORM, NGDIFF, PCGRAD, RLW, SCHEDULED_GDIFF, coefficient, coefficients,
+)
 
 from _oracles import coefficient_trace, method_spec, tail_variation
 
@@ -240,6 +242,39 @@ class TestDegenerateHandling:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown combiner kind 'mystery'"):
             run("mystery", [1.0, 0.0], [0.0, 1.0])
+
+
+class TestGroupCoefficients:
+    """``coefficients`` gives each row of a group ``coefficient``'s value and flags, bit for bit."""
+
+    @staticmethod
+    def rows(zero_row):
+        rng = np.random.default_rng(11)
+        g_r, g_f = rng.standard_normal((2, 6, 5))
+        if zero_row:
+            g_f[2] = 0.0  # degenerate for NGDiff and IMTL-G
+        g_r[4] = -g_f[4]  # opposed: PCGrad clamps
+        norms = [[math.sqrt(row.dot(row)) for row in g] for g in (g_r, g_f)]
+        return g_r, g_f, *norms
+
+    @pytest.mark.parametrize("zero_row", [False, True], ids=["columns", "a-degenerate-row"])
+    @pytest.mark.parametrize(
+        "kind, kw",
+        [(NGDIFF, {}), (PCGRAD, {}), (IMTLG, {}), (LOSSNORM, {}), (RLW, {}),
+         # decay 0.5: clamped at step 0 for the larger c, inside [0, 1] from step 3
+         (SCHEDULED_GDIFF, {"amplitude": 0.5, "decay": 0.5})],
+    )
+    def test_each_row_is_its_lone_rule(self, kind, kw, zero_row):
+        g_r, g_f, norms_r, norms_f = self.rows(zero_row)
+        specs = [method_spec(kind, **kw, **({"c": 0.4 + 0.1 * i} if kw else {})) for i in range(6)]
+        losses = [(0.5 + i, 2.0 - 0.1 * i) if kind == LOSSNORM else None for i in range(6)]
+        seeds = [3 * i for i in range(6)]
+        for step in (0, 3, 40):
+            group = coefficients(kind, specs, g_r, g_f, norms_r, norms_f, losses, step, seeds)
+            lone = [coefficient(*row, step, seed) for *row, seed in
+                    zip(specs, g_r, g_f, norms_r, norms_f, losses, seeds)]
+            assert [tuple(map(repr, row)) for row in zip(*group)] == [tuple(map(repr, row)) for row in lone]
+            assert all(type(c) is float for c in group[0])
 
 
 class TestCoefficientTrace:

@@ -62,6 +62,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
 
+def step_outs(task, runs, theta) -> tuple:
+    """A task's step as each run's ``(loss_retain, loss_forget, norm_retain,
+    norm_forget)`` or the error it met, and the gradient matrices."""
+    loss_r, loss_f, norm_r, norm_f, failed, g_r, g_f = task.step(runs, theta)
+    return [failed.get(i, out) for i, out in enumerate(zip(loss_r, loss_f, norm_r, norm_f))], g_r, g_f
+
+
 def quad_config(method, steps, lr=None, theta0=None, forget_kind=None, **extra):
     problem = {"kind": "quad_pair", "a": [0.0, 0.0], "b": [1.0, 0.0]}
     if theta0 is not None:
@@ -170,7 +177,7 @@ class TestQuadRuns:
         params = task.initial_params(cfg)
         assert not params.flags.writeable
         theta = params[None]
-        ((_, _, norm_r, norm_f),), g_r, g_f = task.step([_Run(cfg, task)], theta)
+        ((_, _, norm_r, norm_f),), g_r, g_f = step_outs(task, [_Run(cfg, task)], theta)
         assert not g_r.flags.writeable and not g_f.flags.writeable
         for grad, norm in ((g_r[0], norm_r), (g_f[0], norm_f)):
             assert not grad.flags.writeable
@@ -181,13 +188,13 @@ class TestQuadRuns:
     def test_trace_norms_are_the_task_gradients_norms(self, monkeypatch):
         # the gnorm columns are the norms of the gradients the combiner rule was given
         seen = []
-        real = ngdiff.combiners.coefficient
+        real = ngdiff.combiners.coefficients
 
-        def spy(spec, g_r, g_f, *args):
-            seen.append((np.array(g_r), np.array(g_f)))
-            return real(spec, g_r, g_f, *args)
+        def spy(kind, specs, g_r, g_f, *args):
+            seen.extend((np.array(row_r), np.array(row_f)) for row_r, row_f in zip(g_r, g_f))
+            return real(kind, specs, g_r, g_f, *args)
 
-        monkeypatch.setattr(ngdiff.combiners, "coefficient", spy)
+        monkeypatch.setattr(ngdiff.combiners, "coefficients", spy)
         for cfg in (
             quad_config({"kind": "ngdiff"}, steps=20, lr={"mode": "auto"}, theta0=(0.5, 1.0)),
             gaussian_config({"kind": "pcgrad"}, steps=5, problem={"kind": "gaussian", "per_class": 20}),
@@ -337,7 +344,7 @@ PAIRS = [
 
 def step_of(task, run, params):
     """The task's step result for ``run`` alone at ``params``: its out and its gradient rows."""
-    (out,), g_r, g_f = task.step([run], parameter_vector(params)[None])
+    (out,), g_r, g_f = step_outs(task, [run], parameter_vector(params)[None])
     return out, g_r[0], None if g_f is None else g_f[0]
 
 
@@ -387,7 +394,7 @@ class TestStackedStepErrors:
         with np.errstate(all="ignore"):
             alone = step_of(task, good, good_params)
             lone_error, _, _ = step_of(task, bad, params)
-            (failed, stepped), g_r, g_f = task.step([bad, good], parameter_vector([params, good_params]).reshape(2, -1))
+            (failed, stepped), g_r, g_f = step_outs(task, [bad, good], parameter_vector([params, good_params]).reshape(2, -1))
         assert isinstance(failed, NumericError) and str(failed) == str(lone_error)
         assert str(lone_error) == MESSAGES[first[0] if first[0] != "ok" else first[1]]
         assert not isinstance(alone[0], Exception)
@@ -456,12 +463,40 @@ class TestLockstepAborts:
         theta = parameter_vector([start.params, np.full(start.params.size, 1e308)]).reshape(2, -1)
         calls = TestOneKernelPassPerStep.spy_on_run(monkeypatch)
         with np.errstate(all="ignore"):
-            (stepped, failed), _, _ = task.step([_Run(cfg, task), _Run(cfg, task)], theta)
+            (stepped, failed), _, _ = step_outs(task, [_Run(cfg, task), _Run(cfg, task)], theta)
             evaluated, failed_evaluation = task.evaluate(theta)
         assert len(calls) == passes + 2  # the step's passes and one per side of the split
         assert isinstance(evaluated, EvalResult) and not isinstance(stepped, Exception)
         for error in (failed, failed_evaluation):
             assert isinstance(error, NumericError) and str(error) == "non-finite pre-activation in layer 1"
+
+
+SHIPPED_QUAD = json.loads((CONFIGS / "gdiff_quad.json").read_text())
+
+
+class TestTraceCells:
+    """Every trace cell is a plain Python number: ``%r`` writes a numpy scalar as ``np.float64(...)``."""
+
+    @pytest.mark.parametrize(
+        "docs",
+        [
+            # fixed and automatic step sizes alternate
+            [{**SHIPPED_QUAD, "method": {"kind": "gdiff", "c": 0.6 + 0.03 * i},
+              "lr": {"mode": "auto"} if i % 2 else SHIPPED_QUAD["lr"]} for i in range(12)],
+            [small_gaussian_doc({"kind": kind})
+             for kind in ("gd", "ga", "lossnorm", "rlw", "pcgrad", "imtlg", "ngdiff")],
+            [small_gaussian_doc({"kind": "npo", "beta": beta}) for beta in (0.5, 1.0, 2.0)],
+        ],
+        ids=["quad-c", "gaussian-methods", "npo-beta"],
+    )
+    def test_step_and_guard_are_ints_and_every_other_cell_a_float(self, docs):
+        records = run_unlearning([config_from_dict(doc) for doc in docs])
+        assert len(records) == len(docs)
+        for record in records:
+            assert isinstance(record, RunRecord)
+            for row in record.rows:
+                assert [type(cell) for cell in row] == [int] + [float] * 9 + [int]
+                assert (row._fields[0], row._fields[-1]) == ("step", "guard")
 
 
 class TestPassOverhead:

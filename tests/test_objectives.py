@@ -164,7 +164,20 @@ class TestQuadPair:
         for theta in np.random.default_rng(6).standard_normal((20, 3)):
             for loss_grad in (p.retain_loss_grad, p.forget_loss_grad):
                 _, g, sq = loss_grad(theta)
-                assert repr(sq) == repr(g.dot(g))
+                # a plain float, bit for bit the row's own ddot
+                assert type(sq) is float and sq.hex() == float(g.dot(g)).hex()
+
+    @pytest.mark.parametrize("kind", ["unbounded_quadratic", BOUNDED_EXP])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 33, 195])
+    def test_a_groups_sums_of_squares_are_each_rows_ddot(self, kind, dim):
+        # one vecdot over the group's rows gives each row's own ndarray.dot, huge and tiny rows included
+        rng = np.random.default_rng(dim)
+        p = quad(kind, a=rng.standard_normal(dim), b=rng.standard_normal(dim))
+        thetas = rng.standard_normal((12, dim)) * 10.0 ** rng.integers(-150, 150, size=(12, 1))
+        with np.errstate(all="ignore"):
+            for loss_grads in (p.retain_loss_grads, p.forget_loss_grads):
+                _, g, sq = loss_grads(thetas)
+                assert [x.hex() for x in sq] == [float(row.dot(row)).hex() for row in g]
 
     def test_anchors_must_differ(self):
         with pytest.raises(ValueError):

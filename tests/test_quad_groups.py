@@ -62,22 +62,24 @@ def test_a_coefficient_group(forget_kind):
 @pytest.mark.parametrize("lr", [None, {"mode": "auto"}], ids=["fixed", "auto"])
 def test_every_sweepable_combiner_in_one_group_from_the_forget_anchor(forget_kind, lr, monkeypatch):
     # theta0 = b zeroes the forget gradient at step 0: NGDiff and IMTL-G are degenerate there
+    # the group function gives every gradient-dependent row's flags, one column each
     flags = Counter()
-    rule = ngdiff.combiners.coefficient
+    rules = ngdiff.combiners.coefficients
 
-    def spy(spec, *args):
-        c, degenerate, clamped = rule(spec, *args)
-        flags[spec.kind, "degenerate"] += degenerate
-        flags[spec.kind, "clamped"] += clamped
-        return c, degenerate, clamped
+    def spy(kind, specs, *args):
+        coefficients, degenerate, clamped = rules(kind, specs, *args)
+        assert len(coefficients) == len(degenerate) == len(clamped) == len(specs)
+        flags[kind, "degenerate"] += sum(degenerate)
+        flags[kind, "clamped"] += sum(clamped)
+        return coefficients, degenerate, clamped
 
-    monkeypatch.setattr(ngdiff.combiners, "coefficient", spy)
+    monkeypatch.setattr(ngdiff.combiners, "coefficients", spy)
     cfgs = [quad({"kind": kind}, theta0=(1.0, 0.0), lr=lr, forget_kind=forget_kind) for kind in SWEEP_METHODS]
     grouped = run_unlearning(cfgs)
     assert flags["ngdiff", "degenerate"] >= 1 and flags["imtlg", "degenerate"] >= 1
     assert flags["pcgrad", "clamped"] >= 1
     assert np.isnan(grouped[SWEEP_METHODS.index("ngdiff")].rows[0].coeff_c)
-    monkeypatch.setattr(ngdiff.combiners, "coefficient", rule)
+    monkeypatch.setattr(ngdiff.combiners, "coefficients", rules)
     assert [outcome(result) for result in grouped] == [lone(cfg) for cfg in cfgs]
 
 
@@ -129,6 +131,24 @@ def test_a_failing_rule_ends_its_run_alone(monkeypatch):
     cfgs = [quad({"kind": kind}, theta0=(0.5, 1.0)) for kind in ("gd", "rlw", "ngdiff")]
     grouped = run_unlearning(cfgs)
     assert isinstance(grouped[1], RuntimeError)
+    monkeypatch.setattr(ngdiff.combiners, "coefficient", rule)
+    assert [outcome(grouped[0]), outcome(grouped[2])] == [lone(cfgs[0]), lone(cfgs[2])]
+
+
+def test_a_rule_that_fails_for_one_run_of_its_kind_ends_that_run_alone(monkeypatch):
+    # the kind's rule raises for the group's rows, so they are taken again one at a time
+    rule = ngdiff.combiners.coefficient
+
+    def flaky(spec, *args):
+        if args[-2:] == (7, 1):  # step 7 of method seed 1
+            raise RuntimeError("rule failed")
+        return rule(spec, *args)
+
+    monkeypatch.setattr(ngdiff.combiners, "coefficient", flaky)
+    base = quad({"kind": "rlw"}, theta0=(0.5, 1.0))
+    cfgs = [base._replace(seeds=base.seeds._replace(method=seed)) for seed in (0, 1, 2)]
+    grouped = run_unlearning(cfgs)
+    assert isinstance(grouped[1], RuntimeError) and str(grouped[1]) == "rule failed"
     monkeypatch.setattr(ngdiff.combiners, "coefficient", rule)
     assert [outcome(grouped[0]), outcome(grouped[2])] == [lone(cfgs[0]), lone(cfgs[2])]
 
