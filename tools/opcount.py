@@ -11,13 +11,21 @@ opcode executed and every Python frame entered.  The difference of the two
 counts, divided by ``STEPS``, is the cost of one step with the run's setup
 and its record cancelled out; it prints as ``ops_per_step <n>`` and
 ``calls_per_step <n>``.  Calls into C (numpy, builtins) are not frames and
-count only as the ops that make them.
+count only as the ops that make them, and so do the frames of numpy's own
+Python code (``np.mean``, ``np.argmax``), whose counts change with numpy's
+version; the quad loop enters none.
 
 The same count over the lockstep group of the 12 ``c`` values that pass 0
 of the benchmark's ``quad_sweep`` workload (seed 0) sweeps, divided by the
 group's size too, prints as ``group_ops_per_run_step <n>`` and
 ``group_calls_per_run_step <n>``: the Python cost of one run's step when
 the group shares its direction formula and update.
+
+The same count over the lone loop of ``configs/ngdiff_gaussian.json``, for
+``GAUSS_STEPS`` steps against twice as many, prints as ``gauss_ops_per_step
+<n>`` and ``gauss_calls_per_step <n>``: the finetune that makes the run's
+start is the same in both runs and cancels out, and a step's share of the
+evaluations and step-size updates, one each every 10 steps, stays in.
 
 The counts are exact and the same on every run, unlike a time, so they show
 per-step Python creeping into a loop whose step takes microseconds, such as
@@ -31,6 +39,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -40,8 +50,12 @@ import workloads  # noqa: E402  (perfbench/workloads.py; imports no ngdiff)
 from ngdiff.cli import _sweep_config  # noqa: E402
 from ngdiff.engine import config_from_dict, run_unlearning  # noqa: E402
 
+NUMPY_DIR = str(Path(np.__file__).parent)
+
 DEFAULT_CONFIG = ROOT / "configs" / "gdiff_quad.json"
 STEPS = 100
+GAUSS_CONFIG = ROOT / "configs" / "ngdiff_gaussian.json"
+GAUSS_STEPS = 30
 
 
 def sweep_group() -> list[dict]:
@@ -67,6 +81,8 @@ def traced_counts(docs, steps: int) -> tuple[int, int]:
 
     def tracer(frame, event, arg):
         nonlocal calls
+        if frame.f_code.co_filename.startswith(NUMPY_DIR):
+            return None  # numpy's own Python, which changes with numpy's version
         calls += 1
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
@@ -84,6 +100,7 @@ def per_step(docs, steps: int) -> tuple[float, float]:
     """Bytecode ops and Python calls per step and run of the loop of ``docs``
     (one document or a lockstep group's list)."""
     runs = 1 if isinstance(docs, dict) else len(docs)
+    traced_counts(docs, steps)  # a first run pays what numpy and the interpreter do once only
     ops_1, calls_1 = traced_counts(docs, steps)
     ops_2, calls_2 = traced_counts(docs, 2 * steps)
     return (ops_2 - ops_1) / (steps * runs), (calls_2 - calls_1) / (steps * runs)
@@ -96,6 +113,9 @@ def main() -> int:
     ops, calls = per_step(sweep_group(), STEPS)
     print(f"group_ops_per_run_step {ops:.1f}")
     print(f"group_calls_per_run_step {calls:.1f}")
+    ops, calls = per_step(json.loads(GAUSS_CONFIG.read_text()), GAUSS_STEPS)
+    print(f"gauss_ops_per_step {ops:.1f}")
+    print(f"gauss_calls_per_step {calls:.1f}")
     return 0
 
 

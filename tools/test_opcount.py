@@ -7,15 +7,20 @@ import pytest
 
 import opcount
 
-# ops and calls per step of configs/gdiff_quad.json as measured once the
-# parameter vectors became plain arrays (565 and 16), with a margin of two ops;
-# CPython 3.11 is the version CI runs
-OPS_BUDGET = 567
-CALLS_BUDGET = 16
-# ops per run and step of the 12-value c group of quad_sweep pass 0 once its
-# direction formula and update became group operations and its loss rows a
-# bound method's map (284.2), plus two
-GROUP_OPS_BUDGET = 287
+# ops and calls per step of configs/gdiff_quad.json once a step's per-run
+# values became columns (363 and 8), with a margin of two; CPython 3.11 is
+# the version CI runs
+OPS_BUDGET = 365
+CALLS_BUDGET = 10
+# ops and calls per run and step of the 12-value c group of quad_sweep pass 0
+# once a step's per-run values became columns (30.8 and 0.7), plus two ops
+# and under one call
+GROUP_OPS_BUDGET = 33
+GROUP_CALLS_BUDGET = 1.0
+# ops and calls per step of the lone loop of configs/ngdiff_gaussian.json,
+# finetune cancelled out, as first pinned (2051.3 and 40.7), plus two
+GAUSS_OPS_BUDGET = 2054
+GAUSS_CALLS_BUDGET = 43
 
 
 def test_steps_cancel_the_setup():
@@ -37,3 +42,12 @@ def test_quad_group_step_stays_within_its_budget(capsys):
     assert opcount.main() == 0
     out = dict(line.split() for line in capsys.readouterr().out.splitlines())
     assert float(out["group_ops_per_run_step"]) <= GROUP_OPS_BUDGET
+    assert float(out["group_calls_per_run_step"]) <= GROUP_CALLS_BUDGET
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="bytecode counts are those of CPython 3.11")
+def test_lone_gaussian_step_stays_within_its_budget(capsys):
+    assert opcount.main() == 0
+    out = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(out["gauss_ops_per_step"]) <= GAUSS_OPS_BUDGET
+    assert float(out["gauss_calls_per_step"]) <= GAUSS_CALLS_BUDGET
