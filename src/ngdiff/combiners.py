@@ -12,7 +12,7 @@ so the scale difference is absorbed by the learning rate.
 
 A rule (``coefficient``) is taken from one run's gradients, and
 ``coefficients`` takes it over the rows of a lockstep group that share a
-kind, one list entry per row; ``group_coefficients`` takes every kind of
+kind, one entry per row; ``group_coefficients`` takes every kind of
 a group, and ``cosines`` each row pair's cosine.  The two direction
 formulas (``directions``) are broadcast operations over the group's
 gradient matrices, one row per run.  Every entry is one operation on the
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add, attrgetter, mul, truediv
+from operator import mul, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -125,32 +125,15 @@ def coefficient(spec, g_r, g_f, norm_r: float, norm_f: float, losses=None, step:
     raise ValueError(f"unknown combiner kind {kind!r}")
 
 
-_INVERSE = (1.0).__truediv__
-
-
 def coefficients(kind, specs, g_r, g_f, norms_r, norms_f, losses, step, seeds) -> tuple:
     """The rule ``kind`` over the rows of a lockstep group that take it:
-    ``(coefficients, degenerate, clamped)``, one list each.
+    ``(coefficients, degenerate, clamped)``, one tuple each.
 
-    Each row's arguments are ``coefficient``'s, one entry per row of each of
+    Each row's entries are ``coefficient``'s, from one entry per row of
     ``specs``, the gradient rows ``g_r`` and ``g_f``, their norms,
-    ``losses`` and the method ``seeds``; ``step`` is the group's.  NGDiff
-    away from a degenerate gradient and the scheduled coefficient inside
-    [0, 1] are C-level maps of ``coefficient``'s scalar formulas; every
-    other row is ``coefficient``'s own.  Each entry is bit for bit the one
-    ``coefficient`` gives.
+    ``losses`` and the method ``seeds``; ``step`` is the group's.
     """
-    flags = [False] * len(specs)
-    if kind == NGDIFF and min(norms_r) >= NORM_FLOOR and min(norms_f) >= NORM_FLOOR:
-        inv_r, inv_f = list(map(_INVERSE, norms_r)), list(map(_INVERSE, norms_f))
-        return list(map(truediv, inv_r, map(add, inv_r, inv_f))), flags, flags.copy()
-    if kind == SCHEDULED_GDIFF:
-        decayed = map(pow, map(attrgetter("decay"), specs), repeat(step))
-        c = list(map(add, map(attrgetter("c"), specs), map(mul, map(attrgetter("amplitude"), specs), decayed)))
-        if 0.0 <= min(c) and max(c) <= 1.0:
-            return c, flags, flags.copy()
-    rows = map(coefficient, specs, g_r, g_f, norms_r, norms_f, losses, repeat(step), seeds)
-    return tuple(map(list, zip(*rows)))
+    return tuple(zip(*map(coefficient, specs, g_r, g_f, norms_r, norms_f, losses, repeat(step), seeds)))
 
 
 def group_coefficients(rules, coeffs, step, columns, failed) -> list:
@@ -168,8 +151,10 @@ def group_coefficients(rules, coeffs, step, columns, failed) -> list:
         *args, loss_r, loss_f = columns if rows is None else [[c[i] for i in rows] for c in columns]
         # cross-entropy on a saturated minibatch can round to exactly 0;
         # the loss-normalization weights need a strictly positive floor
-        floored = zip(map(max, loss_r, repeat(1e-12)), map(max, loss_f, repeat(1e-12)))
-        args.append(list(floored) if kind == LOSSNORM else [None] * len(specs))
+        if kind == LOSSNORM:
+            args.append(list(zip(map(max, loss_r, repeat(1e-12)), map(max, loss_f, repeat(1e-12)))))
+        else:
+            args.append([None] * len(specs))
         try:
             column = coefficients(kind, specs, *args, step, seeds)[0]
         except Exception:

@@ -20,8 +20,8 @@ one ``theta - a`` and one ``theta - b``) gives the losses and gradients,
 one ``ddot`` per row the norms and cosines, ``combiners.coefficients``
 each combiner kind's coefficients, and one broadcast direction formula and
 one update ``theta - eta * d`` serve the whole matrix.  Each step appends
-one row of columns to the group's trace, from which each run cuts its
-``StepRow``s.  A run acts alone only on events: a step-size update on its
+its columns to the group's trace as one flat tuple, from which each run
+cuts its ``StepRow``s.  A run acts alone only on events: a step-size update on its
 cadence (its probes are lone passes), an evaluation's result and a
 failure.  Every operation has the operands of a lone run's, so every
 record is bit for bit its lone run's, and a run that meets a non-finite
@@ -45,8 +45,21 @@ from typing import NamedTuple
 import numpy as np
 
 from . import combiners
-from .autodiff import FlatGradient, Graph, NumericError, _column, axpy_update, parameter_vector
-from .bench import ForgetRetainSplit, LabeledBatch, gen_gaussian_clusters, mlp_factory, split_forget_retain
+from .autodiff import (
+    FlatGradient,
+    Graph,
+    NumericError,
+    _column,
+    axpy_update,
+    parameter_vector,
+)
+from .bench import (
+    ForgetRetainSplit,
+    LabeledBatch,
+    gen_gaussian_clusters,
+    mlp_factory,
+    split_forget_retain,
+)
 from .objectives import FORGET_KINDS, UNBOUNDED_QUADRATIC, NpoLoss, QuadPairProblem
 from .scheduler import LrState, maybe_update, step_size
 
@@ -955,14 +968,14 @@ _ROW = partial(tuple.__new__, StepRow)  # a StepRow from a tuple of its cells, m
 
 def _regroup(live, theta, trace) -> tuple:
     """The runs of ``live`` still going and their rows of ``theta``, once each has
-    cut its rows from ``trace``, one tuple per step: the step, then a column per field."""
+    cut its rows from ``trace``, one flat tuple per step: the step, then each field's column."""
     keep = [i for i, run in enumerate(live) if run.outcome is None]
     if trace:
-        steps, *columns = zip(*trace)
-        # each column transposed: one tuple of every step's cell per run
-        for run, *cells in zip(live, *[zip(*column) for column in columns]):
+        # every step's entry at each place; run i's cells are at i, i + n, ...
+        steps, *cells = zip(*trace)
+        for i, run in enumerate(live):
             if run.outcome is None:
-                run.rows += map(_ROW, zip(steps, *cells))
+                run.rows += map(_ROW, zip(steps, *cells[i :: len(live)]))
     if len(keep) < len(live):
         theta = theta[keep]
         theta.flags.writeable = False
@@ -1093,7 +1106,8 @@ def run_unlearning(cfg, start: NoUnlearn | None = None):
             for i in _nonfinite_rows(stepped):
                 failed.setdefault(i, NumericError("parameter entries must be finite"))
             stepped.flags.writeable = False
-            trace.append((step, loss_r, loss_f, acc_r, acc_f, etas, coeffs, norm_r, norm_f, cos, guards))
+            # one flat tuple of numbers, which the collector stops tracking at its first pass
+            trace.append((step, *loss_r, *loss_f, *acc_r, *acc_f, *etas, *coeffs, *norm_r, *norm_f, *cos, *guards))
             for i, exc in failed.items():
                 live[i].end(step, exc, theta[i])
                 regroup = True
