@@ -8,7 +8,6 @@ problems, the unlearning run loop, and a CLI around it all.
 
 from .autodiff import (
     DimensionError,
-    FlatGradient,
     Graph,
     GraphStateError,
     NumericError,

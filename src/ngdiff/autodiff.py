@@ -29,15 +29,16 @@ the one its lone pass would raise, in ``Graph.failed``, and carries on: no
 slice's values reach another's, so the other slices stay those of their
 lone passes.
 
-A parameter vector is a read-only 1-D float64 array (``parameter_vector``
-makes one), a gradient a ``FlatGradient`` around one.  Finiteness is
-checked once per layer pre-activation and once on the loss.  Every
+A parameter vector and a gradient are both read-only 1-D float64 arrays
+(``parameter_vector`` makes the one, ``backward`` the other).  Finiteness
+is checked once per layer pre-activation and once on the loss.  Every
 parameter or gradient vector is checked once, by its sum of squares
 ``data.dot(data)``: a finite sum proves every entry finite, since a nan
 entry makes it nan and an infinite one inf.  Only a non-finite sum, which
 huge finite entries also give when their squares overflow, is followed by
-the entry-wise test.  A ``FlatGradient`` keeps the sum's root as its
-``norm``, which the combination rules and the trace's ``gnorm_*`` columns read.
+the entry-wise test.  A gradient's norm is the root of that sum; the
+combination rules and the trace's ``gnorm_*`` columns take it where they
+need it.
 The floating-point operations and their order are fixed, so a run is
 reproducible bit for bit.  They are those of the plain numpy formulas
 (``tests/_oracles.py`` keeps them as the reference); the kernel only picks
@@ -52,7 +53,6 @@ copied or pickled graph leaves its forward cache behind.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -70,30 +70,16 @@ class GraphStateError(RuntimeError):
     """A graph operation was called in the wrong order (e.g. backward before forward)."""
 
 
-def _as_f64(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
-
-
-def _frozen_f64(value) -> np.ndarray:
-    arr = _as_f64(value).copy()
-    arr.flags.writeable = False
-    return arr
-
-
-def _adopt_vector(data: np.ndarray, what: str, sq=None) -> np.ndarray:
+def _adopt_vector(data: np.ndarray, what: str) -> np.ndarray:
     """Freeze a fresh flat array in place once it is proved finite, and return it.
 
     The array is owned by nobody else, so it is frozen in place instead of
     copied.  A finite sum of squares proves every entry finite (a nan entry
     makes it nan, an infinite one inf); only a non-finite sum, which huge
     finite entries can also give, is followed by the entry-wise test.
-    ``sq`` is ``data.dot(data)`` when the caller has taken it; a gradient's
-    maker takes it, as it keeps the sum's root as the ``FlatGradient``'s norm.
     """
-    if sq is None:
-        sq = data.dot(data)
     # count_nonzero skips the Python wrapper of ndarray.all
-    if not math.isfinite(sq) and np.count_nonzero(np.isfinite(data)) != data.size:
+    if not math.isfinite(data.dot(data)) and np.count_nonzero(np.isfinite(data)) != data.size:
         raise NumericError(f"{what} entries must be finite")
     data.setflags(write=False)
     return data
@@ -116,37 +102,14 @@ def parameter_vector(values) -> np.ndarray:
         return _adopt_vector(np.array(np.ravel(values), dtype=np.float64), "parameter")
 
 
-class FlatGradient(namedtuple("FlatGradient", "data norm")):
-    """A gradient: a read-only flat float64 array and its norm.
-
-    ``FlatGradient(values)`` makes a read-only flat float64 copy of
-    ``values``, proves it finite and derives ``norm``: the root of the sum
-    of squares ``data.dot(data)`` that proved it (``inf`` when that sum
-    overflows).  The loops build theirs around fresh arrays through
-    ``tuple.__new__``, after ``_adopt_vector``, without the copy.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, values):
-        data = np.array(np.ravel(values), dtype=np.float64)
-        with np.errstate(over="ignore"):
-            sq = data.dot(data)
-        return tuple.__new__(cls, (_adopt_vector(data, "gradient", sq), math.sqrt(sq)))
-
-    def __getnewargs__(self):
-        return (self.data,)
-
-
-def axpy_update(params: np.ndarray, direction: FlatGradient, eta: float) -> np.ndarray:
+def axpy_update(params: np.ndarray, direction: np.ndarray, eta: float) -> np.ndarray:
     """Return ``params - eta * direction`` as a new parameter vector; inputs unchanged."""
-    data = direction.data
-    if data.shape != params.shape:  # broadcasting would take a size-1 operand
-        raise DimensionError(f"axpy_update: direction of shape {data.shape}, parameters of shape {params.shape}")
+    if direction.shape != params.shape:  # broadcasting would take a size-1 operand
+        raise DimensionError(f"axpy_update: direction of shape {direction.shape}, parameters of shape {params.shape}")
     eta = float(eta)
     if not math.isfinite(eta):
         raise NumericError("step size must be finite")
-    return _adopt_vector(params - eta * data, "parameter")
+    return _adopt_vector(params - eta * direction, "parameter")
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -371,10 +334,10 @@ class Graph:
         that ``run`` returned; with ``dlp`` (one entry per row, shaped as
         ``lp``) it differentiates any loss whose gradient w.r.t. ``lp`` is
         ``dlp``.  With ``groups`` only the first ``groups`` groups are
-        differentiated.  After a lone pass it returns a ``FlatGradient`` per
-        group; after a pass over several runs ``(flat, norms)``, the rows of
-        one read-only ``(runs, groups, size)`` array and each run's list of
-        their norms.  A gradient with a non-finite entry raises or goes in
+        differentiated.  After a lone pass it returns one read-only gradient
+        vector per group; after a pass over several runs ``(flat, norms)``,
+        the rows of one read-only ``(runs, groups, size)`` array and each
+        run's list of their norms.  A gradient with a non-finite entry raises or goes in
         ``failed``, as ``run``'s errors do; huge finite entries pass.
         """
         weights, acts, at_label, numer, denom, lp, lone = self._cached()
@@ -396,7 +359,7 @@ class Graph:
             g.reshape(-1)[at_label] -= 1.0  # probs - onehot
             g *= 1.0 / n
         else:
-            dlp = _as_f64(dlp)
+            dlp = np.asarray(dlp, dtype=np.float64)
             shape = (rows,) if lone else (runs, rows)
             if dlp.shape != shape:
                 raise DimensionError(f"dlp shape {dlp.shape} does not match {shape}")
@@ -427,5 +390,5 @@ class Graph:
                 self._fail(lone, finite, "gradient entries must be finite", stacked)
         if not lone:
             return flat, norms
-        return tuple([tuple.__new__(FlatGradient, pair) for pair in zip(flat[0], norms[0])])
+        return tuple(flat[0])
 

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .autodiff import Graph, NumericError, _frozen_f64, parameter_vector
+from .autodiff import Graph, NumericError, parameter_vector
 
 
 class LabeledBatch(namedtuple("LabeledBatch", "features labels class_count")):
@@ -24,7 +24,8 @@ class LabeledBatch(namedtuple("LabeledBatch", "features labels class_count")):
     __slots__ = ()
 
     def __new__(cls, features, labels, class_count):
-        features = _frozen_f64(features)
+        features = np.array(features, dtype=np.float64, order="C")
+        features.flags.writeable = False
         labels = np.asarray(labels, dtype=np.int64).copy()
         labels.flags.writeable = False
         if features.ndim != 2:

@@ -116,6 +116,16 @@ def _write(path: Path, text: str, out: str) -> None:
         engine.write_file(path, text)
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as CSV lines, a cell that holds a comma, a double quote or a ``\\n`` quoted."""
+    import csv  # only sweep and pareto write CSV here
+    import io
+
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
 def _fmt(x: float) -> str:
     return "nan" if not math.isfinite(x) else f"{x:.6f}"
 
@@ -409,14 +419,14 @@ def cmd_sweep(args) -> int:
             results[runs[k][0]] = result
 
     worst = 0
-    lines = [",".join((args.param, *EvalResult._fields))]
+    rows = [(args.param, *EvalResult._fields)]
     for value, code, final, err in results:
         if code != 0:
             print(f"error: value {value}: {err}", file=sys.stderr)
             worst = max(worst, code)
             continue
-        lines.append(",".join((value, *map(repr, final))))
-    _write(summary_path, "\n".join(lines) + "\n", args.out)
+        rows.append((value, *map(repr, final)))
+    _write(summary_path, _csv_text(rows), args.out)
     return worst
 
 
@@ -469,10 +479,9 @@ def cmd_pareto(args) -> int:
     for p in points:
         status = "non-dominated" if id(p) in front_set else "dominated"
         print(f"{status}: {p.tag} loss_retain={p.retain_loss!r} loss_forget={p.forget_loss!r}")
-    lines = ["tag,loss_retain,loss_forget"]
-    for p in front:
-        lines.append(f"{p.tag},{p.retain_loss!r},{p.forget_loss!r}")
-    _write(out_path, "\n".join(lines) + "\n", args.out)
+    rows = [("tag", "loss_retain", "loss_forget")]
+    rows += [(p.tag, repr(p.retain_loss), repr(p.forget_loss)) for p in front]
+    _write(out_path, _csv_text(rows), args.out)
     return 0
 
 

@@ -18,7 +18,8 @@ formulas (``directions``) are broadcast operations over the group's
 gradient matrices, one row per run.  Every entry is one operation on the
 same operands as a lone run's, so each value and each direction row is
 bit for bit its lone run's.  ``combine`` applies a rule and a formula to
-one pair of gradients.
+one pair of gradients, each a read-only flat array as ``Graph.backward``
+returns one, and takes their norms itself.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import FlatGradient, _adopt_vector, _column
+from .autodiff import _adopt_vector, _column
 
 GD = "gd"
 GA = "ga"
@@ -53,7 +54,7 @@ NORM_FLOOR = 1e-12
 class CombinerOutput(NamedTuple):
     """Combined direction plus the diagnostics the loop records."""
 
-    direction: FlatGradient
+    direction: np.ndarray
     coefficient: float
     degenerate: bool = False
     clamped: bool = False
@@ -217,19 +218,19 @@ def _units(g: np.ndarray, norms) -> np.ndarray:
 
 def combine(
     spec,
-    g_r: FlatGradient,
-    g_f: FlatGradient,
+    g_r: np.ndarray,
+    g_f: np.ndarray,
     losses: tuple[float, float] | None = None,
     step: int = 0,
     seed: int = 0,
 ) -> CombinerOutput:
     """Apply the rule ``spec.kind`` to one pair of per-task gradients (see ``coefficient``)."""
-    c, degenerate, clamped = coefficient(spec, g_r.data, g_f.data, g_r.norm, g_f.norm, losses, step, seed)
+    norm_r, norm_f = math.sqrt(g_r.dot(g_r)), math.sqrt(g_f.dot(g_f))
+    c, degenerate, clamped = coefficient(spec, g_r, g_f, norm_r, norm_f, losses, step, seed)
     normalized = [True] if spec.kind == NGDIFF else None
-    (direction,) = directions([c], g_r.data[None], g_f.data[None], [g_r.norm], [g_f.norm], normalized)
-    sq = direction.dot(direction)
+    (direction,) = directions([c], g_r[None], g_f[None], [norm_r], [norm_f], normalized)
     return CombinerOutput(
-        direction=tuple.__new__(FlatGradient, (_adopt_vector(direction, "gradient", sq), math.sqrt(sq))),
+        direction=_adopt_vector(direction, "gradient"),
         coefficient=c,
         degenerate=degenerate,
         clamped=clamped,

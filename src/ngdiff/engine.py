@@ -46,7 +46,6 @@ import numpy as np
 
 from . import combiners
 from .autodiff import (
-    FlatGradient,
     Graph,
     NumericError,
     _column,
@@ -1010,12 +1009,11 @@ def _updated(step, live, rows, theta, directions, loss_r, guards, etas, failed) 
     has not failed has probed along its direction row on its cadence step ``step``."""
     guards, etas = list(guards), list(etas)
     for i in rows:
-        run, direction = live[i], directions[i]
+        run = live[i]
         if i not in failed:
             before = run.lr_state.guard_trips
-            direction = tuple.__new__(FlatGradient, (direction, math.sqrt(direction.dot(direction))))
             try:
-                run.lr_state = maybe_update(run.lr_state, step, run.cfg.lr, run.probe_loss, theta[i], direction, loss_r[i])
+                run.lr_state = maybe_update(run.lr_state, step, run.cfg.lr, run.probe_loss, theta[i], directions[i], loss_r[i])
             except Exception as exc:
                 failed[i] = exc
                 continue

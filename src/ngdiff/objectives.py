@@ -14,12 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .autodiff import (
-    DimensionError,
-    FlatGradient,
-    Graph,
-    NumericError,
-)
+from .autodiff import DimensionError, Graph, NumericError
 
 UNBOUNDED_QUADRATIC = "unbounded_quadratic"
 BOUNDED_EXP = "bounded_exp"
@@ -104,7 +99,7 @@ class NpoLoss:
 
     def loss_and_grad(
         self, params: np.ndarray, batch, ref_logprobs: np.ndarray | None = None
-    ) -> tuple[float, FlatGradient]:
+    ) -> tuple[float, np.ndarray]:
         value = self.loss(params, batch, ref_logprobs)
         return value, self._graph.backward(self.upstream())[0]
 

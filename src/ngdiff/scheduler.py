@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .autodiff import FlatGradient, axpy_update
+from .autodiff import axpy_update
 
 CURVATURE_FLOOR = 1e-12
 # the most one update may multiply a fitted step size by; an exact line
@@ -72,7 +72,7 @@ def step_size(state: LrState, lr) -> float:
 def probe_losses(
     retain_loss: Callable[[np.ndarray], float],
     params: np.ndarray,
-    direction: FlatGradient,
+    direction: np.ndarray,
     probe: float,
     loss_zero: float,
 ) -> tuple[float, float, float, float]:
@@ -134,7 +134,7 @@ def maybe_update(
     lr,
     retain_loss: Callable[[np.ndarray], float],
     params: np.ndarray,
-    direction: FlatGradient,
+    direction: np.ndarray,
     loss_zero: float,
 ) -> LrState:
     """Refresh the step size every ``lr.update_period`` steps; otherwise return ``state``.

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from ngdiff import EvalResult, FlatGradient, LabeledBatch, MethodSpec, parameter_vector
+from ngdiff import EvalResult, LabeledBatch, MethodSpec, parameter_vector
+from ngdiff.autodiff import _adopt_vector
 from ngdiff.bench import mlp_factory
 from ngdiff.engine import RUN_COUNTERS, TRACE_COLUMNS
 
@@ -58,9 +59,15 @@ def fd_gradient(graph, params: np.ndarray, batch, eps: float = 1e-5) -> np.ndarr
     return out
 
 
-def assert_matches_fd(graph, params, batch, grad: FlatGradient, rel: float = 1e-5, floor: float = 1e-8):
+def gradient(values) -> np.ndarray:
+    """A gradient as the library hands one on: a read-only flat float64 copy of ``values``, proved finite."""
+    with np.errstate(over="ignore"):
+        return _adopt_vector(np.array(np.ravel(values), dtype=np.float64), "gradient")
+
+
+def assert_matches_fd(graph, params, batch, grad: np.ndarray, rel: float = 1e-5, floor: float = 1e-8):
     fd = fd_gradient(graph, params, batch)
-    err = np.abs(grad.data - fd)
+    err = np.abs(grad - fd)
     tol = np.maximum(floor, rel * np.abs(fd))
     worst = np.max(err - tol)
     assert np.all(err <= tol), f"gradient mismatch beyond tolerance by {worst:g}"

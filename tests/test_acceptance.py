@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from ngdiff import (
-    FlatGradient,
     LrState,
     combine,
     config_from_dict,
@@ -30,7 +29,7 @@ from ngdiff import (
 from ngdiff.engine import LrConfig
 from ngdiff.objectives import QuadPairProblem, lsp_minimizer
 
-from _oracles import fd_gradient, forward, lsp_gradient, method_spec, random_mlp_case
+from _oracles import fd_gradient, forward, gradient, lsp_gradient, method_spec, random_mlp_case
 
 
 @contextmanager
@@ -87,7 +86,7 @@ def test_criterion_1_gradient_fidelity():
         for seed in range(100):
             graph, params, batch = random_mlp_case(seed)
             forward(graph, params, batch)
-            grad = graph.backward()[0].data
+            grad = graph.backward()[0]
             fd = fd_gradient(graph, params, batch)
             err = np.abs(grad - fd)
             assert np.all(err <= np.maximum(1e-8, 1e-5 * np.abs(fd)))
@@ -101,7 +100,7 @@ def test_criterion_2_sign_correct_direction():
             for _ in range(count):
                 g_r = rng.standard_normal(dim)
                 g_f = rng.standard_normal(dim)
-                d = combine(spec, FlatGradient(g_r), FlatGradient(g_f)).direction.data
+                d = combine(spec, gradient(g_r), gradient(g_f)).direction
                 assert g_r.dot(d) >= -1e-9 * np.linalg.norm(g_r)
                 assert g_f.dot(d) <= 1e-9 * np.linalg.norm(g_f)
 
@@ -126,7 +125,7 @@ def test_criterion_3_probe_fit_exactness():
             expected = float(g @ d_vec) / float(d_vec @ H @ d_vec)
             if expected <= 0:
                 continue
-            direction = FlatGradient(d_vec)
+            direction = gradient(d_vec)
             probe = float(rng.uniform(1e-3, 1.0))
             lm, l0, lp, used = probe_losses(loss, theta, direction, probe, loss(theta))
             eta = optimal_lr(fit_quadratic(used, lm, l0, lp))

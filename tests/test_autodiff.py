@@ -7,7 +7,6 @@ import pytest
 
 from ngdiff import (
     DimensionError,
-    FlatGradient,
     GraphStateError,
     LabeledBatch,
     NumericError,
@@ -16,11 +15,13 @@ from ngdiff import (
 )
 from ngdiff.autodiff import _FAST_ROWS, _adopt_vector, _col_sum, _row_sum
 from ngdiff.bench import mlp_factory
-from ngdiff.combiners import combine
+from ngdiff.combiners import NGDIFF, PCGRAD, coefficient, combine, directions
+from ngdiff.objectives import NpoLoss
 
 from _oracles import (
     assert_matches_fd,
     forward,
+    gradient,
     method_spec,
     random_mlp_case,
     segment,
@@ -176,8 +177,8 @@ class TestBackward:
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         resid = (probs - np.eye(3)[labels]) / 6.0
-        np.testing.assert_allclose(segment(graph.widths, grad.data, "w1"), feats.T @ resid, atol=1e-15)
-        np.testing.assert_allclose(segment(graph.widths, grad.data, "b1"), resid.sum(axis=0), atol=1e-15)
+        np.testing.assert_allclose(segment(graph.widths, grad, "w1"), feats.T @ resid, atol=1e-15)
+        np.testing.assert_allclose(segment(graph.widths, grad, "b1"), resid.sum(axis=0), atol=1e-15)
 
     def test_gradient_equals_straight_line_oracle_exactly(self):
         # same floating-point operations in the same order, with and without dlp
@@ -187,15 +188,15 @@ class TestBackward:
             dlp = np.random.default_rng(seed).standard_normal(batch.n)
             forward(graph, params, batch)
             expected = straight_line_mlp_grad(graph.widths, params, feats, labels)
-            assert np.array_equal(graph.backward()[0].data, expected)
+            assert np.array_equal(graph.backward()[0], expected)
             expected = straight_line_mlp_grad(graph.widths, params, feats, labels, dlp)
-            assert np.array_equal(graph.backward(dlp)[0].data, expected)
+            assert np.array_equal(graph.backward(dlp)[0], expected)
 
     def test_constant_loss_gives_zero_gradient(self):
         # a loss that does not depend on lp has dL/dlp = 0
         graph, params, batch = random_mlp_case(2)
         forward(graph, params, batch)
-        assert np.all(graph.backward(np.zeros(batch.n))[0].data == 0.0)
+        assert np.all(graph.backward(np.zeros(batch.n))[0] == 0.0)
 
     def test_mlp_gradient_matches_finite_differences(self):
         graph, params, batch = random_mlp_case(7)
@@ -217,7 +218,7 @@ class TestBackward:
             return float(weights @ graph.lp)
 
         weighted(params)
-        grad = graph.backward(weights)[0].data
+        grad = graph.backward(weights)[0]
         eps = 1e-5
         for i in range(params.size):
             bump = np.zeros(params.size)
@@ -250,13 +251,13 @@ class TestProperties:
         rng = np.random.default_rng(3)
         d1, d2 = rng.standard_normal(batch.n), rng.standard_normal(batch.n)
         forward(graph, params, batch)
-        grad1 = graph.backward(d1)[0].data
-        grad2 = graph.backward(d2)[0].data
-        combo = graph.backward(a * d1 + b * d2)[0].data
+        grad1 = graph.backward(d1)[0]
+        grad2 = graph.backward(d2)[0]
+        combo = graph.backward(a * d1 + b * d2)[0]
         np.testing.assert_allclose(combo, a * grad1 + b * grad2, atol=1e-12)
         # the cross-entropy is -mean(lp)
         np.testing.assert_allclose(
-            graph.backward()[0].data, graph.backward(np.full(batch.n, -1.0 / batch.n))[0].data, atol=1e-15
+            graph.backward()[0], graph.backward(np.full(batch.n, -1.0 / batch.n))[0], atol=1e-15
         )
 
     def test_determinism_bit_identical(self):
@@ -265,7 +266,7 @@ class TestProperties:
             graph, params, batch = random_mlp_case(11)
             loss = forward(graph, params, batch)
             grad = graph.backward()[0]
-            runs.append((loss, grad.data.tobytes()))
+            runs.append((loss, grad.tobytes()))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
@@ -322,9 +323,9 @@ class TestFastReductions:
         loss = forward(graph, params, batch_of(feats, labels, widths[-1]))
         assert loss == straight_line_mlp_loss(widths, params, feats, labels)
         expected = straight_line_mlp_grad(widths, params, feats, labels)
-        assert same_bits(graph.backward()[0].data, expected)
+        assert same_bits(graph.backward()[0], expected)
         expected = straight_line_mlp_grad(widths, params, feats, labels, dlp)
-        assert same_bits(graph.backward(dlp)[0].data, expected)
+        assert same_bits(graph.backward(dlp)[0], expected)
 
 
 def lone_passes(graph, params, batches, dlps):
@@ -335,10 +336,6 @@ def lone_passes(graph, params, batches, dlps):
         lp, logits = graph.lp.copy(), graph.logits.copy()
         out.append((loss, lp, logits, graph.backward()[0], graph.backward(dlp)[0]))
     return out
-
-
-def same_gradient(a: FlatGradient, b: FlatGradient) -> bool:
-    return same_bits(a.data, b.data) and repr(a.norm) == repr(b.norm)
 
 
 class TestStackedPass:
@@ -367,13 +364,13 @@ class TestStackedPass:
         dlp_grads = graph.backward(np.concatenate(dlps))
         first = graph.backward(dlps[0], groups=1)
         assert len(grads) == len(dlp_grads) == 2 and len(first) == 1
-        assert same_gradient(first[0], lone[0][4])
+        assert same_bits(first[0], lone[0][4])
         for batch, dlp, (loss, _, _, grad, dlp_grad), g, g_dlp in zip(batches, dlps, lone, grads, dlp_grads):
-            assert same_gradient(g, grad) and same_gradient(g_dlp, dlp_grad)
+            assert same_bits(g, grad) and same_bits(g_dlp, dlp_grad)
             assert loss == straight_line_mlp_loss(widths, params, batch.features, batch.labels)
-            assert same_bits(g.data, straight_line_mlp_grad(widths, params, batch.features, batch.labels))
+            assert same_bits(g, straight_line_mlp_grad(widths, params, batch.features, batch.labels))
             expected = straight_line_mlp_grad(widths, params, batch.features, batch.labels, dlp)
-            assert same_bits(g_dlp.data, expected)
+            assert same_bits(g_dlp, expected)
 
     def test_three_groups_and_bound_bindings(self):
         graph, params = mlp_factory(5, [4, 16, 3])
@@ -383,7 +380,7 @@ class TestStackedPass:
         bound = graph.bind(*batches)
         for _ in range(2):  # bindings checked once serve every run
             assert graph.run(params, bound) == tuple(loss for loss, *_ in lone)
-            assert all(same_gradient(g, one[3]) for g, one in zip(graph.backward(), lone))
+            assert all(same_bits(g, one[3]) for g, one in zip(graph.backward(), lone))
 
     def test_bind_concatenates_the_batches_in_order(self):
         graph, _ = mlp_factory(0, [4, 3])
@@ -475,7 +472,7 @@ class TestRunAxis:
             for (flat, norms), want in zip(passes, one_grads):
                 assert len(flat[r]) == len(norms[r]) == len(want)
                 for data, norm, grad in zip(flat[r], norms[r], want):
-                    assert same_bits(data, grad.data) and repr(norm) == repr(grad.norm)
+                    assert same_bits(data, grad) and repr(norm) == root_of_squares(grad)
 
     def test_a_run_that_overflows_fails_its_own_slices(self):
         graph, _ = mlp_factory(0, [1, 1, 2])
@@ -495,7 +492,7 @@ class TestRunAxis:
             for batch, loss, data, error in zip(batches, run_losses, run_flat, errors):
                 if error is None:  # its lone pass gives the same values
                     assert forward(graph, parameter_vector(params), batch) == loss
-                    assert same_bits(graph.backward()[0].data, data)
+                    assert same_bits(graph.backward()[0], data)
                 else:  # its lone pass raises the recorded error
                     with pytest.raises(NumericError, match=f"^{error}$"):
                         forward(graph, parameter_vector(params), batch)
@@ -533,18 +530,18 @@ class TestRunAxis:
 class TestAxpyUpdate:
     def test_basic(self):
         p = parameter_vector([1.0, 1.0])
-        d = FlatGradient([1.0, 0.0])
+        d = gradient([1.0, 0.0])
         out = axpy_update(p, d, 0.5)
         np.testing.assert_array_equal(out, [0.5, 1.0])
         np.testing.assert_array_equal(p, [1.0, 1.0])  # input untouched
 
     def test_zero_step(self):
         p = parameter_vector([1.0, 1.0])
-        d = FlatGradient([2.0, 3.0])
+        d = gradient([2.0, 3.0])
         np.testing.assert_array_equal(axpy_update(p, d, 0.0), p)
 
     def test_exact_line_minimum(self):
-        assert axpy_update(parameter_vector([3.0]), FlatGradient([3.0]), 1.0)[0] == 0.0
+        assert axpy_update(parameter_vector([3.0]), gradient([3.0]), 1.0)[0] == 0.0
 
     @pytest.mark.parametrize(
         "params, direction", [([1.0, 1.0], [0.0, 0.0, 0.0]), ([1.0, 1.0], [1.0]), ([1.0], [1.0, 1.0])]
@@ -552,7 +549,7 @@ class TestAxpyUpdate:
     def test_size_mismatch(self, params, direction):
         # numpy would broadcast a size-1 operand against the other
         with pytest.raises(DimensionError, match="^axpy_update: direction of shape"):
-            axpy_update(parameter_vector(params), FlatGradient(direction), 0.1)
+            axpy_update(parameter_vector(params), gradient(direction), 0.1)
 
 
 class TestValueTypes:
@@ -569,28 +566,20 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             p[0] = 5.0
 
-    def test_flat_gradient_is_a_flat_frozen_copy_with_a_derived_norm(self):
-        values = np.array([[3.0], [4.0]])
-        g = FlatGradient(values)
-        assert g.data.shape == (2,) and g.data.base is None and g.norm == 5.0
-        values[0, 0] = 0.0
-        assert g.data[0] == 3.0
-        with pytest.raises(TypeError):  # the norm is derived, never given
-            FlatGradient(g.data, 5.0)
-
-    @pytest.mark.parametrize("source", ["mlp_factory", "axpy_update", "backward", "combine", "FlatGradient"])
+    @pytest.mark.parametrize("source", ["mlp_factory", "axpy_update", "backward", "combine", "NpoLoss.loss_and_grad"])
     def test_every_made_vector_is_read_only(self, source):
         graph, params = mlp_factory(6, [4, 5, 3])
-        forward(graph, params, batch_of(np.eye(4)[:3], [0, 1, 2], 3))
+        batch = batch_of(np.eye(4)[:3], [0, 1, 2], 3)
+        forward(graph, params, batch)
         g_r, g_f = graph.backward()[0], graph.backward(np.ones(3))[0]
         vector = {
             "mlp_factory": lambda: params,
             "axpy_update": lambda: axpy_update(params, g_r, 0.1),
-            "backward": lambda: g_r.data,
-            "combine": lambda: combine(method_spec("ngdiff"), g_r, g_f).direction.data,
-            "FlatGradient": lambda: FlatGradient([1.0, 2.0]).data,
+            "backward": lambda: g_r,
+            "combine": lambda: combine(method_spec("ngdiff"), g_r, g_f).direction,
+            "NpoLoss.loss_and_grad": lambda: NpoLoss(graph, 0.5, params).loss_and_grad(params, batch)[1],
         }[source]()
-        assert vector.dtype == np.float64 and vector.ndim == 1
+        assert type(vector) is np.ndarray and vector.dtype == np.float64 and vector.ndim == 1
         with pytest.raises(ValueError, match="read-only"):
             vector[0] = 5.0
 
@@ -608,19 +597,18 @@ def root_of_squares(data: np.ndarray) -> str:
 
 
 class TestFinitenessRule:
-    """One sum of squares checks a vector and, for a gradient, gives its norm."""
+    """One sum of squares checks a vector; for a gradient, its root is the norm."""
 
     @pytest.mark.filterwarnings("error")  # the constructors never warn
     @pytest.mark.parametrize("values", HUGE)
-    @pytest.mark.parametrize("make", [parameter_vector, FlatGradient])
+    @pytest.mark.parametrize("make", [parameter_vector, gradient])
     def test_huge_finite_entries_are_accepted(self, make, values):
-        value = make(values)
-        assert getattr(value, "data", value).tolist() == values
+        assert make(values).tolist() == values
 
     @pytest.mark.parametrize("values", HUGE)
     def test_huge_finite_update_is_accepted(self, values):
         params = parameter_vector(values)
-        step = FlatGradient([1.0, -1.0])
+        step = gradient([1.0, -1.0])
         with np.errstate(over="ignore"):  # as in the loops, which check instead
             updated = axpy_update(params, step, 1.0)
         assert updated.tolist() == (np.array(values) - [1.0, -1.0]).tolist()
@@ -631,11 +619,11 @@ class TestFinitenessRule:
         with np.errstate(over="ignore"):
             assert forward(graph, params, batch_of([[1e200]], [1], 2)) == 2e200
             grad = graph.backward()[0]
-        assert grad.data.tolist() == [1e200, -1e200, 1.0, -1.0]
-        assert grad.norm == math.inf
+        assert grad.tolist() == [1e200, -1e200, 1.0, -1.0]
+        assert root_of_squares(grad) == "inf"
 
     @pytest.mark.parametrize("values", NON_FINITE)
-    @pytest.mark.parametrize("make, what", [(parameter_vector, "parameter"), (FlatGradient, "gradient")])
+    @pytest.mark.parametrize("make, what", [(parameter_vector, "parameter"), (gradient, "gradient")])
     def test_non_finite_entries_are_rejected(self, make, what, values):
         with pytest.raises(NumericError, match=f"^{what} entries must be finite$"):
             make(values)
@@ -650,23 +638,29 @@ class TestFinitenessRule:
     )
     def test_overflowing_update_is_rejected(self, params, step):
         params = parameter_vector(params)
-        step = FlatGradient(step)
+        step = gradient(step)
         with np.errstate(over="ignore"), pytest.raises(
             NumericError, match="^parameter entries must be finite$"
         ):
             axpy_update(params, step, 1e10)
 
+    @pytest.mark.parametrize("kind", [NGDIFF, PCGRAD])
     @pytest.mark.parametrize("values", [*HUGE, [0.0, 0.0], [3.0, -4.0], [1e-200, 1e-200]])
-    def test_norm_is_the_root_of_the_sum_of_squares(self, values):
-        grad = FlatGradient(values)
-        assert type(grad.norm) is float
-        assert repr(grad.norm) == root_of_squares(grad.data)
+    def test_combine_takes_the_root_of_the_sum_of_squares(self, kind, values):
+        g_r, g_f = gradient(values), gradient([0.5, -2.0])
+        norms = [float(root_of_squares(g)) for g in (g_r, g_f)]
+        spec = method_spec(kind)
+        with np.errstate(over="ignore"):
+            out = combine(spec, g_r, g_f)
+        c = coefficient(spec, g_r, g_f, *norms)[0]
+        assert repr(out.coefficient) == repr(c)
+        normalized = [True] if kind == NGDIFF else None
+        assert same_bits(out.direction, directions([c], g_r[None], g_f[None], *([n] for n in norms), normalized)[0])
 
-    def test_kernel_and_combined_norms_are_the_root_of_the_sum_of_squares(self):
+    def test_kernel_norms_are_the_root_of_the_sum_of_squares(self):
         graph, params, batch = random_mlp_case(4)
-        forward(graph, params, batch)
-        g_r = graph.backward()[0]
-        g_f = graph.backward(np.linspace(-1.0, 1.0, batch.n))[0]
-        direction = combine(method_spec("ngdiff"), g_r, g_f).direction
-        for grad in (g_r, g_f, direction):
-            assert repr(grad.norm) == root_of_squares(grad.data)
+        vectors = np.array([params, parameter_vector(params + 0.25)])
+        graph.run(vectors, graph.bind(batch))
+        for flat, norms in (graph.backward(), graph.backward(np.tile(np.linspace(-1.0, 1.0, batch.n), (2, 1)))):
+            for rows, run_norms in zip(flat, norms):
+                assert [repr(norm) for norm in run_norms] == [root_of_squares(row) for row in rows]

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism, dominance."""
 
 import builtins
+import csv
 import errno
 import gc
 import json
@@ -91,6 +92,12 @@ def find_one(root, name):
     hits = sorted(root.rglob(name))
     assert hits, f"no {name} under {root}"
     return hits
+
+
+def csv_rows(path) -> list:
+    """The rows of a CSV artifact, as ``csv.reader`` reads them back."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def one_record(tmp_path, doc):
@@ -432,6 +439,15 @@ class TestSweep:
         assert printed.count("non-dominated:") == 3
         pareto_rows = (out / "pareto.csv").read_text().splitlines()
         assert len(pareto_rows) == 1 + 3
+
+    def test_a_value_with_a_newline_stays_one_cell(self, tmp_path):
+        # float() takes "0.6\n", so the value runs and its summary cell holds the newline
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=20))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--param", "c", "--values", "0.6\n,0.7"]) == 0
+        rows = csv_rows(out / "sweep_summary.csv")
+        assert [row[0] for row in rows] == ["c", "0.6\n", "0.7"]
+        assert all(len(row) == len(rows[0]) for row in rows)
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gdiff", "c": 0.5}, steps=100))
@@ -883,6 +899,16 @@ class TestParetoCommand:
         printed = capsys.readouterr().out
         assert f"dominated: {worse}" in printed
         assert len((tmp_path / "pareto.csv").read_text().splitlines()) == 2
+
+    def test_a_tag_with_a_comma_stays_one_cell(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", quad_doc({"kind": "gd"}, steps=20))
+        runs = tmp_path / "pc" / "a,b"
+        assert main(["run", "--config", cfg, "--out", str(runs)]) == 0
+        (rec,) = find_one(runs, "record.json")
+        assert main(["pareto", str(runs / "*" / "record.json"), "--out", str(tmp_path)]) == 0
+        rows = csv_rows(tmp_path / "pareto.csv")
+        assert [row[0] for row in rows] == ["tag", str(rec)]
+        assert all(len(row) == len(rows[0]) for row in rows)
 
     def test_unreadable_record_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ngdiff import (
-    FlatGradient,
     LrState,
     ProbeError,
     fit_quadratic,
@@ -20,7 +19,7 @@ from ngdiff.bench import mlp_factory, LabeledBatch
 from ngdiff.engine import LrConfig
 from ngdiff.scheduler import ETA_GROWTH_CAP
 
-from _oracles import forward, straight_line_mlp_loss
+from _oracles import forward, gradient, straight_line_mlp_loss
 
 
 def auto_lr(update_period=10, probe_epsilon=1e-3):
@@ -41,14 +40,14 @@ def quadratic_loss(H, center=None):
 class TestProbeLosses:
     def test_scalar_quadratic_probe_values(self):
         loss = quadratic_loss([[1.0]])
-        lm, l0, lp, probe = probe_losses(loss, parameter_vector([3.0]), FlatGradient([3.0]), 0.1, 4.5)
+        lm, l0, lp, probe = probe_losses(loss, parameter_vector([3.0]), gradient([3.0]), 0.1, 4.5)
         assert (lm, l0, lp) == (3.6450000000000005, 4.5, 5.444999999999999)
         assert probe == 0.1
 
     def test_zero_direction_gives_equal_losses(self):
         loss = quadratic_loss(np.eye(2))
         p = parameter_vector([1.0, 2.0])
-        lm, l0, lp, _ = probe_losses(loss, p, FlatGradient([0.0, 0.0]), 0.5, loss(p))
+        lm, l0, lp, _ = probe_losses(loss, p, gradient([0.0, 0.0]), 0.5, loss(p))
         assert lm == l0 == lp
 
     def test_matches_independent_forward_reimplementation(self):
@@ -56,15 +55,15 @@ class TestProbeLosses:
         graph, params = mlp_factory(5, widths)
         rng = np.random.default_rng(8)
         batch = LabeledBatch(rng.standard_normal((7, 4)), rng.integers(0, 3, 7), 3)
-        direction = FlatGradient(rng.standard_normal(params.size))
+        direction = gradient(rng.standard_normal(params.size))
 
         def loss(p):
             return forward(graph, p, batch)
 
         lm, l0, lp, probe = probe_losses(loss, params, direction, 0.05, loss(params))
         feats, labels = batch.features, batch.labels
-        minus = parameter_vector(params - probe * direction.data)
-        plus = parameter_vector(params + probe * direction.data)
+        minus = parameter_vector(params - probe * direction)
+        plus = parameter_vector(params + probe * direction)
         np.testing.assert_allclose(lm, straight_line_mlp_loss(widths, minus, feats, labels), rtol=1e-12)
         np.testing.assert_allclose(lp, straight_line_mlp_loss(widths, plus, feats, labels), rtol=1e-12)
 
@@ -72,7 +71,7 @@ class TestProbeLosses:
         loss = quadratic_loss(np.diag([1.0, 4.0]))
         p = parameter_vector([1.0, 1.0])
         before = p.tobytes()
-        probe_losses(loss, p, FlatGradient([1.0, 4.0]), 0.3, loss(p))
+        probe_losses(loss, p, gradient([1.0, 4.0]), 0.3, loss(p))
         assert p.tobytes() == before
 
     def test_shrinks_probe_on_nonfinite_loss(self):
@@ -84,7 +83,7 @@ class TestProbeLosses:
             return math.inf if abs(x - 1.0) > 0.05 else (x - 1.0) ** 2
 
         p = parameter_vector([1.0])
-        lm, l0, lp, probe = probe_losses(loss, p, FlatGradient([1.0]), 1.0, loss(p))
+        lm, l0, lp, probe = probe_losses(loss, p, gradient([1.0]), 1.0, loss(p))
         assert probe == pytest.approx(0.01)
         assert math.isfinite(lm) and math.isfinite(lp)
 
@@ -94,7 +93,7 @@ class TestProbeLosses:
 
         p = parameter_vector([1.0])
         with pytest.raises(ProbeError):
-            probe_losses(loss, p, FlatGradient([1.0]), 1.0, loss(p))
+            probe_losses(loss, p, gradient([1.0]), 1.0, loss(p))
 
 
 class TestFitQuadratic:
@@ -139,7 +138,7 @@ class TestOptimalLr:
         loss = quadratic_loss(H)
         theta = parameter_vector([1.0, 1.0])
         g = H @ theta
-        d = FlatGradient(g)
+        d = gradient(g)
         lm, l0, lp, probe = probe_losses(loss, theta, d, 0.37, loss(theta))
         eta = optimal_lr(fit_quadratic(probe, lm, l0, lp))
         assert eta == pytest.approx(17.0 / 65.0, rel=1e-12)
@@ -154,7 +153,7 @@ class TestOptimalLr:
             loss = quadratic_loss(H, center)
             theta = parameter_vector(rng.standard_normal(dim))
             d_vec = rng.standard_normal(dim)
-            d = FlatGradient(d_vec)
+            d = gradient(d_vec)
             g = H @ (theta - center)
             expected = float(g @ d_vec) / float(d_vec @ H @ d_vec)
             if expected <= 0:
@@ -171,7 +170,7 @@ class TestOptimalLr:
         loss = quadratic_loss(H)
         theta = parameter_vector([1.0, -2.0, 0.5])
         d_vec = np.array([0.3, -1.0, 0.2])
-        d = FlatGradient(d_vec)
+        d = gradient(d_vec)
         lm, l0, lp, probe = probe_losses(loss, theta, d, 0.05, loss(theta))
         eta = optimal_lr(fit_quadratic(probe, lm, l0, lp))
         g = H @ theta
@@ -190,7 +189,7 @@ class TestMaybeUpdate:
             return 0.0
 
         p = parameter_vector([1.0])
-        out = maybe_update(state, 3, auto_lr(), loss, p, FlatGradient([1.0]), 0.0)
+        out = maybe_update(state, 3, auto_lr(), loss, p, gradient([1.0]), 0.0)
         assert out is state
         assert calls == []
 
@@ -199,11 +198,11 @@ class TestMaybeUpdate:
         loss = quadratic_loss(H)
         theta = parameter_vector([1.0, 1.0])
         g = H @ theta
-        d = FlatGradient(g)
+        d = gradient(g)
         state = maybe_update(LrState(None), 0, auto_lr(), loss, theta, d, loss(theta))
         assert state.eta is not None
-        stepped = parameter_vector(theta - state.eta * d.data)
-        residual = float((H @ stepped) @ d.data) / np.linalg.norm(d.data)
+        stepped = parameter_vector(theta - state.eta * d)
+        residual = float((H @ stepped) @ d) / np.linalg.norm(d)
         assert abs(residual) <= 1e-10
 
     def test_guard_on_concave_region_keeps_eta(self):
@@ -213,7 +212,7 @@ class TestMaybeUpdate:
             return x**4 / 4.0 - x**2
 
         theta = parameter_vector([0.5])
-        d = FlatGradient([1.0])
+        d = gradient([1.0])
         state = LrState(eta=0.25)
         out = maybe_update(state, 0, auto_lr(), loss, theta, d, loss(theta))
         assert out.eta == 0.25
@@ -224,7 +223,7 @@ class TestMaybeUpdate:
             return math.inf if p[0] != 1.0 else 0.5
 
         theta = parameter_vector([1.0])
-        state = maybe_update(LrState(eta=0.1), 0, auto_lr(), loss, theta, FlatGradient([1.0]), 0.5)
+        state = maybe_update(LrState(eta=0.1), 0, auto_lr(), loss, theta, gradient([1.0]), 0.5)
         assert state.eta == 0.1
         assert state.guard_trips == 1
 
@@ -235,7 +234,7 @@ class TestMaybeUpdate:
         theta = parameter_vector([1.0])
         fit = fit_quadratic(0.1, 0.405, 0.5, 0.605) if fitted else None
         state = LrState(eta=0.1, fitted=fit)
-        out = maybe_update(state, 0, auto_lr(), quadratic_loss([[1.0]]), theta, FlatGradient([1.0]), 0.5)
+        out = maybe_update(state, 0, auto_lr(), quadratic_loss([[1.0]]), theta, gradient([1.0]), 0.5)
         if fitted:
             assert out.eta == ETA_GROWTH_CAP * 0.1
             assert out.guard_trips == 1
@@ -253,7 +252,7 @@ class TestMaybeUpdate:
         fit = fit_quadratic(0.1, 0.405, 0.5, 0.605) if fitted else None
         lr = auto_lr(probe_epsilon=probe)
         state = LrState(eta=probe if fitted else None, fitted=fit)
-        out = maybe_update(state, 0, lr, quadratic_loss([[1.0]]), theta, FlatGradient([1.0]), 0.5)
+        out = maybe_update(state, 0, lr, quadratic_loss([[1.0]]), theta, gradient([1.0]), 0.5)
         assert out.eta == state.eta and step_size(out, lr) == probe
         assert out.guard_trips == 1
         assert out.fitted.probe == probe and math.isnan(out.fitted.a2)
@@ -271,7 +270,7 @@ class TestMaybeUpdate:
         state = LrState(None)
         theta = parameter_vector([2.0, 1.0])
         for step in range(25):
-            d = FlatGradient(H @ theta)
+            d = gradient(H @ theta)
             # current loss supplied by the caller, as in the run loop
             state = maybe_update(state, step, lr, loss, theta, d, loss(theta))
         # events at 0, period, 2*period, ... below 25; two probe passes each
@@ -286,7 +285,7 @@ class TestMaybeUpdate:
             return 0.5 * float(p[0]) ** 2
 
         theta = parameter_vector([1.0])
-        maybe_update(LrState(None), 0, auto_lr(), loss, theta, FlatGradient([1.0]), 0.5)
+        maybe_update(LrState(None), 0, auto_lr(), loss, theta, gradient([1.0]), 0.5)
         np.testing.assert_allclose(sorted(seen), [1.0 - 1e-3, 1.0 + 1e-3])
 
     def test_step_size_falls_back_to_probe_epsilon(self):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ngdiff import (
-    FlatGradient,
     LabeledBatch,
     LrState,
     ParetoPoint,
@@ -44,7 +43,6 @@ def _values():
     quad, gauss = config_from_dict(QUAD_DOC), config_from_dict(GAUSS_DOC)
     fit = fit_quadratic(0.1, 1.0, 0.5, 0.7)
     return {
-        "FlatGradient": FlatGradient([0.5, -0.5]),
         "LabeledBatch": _batch(),
         "ForgetRetainSplit": split_forget_retain(_batch(), 1),
         "MethodSpec": quad.method,
@@ -81,7 +79,7 @@ def assert_same(copy, value, frozen=True):
 
 def test_every_value_type_is_covered():
     assert sorted(VALUES) == sorted({type(v).__name__ for v in VALUES.values()})
-    assert len(VALUES) + 1 == 14  # and _Cache, which only Graph.run builds
+    assert len(VALUES) + 1 == 13  # and _Cache, which only Graph.run builds
 
 
 @pytest.mark.parametrize("name", [*VALUES, "_Cache"])

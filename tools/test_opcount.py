@@ -18,9 +18,9 @@ CALLS_BUDGET = 10
 GROUP_OPS_BUDGET = 33
 GROUP_CALLS_BUDGET = 1.0
 # ops and calls per step of the lone loop of configs/ngdiff_gaussian.json,
-# finetune cancelled out, once NGDiff's coefficient is coefficient's own
-# (2031.6 and 41.6), plus two
-GAUSS_OPS_BUDGET = 2033
+# finetune cancelled out, once a gradient became a plain array and the
+# step-size update stopped taking the direction's norm (2028.3 and 41.6), plus two
+GAUSS_OPS_BUDGET = 2030
 GAUSS_CALLS_BUDGET = 43
 
 
